@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .fourier import TRIG, WALSH, coeffs_2d
-from .norms import evaluate_norm_request
+from .norms import GRID_KINDS, evaluate_norm_request
 from .stepfun import DyadicStep2D, load_grid
 from .verify.checks import SUITE_NAMES, run_suite
 from .verify.report import write_reports
@@ -62,17 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("norm", help="compute a norm of a grid file",
                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    norm.add_argument("--kind", required=True,
-                      choices=("lorentz", "grand", "mixed", "seq_grand",
-                               "logweight", "p6"))
+    norm.add_argument("--kind", required=True, choices=GRID_KINDS)
     norm.add_argument("--p", nargs=2, default=["2", "2"], metavar="F",
                       help="integrability exponents (use 'inf' for infinity)")
     norm.add_argument("--q", nargs=2, default=["2", "2"], metavar="F",
                       help="fineness exponents (use 'inf' for infinity)")
     norm.add_argument("--theta", nargs=2, type=float, default=[0.0, 0.0],
                       metavar="F", help="grand smoothness weights")
-    norm.add_argument("--sign", default="plus", choices=("plus", "minus"),
-                      help="sequence-norm exponent sign")
     norm.add_argument("--J", type=int, default=24,
                       help="epsilon grid depth for grand norms")
     _add_common(norm)
@@ -104,7 +100,7 @@ def _load(path) -> DyadicStep2D:
 def cmd_norm(args) -> int:
     f = _load(args.inp)
     req = {"norm": args.kind, "p": args.p, "q": args.q,
-           "theta": args.theta, "sign": args.sign, "epsJ": args.J}
+           "theta": args.theta, "epsJ": args.J}
     res = evaluate_norm_request(req, f)
     doc = {"config": req, "content_hash": _content_hash(f), **res}
     _emit(doc, args.out, args.format)
@@ -140,7 +136,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES and args.suite != "interp":
+    if args.suite not in SUITE_NAMES:
         sys.stderr.write(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES)}\n")
         return 2

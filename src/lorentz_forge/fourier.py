@@ -11,12 +11,12 @@ complex exponentials cell by cell in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import Exponents, GrandNormResult, GrandParams, grand_seq_norm
+from .norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
+                    _block_sqrt_table, grand_seq_norm)
 from .rearrange import (Sequence2D, iterated_rearrange_seq,
                         iterated_rearrange_seq_first_index)
 from .stepfun import DyadicStep2D
@@ -248,9 +248,8 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     """
     if any(not (2 <= qi) for qi in q):
         raise ValueError(f"requires 2 <= q <= inf, got {q}")
-    r = np.asarray(iterated_rearrange_seq(a.magnitudes).entries)
-    S = np.cumsum(np.cumsum(r**2, axis=0), axis=1)
-    K1, K2 = r.shape
+    S = _block_cumsum(a.magnitudes)
+    K1, K2 = S.shape
     e1 = 0.5 - (0.0 if q[0] == INF else 1.0 / q[0])
     e2 = 0.5 - (0.0 if q[1] == INF else 1.0 / q[1])
     w1 = np.log(np.maximum(np.arange(1, K1 + 1), 2)) ** e1
@@ -265,22 +264,19 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
 
     The bracket saturates once a block covers the stored matrix and the
     weights are nonincreasing for ``q >= 2``, so a finite scan is exact.
+    Past ``kappa_i`` the block is the dyadic table's last one, so ``n_i``
+    reads the table at ``min(n_i, kappa_i)``.
     """
-    r = np.asarray(iterated_rearrange_seq(a.magnitudes).entries)
-    sqrtS = np.sqrt(np.cumsum(np.cumsum(r**2, axis=0), axis=1))
-    K1, K2 = r.shape
+    T = _block_sqrt_table(a.magnitudes)
+    kap1, kap2 = T.shape[0] - 1, T.shape[1] - 1
     e1 = (0.0 if q[0] == INF else 1.0 / q[0]) - 0.5
     e2 = (0.0 if q[1] == INF else 1.0 / q[1]) - 0.5
-    n1_max = max(int(math.ceil(math.log2(K1))), 1) + 1
-    n2_max = max(int(math.ceil(math.log2(K2))), 1) + 1
-    best = 0.0
-    for n1 in range(1, n1_max + 1):
-        i1 = min(2**n1, K1) - 1
-        for n2 in range(1, n2_max + 1):
-            i2 = min(2**n2, K2) - 1
-            val = n1**e1 * n2**e2 * sqrtS[i1, i2]
-            best = max(best, val)
-    return best
+    n1 = range(1, max(kap1, 1) + 2)
+    n2 = range(1, max(kap2, 1) + 2)
+    # Python float powers: numpy's array power can differ in the last bit
+    w = np.outer([n**e1 for n in n1], [n**e2 for n in n2])
+    vals = w * T[np.ix_(np.minimum(n1, kap1), np.minimum(n2, kap2))]
+    return float(np.max(vals))
 
 
 def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +59,11 @@ class GrandParams:
 
     ``theta`` components must share one sign: both >= 0 selects the sup form,
     both < 0 the inf form.  ``eps_levels`` is the geometric grid depth J
-    (grid ``2^-j, j=0..J``); ``delta`` caps the epsilon range per axis.
+    (grid ``2^-j, j=0..J``).
     """
 
     theta: tuple[float, float]
     eps_levels: int = 24
-    delta: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         t1, t2 = self.theta
@@ -73,8 +71,6 @@ class GrandParams:
             raise ValueError(f"mixed-sign theta {self.theta} is not defined")
         if self.eps_levels < 0:
             raise ValueError("eps_levels must be >= 0")
-        if any(not (0 < d <= 1) for d in self.delta):
-            raise ValueError(f"delta must lie in (0,1], got {self.delta}")
         object.__setattr__(self, "theta", (float(t1), float(t2)))
 
     @property
@@ -131,32 +127,21 @@ def _stage_finite(vals_q: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _lorentz_core(g: np.ndarray, h1: float, h2: float,
                   a1: float, a2: float, q1: float, q2: float) -> float:
-    """Nested weighted integral of a rearranged value matrix ``g[j2, j1]``.
-
-    Computes ``( int ( int (t1^a1 t2^a2 g)^{q1} dt1/t1 )^{q2/q1} dt2/t2 )^{1/q2}``
-    with sup forms replacing infinite ``q`` components.  Returns ``+inf`` on
-    divergence.
-    """
-    r2, r1 = g.shape
-    # inner stage over t1, one value per t2-cell
-    if q1 == INF:
-        b1 = (np.arange(1, r1 + 1) * h1) ** a1
-        inner = np.max(g * b1, axis=1)
-    else:
-        w1 = _cell_weights(a1 * q1, r1, h1)
-        inner = _stage_finite(g**q1, w1) ** (1.0 / q1)
-    # outer stage over t2
-    if q2 == INF:
-        b2 = (np.arange(1, r2 + 1) * h2) ** a2
-        return float(np.max(inner * b2))
-    w2 = _cell_weights(a2 * q2, r2, h2)
-    return float(_stage_finite(inner**q2, w2) ** (1.0 / q2))
+    """The 1x1 case of :func:`_lorentz_core_batch`."""
+    return float(_lorentz_core_batch(g, h1, h2, np.array([a1]), np.array([a2]),
+                                     q1, q2)[0, 0])
 
 
 def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
                         a1s: np.ndarray, a2s: np.ndarray,
                         q1: float, q2: float) -> np.ndarray:
-    """Matrix of :func:`_lorentz_core` values over exponent grids ``a1s x a2s``."""
+    """Nested weighted integrals of a rearranged value matrix ``g[j2, j1]``
+    over exponent grids, ``out[i, j]`` at ``(a1, a2) = (a1s[i], a2s[j])``.
+
+    Computes ``( int ( int (t1^a1 t2^a2 g)^{q1} dt1/t1 )^{q2/q1} dt2/t2 )^{1/q2}``
+    with sup forms replacing infinite ``q`` components.  Returns ``+inf`` on
+    divergence.
+    """
     r2, r1 = g.shape
     if q1 == INF:
         b1 = np.arange(1, r1 + 1) * h1
@@ -213,13 +198,28 @@ def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
     return _lorentz_core(np.asarray(g.values), h1, h2, a1, a2, e.q[0], e.q[1])
 
 
-def _eps_grid(gp: GrandParams, axis: int, cap: float) -> np.ndarray:
-    grid = 2.0 ** -np.arange(gp.eps_levels + 1)
-    cap = min(cap, gp.delta[axis])
+def _eps_grid(levels: int, cap: float) -> np.ndarray:
+    """The points ``2^-j <= cap``, ``j = 0..levels``, led by ``cap`` itself."""
+    grid = 2.0 ** -np.arange(levels + 1)
     grid = grid[grid <= cap]
     if cap not in grid:
         grid = np.concatenate([[cap], grid])
     return grid
+
+
+def _sup_eps_axes(gp: GrandParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the sup-form epsilon grid and its weights ``eps^theta``.
+
+    A zero ``theta_i`` adds the point ``eps = 0``, weighted ``0^0 = 1``.
+    """
+    eps = _eps_grid(gp.eps_levels, 1.0)
+    axes = []
+    for t in gp.theta:
+        if t == 0:
+            axes.append((np.concatenate([eps, [0.0]]), np.ones(len(eps) + 1)))
+        else:
+            axes.append((eps, eps**t))
+    return axes
 
 
 def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandNormResult:
@@ -244,25 +244,16 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
                           e.q[0], e.q[1]),
             (0.0, 0.0), "exact")
     if gp.sup_form:
-        e1 = _eps_grid(gp, 0, 1.0)
-        e2 = _eps_grid(gp, 1, 1.0)
-        if t1 == 0:
-            e1 = np.concatenate([e1, [0.0]])
-        if t2 == 0:
-            e2 = np.concatenate([e2, [0.0]])
+        (e1, w1), (e2, w2) = _sup_eps_axes(gp)
         vals = _lorentz_core_batch(np.asarray(g.values), h1, h2,
                                    base[0] + e1, base[1] + e2, e.q[0], e.q[1])
-        # eps^0 = 1 by convention, including at eps = 0
-        w1 = np.where(e1 > 0, e1, 1.0) ** t1 if t1 else np.ones_like(e1)
-        w2 = np.where(e2 > 0, e2, 1.0) ** t2 if t2 else np.ones_like(e2)
         obj = vals * np.outer(w1, w2)
         i, j = np.unravel_index(np.argmax(obj), obj.shape)
-        direction = "exact" if (t1 == 0 and t2 == 0) else "under"
-        return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), direction)
+        return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")
     if e.p[0] == INF or e.p[1] == INF:
         raise ValueError("inf-form grand norm requires finite p")
-    e1 = _eps_grid(gp, 0, base[0])
-    e2 = _eps_grid(gp, 1, base[1])
+    e1 = _eps_grid(gp.eps_levels, base[0])
+    e2 = _eps_grid(gp.eps_levels, base[1])
     vals = _lorentz_core_batch(np.asarray(g.values), h1, h2,
                                base[0] - e1, base[1] - e2, e.q[0], e.q[1])
     obj = vals * np.outer(e1**t1, e2**t2)
@@ -282,58 +273,54 @@ def _geom_tail(e: float, start: int) -> float:
     return r**start / (1.0 - r)
 
 
-def _block_sqrt_table(r: np.ndarray) -> np.ndarray:
-    """``sqrt(S)[k1, k2]`` with ``S`` the cumulative square sum of the
-    rearranged entries over the top ``2^{k1} x 2^{k2}`` block, ``k_i = 0..kappa_i``.
+def _block_cumsum(a: Sequence2D) -> np.ndarray:
+    """``S[i1, i2]``: the square sum of the iterated rearrangement of ``a``
+    over its top ``(i1 + 1) x (i2 + 1)`` block."""
+    r = np.asarray(iterated_rearrange_seq(a).entries)
+    return np.cumsum(np.cumsum(r**2, axis=0), axis=1)
+
+
+def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
+    """``sqrt(S)[k1, k2]`` over the top ``2^{k1} x 2^{k2}`` blocks,
+    ``k_i = 0..kappa_i`` with ``kappa_i = ceil(log2 K_i)`` (see
+    :func:`_block_cumsum`).
 
     Dimensions are implicitly zero-padded to powers of two, so the table
     saturates at the true totals.
     """
-    K1, K2 = r.shape
-    kap1 = max(int(math.ceil(math.log2(K1))), 0) if K1 > 1 else 0
-    kap2 = max(int(math.ceil(math.log2(K2))), 0) if K2 > 1 else 0
-    csum = np.cumsum(np.cumsum(r**2, axis=0), axis=1)
-    idx1 = np.minimum(2 ** np.arange(kap1 + 1), K1) - 1
-    idx2 = np.minimum(2 ** np.arange(kap2 + 1), K2) - 1
-    return np.sqrt(csum[np.ix_(idx1, idx2)])
+    S = _block_cumsum(a)
+    K1, K2 = S.shape
+    idx1 = np.minimum(2 ** np.arange((K1 - 1).bit_length() + 1), K1) - 1
+    idx2 = np.minimum(2 ** np.arange((K2 - 1).bit_length() + 1), K2) - 1
+    return np.sqrt(S[np.ix_(idx1, idx2)])
+
+
+def _block_stage(vals: np.ndarray, u: np.ndarray, nu: float, q: float) -> float:
+    """The q-sum over ``k >= 0`` of ``u[k] vals[k]``, ``u[k] = 2^{nu k}``;
+    beyond the stored values the last one repeats (the bracket saturates)
+    and the geometric tail is summed in closed form."""
+    sat = vals[-1]
+    if q == INF:
+        head = float(np.max(u * vals))
+        if nu > 0 and sat > 0:
+            return INF
+        return head
+    head = float(np.sum((u * vals) ** q))
+    if sat > 0:
+        tail = _geom_tail(nu * q, len(vals))
+        head = head + sat**q * tail if tail != INF else INF
+    return head ** (1.0 / q) if head != INF else INF
 
 
 def _seq_block_core(sqrtS: np.ndarray, nu1: float, nu2: float,
                     q1: float, q2: float) -> float:
     """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[k1^, k2^]``
-    over all ``k_i >= 0``; beyond the stored table the bracket saturates and
-    the geometric tails are summed in closed form.
+    over all ``k_i >= 0``: :func:`_block_stage` over k1 in each column,
+    then over k2.
     """
-    kap1 = sqrtS.shape[0] - 1
-    kap2 = sqrtS.shape[1] - 1
-    u1 = 2.0 ** (nu1 * np.arange(kap1 + 1))
-
-    def inner(col: np.ndarray) -> float:
-        sat = col[-1]
-        if q1 == INF:
-            head = float(np.max(u1 * col))
-            if nu1 > 0 and sat > 0:
-                return INF
-            return head
-        head = float(np.sum((u1 * col) ** q1))
-        if sat > 0:
-            tail = _geom_tail(nu1 * q1, kap1 + 1)
-            head = head + sat**q1 * tail if tail != INF else INF
-        return head ** (1.0 / q1) if head != INF else INF
-
-    f_vals = np.array([inner(sqrtS[:, k2]) for k2 in range(kap2 + 1)])
-    u2 = 2.0 ** (nu2 * np.arange(kap2 + 1))
-    sat = f_vals[-1]
-    if q2 == INF:
-        head = float(np.max(u2 * f_vals))
-        if nu2 > 0 and sat > 0:
-            return INF
-        return head
-    head = float(np.sum((u2 * f_vals) ** q2))
-    if sat > 0:
-        tail = _geom_tail(nu2 * q2, kap2 + 1)
-        head = head + sat**q2 * tail if tail != INF else INF
-    return head ** (1.0 / q2) if head != INF else INF
+    u1 = 2.0 ** (nu1 * np.arange(sqrtS.shape[0]))
+    inner = np.array([_block_stage(col, u1, nu1, q1) for col in sqrtS.T])
+    return _block_stage(inner, 2.0 ** (nu2 * np.arange(len(inner))), nu2, q2)
 
 
 def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
@@ -342,8 +329,7 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     to the normalized brackets ``[2^{-k1-k2} sum (a^{*2,*1})^2]^{1/2}``.
     """
     e = Exponents(p, q)
-    r = np.asarray(iterated_rearrange_seq(a).entries)
-    sqrtS = _block_sqrt_table(r)
+    sqrtS = _block_sqrt_table(a)
     nu1 = 1.0 / e.conjugate(0) - 0.5
     nu2 = 1.0 / e.conjugate(1) - 0.5
     return _seq_block_core(sqrtS, nu1, nu2, q[0], q[1])
@@ -364,29 +350,16 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     t1, t2 = gp.theta
     if t1 < 0 or t2 < 0:
         raise ValueError("grand sequence norm is defined for theta >= 0")
-    r = np.asarray(iterated_rearrange_seq(a).entries)
-    sqrtS = _block_sqrt_table(r)
+    sqrtS = _block_sqrt_table(a)
     base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
     s = 1.0 if sign == "plus" else -1.0
-    e1 = _eps_grid(gp, 0, 1.0)
-    e2 = _eps_grid(gp, 1, 1.0)
-    if t1 == 0:
-        e1 = np.concatenate([e1, [0.0]])
-    if t2 == 0:
-        e2 = np.concatenate([e2, [0.0]])
-    best = -INF
-    best_eps = (float(e1[0]), float(e2[0]))
-    for x1 in e1:
-        w1 = x1**t1 if (x1 > 0 or t1 > 0) else 1.0
-        nu1 = base[0] + s * x1 - 0.5
-        for x2 in e2:
-            w2 = x2**t2 if (x2 > 0 or t2 > 0) else 1.0
-            nu2 = base[1] + s * x2 - 0.5
-            val = w1 * w2 * _seq_block_core(sqrtS, nu1, nu2, e.q[0], e.q[1])
-            if val > best:
-                best = val
-                best_eps = (float(x1), float(x2))
-    return GrandNormResult(float(best), best_eps, "under")
+    (e1, w1), (e2, w2) = _sup_eps_axes(gp)
+    vals = np.array([[_seq_block_core(sqrtS, base[0] + s * x1 - 0.5,
+                                      base[1] + s * x2 - 0.5, e.q[0], e.q[1])
+                      for x2 in e2] for x1 in e1])
+    obj = vals * np.outer(w1, w2)
+    i, j = np.unravel_index(np.argmax(obj), obj.shape)
+    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +482,10 @@ def _parse_pair(raw) -> tuple[float, float]:
     return one(raw[0]), one(raw[1])
 
 
+# the request kinds evaluated on a grid (``seq_grand`` takes a sequence)
+GRID_KINDS = ("lorentz", "grand", "mixed", "logweight", "p6")
+
+
 def evaluate_norm_request(req: dict, obj) -> dict:
     """Evaluate a norm request against a grid or sequence.
 
@@ -521,9 +498,19 @@ def evaluate_norm_request(req: dict, obj) -> dict:
     q = _parse_pair(req.get("q", (2, 2)))
     theta = tuple(float(x) for x in req.get("theta", (0.0, 0.0)))
     eps_j = int(req.get("epsJ", 24))
+    if kind == "seq_grand":
+        if not isinstance(obj, Sequence2D):
+            raise TypeError("seq_grand norm needs a sequence")
+        res = grand_seq_norm(obj, Exponents(p, q),
+                             GrandParams(theta, eps_levels=eps_j),
+                             sign=req.get("sign", "plus"))
+        return {"value": res.value, "approx_direction": res.direction,
+                "argmax_eps": list(res.eps)}
+    if kind not in GRID_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if not isinstance(obj, DyadicStep2D):
+        raise TypeError(f"{kind} norm needs a grid")
     if kind == "mixed":
-        if not isinstance(obj, DyadicStep2D):
-            raise TypeError("mixed norm needs a grid")
         return {"value": mixed_lebesgue_norm(obj, p),
                 "approx_direction": "exact", "argmax_eps": None}
     if kind == "lorentz":
@@ -534,18 +521,8 @@ def evaluate_norm_request(req: dict, obj) -> dict:
                                  GrandParams(theta, eps_levels=eps_j))
         return {"value": res.value, "approx_direction": res.direction,
                 "argmax_eps": list(res.eps)}
-    if kind == "seq_grand":
-        if not isinstance(obj, Sequence2D):
-            raise TypeError("seq_grand norm needs a sequence")
-        res = grand_seq_norm(obj, Exponents(p, q),
-                             GrandParams(theta, eps_levels=eps_j),
-                             sign=req.get("sign", "plus"))
-        return {"value": res.value, "approx_direction": res.direction,
-                "argmax_eps": list(res.eps)}
     if kind == "logweight":
         return {"value": logweight_sup_norm(obj, p, theta),
                 "approx_direction": "exact", "argmax_eps": None}
-    if kind == "p6":
-        return {"value": discrete_grand_norm_P6(obj, Exponents(p, q), theta),
-                "approx_direction": "under", "argmax_eps": None}
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return {"value": discrete_grand_norm_P6(obj, Exponents(p, q), theta),
+            "approx_direction": "under", "argmax_eps": None}

@@ -11,9 +11,6 @@ notes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..fourier import WALSH, TRIG, block_l2, block_sup_lhs, bochkarev_lhs, \
@@ -30,19 +27,6 @@ from .hardy import (hardy_ascent_lhs, hardy_ascent_rhs, hardy_descent_lhs,
 from .report import CheckCase, CheckReport, serialize_grid
 
 INF = float("inf")
-
-SUITE_NAMES = ("karamata", "mink", "hardy", "le3", "te3", "te4", "thm5",
-               "embeddings", "all")
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when LORENTZ_FORGE_THREADS > 1."""
-    threads = int(os.environ.get("LORENTZ_FORGE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
 
 def _attach_witness(rep: CheckReport, items) -> None:
     """Serialize the worst case's function when the id carries its index."""
@@ -218,15 +202,12 @@ def check_te3(corpus, theta, q, c0: float | None = None) -> CheckReport:
     rep = CheckReport("te3", {"theta": list(theta), "q": _jq(q)},
                       corpus_hash(corpus), c0)
 
-    def one(args):
-        i, f = args
+    for i, f in enumerate(corpus):
         n1, n2 = f.levels
         a = coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2)
         lhs = te3_lhs(a, p, q)
         rhs = 6.0 * D * lorentz_norm(f, Exponents(p, q))
-        return CheckCase(f"f{i}", lhs, rhs)
-
-    rep.cases = _pmap(one, list(enumerate(corpus)))
+        rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
     rep.notes["D"] = D
     # the raw lhs / Lorentz ratio normalized by D: the growth statistic
     rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
@@ -251,12 +232,9 @@ def check_te4(corpus, theta, q, C_pass: float | None = None,
         rhs = grand_lorentz_norm(f, e, gp).value
         return CheckCase(f"f{i}", lhs, rhs)
 
-    def one(args):
-        i, f = args
+    for i, f in enumerate(corpus):
         n1, n2 = f.levels
-        return run(i, f, coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2))
-
-    rep.cases = _pmap(one, list(enumerate(corpus)))
+        rep.cases.append(run(i, f, coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2)))
     for j, (a, f) in enumerate(pairs or []):
         rep.cases.append(run(f"lac{j}", f, a))
     rep.notes["direction"] = ("lhs grid-sup under, rhs grid-sup under "
@@ -400,13 +378,10 @@ def check_interp_chain(corpus, theta, q, J: int = 10,
     rep = CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
                                        "J": J}, corpus_hash(corpus), slack)
 
-    def one(args):
-        i, f = args
+    for i, f in enumerate(corpus):
         lhs = interp_norm(f, theta, q, J=J)
         rhs = 6.0 * D * lorentz_norm(f, Exponents(p, q))
-        return CheckCase(f"f{i}", lhs, rhs)
-
-    rep.cases = _pmap(one, list(enumerate(corpus)))
+        rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
     rep.notes["direction"] = "lhs under-approximates the continuous integral"
     _attach_witness(rep, list(corpus))
     return rep
@@ -514,14 +489,14 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = (*_SUITES, "all")
+
+
 def run_suite(name: str, seed: int = 7, level=(5, 5)) -> list[CheckReport]:
-    """Run one named suite (or ``all``) and return its reports."""
+    """Run one named suite (or ``all``, every suite in ``_SUITES`` order)
+    and return its reports."""
     if name == "all":
-        reports = []
-        for key in ("karamata", "mink", "hardy", "le3", "te3", "te4",
-                    "thm5", "embeddings", "interp"):
-            reports.extend(_SUITES[key](seed, level))
-        return reports
+        return [r for suite in _SUITES.values() for r in suite(seed, level)]
     if name not in _SUITES:
         raise KeyError(name)
     return _SUITES[name](seed, level)

@@ -192,12 +192,13 @@ def test_criterion_9_te3():
 @criterion(10, "grand sequence norm and log-weighted coefficient suprema")
 def test_criterion_10_te4_thm5():
     pins = pinned_ratios()
-    for r in checks.suite_te4(SEED):
+    te4 = checks.suite_te4(SEED)
+    for r in te4:
         assert r.passed, (r.params, r.max_ratio)
         key = "|".join([",".join(f"{t:g}" for t in r.params["theta"]),
                         ",".join(map(str, r.params["q"]))])
         assert r.max_ratio == pytest.approx(pins["te4"][key], rel=1e-9), key
-    assert any(r.params["theta"] == [0.0, 0.0] for r in checks.suite_te4(SEED))
+    assert any(r.params["theta"] == [0.0, 0.0] for r in te4)
     for r in checks.suite_thm5(SEED):
         assert r.passed, (r.check_id, r.params, r.max_ratio)
         key = ",".join(map(str, r.params["q"]))

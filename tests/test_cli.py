@@ -49,6 +49,11 @@ class TestNormCommand:
         assert rc == 0
         assert json.loads(out.read_text())["value"] == pytest.approx(1.0)
 
+    def test_seq_grand_kind_rejected(self, const_grid):
+        # a grid file is never a sequence, so the CLI does not offer seq_grand
+        rc = main(["norm", "--kind", "seq_grand", "--in", str(const_grid)])
+        assert rc == 2
+
     def test_csv_format(self, const_grid, capsys):
         rc = main(["norm", "--kind", "lorentz", "--p", "2", "2",
                    "--q", "1", "1", "--in", str(const_grid),
@@ -94,9 +99,11 @@ class TestVerifyCommand:
         assert (tmp_path / "rep" / "reports.jsonl").exists()
         assert (tmp_path / "rep" / "summary.csv").exists()
 
-    def test_unknown_suite_exits_2(self, tmp_path):
+    def test_unknown_suite_exits_2(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "nosuch", "--out", str(tmp_path)])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "interp" in err and "all" in err
 
     def test_reports_reproducible(self, tmp_path):
         a = tmp_path / "a"
@@ -115,6 +122,6 @@ def test_help_lists_flags(capsys):
         from lorentz_forge.cli import _build_parser
         _build_parser().parse_args(main_args)
     out = capsys.readouterr().out
-    for flag in ("--p", "--q", "--theta", "--sign", "--J", "--in", "--out",
+    for flag in ("--p", "--q", "--theta", "--J", "--in", "--out",
                  "--format"):
         assert flag in out

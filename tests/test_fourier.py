@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, block_l2,
                                    walsh_synthesize)
 from lorentz_forge.norms import (Exponents, GrandParams, grand_seq_norm,
                                  mixed_lebesgue_norm)
-from lorentz_forge.rearrange import Sequence2D
+from lorentz_forge.rearrange import Sequence2D, iterated_rearrange_seq
 from lorentz_forge.stepfun import DyadicStep2D, constant_grid
 
 INF = float("inf")
@@ -149,6 +151,16 @@ class TestTheoremLeftSides:
         total = np.sqrt(np.sum(np.abs(a.entries) ** 2))
         assert block_sup_lhs(a, (2, 2)) == pytest.approx(total)
 
+    @pytest.mark.parametrize("q", [(2, 2), (4, INF), (INF, INF), (2, INF), (3, 5)])
+    def test_block_sup_matches_double_scan(self, q):
+        r = np.random.default_rng(17)
+        for shape in ((1, 1), (1, 8), (5, 3), (7, 9), (32, 32), (64, 1)):
+            mats = [np.zeros(shape)] + [
+                r.random(shape) * 10.0 ** r.integers(-3, 4) for _ in range(20)]
+            for m in mats:
+                a = CoeffMatrix(WALSH, WALSH, m.astype(complex))
+                assert block_sup_lhs(a, q) == _block_sup_double_scan(a, q), shape
+
     def test_te4_lhs_zero_and_homogeneity(self, rng):
         e = Exponents((2, 2), (2, 2))
         gp = GrandParams((0.5, 0.5))
@@ -172,6 +184,25 @@ class TestTheoremLeftSides:
     def test_te3_lhs_positive(self, rng):
         a = CoeffMatrix(WALSH, WALSH, rng.random((8, 8)).astype(complex))
         assert te3_lhs(a, (4 / 3, 4 / 3), (2, 2)) > 0
+
+
+def _block_sup_double_scan(a, q):
+    """Reference for ``block_sup_lhs``: every n_i up to one past ceil(log2 K_i)."""
+    r = np.asarray(iterated_rearrange_seq(a.magnitudes).entries)
+    sqrtS = np.sqrt(np.cumsum(np.cumsum(r**2, axis=0), axis=1))
+    K1, K2 = r.shape
+    e1 = (0.0 if q[0] == INF else 1.0 / q[0]) - 0.5
+    e2 = (0.0 if q[1] == INF else 1.0 / q[1]) - 0.5
+    n1_max = max(int(math.ceil(math.log2(K1))), 1) + 1
+    n2_max = max(int(math.ceil(math.log2(K2))), 1) + 1
+    best = 0.0
+    for n1 in range(1, n1_max + 1):
+        i1 = min(2**n1, K1) - 1
+        for n2 in range(1, n2_max + 1):
+            i2 = min(2**n2, K2) - 1
+            val = n1**e1 * n2**e2 * sqrtS[i1, i2]
+            best = max(best, val)
+    return best
 
 
 def test_synthesis_round_trip(rng):

@@ -257,6 +257,12 @@ class TestNormRequestSurface:
             Sequence2D(rng.random((4, 4))))
         assert res["value"] > 0
 
+    @pytest.mark.parametrize("kind", ["lorentz", "grand", "mixed", "logweight", "p6"])
+    def test_grid_kinds_reject_sequence(self, kind):
+        with pytest.raises(TypeError):
+            evaluate_norm_request(
+                {"norm": kind, "theta": [0.5, 0.5]}, Sequence2D(np.ones((2, 2))))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             evaluate_norm_request({"norm": "sobolev"}, constant_grid(1.0))

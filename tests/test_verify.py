@@ -239,12 +239,3 @@ def test_reports_carry_worst_witness():
     big = generate(CorpusSpec("random_step", (7, 7), 2, 43))
     rep2 = checks.check_mink(big, 1.0, 2.0)
     assert "sha256" in rep2.worst_witness  # large grids ship a digest
-
-
-def test_threaded_runs_match_serial(monkeypatch):
-    corpus = generate(CorpusSpec("random_step", (4, 4), 8, 37))
-    serial = checks.check_te3(corpus, (0.5, 0.5), (2, 2))
-    monkeypatch.setenv("LORENTZ_FORGE_THREADS", "4")
-    threaded = checks.check_te3(corpus, (0.5, 0.5), (2, 2))
-    assert [c.lhs for c in serial.cases] == [c.lhs for c in threaded.cases]
-    assert serial.max_ratio == threaded.max_ratio
