@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fourier import TRIG, WALSH, coeffs_2d
+from .fourier import TRIG, WALSH, ResolutionError, coeffs_2d
 from .norms import GRID_KINDS, evaluate_norm_request
 from .stepfun import DyadicStep2D, load_grid
 from .verify.checks import SUITE_NAMES, run_suite
@@ -164,10 +164,12 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ResolutionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     except ValueError as exc:
-        msg = str(exc)
-        sys.stderr.write(f"error: {msg}\n")
-        return 3 if "resolution" in msg else 2
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

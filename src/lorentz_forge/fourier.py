@@ -24,6 +24,10 @@ from .stepfun import DyadicStep2D
 INF = float("inf")
 
 
+class ResolutionError(ValueError):
+    """Walsh coefficients requested beyond the grid's dyadic resolution."""
+
+
 @dataclass(frozen=True)
 class OrthonormalSystem:
     """A uniformly bounded orthonormal system on [0,1].
@@ -98,7 +102,7 @@ def walsh_on_cells(k: int, level: int) -> np.ndarray:
 def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.ndarray:
     """Paley-order Walsh coefficients along one axis, exact for K <= 2^level."""
     if K > 2**level:
-        raise ValueError(
+        raise ResolutionError(
             f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
     rev = _bitrev_perm(level)
     reordered = np.take(vals, rev, axis=axis)
@@ -116,7 +120,7 @@ def walsh_synthesize(coeffs: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
     c = np.zeros((2**n1, 2**n2))
     k1, k2 = coeffs.shape
     if k1 > 2**n1 or k2 > 2**n2:
-        raise ValueError("coefficients exceed the requested resolution")
+        raise ResolutionError("coefficients exceed the requested resolution")
     c[:k1, :k2] = coeffs
     vals = fwht(c, axis=0)[_bitrev_perm(n1), :]
     vals = fwht(vals, axis=1)[:, _bitrev_perm(n2)]

@@ -13,6 +13,9 @@ Conventions
   inf-form grid minimum over-approximates the true infimum; the direction
   is reported with the value.  A zero smoothness component adds the grid
   point ``eps = 0`` so the collapse to the plain Lorentz norm is exact.
+* Both grand norms evaluate the whole grid in one call of their core, which
+  takes one exponent axis per coordinate and returns the value matrix; the
+  plain norms are its one-point case.
 """
 
 from __future__ import annotations
@@ -295,32 +298,45 @@ def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
     return np.sqrt(S[np.ix_(idx1, idx2)])
 
 
-def _block_stage(vals: np.ndarray, u: np.ndarray, nu: float, q: float) -> float:
-    """The q-sum over ``k >= 0`` of ``u[k] vals[k]``, ``u[k] = 2^{nu k}``;
-    beyond the stored values the last one repeats (the bracket saturates)
-    and the geometric tail is summed in closed form."""
-    sat = vals[-1]
-    if q == INF:
-        head = float(np.max(u * vals))
-        if nu > 0 and sat > 0:
-            return INF
-        return head
-    head = float(np.sum((u * vals) ** q))
-    if sat > 0:
-        tail = _geom_tail(nu * q, len(vals))
-        head = head + sat**q * tail if tail != INF else INF
-    return head ** (1.0 / q) if head != INF else INF
+def _block_stage(vals: np.ndarray, nus: np.ndarray, q: float) -> np.ndarray:
+    """``out[i, r]``: the q-sum over ``k >= 0`` of ``2^{nus[i] k} vals[r, k]``
+    for each row ``r`` of the ``(R, n)`` array ``vals``; beyond the stored
+    values the last one repeats (the bracket saturates) and the geometric
+    tail is summed in closed form.  Returns an ``(m, R)`` array.
 
-
-def _seq_block_core(sqrtS: np.ndarray, nu1: float, nu2: float,
-                    q1: float, q2: float) -> float:
-    """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[k1^, k2^]``
-    over all ``k_i >= 0``: :func:`_block_stage` over k1 in each column,
-    then over k2.
+    Each entry is bitwise what the same stage gives for one ``nu`` and one
+    row.  That needs ``vals`` C-contiguous: numpy sums along a contiguous
+    axis pairwise but along a strided one sequentially, which moves the last
+    bit once ``n >= 8``.  It also needs ``sat^q``, the tails and the final
+    root as scalar powers, because numpy's array power differs from them in
+    the last bit.
     """
-    u1 = 2.0 ** (nu1 * np.arange(sqrtS.shape[0]))
-    inner = np.array([_block_stage(col, u1, nu1, q1) for col in sqrtS.T])
-    return _block_stage(inner, 2.0 ** (nu2 * np.arange(len(inner))), nu2, q2)
+    sat = vals[:, -1]
+    u = 2.0 ** (nus[:, None] * np.arange(vals.shape[1]))  # (m, n)
+    terms = u[:, None, :] * vals  # (m, R, n)
+    if q == INF:
+        head = np.max(terms, axis=2)
+        head[np.ix_(nus > 0, sat > 0)] = INF
+        return head
+    head = np.sum(terms**q, axis=2)
+    tails = np.array([_geom_tail(nu * q, vals.shape[1]) for nu in nus.tolist()])
+    satq = np.array([s**q for s in sat])
+    with np.errstate(invalid="ignore"):
+        full = np.where(tails[:, None] == INF, INF, head + satq * tails[:, None])
+    head = np.where(sat > 0, full, head)
+    root = 1.0 / q
+    return np.array([h**root for h in head.ravel()]).reshape(head.shape)
+
+
+def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
+                    q1: float, q2: float) -> np.ndarray:
+    """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[k1^, k2^]``
+    over all ``k_i >= 0``, ``out[i, j]`` at ``(nu1, nu2) = (nu1s[i], nu2s[j])``:
+    :func:`_block_stage` over k1 in each column (a contiguous copy of the
+    columns), then over k2 in each row of the result.
+    """
+    inner = _block_stage(np.ascontiguousarray(sqrtS.T), nu1s, q1)  # (m1, K2)
+    return _block_stage(inner, nu2s, q2).T
 
 
 def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
@@ -332,7 +348,8 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     sqrtS = _block_sqrt_table(a)
     nu1 = 1.0 / e.conjugate(0) - 0.5
     nu2 = 1.0 / e.conjugate(1) - 0.5
-    return _seq_block_core(sqrtS, nu1, nu2, q[0], q[1])
+    return float(_seq_block_core(sqrtS, np.array([nu1]), np.array([nu2]),
+                                 q[0], q[1])[0, 0])
 
 
 def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
@@ -354,9 +371,8 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
     s = 1.0 if sign == "plus" else -1.0
     (e1, w1), (e2, w2) = _sup_eps_axes(gp)
-    vals = np.array([[_seq_block_core(sqrtS, base[0] + s * x1 - 0.5,
-                                      base[1] + s * x2 - 0.5, e.q[0], e.q[1])
-                      for x2 in e2] for x1 in e1])
+    vals = _seq_block_core(sqrtS, base[0] + s * e1 - 0.5, base[1] + s * e2 - 0.5,
+                           e.q[0], e.q[1])
     obj = vals * np.outer(w1, w2)
     i, j = np.unravel_index(np.argmax(obj), obj.shape)
     return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")

@@ -108,6 +108,6 @@ def write_reports(reports: list[CheckReport], out_dir) -> tuple[Path, Path]:
         for r in reports:
             w.writerow([r.check_id,
                         json.dumps(r.params, sort_keys=True, cls=_JsonEncoder),
-                        repr(r.max_ratio), repr(r.pass_threshold),
+                        repr(float(r.max_ratio)), repr(float(r.pass_threshold)),
                         int(r.passed)])
     return jl, cs

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_grids
-from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, block_l2,
+from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
+                                   block_l2,
                                    block_sup_lhs, bochkarev_lhs, coeffs_2d,
                                    coeffs_from_values, gram_matrix, te3_lhs,
                                    te4_lhs, trig_frequency, walsh_on_cells,
@@ -52,6 +53,14 @@ class TestCoeffs:
     def test_walsh_beyond_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
             coeffs_2d(constant_grid(1.0, (2, 2)), WALSH, WALSH, 8, 4)
+
+    def test_walsh_beyond_resolution_is_typed(self):
+        with pytest.raises(ResolutionError):
+            coeffs_2d(constant_grid(1.0, (2, 2)), WALSH, WALSH, 4, 8)
+
+    def test_synthesis_beyond_resolution_is_typed(self):
+        with pytest.raises(ResolutionError):
+            walsh_synthesize(np.ones((4, 9)), (2, 3))
 
     def test_walsh_parseval_exact(self):
         for f in random_grids(20, (5, 5), seed=61):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
-from lorentz_forge.norms import (Exponents, GrandParams,
+from lorentz_forge.norms import (Exponents, GrandParams, _block_sqrt_table,
+                                 _geom_tail, _seq_block_core, _sup_eps_axes,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
@@ -188,6 +189,90 @@ class TestGrandSeqNorm:
         val = seq_block_lorentz_norm(a, (4 / 3, 4 / 3), (1, 1))
         per_axis = 1.0 / (1.0 - 2 ** (1 / 4 - 1 / 2))
         assert val == pytest.approx(per_axis**2, rel=1e-12)
+
+
+def _scalar_block_stage(vals, u, nu, q):
+    """Reference for ``_block_stage``: one nu, one row of values."""
+    sat = vals[-1]
+    if q == INF:
+        head = float(np.max(u * vals))
+        if nu > 0 and sat > 0:
+            return INF
+        return head
+    head = float(np.sum((u * vals) ** q))
+    if sat > 0:
+        tail = _geom_tail(nu * q, len(vals))
+        head = head + sat**q * tail if tail != INF else INF
+    return head ** (1.0 / q) if head != INF else INF
+
+
+def _scalar_seq_block_core(sqrtS, nu1, nu2, q1, q2):
+    """Reference for ``_seq_block_core`` at one (nu1, nu2) point."""
+    u1 = 2.0 ** (nu1 * np.arange(sqrtS.shape[0]))
+    inner = np.array([_scalar_block_stage(col, u1, nu1, q1) for col in sqrtS.T])
+    return _scalar_block_stage(inner, 2.0 ** (nu2 * np.arange(len(inner))), nu2, q2)
+
+
+BLOCK_QS = [(1, 1), (2, 2), (4, 4), (INF, INF), (2, INF), (3, 5)]
+
+
+class TestSeqBlockCoreMatchesScalar:
+    """The epsilon-axis batch core against the one-point scalar stages, bitwise."""
+
+    @staticmethod
+    def _tables():
+        r = np.random.default_rng(23)
+        for rows in range(1, 13):
+            cols = int(r.integers(1, 13))
+            m = r.random((rows, cols)) * 10.0 ** r.integers(-3, 4)
+            yield np.sqrt(np.cumsum(np.cumsum(m, axis=0), axis=1))
+            m[:, : cols // 2] = 0.0  # zero columns: zero saturation values
+            yield np.sqrt(np.cumsum(np.cumsum(m, axis=0), axis=1))
+            yield r.random((rows, 12))
+        yield np.zeros((10, 4))
+
+    @pytest.mark.parametrize("q", BLOCK_QS)
+    def test_core_bitwise(self, q):
+        nu1s = np.array([-1.5, -0.5, -0.25 + 1e-3, -1e-9, 0.0, 0.3])
+        nu2s = np.array([-2.0, -0.75, -0.1, 0.0, 1e-9, 0.5])
+        for t in self._tables():
+            got = _seq_block_core(t, nu1s, nu2s, *q)
+            assert got.shape == (len(nu1s), len(nu2s))
+            want = [[_scalar_seq_block_core(t, x1, x2, *q) for x2 in nu2s]
+                    for x1 in nu1s]
+            assert got.tolist() == want, t.shape
+
+    @pytest.mark.parametrize("q", BLOCK_QS)
+    def test_grand_seq_norm_value_and_witness(self, q):
+        r = np.random.default_rng(5)
+        e = Exponents((1.5, 3.0), q)
+        for shape, theta in (((4, 6), (0.5, 0.5)), ((300, 9), (0.0, 1.0)),
+                             ((512, 512), (0.25, 0.0))):
+            m = r.random(shape)
+            m[r.random(shape) < 0.3] = 0.0
+            a = Sequence2D(m)
+            gp = GrandParams(theta, eps_levels=8)
+            for sign, s in (("plus", 1.0), ("minus", -1.0)):
+                res = grand_seq_norm(a, e, gp, sign=sign)
+                sqrtS = _block_sqrt_table(a)
+                (e1, w1), (e2, w2) = _sup_eps_axes(gp)
+                vals = np.array([[_scalar_seq_block_core(
+                    sqrtS, 1 / e.p[0] + s * x1 - 0.5, 1 / e.p[1] + s * x2 - 0.5, *q)
+                    for x2 in e2] for x1 in e1])
+                obj = vals * np.outer(w1, w2)
+                i, j = np.unravel_index(np.argmax(obj), obj.shape)
+                assert res.value == obj[i, j]
+                assert res.eps == (e1[i], e2[j])
+
+    @pytest.mark.parametrize("q", BLOCK_QS)
+    def test_seq_block_lorentz_norm_is_float(self, q):
+        a = Sequence2D(np.random.default_rng(3).random((12, 5)))
+        val = seq_block_lorentz_norm(a, (4 / 3, 4), q)
+        assert type(val) is float
+        e = Exponents((4 / 3, 4), q)
+        assert val == _scalar_seq_block_core(
+            _block_sqrt_table(a), 1 / e.conjugate(0) - 0.5,
+            1 / e.conjugate(1) - 0.5, *q)
 
 
 class TestLogWeightSup:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -224,6 +225,16 @@ class TestReports:
         _, cs = write_reports(reps, tmp_path)
         head = cs.read_text().splitlines()[0]
         assert head == "checkId,paramPoint,maxRatio,threshold,pass"
+
+    def test_summary_csv_plain_floats(self, tmp_path):
+        # numpy scalar sides must not leak "np.float64(...)" into the CSV
+        reps = [CheckReport("x", {}, "", np.float64(4.0),
+                            [CheckCase("a", np.float64(0.3), np.float64(0.7))]),
+                CheckReport("y", {}, "", 2.0, [CheckCase("b", np.float64(1.0), 0.0)])]
+        _, cs = write_reports(reps, tmp_path)
+        rows = list(csv.DictReader(cs.read_text().splitlines()))
+        assert [float(r["maxRatio"]) for r in rows] == [0.3 / 0.7, INF]
+        assert [float(r["threshold"]) for r in rows] == [4.0, 2.0]
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):
