@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
-                    _block_sqrt_table, grand_seq_norm)
+                    _block_sqrt_table, _grand_seq_of, seq_block_lorentz_norm)
 from .rearrange import (Sequence2D, iterated_rearrange_seq,
                         iterated_rearrange_seq_first_index)
 from .stepfun import DyadicStep2D
@@ -70,19 +70,23 @@ def _bitrev_perm(n_levels: int) -> np.ndarray:
 
 
 def fwht(arr: np.ndarray, axis: int) -> np.ndarray:
-    """In-order fast Walsh-Hadamard transform (natural/Hadamard order)."""
-    a = np.array(arr, dtype=float)
-    a = np.moveaxis(a, axis, -1)
+    """In-order fast Walsh-Hadamard transform (natural/Hadamard order).
+
+    Each butterfly stage reads one buffer and writes the sums and
+    differences into the other, so a transform allocates two arrays.
+    """
+    a = np.array(np.moveaxis(np.asarray(arr), axis, -1), dtype=float, order="C")
     n = a.shape[-1]
     if n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
+    b = np.empty_like(a)
     h = 1
     while h < n:
         shp = a.shape[:-1] + (n // (2 * h), 2, h)
-        blocks = a.reshape(shp)
-        top = blocks[..., 0, :] + blocks[..., 1, :]
-        bot = blocks[..., 0, :] - blocks[..., 1, :]
-        a = np.stack([top, bot], axis=-2).reshape(a.shape)
+        src, dst = a.reshape(shp), b.reshape(shp)
+        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
+        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
+        a, b = b, a
         h *= 2
     return np.moveaxis(a, -1, axis)
 
@@ -250,9 +254,14 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     ``sup_{k1,k2} (ln max(k1,2))^{1/q1 - 1/2} (ln max(k2,2))^{1/q2 - 1/2}``
     times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes.
     """
+    return _bochkarev_of(_block_cumsum(a.magnitudes), q)
+
+
+def _bochkarev_of(S: np.ndarray, q: tuple[float, float]) -> float:
+    """:func:`bochkarev_lhs` from the block table ``S`` of the magnitudes
+    (see :func:`~lorentz_forge.norms._block_cumsum`)."""
     if any(not (2 <= qi) for qi in q):
         raise ValueError(f"requires 2 <= q <= inf, got {q}")
-    S = _block_cumsum(a.magnitudes)
     K1, K2 = S.shape
     e1 = 0.5 - (0.0 if q[0] == INF else 1.0 / q[0])
     e2 = 0.5 - (0.0 if q[1] == INF else 1.0 / q[1])
@@ -271,7 +280,12 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     Past ``kappa_i`` the block is the dyadic table's last one, so ``n_i``
     reads the table at ``min(n_i, kappa_i)``.
     """
-    T = _block_sqrt_table(a.magnitudes)
+    return _block_sup_of(_block_sqrt_table(a.magnitudes), q)
+
+
+def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> float:
+    """:func:`block_sup_lhs` from the dyadic sqrt table ``T`` of the
+    magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
     kap1, kap2 = T.shape[0] - 1, T.shape[1] - 1
     e1 = (0.0 if q[0] == INF else 1.0 / q[0]) - 0.5
     e2 = (0.0 if q[1] == INF else 1.0 / q[1]) - 0.5
@@ -286,17 +300,21 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
 def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> float:
     """Discrete block-norm left side with weights ``2^{k/p'}`` on the
     normalized brackets of the rearranged coefficient magnitudes."""
-    from .norms import seq_block_lorentz_norm
-
     return seq_block_lorentz_norm(a.magnitudes, p, q)
 
 
 def te4_lhs(a: CoeffMatrix, e: Exponents, gp: GrandParams) -> GrandNormResult:
     """Grand sequence norm of the magnitudes at smoothness ``lambda = theta + beta``,
     ``beta_i = max(1/2, 1/q_i)``, with the damped exponent sign."""
+    return _te4_lhs_of(_block_sqrt_table(a.magnitudes), e, gp)
+
+
+def _te4_lhs_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams) -> GrandNormResult:
+    """:func:`te4_lhs` from the dyadic sqrt table ``sqrtS`` of the magnitudes
+    (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
     if e.p != (2.0, 2.0):
         raise ValueError(f"defined for p = (2, 2), got {e.p}")
     betas = tuple(max(0.5, 0.0 if qi == INF else 1.0 / qi) for qi in e.q)
     lam = (gp.theta[0] + betas[0], gp.theta[1] + betas[1])
-    return grand_seq_norm(a.magnitudes, e,
-                          GrandParams(lam, eps_levels=gp.eps_levels), sign="minus")
+    return _grand_seq_of(sqrtS, e, GrandParams(lam, eps_levels=gp.eps_levels),
+                         "minus")

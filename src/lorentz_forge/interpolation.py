@@ -187,15 +187,29 @@ def interp_norm(f: DyadicStep2D, theta: tuple[float, float],
     vanishing model matched at the boundary sample.  The result
     under-approximates the continuous integral of ``Khat``.
     """
+    ts = _interp_samples(theta, J)
+    return _interp_of(khat_grid(f, ts, ts), theta, q, J)
+
+
+def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
+    """The sample points ``t = 2^m, m = -J..0`` of :func:`interp_norm` on
+    each axis, after checking ``theta`` and ``J``."""
     th1, th2 = theta
     if not (0 < th1 < 1 and 0 < th2 < 1):
         raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
     if J < 4:
         raise ValueError("J must be >= 4")
+    return 2.0 ** np.arange(-J, 1)
+
+
+def _interp_of(K: np.ndarray, theta: tuple[float, float],
+               q: tuple[float, float], J: int) -> float:
+    """:func:`interp_norm` from ``K = khat_grid(f, ts, ts)`` over the
+    samples ``ts`` of :func:`_interp_samples`."""
+    th1, th2 = theta
     q1, q2 = q
     ms = np.arange(-J, 1)
     ts = 2.0**ms
-    K = khat_grid(f, ts, ts)  # [i (t1), j (t2)]
 
     def stage(vals: np.ndarray, th: float, qq: float) -> np.ndarray:
         """One nested stage: vals[i, ...] sampled at t = 2^{ms[i]}."""

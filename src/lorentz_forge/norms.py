@@ -16,6 +16,10 @@ Conventions
 * Both grand norms evaluate the whole grid in one call of their core, which
   takes one exponent axis per coordinate and returns the value matrix; the
   plain norms are its one-point case.
+* Each public norm prepares what it reads of its input (the rearranged
+  values of a grid, the block table of a sequence) and passes it to a
+  ``_*_of`` function; a parameter sweep prepares each input once and calls
+  the same functions.
 """
 
 from __future__ import annotations
@@ -194,11 +198,21 @@ def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
     in t1 with exponent q1, outer in t2 with q2; infinite ``q`` components
     become per-cell-exact suprema.  Divergence reports ``+inf``.
     """
-    g = iterated_rearrange_2d(f)
-    h1, h2 = f.widths
+    return _lorentz_of(_rearranged_values(f), f.widths, e)
+
+
+def _rearranged_values(f: DyadicStep2D) -> np.ndarray:
+    """The values ``g[j2, j1]`` of the iterated rearrangement of ``f``: what
+    the rearrangement-based norms read of ``f`` besides its cell widths."""
+    return np.asarray(iterated_rearrange_2d(f).values)
+
+
+def _lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents) -> float:
+    """:func:`lorentz_norm` from rearranged values ``g`` and cell widths."""
+    h1, h2 = widths
     a1 = 0.0 if e.p[0] == INF else 1.0 / e.p[0]
     a2 = 0.0 if e.p[1] == INF else 1.0 / e.p[1]
-    return _lorentz_core(np.asarray(g.values), h1, h2, a1, a2, e.q[0], e.q[1])
+    return _lorentz_core(g, h1, h2, a1, a2, e.q[0], e.q[1])
 
 
 def _eps_grid(levels: int, cap: float) -> np.ndarray:
@@ -235,21 +249,25 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
     grid minimum with exponents ``1/p_i - eps_i``, ``eps_i <= 1/p_i`` (an
     over-approximation of the true infimum).
     """
-    g = iterated_rearrange_2d(f)
-    h1, h2 = f.widths
+    return _grand_lorentz_of(_rearranged_values(f), f.widths, e, gp)
+
+
+def _grand_lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents,
+                      gp: GrandParams) -> GrandNormResult:
+    """:func:`grand_lorentz_norm` from rearranged values ``g`` and cell widths."""
+    h1, h2 = widths
     t1, t2 = gp.theta
     base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
         return GrandNormResult(
-            _lorentz_core(np.asarray(g.values), h1, h2, base[0], base[1],
-                          e.q[0], e.q[1]),
+            _lorentz_core(g, h1, h2, base[0], base[1], e.q[0], e.q[1]),
             (0.0, 0.0), "exact")
     if gp.sup_form:
         (e1, w1), (e2, w2) = _sup_eps_axes(gp)
-        vals = _lorentz_core_batch(np.asarray(g.values), h1, h2,
-                                   base[0] + e1, base[1] + e2, e.q[0], e.q[1])
+        vals = _lorentz_core_batch(g, h1, h2, base[0] + e1, base[1] + e2,
+                                   e.q[0], e.q[1])
         obj = vals * np.outer(w1, w2)
         i, j = np.unravel_index(np.argmax(obj), obj.shape)
         return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")
@@ -257,8 +275,8 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
         raise ValueError("inf-form grand norm requires finite p")
     e1 = _eps_grid(gp.eps_levels, base[0])
     e2 = _eps_grid(gp.eps_levels, base[1])
-    vals = _lorentz_core_batch(np.asarray(g.values), h1, h2,
-                               base[0] - e1, base[1] - e2, e.q[0], e.q[1])
+    vals = _lorentz_core_batch(g, h1, h2, base[0] - e1, base[1] - e2,
+                               e.q[0], e.q[1])
     obj = vals * np.outer(e1**t1, e2**t2)
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "over")
@@ -291,7 +309,12 @@ def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
     Dimensions are implicitly zero-padded to powers of two, so the table
     saturates at the true totals.
     """
-    S = _block_cumsum(a)
+    return _dyadic_sqrt(_block_cumsum(a))
+
+
+def _dyadic_sqrt(S: np.ndarray) -> np.ndarray:
+    """The dyadic sqrt sub-table of a block table ``S`` (see
+    :func:`_block_sqrt_table`)."""
     K1, K2 = S.shape
     idx1 = np.minimum(2 ** np.arange((K1 - 1).bit_length() + 1), K1) - 1
     idx2 = np.minimum(2 ** np.arange((K2 - 1).bit_length() + 1), K2) - 1
@@ -344,8 +367,14 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     """Discrete block norm with fixed weights ``2^{k1/p1' + k2/p2'}`` applied
     to the normalized brackets ``[2^{-k1-k2} sum (a^{*2,*1})^2]^{1/2}``.
     """
+    return _seq_block_lorentz_of(_block_sqrt_table(a), p, q)
+
+
+def _seq_block_lorentz_of(sqrtS: np.ndarray, p: tuple[float, float],
+                          q: tuple[float, float]) -> float:
+    """:func:`seq_block_lorentz_norm` from the dyadic sqrt table ``sqrtS``
+    (see :func:`_block_sqrt_table`)."""
     e = Exponents(p, q)
-    sqrtS = _block_sqrt_table(a)
     nu1 = 1.0 / e.conjugate(0) - 0.5
     nu2 = 1.0 / e.conjugate(1) - 0.5
     return float(_seq_block_core(sqrtS, np.array([nu1]), np.array([nu2]),
@@ -362,12 +391,18 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     damped exponent ``2^{k(1/p - eps)}`` consistent with the way the norm is
     consumed downstream.  The grid supremum under-approximates.
     """
+    return _grand_seq_of(_block_sqrt_table(a), e, gp, sign)
+
+
+def _grand_seq_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams,
+                  sign: str) -> GrandNormResult:
+    """:func:`grand_seq_norm` from the dyadic sqrt table ``sqrtS`` (see
+    :func:`_block_sqrt_table`)."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     t1, t2 = gp.theta
     if t1 < 0 or t2 < 0:
         raise ValueError("grand sequence norm is defined for theta >= 0")
-    sqrtS = _block_sqrt_table(a)
     base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
     s = 1.0 if sign == "plus" else -1.0
     (e1, w1), (e2, w2) = _sup_eps_axes(gp)
@@ -409,7 +444,7 @@ def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
         raise ValueError("log-weighted sup form requires finite p")
     if any(ti <= 0 for ti in theta):
         raise ValueError("log-weighted sup form requires theta > 0")
-    g = np.asarray(iterated_rearrange_2d(f).values)
+    g = _rearranged_values(f)
     h1, h2 = f.widths
     r2, r1 = g.shape
     w1 = _log_weight_right_endpoints(r1, h1, 1.0 / p[0], theta[0])
@@ -441,7 +476,7 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
     tau1, tau2 = e.q
-    g = np.asarray(iterated_rearrange_2d(f).values)
+    g = _rearranged_values(f)
     n1, n2 = f.levels
     r2, r1 = g.shape
     # samples v[i2, i1] = g(2^{-m1}, 2^{-m2}) for m = 1 .. level+1; the last

@@ -11,12 +11,16 @@ notes.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from ..fourier import WALSH, TRIG, block_l2, block_sup_lhs, bochkarev_lhs, \
-    coeffs_2d, te3_lhs, te4_lhs
-from ..interpolation import constant_D, interp_norm
-from ..norms import (Exponents, GrandParams, grand_lorentz_norm,
+from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_lhs_of,
+                       block_l2, coeffs_2d)
+from ..interpolation import _interp_of, _interp_samples, constant_D, khat_grid
+from ..norms import (Exponents, GrandParams, _block_cumsum, _dyadic_sqrt,
+                     _grand_lorentz_of, _lorentz_of, _rearranged_values,
+                     _seq_block_lorentz_of, grand_lorentz_norm,
                      logweight_sup_norm, lorentz_norm, mixed_lebesgue_norm)
 from ..stepfun import DyadicStep1D, DyadicStep2D
 from .calibration import calibration
@@ -193,80 +197,147 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 # the main theorems
 
 
+class _Prepared:
+    """The per-function pieces of one corpus item, each computed on first
+    use and read at every parameter point of a sweep.
+
+    An item is a function, whose Walsh coefficients are taken at full
+    resolution, or a ``(coefficients, function)`` pair with planted
+    coefficients.  ``khat_ts`` are the sample points of the Khat grid.
+    """
+
+    def __init__(self, item, khat_ts=None):
+        self.a, self.f = item if isinstance(item, tuple) else (None, item)
+        self.khat_ts = khat_ts
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """The rearranged values of the function."""
+        return _rearranged_values(self.f)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """The block table of the coefficient magnitudes."""
+        a = self.a
+        if a is None:
+            n1, n2 = self.f.levels
+            a = coeffs_2d(self.f, WALSH, WALSH, 2**n1, 2**n2)
+        return _block_cumsum(a.magnitudes)
+
+    @cached_property
+    def sqrtS(self) -> np.ndarray:
+        """The dyadic sqrt sub-table of :attr:`S`."""
+        return _dyadic_sqrt(self.S)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The Khat grid over ``khat_ts x khat_ts``."""
+        return khat_grid(self.f, self.khat_ts, self.khat_ts)
+
+
+# Each check below is the one-point case of its sweep.  A sweep takes a list
+# of parameter points and returns one report per point; it prepares each
+# corpus item once, appends that item's case to every point's report, and
+# drops the item's pieces before the next one.
+
+
+def te3_sweep(corpus, points, c0: float | None = None) -> list[CheckReport]:
+    """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
+    c0 = calibration()["te3_c0"] if c0 is None else c0
+    h = corpus_hash(corpus)
+    pts = []
+    for theta, q in points:
+        p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
+        rep = CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, h, c0)
+        pts.append((rep, p, q, constant_D(theta, q)))
+    for i, f in enumerate(corpus):
+        prep = _Prepared(f)
+        for rep, p, q, D in pts:
+            lhs = _seq_block_lorentz_of(prep.sqrtS, p, q)
+            rhs = 6.0 * D * _lorentz_of(prep.g, prep.f.widths, Exponents(p, q))
+            rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
+    for rep, _p, _q, D in pts:
+        rep.notes["D"] = D
+        # the raw lhs / Lorentz ratio normalized by D: the growth statistic
+        rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
+        rep.notes["direction"] = "lhs exact (walsh), rhs exact"
+        _attach_witness(rep, list(corpus))
+    return [rep for rep, *_ in pts]
+
+
 def check_te3(corpus, theta, q, c0: float | None = None) -> CheckReport:
     """Discrete block norm of the coefficients against ``6 D(theta) |f|``."""
-    cal = calibration()
-    c0 = cal["te3_c0"] if c0 is None else c0
-    p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-    D = constant_D(theta, q)
-    rep = CheckReport("te3", {"theta": list(theta), "q": _jq(q)},
-                      corpus_hash(corpus), c0)
+    return te3_sweep(corpus, [(theta, q)], c0)[0]
 
-    for i, f in enumerate(corpus):
-        n1, n2 = f.levels
-        a = coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2)
-        lhs = te3_lhs(a, p, q)
-        rhs = 6.0 * D * lorentz_norm(f, Exponents(p, q))
-        rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
-    rep.notes["D"] = D
-    # the raw lhs / Lorentz ratio normalized by D: the growth statistic
-    rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
-    rep.notes["direction"] = "lhs exact (walsh), rhs exact"
-    _attach_witness(rep, list(corpus))
-    return rep
+
+def te4_sweep(corpus, points, C_pass: float | None = None,
+              pairs=None) -> list[CheckReport]:
+    """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
+    the lacunary ``pairs`` enter the reports of the points with
+    ``with_pairs`` only."""
+    C_pass = calibration()["te4_C_pass"] if C_pass is None else C_pass
+    pairs = list(pairs or [])
+    hashes = {w: corpus_hash(list(corpus) + (pairs if w else []))
+              for w in {w for *_, w in points}}
+    pts = []
+    for theta, q, with_pairs in points:
+        rep = CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
+                          hashes[with_pairs], C_pass)
+        pts.append((rep, Exponents((2, 2), q), GrandParams(theta), with_pairs))
+    items = [(f"f{i}", f, False) for i, f in enumerate(corpus)] + \
+        [(f"flac{j}", pair, True) for j, pair in enumerate(pairs)]
+    for cid, item, is_pair in items:
+        prep = _Prepared(item)
+        for rep, e, gp, with_pairs in pts:
+            if is_pair and not with_pairs:
+                continue
+            lhs = _te4_lhs_of(prep.sqrtS, e, gp).value
+            rhs = _grand_lorentz_of(prep.g, prep.f.widths, e, gp).value
+            rep.cases.append(CheckCase(cid, lhs, rhs))
+    for rep, *_ in pts:
+        rep.notes["direction"] = ("lhs grid-sup under, rhs grid-sup under "
+                                  "(conservative for the asserted bound)")
+        rep.notes["seq_exponent_sign"] = "minus"
+        _attach_witness(rep, list(corpus))
+    return [rep for rep, *_ in pts]
 
 
 def check_te4(corpus, theta, q, C_pass: float | None = None,
               pairs=None) -> CheckReport:
     """Grand sequence norm of the coefficients at ``lambda = theta + beta``
     against the grand Lorentz norm at smoothness ``theta`` (p = (2,2))."""
+    return te4_sweep(corpus, [(theta, q, True)], C_pass, pairs)[0]
+
+
+def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
+    """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
     cal = calibration()
-    C_pass = cal["te4_C_pass"] if C_pass is None else C_pass
-    e = Exponents((2, 2), q)
-    gp = GrandParams(theta)
-    rep = CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
-                      corpus_hash(list(corpus) + list(pairs or [])), C_pass)
-
-    def run(i, f, a):
-        lhs = te4_lhs(a, e, gp).value
-        rhs = grand_lorentz_norm(f, e, gp).value
-        return CheckCase(f"f{i}", lhs, rhs)
-
-    for i, f in enumerate(corpus):
-        n1, n2 = f.levels
-        rep.cases.append(run(i, f, coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2)))
-    for j, (a, f) in enumerate(pairs or []):
-        rep.cases.append(run(f"lac{j}", f, a))
-    rep.notes["direction"] = ("lhs grid-sup under, rhs grid-sup under "
-                              "(conservative for the asserted bound)")
-    rep.notes["seq_exponent_sign"] = "minus"
-    _attach_witness(rep, list(corpus))
-    return rep
+    h = corpus_hash(items)
+    pts = []
+    for q, blocksup in points:
+        key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
+        rep = CheckReport("thm5_blocksup" if blocksup else "thm5", {"q": _jq(q)},
+                          h, cal[key] if C_pass is None else C_pass)
+        pts.append((rep, q, blocksup))
+    for i, item in enumerate(items):
+        prep = _Prepared(item)
+        # both forms share the right side at each q
+        rhs = {tuple(q): _lorentz_of(prep.g, prep.f.widths, Exponents((2, 2), q))
+               for _, q, _ in pts}
+        for rep, q, blocksup in pts:
+            lhs = _block_sup_of(prep.sqrtS, q) if blocksup else _bochkarev_of(prep.S, q)
+            rep.cases.append(CheckCase(f"f{i}", lhs, rhs[tuple(q)]))
+    for rep, *_ in pts:
+        rep.notes["rhs_norm"] = "anisotropic Lorentz at p=(2,2), same q as the weights"
+        _attach_witness(rep, items)
+    return [rep for rep, *_ in pts]
 
 
 def check_thm5(items, q, C_pass: float | None = None,
                blocksup: bool = False) -> CheckReport:
     """Log-weighted coefficient block suprema against the p=(2,2) Lorentz
     norm, in the ``ln max(k,2)`` form or the dyadic block-sup form."""
-    cal = calibration()
-    key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
-    C_pass = cal[key] if C_pass is None else C_pass
-    e = Exponents((2, 2), q)
-    rep = CheckReport("thm5_blocksup" if blocksup else "thm5",
-                      {"q": _jq(q)}, corpus_hash(items), C_pass)
-    for i, item in enumerate(items):
-        if isinstance(item, tuple):
-            a, f = item
-        else:
-            f = item
-            n1, n2 = f.levels
-            a = coeffs_2d(f, WALSH, WALSH, 2**n1, 2**n2)
-        lhs = block_sup_lhs(a, q) if blocksup else bochkarev_lhs(a, q)
-        rhs = lorentz_norm(f, e)
-        rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
-    rep.notes["rhs_norm"] = "anisotropic Lorentz at p=(2,2), same q as the weights"
-    _attach_witness(rep, items)
-    return rep
+    return thm5_sweep(items, [(q, blocksup)], C_pass)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +440,35 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
+def interp_sweep(corpus, points, J: int = 10,
+                 slack: float = 1.05) -> list[CheckReport]:
+    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
+    h = corpus_hash(corpus)
+    ts = None
+    pts = []
+    for theta, q in points:
+        ts = _interp_samples(theta, J)  # the same for every theta
+        p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
+        rep = CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
+                                           "J": J}, h, slack)
+        pts.append((rep, theta, p, q, constant_D(theta, q)))
+    for i, f in enumerate(corpus):
+        prep = _Prepared(f, khat_ts=ts)
+        for rep, theta, p, q, D in pts:
+            lhs = _interp_of(prep.K, theta, q, J)
+            rhs = 6.0 * D * _lorentz_of(prep.g, prep.f.widths, Exponents(p, q))
+            rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
+    for rep, *_ in pts:
+        rep.notes["direction"] = "lhs under-approximates the continuous integral"
+        _attach_witness(rep, list(corpus))
+    return [rep for rep, *_ in pts]
+
+
 def check_interp_chain(corpus, theta, q, J: int = 10,
                        slack: float = 1.05) -> CheckReport:
     """Discretized interpolation norm against ``6 D(theta)`` times the
     Lorentz norm at the induced integrability exponents."""
-    p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-    D = constant_D(theta, q)
-    rep = CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
-                                       "J": J}, corpus_hash(corpus), slack)
-
-    for i, f in enumerate(corpus):
-        lhs = interp_norm(f, theta, q, J=J)
-        rhs = 6.0 * D * lorentz_norm(f, Exponents(p, q))
-        rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
-    rep.notes["direction"] = "lhs under-approximates the continuous integral"
-    _attach_witness(rep, list(corpus))
-    return rep
+    return interp_sweep(corpus, [(theta, q)], J, slack)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +518,23 @@ def sweep_corpus(seed: int, level=(5, 5)) -> list[DyadicStep2D]:
 
 def suite_te3(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = sweep_corpus(seed, level)
-    return [check_te3(corpus, th, q) for th in THETA_SWEEP for q in Q_SWEEP]
+    return te3_sweep(corpus, [(th, q) for th in THETA_SWEEP for q in Q_SWEEP])
 
 
 def suite_te4(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed)
-    out = []
-    for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)):
-        for q in Q_SWEEP:
-            out.append(check_te4(corpus, th, q,
-                                 pairs=pairs if th == (0.0, 0.0) else None))
-    return out
+    points = [(th, q, th == (0.0, 0.0))
+              for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP]
+    return te4_sweep(corpus, points, pairs=pairs)
 
 
 def suite_thm5(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed)
-    items = list(corpus) + list(pairs)
-    out = []
-    for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF)):
-        out.append(check_thm5(items, q))
-        out.append(check_thm5(items, q, blocksup=True))
-    return out
+    points = [(q, blocksup) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
+              for blocksup in (False, True)]
+    return thm5_sweep(list(corpus) + list(pairs), points)
 
 
 def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
@@ -472,8 +550,7 @@ def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
 
 def suite_interp(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = sweep_corpus(seed, level)
-    return [check_interp_chain(corpus, th, q)
-            for th in THETA_SWEEP for q in Q_SWEEP]
+    return interp_sweep(corpus, [(th, q) for th in THETA_SWEEP for q in Q_SWEEP])
 
 
 _SUITES = {

@@ -7,7 +7,7 @@ from conftest import random_grids
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
                                    block_l2,
                                    block_sup_lhs, bochkarev_lhs, coeffs_2d,
-                                   coeffs_from_values, gram_matrix, te3_lhs,
+                                   coeffs_from_values, fwht, gram_matrix, te3_lhs,
                                    te4_lhs, trig_frequency, walsh_on_cells,
                                    walsh_synthesize)
 from lorentz_forge.norms import (Exponents, GrandParams, grand_seq_norm,
@@ -227,3 +227,33 @@ def test_magnitudes_is_sequence(rng):
     mags = a.magnitudes
     assert isinstance(mags, Sequence2D)
     assert mags.dims == (3, 5)
+
+
+def _fwht_stack(arr, axis):
+    """Reference for ``fwht``: each butterfly stage stacks its sums and
+    differences into a new array."""
+    a = np.moveaxis(np.array(arr, dtype=float), axis, -1)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        blocks = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        top = blocks[..., 0, :] + blocks[..., 1, :]
+        bot = blocks[..., 0, :] - blocks[..., 1, :]
+        a = np.stack([top, bot], axis=-2).reshape(a.shape)
+        h *= 2
+    return np.moveaxis(a, -1, axis)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(11)])
+def test_fwht_matches_stacked_butterflies(n):
+    r = np.random.default_rng(n)
+    for shape, axes in (((n, 3), (0,)), ((5, n), (1, -1)), ((n, n), (0, 1)),
+                        ((3, n, 2), (1,)), ((n, 2, 4), (0,))):
+        x = r.standard_normal(shape)
+        x_before = x.copy()
+        for axis in axes:
+            assert np.array_equal(fwht(x, axis), _fwht_stack(x, axis))
+        assert np.array_equal(x, x_before)  # the input is not written
+    ro = r.random((4, n))
+    ro.setflags(write=False)
+    assert np.array_equal(fwht(ro, 1), _fwht_stack(ro, 1))

@@ -250,3 +250,52 @@ def test_reports_carry_worst_witness():
     big = generate(CorpusSpec("random_step", (7, 7), 2, 43))
     rep2 = checks.check_mink(big, 1.0, 2.0)
     assert "sha256" in rep2.worst_witness  # large grids ship a digest
+
+
+class TestSweepsMatchOnePointChecks:
+    """Each suite-level sweep prepares a function once for all its
+    parameter points; its reports must equal, witness included, those of
+    the one-point check called at each point."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        corpus = checks.sweep_corpus(7, (3, 3))
+        pairs = generate_lacunary_pairs((5, 5), 2, 7)
+        return corpus, pairs
+
+    @staticmethod
+    def assert_same(swept, single):
+        assert [r.to_json_dict() for r in swept] == \
+            [r.to_json_dict() for r in single]
+
+    def test_te3(self, small):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
+        self.assert_same(checks.te3_sweep(funcs, points),
+                         [checks.check_te3(funcs, th, q) for th, q in points])
+
+    def test_te4(self, small):
+        corpus, pairs = small
+        points = [(th, q, th == (0.0, 0.0))
+                  for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5))
+                  for q in checks.Q_SWEEP]
+        self.assert_same(
+            checks.te4_sweep(corpus, points, pairs=pairs),
+            [checks.check_te4(corpus, th, q, pairs=pairs if w else None)
+             for th, q, w in points])
+
+    def test_thm5(self, small):
+        corpus, pairs = small
+        items = list(corpus) + list(pairs)
+        points = [(q, b) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
+                  for b in (False, True)]
+        self.assert_same(checks.thm5_sweep(items, points),
+                         [checks.check_thm5(items, q, blocksup=b) for q, b in points])
+
+    def test_interp(self, small):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
+        self.assert_same(checks.interp_sweep(funcs, points),
+                         [checks.check_interp_chain(funcs, th, q) for th, q in points])
