@@ -21,7 +21,7 @@ from . import __version__
 from .fourier import TRIG, WALSH, ResolutionError, coeffs_2d
 from .norms import GRID_KINDS, evaluate_norm_request
 from .stepfun import DyadicStep2D, load_grid
-from .verify.checks import SUITE_NAMES, run_suite
+from .verify.checks import run_suite
 from .verify.report import write_reports
 
 
@@ -136,10 +136,6 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES:
-        sys.stderr.write(f"unknown suite {args.suite!r}; "
-                         f"choose from {', '.join(SUITE_NAMES)}\n")
-        return 2
     reports = run_suite(args.suite, seed=args.seed,
                         level=tuple(args.level))
     jl, cs = write_reports(reports, args.out)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .norms import _LN2, _qsum
 from .rearrange import iterated_rearrange_2d
-from .stepfun import DyadicStep2D, power_weight_integral
+from .stepfun import DyadicStep2D
 
 INF = float("inf")
 
@@ -206,25 +207,14 @@ def _interp_of(K: np.ndarray, theta: tuple[float, float],
                q: tuple[float, float], J: int) -> float:
     """:func:`interp_norm` from ``K = khat_grid(f, ts, ts)`` over the
     samples ``ts`` of :func:`_interp_samples`."""
-    th1, th2 = theta
-    q1, q2 = q
-    ms = np.arange(-J, 1)
-    ts = 2.0**ms
-
-    def stage(vals: np.ndarray, th: float, qq: float) -> np.ndarray:
-        """One nested stage: vals[i, ...] sampled at t = 2^{ms[i]}."""
-        if qq == INF:
-            w = (2.0 ** (-th * ms))[:, None]
-            return np.max(vals * w, axis=0)
-        body = np.zeros(vals.shape[1:])
-        for i in range(len(ms) - 1):  # cells [2^m, 2^{m+1}), m = -J..-1
-            w = power_weight_integral(-th * qq, ts[i], ts[i + 1])
-            body = body + vals[i] ** qq * w
-        body = body + vals[-1] ** qq / (th * qq)  # exact tail over t >= 1
-        low = (vals[0] * 2.0**J) ** qq * power_weight_integral(
-            (1.0 - th) * qq, 0.0, 2.0**-J)     # linear model below 2^-J
-        return (body + low) ** (1.0 / qq)
-
-    inner = stage(K, th1, q1)          # over t1, one value per t2 sample
-    outer = stage(inner[:, None], th2, q2)
-    return float(outer[0])
+    ts = 2.0 ** np.arange(-J, 1)
+    out = K.T  # [t2, t1]: the t1 stage runs along the last axis, then t2
+    for th, qq in zip(theta, q):
+        # the cells [2^m, 2^{m+1}), m = -J..-1, weigh K(2^m) 2^{-m th}; the
+        # t >= 1 tail is exact (Khat is constant there), and the linear
+        # model below 2^-J adds to the first sample's weight
+        omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
+        omega[-1] = 1.0 / (th * qq)
+        omega[0] += 1.0 / ((1.0 - th) * qq)
+        out = _qsum(out * ts**-th, omega, qq)
+    return float(out)

@@ -8,6 +8,10 @@ Conventions
   corresponding integral (or sum) into a supremum.
 * All integrals reduce to closed-form power-weight sums over dyadic cells;
   a divergent integral yields ``+inf``, never an exception.
+* Every nested (q1, q2) stage (and the (p1, p2) stages of the mixed
+  Lebesgue norm), here and in the interpolation norm and the Hardy
+  displays, is one :func:`_qsum`, which factors out the largest term: the
+  norms stay finite and 1-homogeneous at every exponent they accept.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -24,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .rearrange import Sequence2D, iterated_rearrange_2d, iterated_rearrange_seq
 from .stepfun import DyadicStep2D
 
 INF = float("inf")
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -98,38 +104,60 @@ class GrandNormResult:
 
 
 # ---------------------------------------------------------------------------
-# closed-form cell weights
+# the nested q-stage
 
 
-def _cell_weights(c: float, ncells: int, h: float) -> np.ndarray:
-    """``int t^{c-1} dt`` over each dyadic cell ``(jh, (j+1)h]`` of (0,1].
+def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
+    """``(sum base^q omega)^{1/q}`` along the last axis; ``max(base)`` at
+    ``q = inf``.
 
-    The first cell carries ``+inf`` when ``c <= 0`` (divergence at 0).
+    Every nested (q1, q2) norm is two of these stages.  The sum is taken as
+    ``M (sum (base/M)^q omega)^{1/q}`` with ``M`` the largest base, so a
+    finite value never overflows or underflows; callers put every factor
+    raised to ``q`` into ``base`` and pass the bounded rest as ``omega``.  A
+    zero base contributes 0 whatever its weight (``0 * inf = 0``); an
+    infinite base, or an infinite weight on a positive base, gives ``+inf``.
     """
-    edges = np.arange(ncells + 1) * h
-    if c > 0:
-        pows = edges**c
-        return (pows[1:] - pows[:-1]) / c
-    out = np.empty(ncells)
-    out[0] = INF
-    if c == 0:
-        out[1:] = np.log(edges[2:] / edges[1:-1])
-    else:
-        pows = edges[1:] ** c
-        out[1:] = (pows[1:] - pows[:-1]) / c
-    return out
+    M = base.max(axis=-1, keepdims=True)
+    if q == INF:
+        return M[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = base / M
+        t **= q
+        t *= omega
+        t[base == 0] = 0.0
+        out = M[..., 0] * t.sum(axis=-1) ** (1.0 / q)
+    # a nan is inf/inf or an underflowed positive term times an infinite
+    # weight: both mean a positive base meets a divergence
+    return np.where(np.isnan(out), INF, out)
 
 
-def _cell_weights_batch(cs: np.ndarray, ncells: int, h: float) -> np.ndarray:
-    """Rows of :func:`_cell_weights` for an array of exponents ``cs``."""
-    return np.vstack([_cell_weights(c, ncells, h) for c in cs])
+def _power_cells(a: np.ndarray, n: int, h: float, q: float):
+    """The weight ``t^a`` on the cells ``(jh, (j+1)h]``, ``j < n``, one row
+    per exponent in ``a``, as :func:`_qsum` takes it: ``(sup, omega)`` with
+    ``sup = x^a`` the supremum of ``t^a`` on the cell (``x`` its right end
+    for ``a >= 0``, its left end for ``a < 0``) and
+    ``omega = int_cell t^{aq-1} dt / x^{aq} = (1 - (j/(j+1))^{|a|q}) / (|a|q)``.
+
+    ``omega`` is 1 at ``q = inf``.  Where the integral diverges at 0, the
+    first cell's ``omega`` (``a = 0``) or ``sup`` (``a < 0``) is ``+inf``.
+    """
+    a = np.asarray(a, dtype=float)[:, None]
+    right = np.arange(1, n + 1) * h
+    left = right - h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sup = np.where(a < 0, left, right) ** a
+        if q == INF:
+            return sup, np.ones_like(sup)
+        c = np.abs(a) * q
+        lr = np.log(left / right)  # -inf on the first cell
+        omega = np.where(c > 0, -np.expm1(c * lr) / c, -lr)
+    return sup, omega
 
 
-def _stage_finite(vals_q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum ``v^q * w`` along the last axis, treating ``0 * inf`` as 0."""
-    with np.errstate(invalid="ignore"):
-        prod = np.where(vals_q > 0, vals_q * weights, 0.0)
-    return prod.sum(axis=-1)
+# epsilon rows of the inner Lorentz stage are evaluated in blocks of about
+# this many cells, which bounds the temporaries on large grids
+_BLOCK_CELLS = 2**18
 
 
 def _lorentz_core(g: np.ndarray, h1: float, h2: float,
@@ -146,31 +174,18 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
     over exponent grids, ``out[i, j]`` at ``(a1, a2) = (a1s[i], a2s[j])``.
 
     Computes ``( int ( int (t1^a1 t2^a2 g)^{q1} dt1/t1 )^{q2/q1} dt2/t2 )^{1/q2}``
-    with sup forms replacing infinite ``q`` components.  Returns ``+inf`` on
-    divergence.
+    with sup forms replacing infinite ``q`` components, one :func:`_qsum`
+    stage per axis.  Returns ``+inf`` on divergence.
     """
     r2, r1 = g.shape
-    if q1 == INF:
-        b1 = np.arange(1, r1 + 1) * h1
-        sup_w = np.exp(np.outer(a1s, np.log(b1)))  # (m1, r1)
-        inner = np.max(g[None, :, :] * sup_w[:, None, :], axis=2)  # (m1, r2)
-    else:
-        w1 = _cell_weights_batch(a1s * q1, r1, h1)  # (m1, r1)
-        gq = g**q1
-        inner = np.empty((len(a1s), r2))
-        for i, wrow in enumerate(w1):
-            inner[i] = _stage_finite(gq, wrow)
-        inner **= 1.0 / q1
-    if q2 == INF:
-        b2 = np.arange(1, r2 + 1) * h2
-        sup_w2 = np.exp(np.outer(a2s, np.log(b2)))  # (m2, r2)
-        return np.max(inner[:, None, :] * sup_w2[None, :, :], axis=2)
-    w2 = _cell_weights_batch(a2s * q2, r2, h2)  # (m2, r2)
-    out = np.empty((len(a1s), len(a2s)))
-    innq = inner**q2
-    for j, wrow in enumerate(w2):
-        out[:, j] = _stage_finite(innq, wrow)
-    return out ** (1.0 / q2)
+    sup1, w1 = _power_cells(a1s, r1, h1, q1)  # (m1, r1)
+    sup2, w2 = _power_cells(a2s, r2, h2, q2)  # (m2, r2)
+    rows = max(1, _BLOCK_CELLS // g.size)
+    inner = np.empty((len(sup1), r2))
+    for i in range(0, len(sup1), rows):
+        blk = slice(i, i + rows)
+        inner[blk] = _qsum(g * sup1[blk, None, :], w1[blk, None, :], q1)
+    return _qsum(inner[:, None, :] * sup2, w2, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +194,9 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
 
 def mixed_lebesgue_norm(f: DyadicStep2D, p: tuple[float, float]) -> float:
     """Mixed-norm Lebesgue value: inner L^{p1} in x1, outer L^{p2} in x2."""
-    p1, p2 = p
-    v = np.asarray(f.values)
     h1, h2 = f.widths
-    if p1 == INF:
-        inner = np.max(v, axis=1)
-    else:
-        inner = ((v**p1).sum(axis=1) * h1) ** (1.0 / p1)
-    if p2 == INF:
-        return float(np.max(inner))
-    return float(((inner**p2).sum() * h2) ** (1.0 / p2))
+    inner = _qsum(np.asarray(f.values), h1, p[0])
+    return float(_qsum(inner, h2, p[1]))
 
 
 def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
@@ -286,14 +294,6 @@ def _grand_lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents,
 # discrete sequence norms
 
 
-def _geom_tail(e: float, start: int) -> float:
-    """``sum_{k >= start} 2^{e k}`` (``+inf`` when ``e >= 0``)."""
-    if e >= 0:
-        return INF
-    r = 2.0**e
-    return r**start / (1.0 - r)
-
-
 def _block_cumsum(a: Sequence2D) -> np.ndarray:
     """``S[i1, i2]``: the square sum of the iterated rearrangement of ``a``
     over its top ``(i1 + 1) x (i2 + 1)`` block."""
@@ -324,41 +324,33 @@ def _dyadic_sqrt(S: np.ndarray) -> np.ndarray:
 def _block_stage(vals: np.ndarray, nus: np.ndarray, q: float) -> np.ndarray:
     """``out[i, r]``: the q-sum over ``k >= 0`` of ``2^{nus[i] k} vals[r, k]``
     for each row ``r`` of the ``(R, n)`` array ``vals``; beyond the stored
-    values the last one repeats (the bracket saturates) and the geometric
-    tail is summed in closed form.  Returns an ``(m, R)`` array.
-
-    Each entry is bitwise what the same stage gives for one ``nu`` and one
-    row.  That needs ``vals`` C-contiguous: numpy sums along a contiguous
-    axis pairwise but along a strided one sequentially, which moves the last
-    bit once ``n >= 8``.  It also needs ``sat^q``, the tails and the final
-    root as scalar powers, because numpy's array power differs from them in
-    the last bit.
+    values the last one, ``sat``, repeats (the bracket saturates).  That
+    geometric tail is one more :func:`_qsum` term, with base
+    ``sat 2^{nu n}`` and weight ``sum_{k >= 0} 2^{nu q k}`` (``+inf`` for
+    ``nu >= 0``).  Returns an ``(m, R)`` array.
     """
+    n = vals.shape[1]
     sat = vals[:, -1]
-    u = 2.0 ** (nus[:, None] * np.arange(vals.shape[1]))  # (m, n)
-    terms = u[:, None, :] * vals  # (m, R, n)
+    u = 2.0 ** (nus[:, None] * np.arange(n + 1))  # (m, n + 1)
+    base = u[:, None, :] * np.concatenate([vals, sat[:, None]], axis=1)
     if q == INF:
-        head = np.max(terms, axis=2)
-        head[np.ix_(nus > 0, sat > 0)] = INF
-        return head
-    head = np.sum(terms**q, axis=2)
-    tails = np.array([_geom_tail(nu * q, vals.shape[1]) for nu in nus.tolist()])
-    satq = np.array([s**q for s in sat])
-    with np.errstate(invalid="ignore"):
-        full = np.where(tails[:, None] == INF, INF, head + satq * tails[:, None])
-    head = np.where(sat > 0, full, head)
-    root = 1.0 / q
-    return np.array([h**root for h in head.ravel()]).reshape(head.shape)
+        # for nu > 0 the tail diverges in the sup form too
+        base[:, :, n][(nus[:, None] > 0) & (sat > 0)] = INF
+        return _qsum(base, 1.0, q)
+    omega = np.ones((len(nus), 1, n + 1))
+    with np.errstate(divide="ignore", over="ignore"):
+        omega[:, 0, n] = np.where(nus < 0, -1.0 / np.expm1(nus * q * _LN2), INF)
+    return _qsum(base, omega, q)
 
 
 def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
                     q1: float, q2: float) -> np.ndarray:
     """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[k1^, k2^]``
     over all ``k_i >= 0``, ``out[i, j]`` at ``(nu1, nu2) = (nu1s[i], nu2s[j])``:
-    :func:`_block_stage` over k1 in each column (a contiguous copy of the
-    columns), then over k2 in each row of the result.
+    :func:`_block_stage` over k1 in each column, then over k2 in each row of
+    the result.
     """
-    inner = _block_stage(np.ascontiguousarray(sqrtS.T), nu1s, q1)  # (m1, K2)
+    inner = _block_stage(sqrtS.T, nu1s, q1)  # (m1, K2)
     return _block_stage(inner, nu2s, q2).T
 
 
@@ -480,28 +472,17 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     n1, n2 = f.levels
     r2, r1 = g.shape
     # samples v[i2, i1] = g(2^{-m1}, 2^{-m2}) for m = 1 .. level+1; the last
-    # sample repeats for all deeper m (first cell), handled via closed tails
+    # sample repeats for all deeper m (first cell): the block stages' tail
     i1 = _dyadic_samples(g, r1, n1)
     i2 = _dyadic_samples(g, r2, n2)
     v = g[np.ix_(i2, i1)]  # (len m2, len m1)
-    m1 = np.arange(1, n1 + 2)
-    m2 = np.arange(1, n2 + 2)
 
     def nested(c1: float, c2: float) -> float:
-        """Nested (tau1, tau2) dyadic sums with per-axis weights 2^{-m c}."""
-        w1 = 2.0 ** (-m1 * c1)
-        w2 = 2.0 ** (-m2 * c2)
-        if tau1 == INF:
-            inner = np.max(v * w1, axis=1)
-        else:
-            terms = (v * w1) ** tau1
-            tail = v[:, -1] ** tau1 * _geom_tail(-c1 * tau1, n1 + 2)
-            inner = (terms.sum(axis=1) + tail) ** (1.0 / tau1)
-        if tau2 == INF:
-            return float(np.max(inner * w2))
-        terms = (inner * w2) ** tau2
-        tail = inner[-1] ** tau2 * _geom_tail(-c2 * tau2, n2 + 2)
-        return float((terms.sum() + tail) ** (1.0 / tau2))
+        """Nested (tau1, tau2) dyadic sums with per-axis weights 2^{-m c}:
+        block stages over ``k = m - 1`` with ``nu = -c``."""
+        inner = _block_stage(v, np.array([-c1]), tau1)
+        outer = _block_stage(inner, np.array([-c2]), tau2)
+        return 2.0 ** -(c1 + c2) * float(outer[0, 0])
 
     inv_p1 = 1.0 / e.p[0]
     inv_p2 = 1.0 / e.p[1]

@@ -575,5 +575,6 @@ def run_suite(name: str, seed: int = 7, level=(5, 5)) -> list[CheckReport]:
     if name == "all":
         return [r for suite in _SUITES.values() for r in suite(seed, level)]
     if name not in _SUITES:
-        raise KeyError(name)
+        raise ValueError(f"unknown suite {name!r}; "
+                         f"choose from {', '.join(SUITE_NAMES)}")
     return _SUITES[name](seed, level)

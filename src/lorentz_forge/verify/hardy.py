@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..norms import _power_cells, _qsum
 from ..stepfun import DivergentIntegralError, DyadicStep1D, power_weight_integral
 
 INF = float("inf")
@@ -56,25 +57,10 @@ def _sup_power_linear(u: float, w: float, A: float, B: float,
 
 def _weighted_step_q(vals: np.ndarray, h: float, e: float, q: float) -> float:
     """``(int_0^1 (t^e v(t))^q dt/t)^{1/q}`` for a step profile; sup at q=inf."""
-    n = len(vals)
-    edges = np.arange(n + 1) * h
-    if q == INF:
-        best = 0.0
-        for j, v in enumerate(vals):
-            if v == 0:
-                continue
-            best = max(best, v * _sup_power_linear(e, 0.0, 1.0, 0.0,
-                                                   edges[j], edges[j + 1]))
-        return best
-    total = 0.0
-    for j, v in enumerate(vals):
-        if v == 0:
-            continue
-        wgt = _pw(e * q, edges[j], edges[j + 1])
-        if wgt == INF:
-            return INF
-        total += v**q * wgt
-    return total ** (1.0 / q)
+    sup, omega = _power_cells(np.array([e]), len(vals), h, q)
+    with np.errstate(invalid="ignore"):
+        base = np.where(vals > 0, vals * sup, 0.0)  # 0 * inf = 0
+    return float(_qsum(base, omega, q)[0])
 
 
 def _outer_integral(cells, c: float, k: float, tail_const: float,

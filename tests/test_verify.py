@@ -237,8 +237,9 @@ class TestReports:
         assert [float(r["threshold"]) for r in rows] == [4.0, 2.0]
 
     def test_unknown_suite_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown suite 'nosuch'") as exc:
             checks.run_suite("nosuch")
+        assert "interp" in str(exc.value) and "all" in str(exc.value)
 
 
 def test_reports_carry_worst_witness():
