@@ -189,8 +189,10 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
     else:
         a1 = v @ _trig_cell_matrix(K1, n1).T  # (r2, K1)
     if sys2.kind == "walsh":
-        a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + \
-            1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2)
+        a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + (
+            # Walsh x Walsh: the imaginary part is zero and so is its transform
+            0j if sys1.kind == "walsh" else
+            1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2))
     else:
         a = _trig_cell_matrix(K2, n2) @ a1  # (K2, K1)
     return CoeffMatrix(sys1, sys2, a.T)  # entries [k1, k2]

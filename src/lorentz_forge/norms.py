@@ -9,9 +9,11 @@ Conventions
 * All integrals reduce to closed-form power-weight sums over dyadic cells;
   a divergent integral yields ``+inf``, never an exception.
 * Every nested (q1, q2) stage (and the (p1, p2) stages of the mixed
-  Lebesgue norm), here and in the interpolation norm and the Hardy
-  displays, is one :func:`_qsum`, which factors out the largest term: the
-  norms stay finite and 1-homogeneous at every exponent they accept.
+  Lebesgue norm), here and in the interpolation norm and the right sides of
+  the Hardy displays, is one :func:`_qsum`, which factors out the largest
+  term: the norms stay finite and 1-homogeneous at every exponent they
+  accept.  The Hardy left sides take their per-cell power integrals from
+  :func:`_power_cells` and scale the profile by its largest value instead.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -446,7 +448,7 @@ def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
     return float(np.max(masked)) if masked.size else 0.0
 
 
-def _dyadic_samples(g: np.ndarray, axis_len: int, level: int) -> np.ndarray:
+def _dyadic_samples(axis_len: int, level: int) -> np.ndarray:
     """Indices of the cells containing ``t = 2^m`` for ``m = -1 .. -(level+1)``."""
     ms = np.arange(1, level + 2)
     return np.minimum((2.0**-ms * axis_len).astype(int), axis_len - 1)
@@ -473,20 +475,12 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     r2, r1 = g.shape
     # samples v[i2, i1] = g(2^{-m1}, 2^{-m2}) for m = 1 .. level+1; the last
     # sample repeats for all deeper m (first cell): the block stages' tail
-    i1 = _dyadic_samples(g, r1, n1)
-    i2 = _dyadic_samples(g, r2, n2)
-    v = g[np.ix_(i2, i1)]  # (len m2, len m1)
-
-    def nested(c1: float, c2: float) -> float:
-        """Nested (tau1, tau2) dyadic sums with per-axis weights 2^{-m c}:
-        block stages over ``k = m - 1`` with ``nu = -c``."""
-        inner = _block_stage(v, np.array([-c1]), tau1)
-        outer = _block_stage(inner, np.array([-c2]), tau2)
-        return 2.0 ** -(c1 + c2) * float(outer[0, 0])
-
-    inv_p1 = 1.0 / e.p[0]
-    inv_p2 = 1.0 / e.p[1]
-    limit = nested(inv_p1, inv_p2)  # k -> inf bound, finite for finite p
+    vT = g[np.ix_(_dyadic_samples(r2, n2), _dyadic_samples(r1, n1))].T
+    # the nested (tau1, tau2) dyadic sums with per-axis weights 2^{-m c} are
+    # the block sums over k = m - 1 at nu = -c, times 2^{-c1-c2}
+    inv_p1, inv_p2 = 1.0 / e.p[0], 1.0 / e.p[1]
+    core = _seq_block_core(vT, np.array([-inv_p1]), np.array([-inv_p2]), tau1, tau2)
+    limit = 2.0 ** -(inv_p1 + inv_p2) * float(core[0, 0])  # k -> inf, finite
     best = 0.0
     for k2 in range(2, k_max + 1):
         if k2**-theta[1] * 2.0 ** -theta[0] * limit <= best:
@@ -494,8 +488,10 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
         for k1 in range(2, k_max + 1):
             if k1**-theta[0] * k2**-theta[1] * limit <= best:
                 break
-            val = k1**-theta[0] * k2**-theta[1] * nested(
-                inv_p1 + 1.0 / k1, inv_p2 + 1.0 / k2)
+            c1, c2 = inv_p1 + 1.0 / k1, inv_p2 + 1.0 / k2
+            core = _seq_block_core(vT, np.array([-c1]), np.array([-c2]), tau1, tau2)
+            val = k1**-theta[0] * k2**-theta[1] * (
+                2.0 ** -(c1 + c2) * float(core[0, 0]))
             if val > best:
                 best = val
     return best

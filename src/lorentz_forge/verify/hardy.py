@@ -4,11 +4,17 @@ nonincreasing step profiles on (0,1] (zero beyond 1).
 For a profile ``f`` with cells ``(a_j, b_j]`` the running integrals
 ``int_0^t f^r`` and ``int_t^1 f^r`` are piecewise linear ``A + B t``, so the
 outer integrals have elementary antiderivatives whenever ``q/r`` is 1 or 2,
-and exact per-cell suprema when ``q = inf``.  For other ``q/r`` the first
-cell (where the running integral is a pure power) is exact and later cells
+and exact per-cell suprema when ``q = inf``.  For other ``q/r`` a cell where
+the running integral is a pure power (``A = 0``) is exact and the others
 use the monotone endpoint bound, which over-approximates the left-hand side:
 the safe direction for every asserted upper bound.  Divergent cases return
 ``+inf`` so the caller can skip and record them.
+
+The right sides are one :func:`~lorentz_forge.norms._qsum` stage.  The left
+sides evaluate every cell at once, from the per-cell power integrals of
+:func:`~lorentz_forge.norms._power_cells`, on the profile divided by its
+largest value; the result is multiplied back, so all four displays are
+1-homogeneous at any magnitude.
 """
 
 from __future__ import annotations
@@ -17,42 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..norms import _power_cells, _qsum
-from ..stepfun import DivergentIntegralError, DyadicStep1D, power_weight_integral
+from ..stepfun import DyadicStep1D
 
 INF = float("inf")
-
-
-def _pw(c: float, a: float, b: float) -> float:
-    try:
-        return power_weight_integral(c, a, b)
-    except DivergentIntegralError:
-        return INF
-
-
-def _sup_power_linear(u: float, w: float, A: float, B: float,
-                      a: float, b: float) -> float:
-    """``sup_{t in (a,b]} t^u (A + B t)^w`` with ``A + B t >= 0`` on the cell."""
-    def val(t):
-        base = A + B * t
-        if base < 0:
-            base = 0.0
-        return t**u * base**w
-
-    cands = [val(b)]
-    if a > 0:
-        cands.append(val(a))
-    else:
-        # one-sided limit at t -> 0+
-        if A > 0:
-            cands.append(0.0 if u > 0 else (A**w if u == 0 else INF))
-        elif B != 0:
-            e = u + w
-            cands.append(0.0 if e > 0 else (abs(B)**w if e == 0 else INF))
-    if B != 0 and u + w != 0:
-        tstar = -u * A / (B * (u + w))
-        if a < tstar < b:
-            cands.append(val(tstar))
-    return max(cands)
 
 
 def _weighted_step_q(vals: np.ndarray, h: float, e: float, q: float) -> float:
@@ -63,70 +36,81 @@ def _weighted_step_q(vals: np.ndarray, h: float, e: float, q: float) -> float:
     return float(_qsum(base, omega, q)[0])
 
 
-def _outer_integral(cells, c: float, k: float, tail_const: float,
-                    tail_exact_power: bool, q: float) -> float:
-    """``(int (t^{c/q})^q X(t)^k dt/t ...)`` assembled from per-cell pieces.
+def _lim0(s: float, x: float, w: float) -> float:
+    """``lim_{t -> 0+} t^s x^w`` for ``x > 0``."""
+    return 0.0 if s > 0 else (x**w if s == 0 else INF)
 
-    ``cells`` is a list of ``(a, b, A, B)`` with the running integral
-    ``X(t) = A + B t`` on ``(a, b]``; ``c`` is the weight exponent so each
-    piece contributes ``int_a^b t^{c-1} X^k dt``.  ``tail_const`` is ``X(1)``
-    for the constant continuation on ``(1, inf)`` (0 disables the tail).
+
+def _hardy_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float,
+               descent: bool) -> float:
+    """``( int_0^inf ( t^u X(t)^{1/r} )^q dt/t )^{1/q}`` (sup at
+    ``q = inf``) for finite ``r``: the descent display has ``u = -alpha`` and
+    ``X(t) = int_0^t f^r`` (constant beyond 1), the ascent display
+    ``u = alpha`` and ``X(t) = int_t^1 f^r``.  ``X`` is built from
+    ``f / max f``: it scales by ``(max f)^r``, so the display scales by
+    ``max f``.
     """
-    total = 0.0
-    for a, b, A, B in cells:
-        if A == 0.0 and B == 0.0:
-            continue
-        if A == 0.0:
-            # pure power X = B t (first cell of the running integral from 0):
-            # exact for any k
-            wgt = _pw(c + k, a, b)
-            if wgt == INF:
-                return INF
-            total += B**k * wgt
-            continue
+    v = np.asarray(prof.values, dtype=float)
+    h, n = prof.width, len(v)
+    scale = float(v.max()) or 1.0
+    B = (v / scale) ** r
+    a = np.arange(n) * h
+    if descent:
+        run = np.cumsum(B * h)
+        A = np.concatenate([[0.0], run[:-1]]) - B * a
+        tail, u = run[-1], -alpha  # X(1), continued constant on (1, inf)
+    else:
+        run = np.cumsum((B * h)[::-1])[::-1]
+        A, B = run + B * a, -B
+        tail, u = 0.0, alpha
+    live = (A != 0) | (B != 0)
+    if q == INF:
+        w = 1.0 / r
+
+        def val(t):
+            return t**u * np.maximum(A + B * t, 0.0) ** w
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tstar = -u * A / (B * (u + w))  # the interior critical point
+            inside = (a < tstar) & (tstar < a + h)
+            cands = np.stack([val(a + h), val(a), np.where(inside, val(tstar), 0.0)])
+        # the first cell's left end is the one-sided limit at t -> 0+
+        cands[1, 0] = (_lim0(u, A[0], w) if A[0] > 0 else
+                       _lim0(u + w, abs(B[0]), w) if B[0] != 0 else 0.0)
+        # descent: the sup over t >= 1 is at t = 1
+        head = (tail**w if alpha > 0 else INF) if descent else 0.0
+        return scale * max(head, float(cands[:, live].max(initial=0.0)))
+    c, k = u * q, q / r
+    sup, omega = _power_cells(c + np.array([0.0, 1.0, 2.0, k]), n, h, 1.0)
+    I = sup * omega  # int_cell t^{c+m-1} dt, +inf where it diverges
+    with np.errstate(invalid="ignore", over="ignore"):
+        # where A != 0: the binomial expansion of X^k, reading I[:used]
         if k == 1.0:
-            w0, w1 = _pw(c, a, b), _pw(c + 1, a, b)
-            if INF in (w0, w1):
-                return INF
-            total += A * w0 + B * w1
+            used, mixed = 2, A * I[0] + B * I[1]
         elif k == 2.0:
-            w0, w1, w2 = _pw(c, a, b), _pw(c + 1, a, b), _pw(c + 2, a, b)
-            if INF in (w0, w1, w2):
-                return INF
-            total += A * A * w0 + 2 * A * B * w1 + B * B * w2
+            used, mixed = 3, A * A * I[0] + 2 * A * B * I[1] + B * B * I[2]
         else:
             # monotone endpoint bound (over-approximates the LHS)
-            xmax = max(A + B * a, A + B * b)
-            wgt = _pw(c, a, b)
-            if wgt == INF:
-                return INF
-            total += xmax**k * wgt
-    if tail_const > 0.0:
-        if tail_exact_power and c < 0:
-            total += tail_const**k * (-1.0 / c)  # int_1^inf t^{c-1} dt
-        elif tail_exact_power:
+            used, mixed = 1, np.maximum(A + B * a, A + B * (a + h)) ** k * I[0]
+        pure = A == 0  # X = B t: exact for any k
+        term = np.where(pure, B**k * I[3], mixed)
+    diverges = np.where(pure, np.isinf(I[3]), np.isinf(I[:used]).any(axis=0))
+    if (live & diverges).any():
+        return INF
+    total = float(term[live].sum())
+    if tail > 0.0:
+        if c >= 0:
             return INF
-    return total ** (1.0 / q) if q != INF else total
+        total += tail**k * (-1.0 / c)  # int_1^inf t^{c-1} dt
+    return scale * total ** (1.0 / q)
 
 
 def hardy_descent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{-alpha} (int_0^t f^r)^{1/r} )^q dt/t )^{1/q}``."""
-    v = np.asarray(prof.values, dtype=float)
-    h = prof.width
     if r == INF:
         # running sup is f(0+) > 0: the t^{-alpha} weight diverges at 0
-        return INF if v[0] > 0 else 0.0
-    pref = np.concatenate([[0.0], np.cumsum(v**r * h)])
-    edges = np.arange(len(v) + 1) * h
-    cells = [(edges[j], edges[j + 1], pref[j] - v[j]**r * edges[j], v[j]**r)
-             for j in range(len(v))]
-    G1 = pref[-1]
-    if q == INF:
-        best = G1 ** (1.0 / r) if alpha > 0 else INF  # sup over t >= 1 at t = 1
-        for a, b, A, B in cells:
-            best = max(best, _sup_power_linear(-alpha, 1.0 / r, A, B, a, b))
-        return best
-    return _outer_integral(cells, -alpha * q, q / r, G1, True, q)
+        return INF if prof.values[0] > 0 else 0.0
+    return _hardy_lhs(prof, q, r, alpha, descent=True)
 
 
 def hardy_descent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
@@ -137,23 +121,11 @@ def hardy_descent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> f
 
 def hardy_ascent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{alpha} (int_t^inf f^r)^{1/r} )^q dt/t )^{1/q}``."""
-    v = np.asarray(prof.values, dtype=float)
-    h = prof.width
     if r == INF:
         # running sup from the right equals f itself (right-continuous steps)
-        return _weighted_step_q(v, h, alpha, q)
-    suf = np.concatenate([np.cumsum((v**r * h)[::-1])[::-1], [0.0]])
-    edges = np.arange(len(v) + 1) * h
-    cells = [(edges[j], edges[j + 1], suf[j] + v[j]**r * edges[j], -(v[j]**r))
-             for j in range(len(v))]
-    if q == INF:
-        best = 0.0
-        for a, b, A, B in cells:
-            if A == 0.0 and B == 0.0:
-                continue
-            best = max(best, _sup_power_linear(alpha, 1.0 / r, A, B, a, b))
-        return best
-    return _outer_integral(cells, alpha * q, q / r, 0.0, False, q)
+        return _weighted_step_q(np.asarray(prof.values, dtype=float), prof.width,
+                                alpha, q)
+    return _hardy_lhs(prof, q, r, alpha, descent=False)
 
 
 def hardy_ascent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:

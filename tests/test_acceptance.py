@@ -218,7 +218,8 @@ def test_criterion_12_determinism(tmp_path):
     for name in ("run1", "run2"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "lorentz_forge.cli", "verify",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "lorentz_forge.cli", "verify",
              "--suite", "all", "--seed", "7", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr

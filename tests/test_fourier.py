@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_grids
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
-                                   block_l2,
+                                   _walsh_coeffs_axis, block_l2,
                                    block_sup_lhs, bochkarev_lhs, coeffs_2d,
                                    coeffs_from_values, fwht, gram_matrix, te3_lhs,
                                    te4_lhs, trig_frequency, walsh_on_cells,
@@ -220,6 +220,37 @@ def test_synthesis_round_trip(rng):
     a = coeffs_from_values(vals, (3, 3), WALSH, WALSH, 8, 8)
     assert np.allclose(a.entries.real, coeffs, atol=1e-12)
     assert np.abs(a.entries.imag).max() <= 1e-14
+
+
+def _walsh_walsh_three_transforms(vals, levels, K1, K2):
+    """Reference for Walsh x Walsh coefficients: the complex path that also
+    transforms the zero imaginary part."""
+    a1 = _walsh_coeffs_axis(vals, axis=1, level=levels[0], K=K1).astype(complex)
+    a = _walsh_coeffs_axis(a1.real, axis=0, level=levels[1], K=K2) + \
+        1j * _walsh_coeffs_axis(a1.imag, axis=0, level=levels[1], K=K2)
+    return a.T
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_walsh_walsh_skips_zero_imaginary_transform(level):
+    rng = np.random.default_rng(100 + level)
+    n = 2**level
+    signed = walsh_synthesize(rng.integers(-2, 3, (n, n)).astype(float),
+                              (level, level))
+    signed[rng.random(signed.shape) < 0.2] = -0.0
+    # an all -0.0 grid keeps a -0.0 leading coefficient through both axes
+    grids = [signed, np.full((n, n), -0.0), rng.random((n, n)),
+             rng.standard_normal((n, n)), rng.random((2 * n, n))]
+    for vals in grids:
+        levels = (level, int(np.log2(vals.shape[0])))
+        r2 = vals.shape[0]
+        for K1, K2 in {(n, r2), (max(n // 2, 1), 1), (1, max(r2 - 1, 1))}:
+            got = coeffs_from_values(vals, levels, WALSH, WALSH, K1, K2).entries
+            want = _walsh_walsh_three_transforms(vals, levels, K1, K2)
+            assert got.dtype == want.dtype
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got), part(want))
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_magnitudes_is_sequence(rng):

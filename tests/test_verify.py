@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz_forge.fourier import WALSH, CoeffMatrix, coeffs_2d
 from lorentz_forge.norms import Exponents, lorentz_norm
-from lorentz_forge.stepfun import DyadicStep1D, DyadicStep2D, constant_grid
+from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
+                                   DyadicStep2D, constant_grid,
+                                   power_weight_integral)
 from lorentz_forge.verify import checks
 from lorentz_forge.verify.corpus import (CorpusSpec, corpus_hash, generate,
                                          generate_karamata_pairs,
@@ -125,6 +129,167 @@ class TestHardyCheck:
         rep = checks.check_hardy(2.0, 1.0, 2.0 ** -np.arange(1, 11))
         assert rep.passed
         assert rep.notes["uniformity_pass"]
+
+
+# ---------------------------------------------------------------------------
+# scalar per-cell reference for the Hardy left sides (the loop form the array
+# evaluation replaced)
+
+
+def _ref_pw(c, a, b):
+    try:
+        return power_weight_integral(c, a, b)
+    except DivergentIntegralError:
+        return INF
+
+
+def _ref_sup_power_linear(u, w, A, B, a, b):
+    """``sup_{t in (a,b]} t^u (A + B t)^w`` with ``A + B t >= 0`` on the cell."""
+    def val(t):
+        return t**u * max(A + B * t, 0.0)**w
+
+    cands = [val(b)]
+    if a > 0:
+        cands.append(val(a))
+    elif A > 0:
+        cands.append(0.0 if u > 0 else (A**w if u == 0 else INF))
+    elif B != 0:
+        e = u + w
+        cands.append(0.0 if e > 0 else (abs(B)**w if e == 0 else INF))
+    if B != 0 and u + w != 0:
+        tstar = -u * A / (B * (u + w))
+        if a < tstar < b:
+            cands.append(val(tstar))
+    return max(cands)
+
+
+def _ref_outer_integral(cells, c, k, tail_const, tail_exact_power, q):
+    total = 0.0
+    for a, b, A, B in cells:
+        if A == 0.0 and B == 0.0:
+            continue
+        if A == 0.0:
+            wgt = _ref_pw(c + k, a, b)
+            if wgt == INF:
+                return INF
+            total += B**k * wgt
+        elif k == 1.0:
+            w0, w1 = _ref_pw(c, a, b), _ref_pw(c + 1, a, b)
+            if INF in (w0, w1):
+                return INF
+            total += A * w0 + B * w1
+        elif k == 2.0:
+            w0, w1, w2 = _ref_pw(c, a, b), _ref_pw(c + 1, a, b), _ref_pw(c + 2, a, b)
+            if INF in (w0, w1, w2):
+                return INF
+            total += A * A * w0 + 2 * A * B * w1 + B * B * w2
+        else:
+            wgt = _ref_pw(c, a, b)
+            if wgt == INF:
+                return INF
+            total += max(A + B * a, A + B * b)**k * wgt
+    if tail_const > 0.0:
+        if tail_exact_power and c < 0:
+            total += tail_const**k * (-1.0 / c)
+        elif tail_exact_power:
+            return INF
+    return total ** (1.0 / q) if q != INF else total
+
+
+def _ref_descent_lhs(prof, q, r, alpha):
+    v = np.asarray(prof.values, dtype=float)
+    h = prof.width
+    pref = np.concatenate([[0.0], np.cumsum(v**r * h)])
+    edges = np.arange(len(v) + 1) * h
+    cells = [(edges[j], edges[j + 1], pref[j] - v[j]**r * edges[j], v[j]**r)
+             for j in range(len(v))]
+    G1 = pref[-1]
+    if q == INF:
+        best = G1 ** (1.0 / r) if alpha > 0 else INF
+        for a, b, A, B in cells:
+            best = max(best, _ref_sup_power_linear(-alpha, 1.0 / r, A, B, a, b))
+        return best
+    return _ref_outer_integral(cells, -alpha * q, q / r, G1, True, q)
+
+
+def _ref_ascent_lhs(prof, q, r, alpha):
+    v = np.asarray(prof.values, dtype=float)
+    h = prof.width
+    suf = np.concatenate([np.cumsum((v**r * h)[::-1])[::-1], [0.0]])
+    edges = np.arange(len(v) + 1) * h
+    cells = [(edges[j], edges[j + 1], suf[j] + v[j]**r * edges[j], -(v[j]**r))
+             for j in range(len(v))]
+    if q == INF:
+        best = 0.0
+        for a, b, A, B in cells:
+            if A != 0.0 or B != 0.0:
+                best = max(best, _ref_sup_power_linear(alpha, 1.0 / r, A, B, a, b))
+        return best
+    return _ref_outer_integral(cells, alpha * q, q / r, 0.0, False, q)
+
+
+def _ref_profiles():
+    profs = [p for _, p in checks._hardy_profiles(2.0, 7)]
+    profs.append(checks._hardy_profiles(2.0, 3)[-1][1])  # the seeded step
+    profs.append(checks._hardy_profiles(1.0, 7)[1][1])  # power at r = 1
+    profs += [DyadicStep1D(0, np.array([0.0])), DyadicStep1D(0, np.array([3.0]))]
+    # a constant prefix at a power of two, so A = 0 exactly beyond the first
+    # cell in both forms, then a decreasing run
+    profs.append(DyadicStep1D(4, np.concatenate([np.full(5, 2.0),
+                                                 np.linspace(1.5, 0.1, 11)])))
+    # trailing zero cells
+    profs.append(DyadicStep1D(5, np.concatenate([np.linspace(2.0, 0.5, 20),
+                                                 np.zeros(12)])))
+    return profs
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0, INF])
+def test_hardy_lhs_matches_scalar_reference(q):
+    for prof in _ref_profiles():
+        for r in (1.0, 2.0, 3.0):
+            for alpha in (0.001, 0.25, 0.5, 0.9):
+                for new, ref in ((hardy_descent_lhs, _ref_descent_lhs),
+                                 (hardy_ascent_lhs, _ref_ascent_lhs)):
+                    got, want = new(prof, q, r, alpha), ref(prof, q, r, alpha)
+                    where = (new.__name__, len(prof.values), q, r, alpha)
+                    if got in (0.0, INF) or want in (0.0, INF):
+                        assert got == want, where
+                    else:
+                        assert got == pytest.approx(want, rel=1e-13, abs=0), where
+
+
+def test_hardy_descent_lhs_finite_at_large_magnitude():
+    prof = np.linspace(1, 0.1, 16)
+    small = hardy_descent_lhs(DyadicStep1D(4, prof), 2.0, 1.0, 0.5)
+    big = hardy_descent_lhs(DyadicStep1D(4, 1e200 * prof), 2.0, 1.0, 0.5)
+    assert big == pytest.approx(1e200 * small, rel=1e-12, abs=0)
+
+
+_HARDY_DISPLAYS = (hardy_descent_lhs, hardy_descent_rhs,
+                   hardy_ascent_lhs, hardy_ascent_rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.integers(0, 64),
+       st.integers(-330, 330), st.integers(-330, 330),
+       st.sampled_from([(1.0, 1.0), (1.0, 2.0), (1.0, INF), (2.0, 1.0),
+                        (2.0, 2.0), (2.0, INF), (INF, 1.0), (INF, 2.0),
+                        (INF, INF), (3.0, 2.0)]),
+       st.floats(1e-3, 0.999))
+def test_hardy_displays_homogeneous_at_any_scale(n, seed, zeros, m, k, qr, alpha):
+    # a nonincreasing profile of magnitude 2^m, possibly with trailing zero
+    # cells; c = 2^k scales every value exactly, so H(c f) = c H(f)
+    v = np.sort(np.random.default_rng(seed).random(2**n))[::-1] * 2.0**m
+    v[len(v) - min(zeros, len(v)):] = 0.0
+    c = 2.0**k
+    q, r = qr
+    for disp in _HARDY_DISPLAYS:
+        base = disp(DyadicStep1D(n, v), q, r, alpha)
+        scaled = disp(DyadicStep1D(n, c * v), q, r, alpha)
+        if base in (0.0, INF):
+            assert scaled == base, disp.__name__
+        else:
+            assert scaled == pytest.approx(c * base, rel=1e-12, abs=0), disp.__name__
 
 
 class TestLe3Check:
