@@ -11,7 +11,6 @@ resolution.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -22,14 +21,8 @@ from .fourier import TRIG, WALSH, ResolutionError, coeffs_2d
 from .norms import GRID_KINDS, evaluate_norm_request
 from .stepfun import DyadicStep2D, load_grid
 from .verify.checks import run_suite
+from .verify.corpus import corpus_hash
 from .verify.report import write_reports
-
-
-def _content_hash(f: DyadicStep2D) -> str:
-    h = hashlib.sha256()
-    h.update(bytes(str(f.levels), "ascii"))
-    h.update(np.ascontiguousarray(f.values).tobytes())
-    return h.hexdigest()
 
 
 def _emit(doc: dict, out_path, fmt: str) -> None:
@@ -102,7 +95,7 @@ def cmd_norm(args) -> int:
     req = {"norm": args.kind, "p": args.p, "q": args.q,
            "theta": args.theta, "epsJ": args.J}
     res = evaluate_norm_request(req, f)
-    doc = {"config": req, "content_hash": _content_hash(f), **res}
+    doc = {"config": req, "content_hash": corpus_hash([f]), **res}
     _emit(doc, args.out, args.format)
     return 0
 
@@ -123,7 +116,7 @@ def cmd_coeffs(args) -> int:
                              - mixed_lebesgue_norm(f, (2, 2)) ** 2))
     doc = {
         "config": {"system": args.system, "K": [K1, K2]},
-        "content_hash": _content_hash(f),
+        "content_hash": corpus_hash([f]),
         "system": args.system,
         "K": [K1, K2],
         "re": [[float(x) for x in row] for row in a.entries.real],

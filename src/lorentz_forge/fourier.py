@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .interpolation import beta_from_q
 from .norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
                     _block_sqrt_table, _grand_seq_of, seq_block_lorentz_norm)
 from .rearrange import (Sequence2D, iterated_rearrange_seq,
                         iterated_rearrange_seq_first_index)
 from .stepfun import DyadicStep2D
-
-INF = float("inf")
 
 
 class ResolutionError(ValueError):
@@ -48,24 +47,19 @@ TRIG = OrthonormalSystem("trig")
 WALSH = OrthonormalSystem("walsh")
 
 
-def trig_frequency(i: int) -> int:
-    """Frequency of enumeration slot ``i`` (0-based): 0, 1, -1, 2, -2, ..."""
-    if i == 0:
-        return 0
-    return (i + 1) // 2 if i % 2 == 1 else -(i // 2)
+def trig_frequency(i):
+    """Frequency of enumeration slot ``i`` (0-based): 0, 1, -1, 2, -2, ...;
+    ``i`` may be an integer array."""
+    return (i + 1) // 2 * (-1) ** (i + 1)
 
 
 def _bitrev_perm(n_levels: int) -> np.ndarray:
-    """Bit-reversal permutation of ``0 .. 2^n - 1`` over ``n`` bits."""
-    size = 2**n_levels
-    perm = np.zeros(size, dtype=int)
-    for j in range(size):
-        r = 0
-        x = j
-        for _ in range(n_levels):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        perm[j] = r
+    """Bit-reversal permutation of ``0 .. 2^n - 1`` over ``n`` bits: the
+    ``n``-bit reversal of ``j`` and of ``j + 2^{n-1}`` are twice the
+    ``(n-1)``-bit reversal of ``j``, plus 0 and 1."""
+    perm = np.zeros(1, dtype=int)
+    for _ in range(n_levels):
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
     return perm
 
 
@@ -91,16 +85,18 @@ def fwht(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(a, -1, axis)
 
 
-def walsh_on_cells(k: int, level: int) -> np.ndarray:
+def walsh_on_cells(k, level: int) -> np.ndarray:
     """Values (+-1) of the Paley-ordered Walsh function ``w_k`` on the
-    ``2^level`` dyadic cells; requires ``k < 2^level``."""
-    if k >= 2**level:
+    ``2^level`` dyadic cells, the bit-reversed Hadamard transform of the
+    unit vector ``e_k``; requires ``0 <= k < 2^level``.  An integer array
+    ``k`` gives one row per index."""
+    k = np.asarray(k)
+    if np.any(k < 0):
+        raise ValueError(f"Walsh index {k} is negative")
+    if np.any(k >= 2**level):
         raise ValueError(f"w_{k} is not constant on level-{level} cells")
-    rev = _bitrev_perm(level)
-    j = np.arange(2**level)
-    bits = np.bitwise_count(np.bitwise_and(rev[j], k)) if hasattr(np, "bitwise_count") \
-        else np.array([bin(rev[x] & k).count("1") for x in j])
-    return np.where(bits % 2 == 0, 1.0, -1.0)
+    unit = (np.arange(2**level) == k[..., None]).astype(float)
+    return fwht(unit, axis=-1)[..., _bitrev_perm(level)]
 
 
 def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.ndarray:
@@ -131,19 +127,22 @@ def walsh_synthesize(coeffs: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
     return vals.T  # [j2, j1]
 
 
-def _trig_cell_matrix(K: int, level: int) -> np.ndarray:
-    """``E[k, j] = int_cell_j exp(-2 pi i freq(k) x) dx`` in closed form."""
+def _exp_cell_integrals(c: np.ndarray, level: int) -> np.ndarray:
+    """``int_cell_j exp(c x) dx = (exp(c x_{j+1}) - exp(c x_j)) / c`` (the
+    width ``h`` where ``c = 0``) for every ``c`` (any shape) and every
+    level-``level`` cell ``j``, on a new last axis."""
     h = 2.0**-level
     edges = np.arange(2**level + 1) * h
-    freqs = np.array([trig_frequency(i) for i in range(K)])
-    E = np.empty((K, 2**level), dtype=complex)
-    for row, k in enumerate(freqs):
-        if k == 0:
-            E[row] = h
-        else:
-            ph = np.exp(-2j * np.pi * k * edges)
-            E[row] = (ph[1:] - ph[:-1]) / (-2j * np.pi * k)
-    return E
+    c = c[..., None]
+    ph = np.exp(c * edges)
+    out = (ph[..., 1:] - ph[..., :-1]) / np.where(c == 0, 1, c)
+    np.copyto(out, h, where=c == 0)
+    return out
+
+
+def _trig_cell_matrix(K: int, level: int) -> np.ndarray:
+    """``E[k, j] = int_cell_j exp(-2 pi i freq(k) x) dx`` in closed form."""
+    return _exp_cell_integrals(-2j * np.pi * trig_frequency(np.arange(K)), level)
 
 
 @dataclass(frozen=True)
@@ -182,6 +181,8 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
     side may legitimately come from signed synthesis; this entry point keeps
     the two consistent.
     """
+    if K1 < 1 or K2 < 1:
+        raise ValueError(f"truncation ({K1}, {K2}) must be positive")
     n1, n2 = levels
     v = np.asarray(values, dtype=float)  # [j2, j1]
     if sys1.kind == "walsh":
@@ -208,24 +209,13 @@ def gram_matrix(system: OrthonormalSystem, count: int, level: int) -> np.ndarray
     """Gram matrix of the first ``count`` system functions, integrated in
     closed form on a level-``level`` grid (used for orthonormality checks)."""
     if system.kind == "walsh":
-        W = np.vstack([walsh_on_cells(k, level) for k in range(count)])
+        W = walsh_on_cells(np.arange(count), level)
         return (W @ W.T) * 2.0**-level
-    E = _trig_cell_matrix(count, level)
     # int phi_m conj(phi_n) = sum over cells of the closed-form integrals of
-    # exp(2 pi i (freq(m) - freq(n)) x)
-    freqs = [trig_frequency(i) for i in range(count)]
-    G = np.empty((count, count), dtype=complex)
-    h = 2.0**-level
-    edges = np.arange(2**level + 1) * h
-    for m, km in enumerate(freqs):
-        for n, kn in enumerate(freqs):
-            d = km - kn
-            if d == 0:
-                G[m, n] = 1.0
-            else:
-                ph = np.exp(2j * np.pi * d * edges)
-                G[m, n] = np.sum((ph[1:] - ph[:-1]) / (2j * np.pi * d))
-    return G
+    # exp(2 pi i (freq(m) - freq(n)) x); on the diagonal the cell widths
+    # sum to exactly 1
+    freqs = trig_frequency(np.arange(count))
+    return _exp_cell_integrals(2j * np.pi * (freqs[:, None] - freqs), level).sum(axis=-1)
 
 
 def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
@@ -265,8 +255,8 @@ def _bochkarev_of(S: np.ndarray, q: tuple[float, float]) -> float:
     if any(not (2 <= qi) for qi in q):
         raise ValueError(f"requires 2 <= q <= inf, got {q}")
     K1, K2 = S.shape
-    e1 = 0.5 - (0.0 if q[0] == INF else 1.0 / q[0])
-    e2 = 0.5 - (0.0 if q[1] == INF else 1.0 / q[1])
+    e1 = 0.5 - 1.0 / q[0]
+    e2 = 0.5 - 1.0 / q[1]
     w1 = np.log(np.maximum(np.arange(1, K1 + 1), 2)) ** e1
     w2 = np.log(np.maximum(np.arange(1, K2 + 1), 2)) ** e2
     vals = np.sqrt(S) / np.outer(w1, w2)
@@ -289,8 +279,8 @@ def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> float:
     """:func:`block_sup_lhs` from the dyadic sqrt table ``T`` of the
     magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
     kap1, kap2 = T.shape[0] - 1, T.shape[1] - 1
-    e1 = (0.0 if q[0] == INF else 1.0 / q[0]) - 0.5
-    e2 = (0.0 if q[1] == INF else 1.0 / q[1]) - 0.5
+    e1 = 1.0 / q[0] - 0.5
+    e2 = 1.0 / q[1] - 0.5
     n1 = range(1, max(kap1, 1) + 2)
     n2 = range(1, max(kap2, 1) + 2)
     # Python float powers: numpy's array power can differ in the last bit
@@ -316,7 +306,7 @@ def _te4_lhs_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams) -> GrandNormRe
     (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
     if e.p != (2.0, 2.0):
         raise ValueError(f"defined for p = (2, 2), got {e.p}")
-    betas = tuple(max(0.5, 0.0 if qi == INF else 1.0 / qi) for qi in e.q)
+    betas = beta_from_q(e.q)
     lam = (gp.theta[0] + betas[0], gp.theta[1] + betas[1])
     return _grand_seq_of(sqrtS, e, GrandParams(lam, eps_levels=gp.eps_levels),
                          "minus")

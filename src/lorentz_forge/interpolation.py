@@ -26,8 +26,6 @@ from .norms import _LN2, _qsum
 from .rearrange import iterated_rearrange_2d
 from .stepfun import DyadicStep2D
 
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class KTerms:
@@ -66,7 +64,7 @@ def theta_from_p(p: tuple[float, float]) -> ThetaPoint:
 
 def beta_from_q(q: tuple[float, float]) -> tuple[float, float]:
     """``beta_i = max(1/2, 1/q_i)`` with ``1/inf = 0``."""
-    return tuple(max(0.5, 0.0 if qi == INF else 1.0 / qi) for qi in q)
+    return tuple(max(0.5, 1.0 / qi) for qi in q)
 
 
 def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:

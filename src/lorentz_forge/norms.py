@@ -219,10 +219,7 @@ def _rearranged_values(f: DyadicStep2D) -> np.ndarray:
 
 def _lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents) -> float:
     """:func:`lorentz_norm` from rearranged values ``g`` and cell widths."""
-    h1, h2 = widths
-    a1 = 0.0 if e.p[0] == INF else 1.0 / e.p[0]
-    a2 = 0.0 if e.p[1] == INF else 1.0 / e.p[1]
-    return _lorentz_core(g, h1, h2, a1, a2, e.q[0], e.q[1])
+    return _lorentz_core(g, *widths, 1.0 / e.p[0], 1.0 / e.p[1], e.q[0], e.q[1])
 
 
 def _eps_grid(levels: int, cap: float) -> np.ndarray:
@@ -234,19 +231,25 @@ def _eps_grid(levels: int, cap: float) -> np.ndarray:
     return grid
 
 
-def _sup_eps_axes(gp: GrandParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis, the sup-form epsilon grid and its weights ``eps^theta``.
+def _eps_axes(gp: GrandParams, caps: tuple[float, float]) -> list[np.ndarray]:
+    """Per axis, the epsilon grid ``2^-j <= cap_i`` (see :func:`_eps_grid`);
+    a zero ``theta_i`` adds the point ``eps = 0``."""
+    return [np.concatenate([_eps_grid(gp.eps_levels, cap), [0.0]]) if t == 0
+            else _eps_grid(gp.eps_levels, cap) for t, cap in zip(gp.theta, caps)]
 
-    A zero ``theta_i`` adds the point ``eps = 0``, weighted ``0^0 = 1``.
-    """
-    eps = _eps_grid(gp.eps_levels, 1.0)
-    axes = []
-    for t in gp.theta:
-        if t == 0:
-            axes.append((np.concatenate([eps, [0.0]]), np.ones(len(eps) + 1)))
-        else:
-            axes.append((eps, eps**t))
-    return axes
+
+def _grand_pick(axes: list[np.ndarray], vals: np.ndarray,
+                gp: GrandParams) -> GrandNormResult:
+    """The grid optimum of ``eps1^t1 eps2^t2 vals[i, j]`` over the epsilon
+    ``axes`` (``0^0 = 1``): the maximum in the sup form, an
+    under-approximation, and the minimum in the inf form, an
+    over-approximation."""
+    e1, e2 = axes
+    obj = vals * np.outer(e1 ** gp.theta[0], e2 ** gp.theta[1])
+    pick = np.argmax if gp.sup_form else np.argmin
+    i, j = np.unravel_index(pick(obj), obj.shape)
+    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])),
+                           "under" if gp.sup_form else "over")
 
 
 def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandNormResult:
@@ -265,31 +268,20 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
 def _grand_lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents,
                       gp: GrandParams) -> GrandNormResult:
     """:func:`grand_lorentz_norm` from rearranged values ``g`` and cell widths."""
-    h1, h2 = widths
-    t1, t2 = gp.theta
-    base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
-        return GrandNormResult(
-            _lorentz_core(g, h1, h2, base[0], base[1], e.q[0], e.q[1]),
-            (0.0, 0.0), "exact")
+        return GrandNormResult(_lorentz_of(g, widths, e), (0.0, 0.0), "exact")
+    base = [1.0 / pi for pi in e.p]
     if gp.sup_form:
-        (e1, w1), (e2, w2) = _sup_eps_axes(gp)
-        vals = _lorentz_core_batch(g, h1, h2, base[0] + e1, base[1] + e2,
-                                   e.q[0], e.q[1])
-        obj = vals * np.outer(w1, w2)
-        i, j = np.unravel_index(np.argmax(obj), obj.shape)
-        return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")
-    if e.p[0] == INF or e.p[1] == INF:
+        axes, s = _eps_axes(gp, (1.0, 1.0)), 1.0
+    elif INF in e.p:
         raise ValueError("inf-form grand norm requires finite p")
-    e1 = _eps_grid(gp.eps_levels, base[0])
-    e2 = _eps_grid(gp.eps_levels, base[1])
-    vals = _lorentz_core_batch(g, h1, h2, base[0] - e1, base[1] - e2,
-                               e.q[0], e.q[1])
-    obj = vals * np.outer(e1**t1, e2**t2)
-    i, j = np.unravel_index(np.argmin(obj), obj.shape)
-    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "over")
+    else:
+        axes, s = _eps_axes(gp, base), -1.0
+    vals = _lorentz_core_batch(g, *widths, base[0] + s * axes[0],
+                               base[1] + s * axes[1], e.q[0], e.q[1])
+    return _grand_pick(axes, vals, gp)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +386,14 @@ def _grand_seq_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams,
     :func:`_block_sqrt_table`)."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    t1, t2 = gp.theta
-    if t1 < 0 or t2 < 0:
+    if not gp.sup_form:
         raise ValueError("grand sequence norm is defined for theta >= 0")
-    base = [0.0 if pi == INF else 1.0 / pi for pi in e.p]
+    base = [1.0 / pi for pi in e.p]
     s = 1.0 if sign == "plus" else -1.0
-    (e1, w1), (e2, w2) = _sup_eps_axes(gp)
+    e1, e2 = axes = _eps_axes(gp, (1.0, 1.0))
     vals = _seq_block_core(sqrtS, base[0] + s * e1 - 0.5, base[1] + s * e2 - 0.5,
                            e.q[0], e.q[1])
-    obj = vals * np.outer(w1, w2)
-    i, j = np.unravel_index(np.argmax(obj), obj.shape)
-    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])), "under")
+    return _grand_pick(axes, vals, gp)
 
 
 # ---------------------------------------------------------------------------

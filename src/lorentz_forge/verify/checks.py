@@ -112,8 +112,8 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
     meaningful uniformity probe.
     """
     cal = calibration()
-    beta = max(0.0 if q == INF else 1.0 / q, 0.0 if r == INF else 1.0 / r)
-    gamma_descent = 0.0 if q == INF else 1.0 / q
+    beta = max(1.0 / q, 1.0 / r)
+    gamma_descent = 1.0 / q
     rep = CheckReport("hardy", {"q": q, "r": r}, "", cal["hardy_C_pass"])
     skipped = []
     ratios: dict[str, list[float]] = {}

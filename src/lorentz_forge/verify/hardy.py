@@ -115,8 +115,7 @@ def hardy_descent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> f
 
 def hardy_descent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{1/r - alpha} f(t) )^q dt/t )^{1/q}``."""
-    rinv = 0.0 if r == INF else 1.0 / r
-    return _weighted_step_q(np.asarray(prof.values), prof.width, rinv - alpha, q)
+    return _weighted_step_q(np.asarray(prof.values), prof.width, 1.0 / r - alpha, q)
 
 
 def hardy_ascent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
@@ -130,5 +129,4 @@ def hardy_ascent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> fl
 
 def hardy_ascent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{alpha + 1/r} f(t) )^q dt/t )^{1/q}``."""
-    rinv = 0.0 if r == INF else 1.0 / r
-    return _weighted_step_q(np.asarray(prof.values), prof.width, alpha + rinv, q)
+    return _weighted_step_q(np.asarray(prof.values), prof.width, alpha + 1.0 / r, q)

@@ -90,6 +90,16 @@ class TestCoeffsCommand:
                    "--in", str(const_grid)])
         assert rc == 2
 
+    @pytest.mark.parametrize("system", ["walsh", "trig"])
+    @pytest.mark.parametrize("K", [["0", "2"], ["-2", "2"], ["2", "0"]])
+    def test_nonpositive_truncation_exits_2(self, const_grid, system, K, capsys):
+        rc = main(["coeffs", "--system", system, system, "--K", *K,
+                   "--in", str(const_grid)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation" in captured.err
+
 
 class TestVerifyCommand:
     def test_small_suite_exit_zero(self, tmp_path, capsys):

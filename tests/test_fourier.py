@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_grids
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
+                                   _bitrev_perm, _trig_cell_matrix,
                                    _walsh_coeffs_axis, block_l2,
                                    block_sup_lhs, bochkarev_lhs, coeffs_2d,
                                    coeffs_from_values, fwht, gram_matrix, te3_lhs,
@@ -90,6 +91,15 @@ class TestCoeffs:
         a = coeffs_2d(f, WALSH, TRIG, 8, 5)
         assert a.entries[0, 0] == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG),
+                                         (WALSH, TRIG), (TRIG, WALSH)])
+    @pytest.mark.parametrize("K", [(0, 2), (2, 0), (-2, 2), (2, -1)])
+    def test_nonpositive_truncation_rejected(self, systems, K):
+        vals = constant_grid(1.0, (2, 2)).values
+        with pytest.raises(ValueError, match="truncation") as exc:
+            coeffs_from_values(vals, (2, 2), *systems, *K)
+        assert not isinstance(exc.value, ResolutionError)
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("system", [TRIG, WALSH])
@@ -100,6 +110,13 @@ class TestOrthonormality:
     def test_walsh_uniform_bound(self):
         for k in range(16):
             assert np.abs(walsh_on_cells(k, 4)).max() == 1.0
+
+    @pytest.mark.parametrize("k,match", [(-1, "negative"), (-8, "negative"),
+                                         ([0, -1], "negative"), (8, "not constant"),
+                                         ([7, 8], "not constant")])
+    def test_walsh_index_out_of_range_rejected(self, k, match):
+        with pytest.raises(ValueError, match=match):
+            walsh_on_cells(k, 3)
 
 
 class TestBlocks:
@@ -288,3 +305,96 @@ def test_fwht_matches_stacked_butterflies(n):
     ro = r.random((4, n))
     ro.setflags(write=False)
     assert np.array_equal(fwht(ro, 1), _fwht_stack(ro, 1))
+
+
+def _assert_same_bits(got, want):
+    """Equal dtype, shape, values and signs of zero (real and imaginary)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(got), part(want))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _bitrev_perm_loop(n_levels):
+    """Reference for ``_bitrev_perm``: reverse the bits of each index."""
+    size = 2**n_levels
+    perm = np.zeros(size, dtype=int)
+    for j in range(size):
+        r = 0
+        x = j
+        for _ in range(n_levels):
+            r = (r << 1) | (x & 1)
+            x >>= 1
+        perm[j] = r
+    return perm
+
+
+def _walsh_on_cells_popcount(k, level):
+    """Reference for ``walsh_on_cells``: the parity of the bits that ``k``
+    shares with the bit-reversed cell index."""
+    bits = np.array([bin(r & k).count("1") for r in _bitrev_perm_loop(level)])
+    return np.where(bits % 2 == 0, 1.0, -1.0)
+
+
+def _trig_cell_matrix_loop(K, level):
+    """Reference for ``_trig_cell_matrix``: one frequency row at a time."""
+    h = 2.0**-level
+    edges = np.arange(2**level + 1) * h
+    freqs = np.array([trig_frequency(i) for i in range(K)])
+    E = np.empty((K, 2**level), dtype=complex)
+    for row, k in enumerate(freqs):
+        if k == 0:
+            E[row] = h
+        else:
+            ph = np.exp(-2j * np.pi * k * edges)
+            E[row] = (ph[1:] - ph[:-1]) / (-2j * np.pi * k)
+    return E
+
+
+def _trig_gram_loop(count, level):
+    """Reference for ``gram_matrix(TRIG, ...)``: one entry at a time."""
+    freqs = [trig_frequency(i) for i in range(count)]
+    G = np.empty((count, count), dtype=complex)
+    edges = np.arange(2**level + 1) * 2.0**-level
+    for m, km in enumerate(freqs):
+        for n, kn in enumerate(freqs):
+            d = km - kn
+            if d == 0:
+                G[m, n] = 1.0
+            else:
+                ph = np.exp(2j * np.pi * d * edges)
+                G[m, n] = np.sum((ph[1:] - ph[:-1]) / (2j * np.pi * d))
+    return G
+
+
+def test_trig_frequency_array_matches_scalar():
+    i = np.arange(50)
+    got = trig_frequency(i)
+    assert got.dtype == i.dtype
+    assert got.tolist() == [trig_frequency(int(x)) for x in i]
+
+
+@pytest.mark.parametrize("level", range(13))
+def test_bitrev_perm_matches_bit_loop(level):
+    _assert_same_bits(_bitrev_perm(level), _bitrev_perm_loop(level))
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_walsh_on_cells_matches_popcount(level):
+    ks = range(2**level) if level <= 8 else range(40)
+    want = np.array([_walsh_on_cells_popcount(k, level) for k in ks])
+    for k in ks:
+        _assert_same_bits(walsh_on_cells(k, level), want[k])
+    _assert_same_bits(walsh_on_cells(np.arange(len(ks)), level), want)
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_trig_cell_matrix_matches_row_loop(level):
+    for K in (1, 2, 3, 33, 64, 128, 256):
+        _assert_same_bits(_trig_cell_matrix(K, level),
+                          _trig_cell_matrix_loop(K, level))
+
+
+@pytest.mark.parametrize("count,level", [(32, 5), (40, 6)])
+def test_trig_gram_matches_entry_loop(count, level):
+    _assert_same_bits(gram_matrix(TRIG, count, level), _trig_gram_loop(count, level))

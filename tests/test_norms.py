@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_grids
 from lorentz_forge.interpolation import interp_norm
 from lorentz_forge.norms import (Exponents, GrandParams, _block_sqrt_table,
-                                 _qsum, _seq_block_core, _sup_eps_axes,
+                                 _qsum, _seq_block_core,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
@@ -263,7 +263,9 @@ class TestSeqBlockCoreMatchesScalar:
             for sign, s in (("plus", 1.0), ("minus", -1.0)):
                 res = grand_seq_norm(a, e, gp, sign=sign)
                 sqrtS = _block_sqrt_table(a)
-                (e1, w1), (e2, w2) = _sup_eps_axes(gp)
+                eps = 2.0 ** -np.arange(gp.eps_levels + 1)
+                (e1, w1), (e2, w2) = [(np.append(eps, 0.0), np.ones(len(eps) + 1))
+                                      if t == 0 else (eps, eps**t) for t in theta]
                 vals = np.array([[_scalar_seq_block_core(
                     sqrtS, 1 / e.p[0] + s * x1 - 0.5, 1 / e.p[1] + s * x2 - 0.5, *q)
                     for x2 in e2] for x1 in e1])

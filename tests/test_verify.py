@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz_forge.fourier import WALSH, CoeffMatrix, coeffs_2d
+from lorentz_forge.fourier import WALSH, CoeffMatrix, coeffs_2d, walsh_synthesize
 from lorentz_forge.norms import Exponents, lorentz_norm
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
@@ -59,12 +59,57 @@ class TestCorpus:
             assert np.all(np.isin(np.abs(planted.entries.real), (0.0, 1.0)))
             assert np.all(f.values >= 0)
 
+    @pytest.mark.parametrize("level", [(9, 9), (5, 7), (3, 9), (1, 1)])
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_lacunary_pairs_match_synthesis(self, level, seed):
+        pairs = generate_lacunary_pairs(level, 20, seed)
+        want = _lacunary_pairs_by_synthesis(level, 20, seed)
+        assert len(pairs) == len(want)
+        for (a, f), (a_ref, f_ref) in zip(pairs, want):
+            assert a.entries.dtype == a_ref.entries.dtype
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(a.entries), part(a_ref.entries))
+                assert np.array_equal(np.signbit(part(a.entries)),
+                                      np.signbit(part(a_ref.entries)))
+            assert f.levels == f_ref.levels
+            assert np.array_equal(f.values, f_ref.values)
+            assert np.array_equal(np.signbit(f.values), np.signbit(f_ref.values))
+        assert corpus_hash(pairs) == corpus_hash(want)
+
     def test_karamata_generator_hypotheses(self):
         for f, g in generate_karamata_pairs(50, 5):
             assert np.all(np.diff(f) <= 0)
             assert np.all(np.diff(g) <= 1e-12)
             assert np.all(np.cumsum(f) >= np.cumsum(g) - 1e-12)
             assert np.sum(f) == pytest.approx(np.sum(g))
+
+
+def _lacunary_pairs_by_synthesis(level, count, seed, ratio=2.0):
+    """Reference for ``generate_lacunary_pairs``: each polynomial built from
+    its planted coefficients by two fast Walsh transforms."""
+    n1, n2 = level
+    K1, K2 = 2**n1, 2**n2
+    positions = []
+    j = 0
+    while True:
+        pos = int(round(ratio**j))
+        if pos >= min(K1, K2):
+            break
+        if pos not in positions:
+            positions.append(pos)
+        j += 1
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        signs = np.ones(len(positions)) if i == 0 else \
+            rng.choice([-1.0, 1.0], size=len(positions))
+        c = np.zeros((K1, K2))
+        for pos, s in zip(positions, signs):
+            c[pos, pos] = s
+        vals = walsh_synthesize(c, level)
+        out.append((CoeffMatrix(WALSH, WALSH, c.astype(complex)),
+                    DyadicStep2D(level, np.abs(vals))))
+    return out
 
 
 class TestKaramataCheck:
@@ -294,8 +339,6 @@ def test_hardy_displays_homogeneous_at_any_scale(n, seed, zeros, m, k, qr, alpha
 
 class TestLe3Check:
     def test_single_walsh_mode_parseval_equality(self):
-        from lorentz_forge.fourier import walsh_synthesize
-
         c = np.zeros((8, 8))
         c[3, 2] = 1.0
         f = DyadicStep2D((3, 3), np.abs(walsh_synthesize(c, (3, 3))))
