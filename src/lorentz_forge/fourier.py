@@ -17,7 +17,7 @@ import numpy as np
 
 from .interpolation import beta_from_q
 from .norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
-                    _block_sqrt_table, _grand_seq_of, seq_block_lorentz_norm)
+                    _block_sqrt_table, grand_seq_norm, seq_block_lorentz_norm)
 from .rearrange import (Sequence2D, iterated_rearrange_seq,
                         iterated_rearrange_seq_first_index)
 from .stepfun import DyadicStep2D
@@ -298,15 +298,14 @@ def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> f
 def te4_lhs(a: CoeffMatrix, e: Exponents, gp: GrandParams) -> GrandNormResult:
     """Grand sequence norm of the magnitudes at smoothness ``lambda = theta + beta``,
     ``beta_i = max(1/2, 1/q_i)``, with the damped exponent sign."""
-    return _te4_lhs_of(_block_sqrt_table(a.magnitudes), e, gp)
+    return grand_seq_norm(a.magnitudes, e, _te4_params(e, gp), sign="minus")
 
 
-def _te4_lhs_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams) -> GrandNormResult:
-    """:func:`te4_lhs` from the dyadic sqrt table ``sqrtS`` of the magnitudes
-    (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
+def _te4_params(e: Exponents, gp: GrandParams) -> GrandParams:
+    """The smoothness ``lambda = theta + beta`` at which :func:`te4_lhs`
+    reads the grand sequence norm."""
     if e.p != (2.0, 2.0):
         raise ValueError(f"defined for p = (2, 2), got {e.p}")
     betas = beta_from_q(e.q)
-    lam = (gp.theta[0] + betas[0], gp.theta[1] + betas[1])
-    return _grand_seq_of(sqrtS, e, GrandParams(lam, eps_levels=gp.eps_levels),
-                         "minus")
+    return GrandParams((gp.theta[0] + betas[0], gp.theta[1] + betas[1]),
+                       eps_levels=gp.eps_levels)

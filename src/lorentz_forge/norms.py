@@ -19,13 +19,17 @@ Conventions
   inf-form grid minimum over-approximates the true infimum; the direction
   is reported with the value.  A zero smoothness component adds the grid
   point ``eps = 0`` so the collapse to the plain Lorentz norm is exact.
-* Both grand norms evaluate the whole grid in one call of their core, which
-  takes one exponent axis per coordinate and returns the value matrix; the
-  plain norms are its one-point case.
+* A grand norm is an epsilon surface and a pick.  The surface
+  (:func:`_lorentz_surface`, :func:`_seq_surface`) is the epsilon axes and
+  the value matrix over them, one call of the core, which takes one exponent
+  axis per coordinate; the plain norms are its one-point case.  It does not
+  depend on theta, only on the key :func:`_surface_key` (form, grid depth,
+  which theta_i are zero).  :func:`_grand_pick` applies the ``eps^theta``
+  weights, so one surface serves every theta with its key.
 * Each public norm prepares what it reads of its input (the rearranged
   values of a grid, the block table of a sequence) and passes it to a
-  ``_*_of`` function; a parameter sweep prepares each input once and calls
-  the same functions.
+  ``_*_of`` or ``_*_surface`` function; a parameter sweep prepares each
+  input once and calls the same functions.
 """
 
 from __future__ import annotations
@@ -142,18 +146,23 @@ def _power_cells(a: np.ndarray, n: int, h: float, q: float):
     ``omega = int_cell t^{aq-1} dt / x^{aq} = (1 - (j/(j+1))^{|a|q}) / (|a|q)``.
 
     ``omega`` is 1 at ``q = inf``.  Where the integral diverges at 0, the
-    first cell's ``omega`` (``a = 0``) or ``sup`` (``a < 0``) is ``+inf``.
+    first cell's ``omega`` (``a = 0``) or ``sup`` (``a < 0``) is ``+inf``;
+    so is its ``omega = 1/(|a|q)`` when that overflows.
     """
     a = np.asarray(a, dtype=float)[:, None]
     right = np.arange(1, n + 1) * h
     left = right - h
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sup = np.where(a < 0, left, right) ** a
         if q == INF:
             return sup, np.ones_like(sup)
         c = np.abs(a) * q
         lr = np.log(left / right)  # -inf on the first cell
-        omega = np.where(c > 0, -np.expm1(c * lr) / c, -lr)
+        x = c * lr
+        # the c -> 0 limit -lr where c |lr| is zero or subnormal, as there
+        # expm1(x) / c keeps too few digits
+        omega = np.where((c == 0) | (np.abs(x) < np.finfo(float).tiny),
+                         -lr, -np.expm1(x) / c)
     return sup, omega
 
 
@@ -231,11 +240,19 @@ def _eps_grid(levels: int, cap: float) -> np.ndarray:
     return grid
 
 
-def _eps_axes(gp: GrandParams, caps: tuple[float, float]) -> list[np.ndarray]:
+def _surface_key(gp: GrandParams) -> tuple:
+    """What the epsilon surface of a grand norm reads of ``gp``: the form,
+    the grid depth and which ``theta_i`` are zero.  The surface is the same
+    for every ``gp`` with the same key; only :func:`_grand_pick` reads
+    ``theta`` itself."""
+    return gp.sup_form, gp.eps_levels, (gp.theta[0] == 0, gp.theta[1] == 0)
+
+
+def _eps_axes(levels: int, zeros, caps) -> list[np.ndarray]:
     """Per axis, the epsilon grid ``2^-j <= cap_i`` (see :func:`_eps_grid`);
-    a zero ``theta_i`` adds the point ``eps = 0``."""
-    return [np.concatenate([_eps_grid(gp.eps_levels, cap), [0.0]]) if t == 0
-            else _eps_grid(gp.eps_levels, cap) for t, cap in zip(gp.theta, caps)]
+    a zero ``theta_i`` (``zeros[i]``) adds the point ``eps = 0``."""
+    return [np.concatenate([_eps_grid(levels, cap), [0.0]]) if z
+            else _eps_grid(levels, cap) for z, cap in zip(zeros, caps)]
 
 
 def _grand_pick(axes: list[np.ndarray], vals: np.ndarray,
@@ -262,26 +279,30 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
     grid minimum with exponents ``1/p_i - eps_i``, ``eps_i <= 1/p_i`` (an
     over-approximation of the true infimum).
     """
-    return _grand_lorentz_of(_rearranged_values(f), f.widths, e, gp)
-
-
-def _grand_lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents,
-                      gp: GrandParams) -> GrandNormResult:
-    """:func:`grand_lorentz_norm` from rearranged values ``g`` and cell widths."""
+    g = _rearranged_values(f)
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
-        return GrandNormResult(_lorentz_of(g, widths, e), (0.0, 0.0), "exact")
+        return GrandNormResult(_lorentz_of(g, f.widths, e), (0.0, 0.0), "exact")
+    return _grand_pick(*_lorentz_surface(g, f.widths, e, *_surface_key(gp)), gp)
+
+
+def _lorentz_surface(g: np.ndarray, widths: tuple[float, float], e: Exponents,
+                     sup_form: bool, levels: int, zeros: tuple[bool, bool]):
+    """The epsilon surface of :func:`grand_lorentz_norm` from rearranged
+    values ``g`` and cell widths: the epsilon axes (see :func:`_eps_axes`;
+    ``eps_i <= 1`` in the sup form, ``<= 1/p_i`` in the inf form) and the
+    Lorentz norms at exponents ``1/p_i +/- eps_i`` over them, one core call.
+    """
     base = [1.0 / pi for pi in e.p]
-    if gp.sup_form:
-        axes, s = _eps_axes(gp, (1.0, 1.0)), 1.0
+    if sup_form:
+        axes, s = _eps_axes(levels, zeros, (1.0, 1.0)), 1.0
     elif INF in e.p:
         raise ValueError("inf-form grand norm requires finite p")
     else:
-        axes, s = _eps_axes(gp, base), -1.0
-    vals = _lorentz_core_batch(g, *widths, base[0] + s * axes[0],
-                               base[1] + s * axes[1], e.q[0], e.q[1])
-    return _grand_pick(axes, vals, gp)
+        axes, s = _eps_axes(levels, zeros, base), -1.0
+    return axes, _lorentz_core_batch(g, *widths, base[0] + s * axes[0],
+                                     base[1] + s * axes[1], e.q[0], e.q[1])
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +398,24 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     damped exponent ``2^{k(1/p - eps)}`` consistent with the way the norm is
     consumed downstream.  The grid supremum under-approximates.
     """
-    return _grand_seq_of(_block_sqrt_table(a), e, gp, sign)
+    surface = _seq_surface(_block_sqrt_table(a), e, sign, *_surface_key(gp))
+    return _grand_pick(*surface, gp)
 
 
-def _grand_seq_of(sqrtS: np.ndarray, e: Exponents, gp: GrandParams,
-                  sign: str) -> GrandNormResult:
-    """:func:`grand_seq_norm` from the dyadic sqrt table ``sqrtS`` (see
-    :func:`_block_sqrt_table`)."""
+def _seq_surface(sqrtS: np.ndarray, e: Exponents, sign: str, sup_form: bool,
+                 levels: int, zeros: tuple[bool, bool]):
+    """The epsilon surface of :func:`grand_seq_norm` from the dyadic sqrt
+    table ``sqrtS`` (see :func:`_block_sqrt_table`): the epsilon axes and
+    the nested block sums over them, one core call."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if not gp.sup_form:
+    if not sup_form:
         raise ValueError("grand sequence norm is defined for theta >= 0")
     base = [1.0 / pi for pi in e.p]
     s = 1.0 if sign == "plus" else -1.0
-    e1, e2 = axes = _eps_axes(gp, (1.0, 1.0))
-    vals = _seq_block_core(sqrtS, base[0] + s * e1 - 0.5, base[1] + s * e2 - 0.5,
-                           e.q[0], e.q[1])
-    return _grand_pick(axes, vals, gp)
+    e1, e2 = axes = _eps_axes(levels, zeros, (1.0, 1.0))
+    return axes, _seq_block_core(sqrtS, base[0] + s * e1 - 0.5,
+                                 base[1] + s * e2 - 0.5, e.q[0], e.q[1])
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,11 @@ def save_grid(f: DyadicStep2D, path) -> None:
 
 
 def load_grid(path) -> DyadicStep2D:
-    """Read a grid file written by :func:`save_grid`."""
+    """Read a grid file written by :func:`save_grid`; a document without
+    integer ``levels`` and a matching ``values`` array raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
-    return DyadicStep2D(tuple(doc["levels"]), np.array(doc["values"], dtype=float))
+    try:
+        return DyadicStep2D(tuple(doc["levels"]), np.array(doc["values"], dtype=float))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a grid document: {exc!r}") from exc

@@ -15,13 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_lhs_of,
+from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, constant_D, khat_grid
-from ..norms import (Exponents, GrandParams, _block_cumsum, _dyadic_sqrt,
-                     _grand_lorentz_of, _lorentz_of, _rearranged_values,
-                     _seq_block_lorentz_of, grand_lorentz_norm,
-                     logweight_sup_norm, lorentz_norm, mixed_lebesgue_norm)
+from ..norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
+                     _dyadic_sqrt, _grand_pick, _lorentz_of, _lorentz_surface,
+                     _rearranged_values, _seq_block_lorentz_of, _seq_surface,
+                     _surface_key, logweight_sup_norm, mixed_lebesgue_norm)
 from ..stepfun import DyadicStep1D, DyadicStep2D
 from .calibration import calibration
 from .corpus import (CorpusSpec, corpus_hash, generate,
@@ -204,11 +204,14 @@ class _Prepared:
     An item is a function, whose Walsh coefficients are taken at full
     resolution, or a ``(coefficients, function)`` pair with planted
     coefficients.  ``khat_ts`` are the sample points of the Khat grid.
+    Lorentz norms and epsilon surfaces are kept per exponent (and surface
+    key), so every theta of a sweep picks from one surface.
     """
 
     def __init__(self, item, khat_ts=None):
         self.a, self.f = item if isinstance(item, tuple) else (None, item)
         self.khat_ts = khat_ts
+        self._memo = {}
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -234,6 +237,25 @@ class _Prepared:
         """The Khat grid over ``khat_ts x khat_ts``."""
         return khat_grid(self.f, self.khat_ts, self.khat_ts)
 
+    def lorentz(self, e: Exponents) -> float:
+        """The Lorentz norm of the function."""
+        if e not in self._memo:
+            self._memo[e] = _lorentz_of(self.g, self.f.widths, e)
+        return self._memo[e]
+
+    def grand(self, e: Exponents, gp: GrandParams, sign=None) -> GrandNormResult:
+        """The grand Lorentz norm of the function or, given a ``sign``, the
+        grand sequence norm of the coefficients."""
+        if sign is None and gp.theta == (0.0, 0.0):
+            # as in grand_lorentz_norm: exactly the plain norm
+            return GrandNormResult(self.lorentz(e), (0.0, 0.0), "exact")
+        key = _surface_key(gp)
+        if (e, sign, key) not in self._memo:
+            self._memo[e, sign, key] = (
+                _lorentz_surface(self.g, self.f.widths, e, *key) if sign is None
+                else _seq_surface(self.sqrtS, e, sign, *key))
+        return _grand_pick(*self._memo[e, sign, key], gp)
+
 
 # Each check below is the one-point case of its sweep.  A sweep takes a list
 # of parameter points and returns one report per point; it prepares each
@@ -254,7 +276,7 @@ def te3_sweep(corpus, points, c0: float | None = None) -> list[CheckReport]:
         prep = _Prepared(f)
         for rep, p, q, D in pts:
             lhs = _seq_block_lorentz_of(prep.sqrtS, p, q)
-            rhs = 6.0 * D * _lorentz_of(prep.g, prep.f.widths, Exponents(p, q))
+            rhs = 6.0 * D * prep.lorentz(Exponents(p, q))
             rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
     for rep, _p, _q, D in pts:
         rep.notes["D"] = D
@@ -291,8 +313,8 @@ def te4_sweep(corpus, points, C_pass: float | None = None,
         for rep, e, gp, with_pairs in pts:
             if is_pair and not with_pairs:
                 continue
-            lhs = _te4_lhs_of(prep.sqrtS, e, gp).value
-            rhs = _grand_lorentz_of(prep.g, prep.f.widths, e, gp).value
+            lhs = prep.grand(e, _te4_params(e, gp), "minus").value
+            rhs = prep.grand(e, gp).value
             rep.cases.append(CheckCase(cid, lhs, rhs))
     for rep, *_ in pts:
         rep.notes["direction"] = ("lhs grid-sup under, rhs grid-sup under "
@@ -321,12 +343,10 @@ def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
         pts.append((rep, q, blocksup))
     for i, item in enumerate(items):
         prep = _Prepared(item)
-        # both forms share the right side at each q
-        rhs = {tuple(q): _lorentz_of(prep.g, prep.f.widths, Exponents((2, 2), q))
-               for _, q, _ in pts}
         for rep, q, blocksup in pts:
             lhs = _block_sup_of(prep.sqrtS, q) if blocksup else _bochkarev_of(prep.S, q)
-            rep.cases.append(CheckCase(f"f{i}", lhs, rhs[tuple(q)]))
+            # both forms read the memoised right side at each q
+            rep.cases.append(CheckCase(f"f{i}", lhs, prep.lorentz(Exponents((2, 2), q))))
     for rep, *_ in pts:
         rep.notes["rhs_norm"] = "anisotropic Lorentz at p=(2,2), same q as the weights"
         _attach_witness(rep, items)
@@ -353,25 +373,34 @@ def _zero_last_slabs(f: DyadicStep2D) -> DyadicStep2D:
     return DyadicStep2D(f.levels, v)
 
 
+def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
+                tol: float = 1e-12) -> list[CheckReport]:
+    """:func:`check_embeddings_chain` at each ``theta`` of ``thetas``."""
+    e = Exponents(p, q)
+    h = corpus_hash(corpus)
+    pts = []
+    for theta in thetas:
+        rep = CheckReport("embeddings_chain",
+                          {"theta": list(theta), "p": list(p), "q": _jq(q)},
+                          h, 1.0 + tol)
+        pts.append((rep, GrandParams(theta), GrandParams((-theta[0], -theta[1]))))
+    for i, f in enumerate(corpus):
+        prep = _Prepared(f)
+        L = prep.lorentz(e)
+        for rep, gp_plus, gp_minus in pts:
+            rep.cases.append(CheckCase(f"f{i}:upper", prep.grand(e, gp_plus).value, L))
+            rep.cases.append(CheckCase(f"f{i}:lower", L, prep.grand(e, gp_minus).value))
+    for rep, *_ in pts:
+        rep.notes["direction"] = ("grid under-approximates the sup and "
+                                  "over-approximates the inf: both favor the chain")
+        _attach_witness(rep, corpus)
+    return [rep for rep, *_ in pts]
+
+
 def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1),
                            tol: float = 1e-12) -> CheckReport:
     """Constant-1 chain: grand(+theta) <= Lorentz <= grand(-theta)."""
-    e = Exponents(p, q)
-    rep = CheckReport("embeddings_chain",
-                      {"theta": list(theta), "p": list(p), "q": _jq(q)},
-                      corpus_hash(corpus), 1.0 + tol)
-    gp_plus = GrandParams(theta)
-    gp_minus = GrandParams((-theta[0], -theta[1]))
-    for i, f in enumerate(corpus):
-        L = lorentz_norm(f, e)
-        gplus = grand_lorentz_norm(f, e, gp_plus).value
-        gminus = grand_lorentz_norm(f, e, gp_minus).value
-        rep.cases.append(CheckCase(f"f{i}:upper", gplus, L))
-        rep.cases.append(CheckCase(f"f{i}:lower", L, gminus))
-    rep.notes["direction"] = ("grid under-approximates the sup and "
-                              "over-approximates the inf: both favor the chain")
-    _attach_witness(rep, corpus)
-    return rep
+    return chain_sweep(corpus, [theta], p, q, tol)[0]
 
 
 def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
@@ -386,9 +415,9 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
                        "q": _jq(q)},
                       corpus_hash(corpus), 1.0 + tol)
     for i, f in enumerate(corpus):
-        hi = grand_lorentz_norm(f, e, GrandParams(s)).value
-        lo = grand_lorentz_norm(f, e, GrandParams(theta)).value
-        rep.cases.append(CheckCase(f"f{i}", hi, lo))
+        prep = _Prepared(f)
+        rep.cases.append(CheckCase(f"f{i}", prep.grand(e, GrandParams(s)).value,
+                                   prep.grand(e, GrandParams(theta)).value))
     _attach_witness(rep, corpus)
     return rep
 
@@ -399,8 +428,9 @@ def check_collapse(corpus, p=(2, 2), q=(1, 1)) -> CheckReport:
     rep = CheckReport("embeddings_collapse",
                       {"p": list(p), "q": _jq(q)}, corpus_hash(corpus), 1.0)
     for i, f in enumerate(corpus):
-        g0 = grand_lorentz_norm(f, e, GrandParams((0.0, 0.0)))
-        L = lorentz_norm(f, e)
+        prep = _Prepared(f)
+        g0 = prep.grand(e, GrandParams((0.0, 0.0)))
+        L = prep.lorentz(e)
         rep.cases.append(CheckCase(f"f{i}", g0.value, L))
         if g0.value != L:
             rep.notes.setdefault("inexact", []).append(f"f{i}")
@@ -428,7 +458,7 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     for i, f in enumerate(funcs):
         if not np.any(np.asarray(f.values) > 0):
             continue
-        g = grand_lorentz_norm(f, e, gp).value
+        g = _Prepared(f).grand(e, gp).value
         w = logweight_sup_norm(f, p, theta)
         raw.append(g / w)
         rep.cases.append(CheckCase(f"f{i}:hi", g, hi * w))
@@ -456,7 +486,7 @@ def interp_sweep(corpus, points, J: int = 10,
         prep = _Prepared(f, khat_ts=ts)
         for rep, theta, p, q, D in pts:
             lhs = _interp_of(prep.K, theta, q, J)
-            rhs = 6.0 * D * _lorentz_of(prep.g, prep.f.widths, Exponents(p, q))
+            rhs = 6.0 * D * prep.lorentz(Exponents(p, q))
             rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
     for rep, *_ in pts:
         rep.notes["direction"] = "lhs under-approximates the continuous integral"
@@ -540,7 +570,7 @@ def suite_thm5(seed: int, level=(5, 5)) -> list[CheckReport]:
 def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = generate(CorpusSpec("random_step", level, 100, seed))
     thetas = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
-    out = [check_embeddings_chain(corpus, th) for th in thetas]
+    out = chain_sweep(corpus, thetas)
     out.append(check_p1_monotone(corpus[:50], (0.25, 0.25), (0.5, 1.0)))
     out.append(check_p1_monotone(corpus[:50], (0.5, 0.5), (1.0, 1.0)))
     out.append(check_collapse(corpus))

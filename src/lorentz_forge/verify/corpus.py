@@ -10,6 +10,7 @@ lacunary coefficient polynomials, and indicator rectangles.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,10 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
     ``sum_j w_{n_j}(x1) w_{n_j}(x2)`` with gaps ``n_j ~ ratio^j``; later
     instances draw random signs.  Each pair holds the planted coefficients
     (the true coefficients of the signed polynomial) and the magnitude
-    function used on the norm side.
+    function used on the norm side.  ``ratio`` must be finite and > 1.
     """
+    if not (math.isfinite(ratio) and ratio > 1):
+        raise ValueError(f"lacunary ratio must be finite and > 1, got {ratio}")
     n1, n2 = level
     K1, K2 = 2**n1, 2**n2
     positions, j = [], 0

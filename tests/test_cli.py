@@ -42,6 +42,23 @@ class TestNormCommand:
                    str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"values": [[1.0]]},                  # no levels
+        [[1.0]],                              # not an object
+        {"levels": ["a", 1], "values": [[1.0, 1.0]]},
+        {"levels": [0, 0]},                   # no values
+    ])
+    @pytest.mark.parametrize("command", [["norm", "--kind", "lorentz"],
+                                         ["coeffs", "--K", "1", "1"]])
+    def test_malformed_grid_file_exits_2(self, tmp_path, capsys, doc, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*command, "--in", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_output_file(self, const_grid, tmp_path):
         out = tmp_path / "norm.json"
         rc = main(["norm", "--kind", "mixed", "--p", "2", "2",

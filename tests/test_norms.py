@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
-from lorentz_forge.interpolation import interp_norm
-from lorentz_forge.norms import (Exponents, GrandParams, _block_sqrt_table,
-                                 _qsum, _seq_block_core,
+from lorentz_forge.fourier import WALSH, CoeffMatrix, te4_lhs
+from lorentz_forge.interpolation import beta_from_q, interp_norm
+from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
+                                 _block_sqrt_table, _eps_grid,
+                                 _lorentz_core_batch, _lorentz_of,
+                                 _power_cells, _qsum, _seq_block_core,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
@@ -528,3 +531,103 @@ def test_large_q_approaches_sup_form(f):
                  lambda q: seq_block_lorentz_norm(a, (4 / 3, 4 / 3), q),
                  lambda q: interp_norm(f, (0.4, 0.7), q, J=5)):
         assert norm(big) == pytest.approx(norm(sup), rel=1e-2)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-310, 1e-320])
+def test_power_cells_at_tiny_exponents(c):
+    # omega = (1 - (j/(j+1))^c) / c tends to -log(j/(j+1)) as c -> 0; the
+    # first cell's 1/c may overflow, and must do so without a warning
+    sup, omega = _power_cells(np.array([c]), 4, 0.25, 1.0)
+    j = np.arange(1, 4)
+    assert np.all(sup == 1.0)
+    assert omega[0, 0] == (INF if c < 1e-308 else pytest.approx(1.0 / c))
+    assert omega[0, 1:] == pytest.approx(-np.log(j / (j + 1)), rel=1e-14, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# grand norms as an epsilon surface plus a theta pick, against the per-theta
+# forms they replace (kept here as the reference)
+
+
+def _ref_eps_axes(gp, caps):
+    return [np.concatenate([_eps_grid(gp.eps_levels, cap), [0.0]]) if t == 0
+            else _eps_grid(gp.eps_levels, cap) for t, cap in zip(gp.theta, caps)]
+
+
+def _ref_pick(axes, vals, gp):
+    e1, e2 = axes
+    obj = vals * np.outer(e1 ** gp.theta[0], e2 ** gp.theta[1])
+    pick = np.argmax if gp.sup_form else np.argmin
+    i, j = np.unravel_index(pick(obj), obj.shape)
+    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])),
+                           "under" if gp.sup_form else "over")
+
+
+def _ref_grand_lorentz_of(g, widths, e, gp):
+    if gp.theta == (0.0, 0.0):
+        return GrandNormResult(_lorentz_of(g, widths, e), (0.0, 0.0), "exact")
+    base = [1.0 / pi for pi in e.p]
+    if gp.sup_form:
+        axes, s = _ref_eps_axes(gp, (1.0, 1.0)), 1.0
+    else:
+        axes, s = _ref_eps_axes(gp, base), -1.0
+    vals = _lorentz_core_batch(g, *widths, base[0] + s * axes[0],
+                               base[1] + s * axes[1], e.q[0], e.q[1])
+    return _ref_pick(axes, vals, gp)
+
+
+def _ref_grand_seq_of(sqrtS, e, gp, sign):
+    base = [1.0 / pi for pi in e.p]
+    s = 1.0 if sign == "plus" else -1.0
+    e1, e2 = axes = _ref_eps_axes(gp, (1.0, 1.0))
+    vals = _seq_block_core(sqrtS, base[0] + s * e1 - 0.5, base[1] + s * e2 - 0.5,
+                           e.q[0], e.q[1])
+    return _ref_pick(axes, vals, gp)
+
+
+def _ref_te4_lhs_of(sqrtS, e, gp):
+    betas = beta_from_q(e.q)
+    lam = (gp.theta[0] + betas[0], gp.theta[1] + betas[1])
+    return _ref_grand_seq_of(sqrtS, e, GrandParams(lam, eps_levels=gp.eps_levels),
+                             "minus")
+
+
+def _same(got, want):
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.eps == want.eps and got.direction == want.direction
+
+
+_SUP_THETAS = [(0.0, 0.0), (0.0, 0.5), (0.75, 0.0), (0.25, 0.25), (1.0, 0.5)]
+_SURFACE_QS = [(1, 1), (2, INF), (INF, INF), (4, 1.5)]
+
+
+@pytest.mark.parametrize("J", [0, 3, 24])
+def test_grand_lorentz_surface_pick_matches_per_theta_reference(J):
+    thetas = _SUP_THETAS + [(-0.5, -0.5), (-0.25, -1.0)]
+    for f in random_grids(3, (3, 2), seed=41):
+        g = np.asarray(iterated_rearrange_2d(f).values)
+        for q in _SURFACE_QS:
+            e = Exponents((2, 1.5), q)
+            for th in thetas:
+                gp = GrandParams(th, eps_levels=J)
+                _same(grand_lorentz_norm(f, e, gp),
+                      _ref_grand_lorentz_of(g, f.widths, e, gp))
+
+
+@pytest.mark.parametrize("J", [0, 3, 24])
+def test_grand_seq_and_te4_surface_pick_match_per_theta_reference(J):
+    rng = np.random.default_rng(43)
+    for shape in ((1, 1), (5, 8), (16, 3)):
+        a = Sequence2D(rng.random(shape) * (rng.random(shape) < 0.6))
+        sqrtS = _block_sqrt_table(a)
+        cm = CoeffMatrix(WALSH, WALSH, a.entries)
+        for q in _SURFACE_QS:
+            for th in _SUP_THETAS:
+                gp = GrandParams(th, eps_levels=J)
+                for p in ((2, 2), (4, 1.5)):
+                    for sign in ("plus", "minus"):
+                        e = Exponents(p, q)
+                        _same(grand_seq_norm(a, e, gp, sign=sign),
+                              _ref_grand_seq_of(sqrtS, e, gp, sign))
+                e = Exponents((2, 2), q)
+                _same(te4_lhs(cm, e, gp), _ref_te4_lhs_of(sqrtS, e, gp))

@@ -1,13 +1,17 @@
+import collections
 import csv
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz_forge import norms
 from lorentz_forge.fourier import WALSH, CoeffMatrix, coeffs_2d, walsh_synthesize
-from lorentz_forge.norms import Exponents, lorentz_norm
+from lorentz_forge.norms import (Exponents, GrandParams, grand_lorentz_norm,
+                                 grand_seq_norm, lorentz_norm)
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
                                    power_weight_integral)
@@ -58,6 +62,13 @@ class TestCorpus:
             assert diag.max() == 1.0
             assert np.all(np.isin(np.abs(planted.entries.real), (0.0, 1.0)))
             assert np.all(f.values >= 0)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 0.0, -2.0, INF, float("nan")])
+    def test_lacunary_ratio_must_exceed_one(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            generate_lacunary_pairs((3, 3), 1, 7, ratio=ratio)
+        with pytest.raises(ValueError, match="ratio"):
+            generate(CorpusSpec("lacunary", (3, 3), 1, 7, params={"ratio": ratio}))
 
     @pytest.mark.parametrize("level", [(9, 9), (5, 7), (3, 9), (1, 1)])
     @pytest.mark.parametrize("seed", [7, 3])
@@ -508,3 +519,67 @@ class TestSweepsMatchOnePointChecks:
         points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
         self.assert_same(checks.interp_sweep(funcs, points),
                          [checks.check_interp_chain(funcs, th, q) for th, q in points])
+
+    def test_chain(self, small):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        thetas = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
+        swept = checks.chain_sweep(funcs, thetas)
+        self.assert_same(swept,
+                         [checks.check_embeddings_chain(funcs, th) for th in thetas])
+        # and the cases are the public norms, function by function
+        e = Exponents((2, 2), (1, 1))
+        for rep, th in zip(swept, thetas):
+            for i, f in enumerate(funcs):
+                upper, lower = rep.cases[2 * i], rep.cases[2 * i + 1]
+                L = lorentz_norm(f, e)
+                assert (upper.lhs, upper.rhs) == (
+                    grand_lorentz_norm(f, e, GrandParams(th)).value, L)
+                assert (lower.lhs, lower.rhs) == (
+                    L, grand_lorentz_norm(f, e, GrandParams((-th[0], -th[1]))).value)
+
+
+def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
+    # one _Prepared keeps each epsilon surface and picks from it at every
+    # theta; read in any order, it must give what a fresh item and the
+    # public norms give
+    f = checks.sweep_corpus(7, (3, 3))[35]
+    pair = generate_lacunary_pairs((4, 4), 2, 7)[1]
+    thetas = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.25, 0.25), (0.5, 0.5),
+              (1.0, 0.25), (-0.5, -0.5), (-0.25, -1.0)]
+    calls = [(Exponents((2, 2), q), GrandParams(th, eps_levels=J), sign)
+             for q in ((1, 1), (4, 4), (INF, 2)) for th in thetas
+             for J in (3, 24) for sign in (None, "minus", "plus")
+             if sign is None or th[0] >= 0]
+    random.Random(5).shuffle(calls)
+    for item in (f, pair):
+        prep = checks._Prepared(item)
+        fn = item[1] if isinstance(item, tuple) else item
+        coeffs = item[0] if isinstance(item, tuple) else \
+            coeffs_2d(f, WALSH, WALSH, *(2**n for n in f.levels))
+        for e, gp, sign in calls:
+            got = prep.grand(e, gp, sign)
+            assert got == checks._Prepared(item).grand(e, gp, sign)
+            assert got == (grand_lorentz_norm(fn, e, gp) if sign is None else
+                           grand_seq_norm(coeffs.magnitudes, e, gp, sign))
+
+
+def test_suites_compute_each_surface_once(monkeypatch):
+    # per item: one grand Lorentz surface per (q, form), one Lorentz value
+    # per exponent, one sequence surface per q; at the parent of this
+    # design every theta rebuilt its surfaces (3150, 680, 680 and 560 calls)
+    counts = collections.Counter()
+    for name in ("_lorentz_core_batch", "_seq_block_core"):
+        def counted(*args, _fn=getattr(norms, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(norms, name, counted)
+    got = {}
+    for suite in ("embeddings", "te4", "thm5"):
+        counts.clear()
+        checks.run_suite(suite, 7)
+        got[suite] = dict(counts)
+    assert got["embeddings"]["_lorentz_core_batch"] <= 550
+    assert got["te4"]["_seq_block_core"] <= 280
+    assert got["te4"]["_lorentz_core_batch"] <= 480
+    assert got["thm5"]["_lorentz_core_batch"] <= 280
