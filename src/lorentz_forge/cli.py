@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .fourier import TRIG, WALSH, ResolutionError, coeffs_2d
-from .norms import GRID_KINDS, evaluate_norm_request
+from .norms import GRID_KINDS, evaluate_norm_request, mixed_lebesgue_norm
 from .stepfun import DyadicStep2D, load_grid
 from .verify.checks import run_suite
 from .verify.corpus import corpus_hash
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("coeffs", help="compute a coefficient dump",
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     co.add_argument("--system", nargs=2, default=["walsh", "walsh"],
-                    metavar="NAME", help="per-axis system: trig or walsh")
+                    choices=("trig", "walsh"), metavar="NAME",
+                    help="per-axis system: trig or walsh")
     co.add_argument("--K", nargs=2, type=int, default=[8, 8], metavar="N",
                     help="truncation per axis")
     _add_common(co)
@@ -102,16 +103,11 @@ def cmd_norm(args) -> int:
 
 def cmd_coeffs(args) -> int:
     f = _load(args.inp)
-    systems = []
-    for name in args.system:
-        if name not in ("trig", "walsh"):
-            raise ValueError(f"unknown system {name!r}")
-        systems.append(TRIG if name == "trig" else WALSH)
+    systems = [TRIG if name == "trig" else WALSH for name in args.system]
     K1, K2 = args.K
     a = coeffs_2d(f, systems[0], systems[1], K1, K2)
     parseval = None
     if all(s.kind == "walsh" for s in systems):
-        from .norms import mixed_lebesgue_norm
         parseval = float(abs(np.sum(np.abs(a.entries) ** 2)
                              - mixed_lebesgue_norm(f, (2, 2)) ** 2))
     doc = {
@@ -150,13 +146,13 @@ def main(argv=None) -> int:
         if args.command == "coeffs":
             return cmd_coeffs(args)
         return cmd_verify(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -246,21 +246,22 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     ``sup_{k1,k2} (ln max(k1,2))^{1/q1 - 1/2} (ln max(k2,2))^{1/q2 - 1/2}``
     times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes.
     """
-    return _bochkarev_of(_block_cumsum(a.magnitudes), q)
+    return float(_bochkarev_of(_block_cumsum(a.magnitudes), q))
 
 
-def _bochkarev_of(S: np.ndarray, q: tuple[float, float]) -> float:
-    """:func:`bochkarev_lhs` from the block table ``S`` of the magnitudes
-    (see :func:`~lorentz_forge.norms._block_cumsum`)."""
+def _bochkarev_of(S: np.ndarray, q: tuple[float, float]) -> np.ndarray:
+    """:func:`bochkarev_lhs` from block tables ``S[..., i1, i2]`` of the
+    magnitudes (see :func:`~lorentz_forge.norms._block_cumsum`), shape
+    ``(...)``."""
     if any(not (2 <= qi) for qi in q):
         raise ValueError(f"requires 2 <= q <= inf, got {q}")
-    K1, K2 = S.shape
+    K1, K2 = S.shape[-2:]
     e1 = 0.5 - 1.0 / q[0]
     e2 = 0.5 - 1.0 / q[1]
     w1 = np.log(np.maximum(np.arange(1, K1 + 1), 2)) ** e1
     w2 = np.log(np.maximum(np.arange(1, K2 + 1), 2)) ** e2
     vals = np.sqrt(S) / np.outer(w1, w2)
-    return float(np.max(vals))
+    return np.max(vals, axis=(-2, -1))
 
 
 def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
@@ -272,21 +273,22 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     Past ``kappa_i`` the block is the dyadic table's last one, so ``n_i``
     reads the table at ``min(n_i, kappa_i)``.
     """
-    return _block_sup_of(_block_sqrt_table(a.magnitudes), q)
+    return float(_block_sup_of(_block_sqrt_table(a.magnitudes), q))
 
 
-def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> float:
-    """:func:`block_sup_lhs` from the dyadic sqrt table ``T`` of the
-    magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`)."""
-    kap1, kap2 = T.shape[0] - 1, T.shape[1] - 1
+def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
+    """:func:`block_sup_lhs` from dyadic sqrt tables ``T[..., k1, k2]`` of
+    the magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`),
+    shape ``(...)``."""
+    kap1, kap2 = T.shape[-2] - 1, T.shape[-1] - 1
     e1 = 1.0 / q[0] - 0.5
     e2 = 1.0 / q[1] - 0.5
     n1 = range(1, max(kap1, 1) + 2)
     n2 = range(1, max(kap2, 1) + 2)
     # Python float powers: numpy's array power can differ in the last bit
     w = np.outer([n**e1 for n in n1], [n**e2 for n in n2])
-    vals = w * T[np.ix_(np.minimum(n1, kap1), np.minimum(n2, kap2))]
-    return float(np.max(vals))
+    vals = w * T[..., np.minimum(n1, kap1)[:, None], np.minimum(n2, kap2)]
+    return np.max(vals, axis=(-2, -1))
 
 
 def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> float:

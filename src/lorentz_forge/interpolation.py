@@ -187,7 +187,7 @@ def interp_norm(f: DyadicStep2D, theta: tuple[float, float],
     under-approximates the continuous integral of ``Khat``.
     """
     ts = _interp_samples(theta, J)
-    return _interp_of(khat_grid(f, ts, ts), theta, q, J)
+    return float(_interp_of(khat_grid(f, ts, ts), theta, q, J))
 
 
 def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
@@ -202,11 +202,18 @@ def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
 
 
 def _interp_of(K: np.ndarray, theta: tuple[float, float],
-               q: tuple[float, float], J: int) -> float:
-    """:func:`interp_norm` from ``K = khat_grid(f, ts, ts)`` over the
-    samples ``ts`` of :func:`_interp_samples`."""
+               q: tuple[float, float], J: int) -> np.ndarray:
+    """:func:`interp_norm` from Khat grids ``K[..., i, j]``, each a
+    ``khat_grid(f, ts, ts)`` over the samples ``ts`` of
+    :func:`_interp_samples`, shape ``(...)``.
+
+    A single grid's last stage raises a numpy scalar to ``1/q``, which on
+    some CPUs differs in the last bit from the same power taken in an
+    array, so a stack of grids need not match its grids one by one.
+    """
     ts = 2.0 ** np.arange(-J, 1)
-    out = K.T  # [t2, t1]: the t1 stage runs along the last axis, then t2
+    # [..., t2, t1]: the t1 stage runs along the last axis, then t2
+    out = K.swapaxes(-1, -2)
     for th, qq in zip(theta, q):
         # the cells [2^m, 2^{m+1}), m = -J..-1, weigh K(2^m) 2^{-m th}; the
         # t >= 1 tail is exact (Khat is constant there), and the linear
@@ -215,4 +222,4 @@ def _interp_of(K: np.ndarray, theta: tuple[float, float],
         omega[-1] = 1.0 / (th * qq)
         omega[0] += 1.0 / ((1.0 - th) * qq)
         out = _qsum(out * ts**-th, omega, qq)
-    return float(out)
+    return out

@@ -29,7 +29,11 @@ Conventions
 * Each public norm prepares what it reads of its input (the rearranged
   values of a grid, the block table of a sequence) and passes it to a
   ``_*_of`` or ``_*_surface`` function; a parameter sweep prepares each
-  input once and calls the same functions.
+  input once and calls the same functions.  The cores, those functions and
+  :func:`_grand_pick` take leading item axes: ``(..., r2, r1)`` values give
+  ``(...)`` norms and ``(..., m1, m2)`` surfaces, each item's entries
+  bitwise equal to its own call, so one call serves a stack of same-shape
+  functions.  The public norms take one function and return a float.
 """
 
 from __future__ import annotations
@@ -166,37 +170,43 @@ def _power_cells(a: np.ndarray, n: int, h: float, q: float):
     return sup, omega
 
 
-# epsilon rows of the inner Lorentz stage are evaluated in blocks of about
-# this many cells, which bounds the temporaries on large grids
+# epsilon rows of the Lorentz stages are evaluated in blocks of about this
+# many cells, which bounds the temporaries on large grids; the verify sweeps
+# stack at most this many cells of same-shape items for one core call
 _BLOCK_CELLS = 2**18
 
 
 def _lorentz_core(g: np.ndarray, h1: float, h2: float,
-                  a1: float, a2: float, q1: float, q2: float) -> float:
-    """The 1x1 case of :func:`_lorentz_core_batch`."""
-    return float(_lorentz_core_batch(g, h1, h2, np.array([a1]), np.array([a2]),
-                                     q1, q2)[0, 0])
+                  a1: float, a2: float, q1: float, q2: float) -> np.ndarray:
+    """The 1x1 case of :func:`_lorentz_core_batch`, shape ``(...)``."""
+    return _lorentz_core_batch(g, h1, h2, np.array([a1]), np.array([a2]),
+                               q1, q2)[..., 0, 0]
 
 
 def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
                         a1s: np.ndarray, a2s: np.ndarray,
                         q1: float, q2: float) -> np.ndarray:
-    """Nested weighted integrals of a rearranged value matrix ``g[j2, j1]``
-    over exponent grids, ``out[i, j]`` at ``(a1, a2) = (a1s[i], a2s[j])``.
+    """Nested weighted integrals of rearranged value matrices ``g[..., j2, j1]``
+    over exponent grids, ``out[..., i, j]`` at ``(a1, a2) = (a1s[i], a2s[j])``.
 
     Computes ``( int ( int (t1^a1 t2^a2 g)^{q1} dt1/t1 )^{q2/q1} dt2/t2 )^{1/q2}``
     with sup forms replacing infinite ``q`` components, one :func:`_qsum`
     stage per axis.  Returns ``+inf`` on divergence.
     """
-    r2, r1 = g.shape
+    r2, r1 = g.shape[-2:]
     sup1, w1 = _power_cells(a1s, r1, h1, q1)  # (m1, r1)
     sup2, w2 = _power_cells(a2s, r2, h2, q2)  # (m2, r2)
-    rows = max(1, _BLOCK_CELLS // g.size)
-    inner = np.empty((len(sup1), r2))
+    g = g[..., None, :, :]
+    out = np.empty(g.shape[:-3] + (len(sup1), len(sup2)))
+    # both stages run per block of epsilon rows, sized so that the inner
+    # (..., rows, r2, r1) and the outer (..., rows, m2, r2) temporaries stay
+    # under _BLOCK_CELLS cells
+    rows = max(1, _BLOCK_CELLS // (g.size // r1 * max(r1, len(sup2))))
     for i in range(0, len(sup1), rows):
         blk = slice(i, i + rows)
-        inner[blk] = _qsum(g * sup1[blk, None, :], w1[blk, None, :], q1)
-    return _qsum(inner[:, None, :] * sup2, w2, q2)
+        inner = _qsum(g * sup1[blk, None, :], w1[blk, None, :], q1)
+        out[..., blk, :] = _qsum(inner[..., None, :] * sup2, w2, q2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +227,7 @@ def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
     in t1 with exponent q1, outer in t2 with q2; infinite ``q`` components
     become per-cell-exact suprema.  Divergence reports ``+inf``.
     """
-    return _lorentz_of(_rearranged_values(f), f.widths, e)
+    return float(_lorentz_of(_rearranged_values(f), f.widths, e))
 
 
 def _rearranged_values(f: DyadicStep2D) -> np.ndarray:
@@ -226,8 +236,10 @@ def _rearranged_values(f: DyadicStep2D) -> np.ndarray:
     return np.asarray(iterated_rearrange_2d(f).values)
 
 
-def _lorentz_of(g: np.ndarray, widths: tuple[float, float], e: Exponents) -> float:
-    """:func:`lorentz_norm` from rearranged values ``g`` and cell widths."""
+def _lorentz_of(g: np.ndarray, widths: tuple[float, float],
+                e: Exponents) -> np.ndarray:
+    """:func:`lorentz_norm` from rearranged values ``g[..., j2, j1]`` and
+    cell widths, shape ``(...)``."""
     return _lorentz_core(g, *widths, 1.0 / e.p[0], 1.0 / e.p[1], e.q[0], e.q[1])
 
 
@@ -256,16 +268,26 @@ def _eps_axes(levels: int, zeros, caps) -> list[np.ndarray]:
 
 
 def _grand_pick(axes: list[np.ndarray], vals: np.ndarray,
-                gp: GrandParams) -> GrandNormResult:
-    """The grid optimum of ``eps1^t1 eps2^t2 vals[i, j]`` over the epsilon
-    ``axes`` (``0^0 = 1``): the maximum in the sup form, an
+                gp: GrandParams) -> tuple[np.ndarray, np.ndarray]:
+    """The grid optimum of ``eps1^t1 eps2^t2 vals[..., i, j]`` over the
+    epsilon ``axes`` (``0^0 = 1``): the maximum in the sup form, an
     under-approximation, and the minimum in the inf form, an
-    over-approximation."""
+    over-approximation.  Returns the optima, shape ``(...)``, and the
+    witnessing ``(eps1, eps2)``, shape ``(..., 2)``."""
     e1, e2 = axes
     obj = vals * np.outer(e1 ** gp.theta[0], e2 ** gp.theta[1])
-    pick = np.argmax if gp.sup_form else np.argmin
-    i, j = np.unravel_index(pick(obj), obj.shape)
-    return GrandNormResult(float(obj[i, j]), (float(e1[i]), float(e2[j])),
+    obj = obj.reshape(obj.shape[:-2] + (-1,))
+    k = (np.argmax if gp.sup_form else np.argmin)(obj, axis=-1)
+    i, j = np.unravel_index(k, vals.shape[-2:])
+    return (np.take_along_axis(obj, k[..., None], axis=-1)[..., 0],
+            np.stack([e1[i], e2[j]], axis=-1))
+
+
+def _grand_of(surface, gp: GrandParams) -> GrandNormResult:
+    """One function's grand norm from its epsilon ``surface``, the axes and
+    the value matrix (see :func:`_grand_pick`)."""
+    value, eps = _grand_pick(*surface, gp)
+    return GrandNormResult(float(value), tuple(eps.tolist()),
                            "under" if gp.sup_form else "over")
 
 
@@ -283,14 +305,14 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
-        return GrandNormResult(_lorentz_of(g, f.widths, e), (0.0, 0.0), "exact")
-    return _grand_pick(*_lorentz_surface(g, f.widths, e, *_surface_key(gp)), gp)
+        return GrandNormResult(float(_lorentz_of(g, f.widths, e)), (0.0, 0.0), "exact")
+    return _grand_of(_lorentz_surface(g, f.widths, e, *_surface_key(gp)), gp)
 
 
 def _lorentz_surface(g: np.ndarray, widths: tuple[float, float], e: Exponents,
                      sup_form: bool, levels: int, zeros: tuple[bool, bool]):
     """The epsilon surface of :func:`grand_lorentz_norm` from rearranged
-    values ``g`` and cell widths: the epsilon axes (see :func:`_eps_axes`;
+    values ``g[..., j2, j1]`` and cell widths: the epsilon axes (see :func:`_eps_axes`;
     ``eps_i <= 1`` in the sup form, ``<= 1/p_i`` in the inf form) and the
     Lorentz norms at exponents ``1/p_i +/- eps_i`` over them, one core call.
     """
@@ -328,29 +350,29 @@ def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
 
 
 def _dyadic_sqrt(S: np.ndarray) -> np.ndarray:
-    """The dyadic sqrt sub-table of a block table ``S`` (see
+    """The dyadic sqrt sub-tables of block tables ``S[..., i1, i2]`` (see
     :func:`_block_sqrt_table`)."""
-    K1, K2 = S.shape
+    K1, K2 = S.shape[-2:]
     idx1 = np.minimum(2 ** np.arange((K1 - 1).bit_length() + 1), K1) - 1
     idx2 = np.minimum(2 ** np.arange((K2 - 1).bit_length() + 1), K2) - 1
-    return np.sqrt(S[np.ix_(idx1, idx2)])
+    return np.sqrt(S[..., idx1[:, None], idx2])
 
 
 def _block_stage(vals: np.ndarray, nus: np.ndarray, q: float) -> np.ndarray:
-    """``out[i, r]``: the q-sum over ``k >= 0`` of ``2^{nus[i] k} vals[r, k]``
-    for each row ``r`` of the ``(R, n)`` array ``vals``; beyond the stored
-    values the last one, ``sat``, repeats (the bracket saturates).  That
-    geometric tail is one more :func:`_qsum` term, with base
-    ``sat 2^{nu n}`` and weight ``sum_{k >= 0} 2^{nu q k}`` (``+inf`` for
-    ``nu >= 0``).  Returns an ``(m, R)`` array.
+    """``out[..., i, r]``: the q-sum over ``k >= 0`` of
+    ``2^{nus[i] k} vals[..., r, k]`` for each row ``r`` of the ``(..., R, n)``
+    array ``vals``; beyond the stored values the last one, ``sat``, repeats
+    (the bracket saturates).  That geometric tail is one more :func:`_qsum`
+    term, with base ``sat 2^{nu n}`` and weight ``sum_{k >= 0} 2^{nu q k}``
+    (``+inf`` for ``nu >= 0``).  Returns an ``(..., m, R)`` array.
     """
-    n = vals.shape[1]
-    sat = vals[:, -1]
+    n = vals.shape[-1]
+    vals = np.concatenate([vals, vals[..., -1:]], axis=-1)[..., None, :, :]
     u = 2.0 ** (nus[:, None] * np.arange(n + 1))  # (m, n + 1)
-    base = u[:, None, :] * np.concatenate([vals, sat[:, None]], axis=1)
+    base = u[:, None, :] * vals  # (..., m, R, n + 1)
     if q == INF:
         # for nu > 0 the tail diverges in the sup form too
-        base[:, :, n][(nus[:, None] > 0) & (sat > 0)] = INF
+        base[..., n][(nus[:, None] > 0) & (vals[..., n] > 0)] = INF
         return _qsum(base, 1.0, q)
     omega = np.ones((len(nus), 1, n + 1))
     with np.errstate(divide="ignore", over="ignore"):
@@ -360,13 +382,13 @@ def _block_stage(vals: np.ndarray, nus: np.ndarray, q: float) -> np.ndarray:
 
 def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
                     q1: float, q2: float) -> np.ndarray:
-    """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[k1^, k2^]``
-    over all ``k_i >= 0``, ``out[i, j]`` at ``(nu1, nu2) = (nu1s[i], nu2s[j])``:
-    :func:`_block_stage` over k1 in each column, then over k2 in each row of
-    the result.
+    """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[..., k1^, k2^]``
+    over all ``k_i >= 0``, ``out[..., i, j]`` at
+    ``(nu1, nu2) = (nu1s[i], nu2s[j])``: :func:`_block_stage` over k1 in each
+    column, then over k2 in each row of the result.
     """
-    inner = _block_stage(sqrtS.T, nu1s, q1)  # (m1, K2)
-    return _block_stage(inner, nu2s, q2).T
+    inner = _block_stage(sqrtS.swapaxes(-1, -2), nu1s, q1)  # (..., m1, K2)
+    return _block_stage(inner, nu2s, q2).swapaxes(-1, -2)
 
 
 def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
@@ -374,18 +396,18 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     """Discrete block norm with fixed weights ``2^{k1/p1' + k2/p2'}`` applied
     to the normalized brackets ``[2^{-k1-k2} sum (a^{*2,*1})^2]^{1/2}``.
     """
-    return _seq_block_lorentz_of(_block_sqrt_table(a), p, q)
+    return float(_seq_block_lorentz_of(_block_sqrt_table(a), p, q))
 
 
 def _seq_block_lorentz_of(sqrtS: np.ndarray, p: tuple[float, float],
-                          q: tuple[float, float]) -> float:
-    """:func:`seq_block_lorentz_norm` from the dyadic sqrt table ``sqrtS``
-    (see :func:`_block_sqrt_table`)."""
+                          q: tuple[float, float]) -> np.ndarray:
+    """:func:`seq_block_lorentz_norm` from dyadic sqrt tables
+    ``sqrtS[..., k1, k2]`` (see :func:`_block_sqrt_table`), shape ``(...)``."""
     e = Exponents(p, q)
     nu1 = 1.0 / e.conjugate(0) - 0.5
     nu2 = 1.0 / e.conjugate(1) - 0.5
-    return float(_seq_block_core(sqrtS, np.array([nu1]), np.array([nu2]),
-                                 q[0], q[1])[0, 0])
+    return _seq_block_core(sqrtS, np.array([nu1]), np.array([nu2]),
+                           q[0], q[1])[..., 0, 0]
 
 
 def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
@@ -398,14 +420,13 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     damped exponent ``2^{k(1/p - eps)}`` consistent with the way the norm is
     consumed downstream.  The grid supremum under-approximates.
     """
-    surface = _seq_surface(_block_sqrt_table(a), e, sign, *_surface_key(gp))
-    return _grand_pick(*surface, gp)
+    return _grand_of(_seq_surface(_block_sqrt_table(a), e, sign, *_surface_key(gp)), gp)
 
 
 def _seq_surface(sqrtS: np.ndarray, e: Exponents, sign: str, sup_form: bool,
                  levels: int, zeros: tuple[bool, bool]):
-    """The epsilon surface of :func:`grand_seq_norm` from the dyadic sqrt
-    table ``sqrtS`` (see :func:`_block_sqrt_table`): the epsilon axes and
+    """The epsilon surface of :func:`grand_seq_norm` from dyadic sqrt
+    tables ``sqrtS[..., k1, k2]`` (see :func:`_block_sqrt_table`): the epsilon axes and
     the nested block sums over them, one core call."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, constant_D, khat_grid
-from ..norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
+from ..norms import (_BLOCK_CELLS, Exponents, GrandParams, _block_cumsum,
                      _dyadic_sqrt, _grand_pick, _lorentz_of, _lorentz_surface,
                      _rearranged_values, _seq_block_lorentz_of, _seq_surface,
                      _surface_key, logweight_sup_norm, mixed_lebesgue_norm)
@@ -197,9 +197,27 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 # the main theorems
 
 
+def _stacks(items) -> list[range]:
+    """Split ``items`` into runs of one shape, each a stack for
+    :class:`_Prepared`.  A run holds functions only or pairs only, and at
+    most ``_BLOCK_CELLS`` cells unless a single item is larger, so a large
+    item is prepared alone."""
+    runs, last = [], None
+    for i, item in enumerate(items):
+        a, f = item if isinstance(item, tuple) else (None, item)
+        key = (np.shape(f.values), None if a is None else a.truncation)
+        if key == last and (len(runs[-1]) + 1) * f.values.size <= _BLOCK_CELLS:
+            runs[-1] = range(runs[-1].start, i + 1)
+        else:
+            runs.append(range(i, i + 1))
+        last = key
+    return runs
+
+
 class _Prepared:
-    """The per-function pieces of one corpus item, each computed on first
-    use and read at every parameter point of a sweep.
+    """The per-function pieces of a stack of same-shape corpus items, each
+    computed on first use for the whole stack and read at every parameter
+    point of a sweep.  Values are arrays with one entry per item.
 
     An item is a function, whose Walsh coefficients are taken at full
     resolution, or a ``(coefficients, function)`` pair with planted
@@ -208,83 +226,112 @@ class _Prepared:
     key), so every theta of a sweep picks from one surface.
     """
 
-    def __init__(self, item, khat_ts=None):
-        self.a, self.f = item if isinstance(item, tuple) else (None, item)
+    def __init__(self, items, khat_ts=None):
+        self.a, self.fs = zip(*(it if isinstance(it, tuple) else (None, it)
+                                for it in items))
         self.khat_ts = khat_ts
         self._memo = {}
 
     @cached_property
     def g(self) -> np.ndarray:
-        """The rearranged values of the function."""
-        return _rearranged_values(self.f)
+        """The rearranged values of the functions."""
+        return np.stack([_rearranged_values(f) for f in self.fs])
 
     @cached_property
     def S(self) -> np.ndarray:
-        """The block table of the coefficient magnitudes."""
-        a = self.a
-        if a is None:
-            n1, n2 = self.f.levels
-            a = coeffs_2d(self.f, WALSH, WALSH, 2**n1, 2**n2)
-        return _block_cumsum(a.magnitudes)
+        """The block tables of the coefficient magnitudes."""
+        return np.stack([_block_cumsum((
+            coeffs_2d(f, WALSH, WALSH, 2**f.levels[0], 2**f.levels[1])
+            if a is None else a).magnitudes) for a, f in zip(self.a, self.fs)])
 
     @cached_property
     def sqrtS(self) -> np.ndarray:
-        """The dyadic sqrt sub-table of :attr:`S`."""
+        """The dyadic sqrt sub-tables of :attr:`S`."""
         return _dyadic_sqrt(self.S)
 
     @cached_property
     def K(self) -> np.ndarray:
-        """The Khat grid over ``khat_ts x khat_ts``."""
-        return khat_grid(self.f, self.khat_ts, self.khat_ts)
+        """The Khat grids over ``khat_ts x khat_ts``."""
+        return np.stack([khat_grid(f, self.khat_ts, self.khat_ts) for f in self.fs])
 
-    def lorentz(self, e: Exponents) -> float:
-        """The Lorentz norm of the function."""
+    def lorentz(self, e: Exponents) -> np.ndarray:
+        """The Lorentz norms of the functions."""
         if e not in self._memo:
-            self._memo[e] = _lorentz_of(self.g, self.f.widths, e)
+            self._memo[e] = _lorentz_of(self.g, self.fs[0].widths, e)
         return self._memo[e]
 
-    def grand(self, e: Exponents, gp: GrandParams, sign=None) -> GrandNormResult:
-        """The grand Lorentz norm of the function or, given a ``sign``, the
-        grand sequence norm of the coefficients."""
+    def grand(self, e: Exponents, gp: GrandParams,
+              sign=None) -> tuple[np.ndarray, np.ndarray]:
+        """The grand Lorentz norms of the functions or, given a ``sign``, the
+        grand sequence norms of the coefficients: the values and the
+        witnessing epsilon pairs, as :func:`~lorentz_forge.norms._grand_pick`
+        gives them."""
         if sign is None and gp.theta == (0.0, 0.0):
             # as in grand_lorentz_norm: exactly the plain norm
-            return GrandNormResult(self.lorentz(e), (0.0, 0.0), "exact")
+            L = self.lorentz(e)
+            return L, np.zeros(L.shape + (2,))
         key = _surface_key(gp)
         if (e, sign, key) not in self._memo:
             self._memo[e, sign, key] = (
-                _lorentz_surface(self.g, self.f.widths, e, *key) if sign is None
+                _lorentz_surface(self.g, self.fs[0].widths, e, *key) if sign is None
                 else _seq_surface(self.sqrtS, e, sign, *key))
         return _grand_pick(*self._memo[e, sign, key], gp)
 
 
-# Each check below is the one-point case of its sweep.  A sweep takes a list
-# of parameter points and returns one report per point; it prepares each
-# corpus item once, appends that item's case to every point's report, and
-# drops the item's pieces before the next one.
+def _sweep(items, points, report, cases, ids=None, witness=None,
+           khat_ts=None) -> list[CheckReport]:
+    """The reports ``report(*point)``, one per parameter point, with their
+    cases over ``items``; the worst case's function is read from
+    ``witness`` (by default ``items``).
+
+    The items are prepared one stack at a time (see :func:`_stacks`), and a
+    stack's pieces go before the next is prepared.  ``cases(prep, *point)``
+    gives the cases of the stack ``prep`` at a point as ``(suffix, lhs,
+    rhs)`` with one array entry per item, or ``None`` to leave the stack out
+    of that point.  A case's id is its item's id (``ids``, by default
+    ``f0, f1, ...``) followed by the suffix.
+    """
+    items, points = list(items), list(points)
+    ids = [f"f{i}" for i in range(len(items))] if ids is None else ids
+    reps = [report(*pt) for pt in points]
+    for run in _stacks(items):
+        prep = _Prepared(items[run.start:run.stop], khat_ts)
+        for rep, pt in zip(reps, points):
+            sides = cases(prep, *pt)
+            if sides is None:
+                continue
+            for k, i in enumerate(run):
+                rep.cases.extend(CheckCase(ids[i] + sfx, float(lhs[k]), float(rhs[k]))
+                                 for sfx, lhs, rhs in sides)
+    for rep in reps:
+        _attach_witness(rep, items if witness is None else witness)
+    return reps
+
+
+# Each check below is the one-point case of its sweep, and every sweep is
+# one _sweep over its parameter points.
 
 
 def te3_sweep(corpus, points, c0: float | None = None) -> list[CheckReport]:
     """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
     c0 = calibration()["te3_c0"] if c0 is None else c0
     h = corpus_hash(corpus)
-    pts = []
-    for theta, q in points:
+
+    def report(theta, q):
+        return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, h, c0,
+                           notes={"D": constant_D(theta, q), "direction":
+                                  "lhs exact (walsh), rhs exact"})
+
+    def cases(prep, theta, q):
         p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-        rep = CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, h, c0)
-        pts.append((rep, p, q, constant_D(theta, q)))
-    for i, f in enumerate(corpus):
-        prep = _Prepared(f)
-        for rep, p, q, D in pts:
-            lhs = _seq_block_lorentz_of(prep.sqrtS, p, q)
-            rhs = 6.0 * D * prep.lorentz(Exponents(p, q))
-            rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
-    for rep, _p, _q, D in pts:
-        rep.notes["D"] = D
+        rhs = 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
+        return [("", _seq_block_lorentz_of(prep.sqrtS, p, q), rhs)]
+
+    reps = _sweep(corpus, points, report, cases)
+    for rep in reps:
         # the raw lhs / Lorentz ratio normalized by D: the growth statistic
         rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
-        rep.notes["direction"] = "lhs exact (walsh), rhs exact"
-        _attach_witness(rep, list(corpus))
-    return [rep for rep, *_ in pts]
+    return reps
 
 
 def check_te3(corpus, theta, q, c0: float | None = None) -> CheckReport:
@@ -298,30 +345,28 @@ def te4_sweep(corpus, points, C_pass: float | None = None,
     the lacunary ``pairs`` enter the reports of the points with
     ``with_pairs`` only."""
     C_pass = calibration()["te4_C_pass"] if C_pass is None else C_pass
-    pairs = list(pairs or [])
-    hashes = {w: corpus_hash(list(corpus) + (pairs if w else []))
+    corpus, pairs, points = list(corpus), list(pairs or []), list(points)
+    hashes = {w: corpus_hash(corpus + (pairs if w else []))
               for w in {w for *_, w in points}}
-    pts = []
-    for theta, q, with_pairs in points:
-        rep = CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
-                          hashes[with_pairs], C_pass)
-        pts.append((rep, Exponents((2, 2), q), GrandParams(theta), with_pairs))
-    items = [(f"f{i}", f, False) for i, f in enumerate(corpus)] + \
-        [(f"flac{j}", pair, True) for j, pair in enumerate(pairs)]
-    for cid, item, is_pair in items:
-        prep = _Prepared(item)
-        for rep, e, gp, with_pairs in pts:
-            if is_pair and not with_pairs:
-                continue
-            lhs = prep.grand(e, _te4_params(e, gp), "minus").value
-            rhs = prep.grand(e, gp).value
-            rep.cases.append(CheckCase(cid, lhs, rhs))
-    for rep, *_ in pts:
-        rep.notes["direction"] = ("lhs grid-sup under, rhs grid-sup under "
-                                  "(conservative for the asserted bound)")
-        rep.notes["seq_exponent_sign"] = "minus"
-        _attach_witness(rep, list(corpus))
-    return [rep for rep, *_ in pts]
+
+    def report(theta, q, with_pairs):
+        return CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
+                           hashes[with_pairs], C_pass, notes={
+                               "direction": "lhs grid-sup under, rhs grid-sup "
+                                            "under (conservative for the "
+                                            "asserted bound)",
+                               "seq_exponent_sign": "minus"})
+
+    def cases(prep, theta, q, with_pairs):
+        if prep.a[0] is not None and not with_pairs:
+            return None  # a stack of pairs: stacks never mix them with functions
+        e, gp = Exponents((2, 2), q), GrandParams(theta)
+        return [("", prep.grand(e, _te4_params(e, gp), "minus")[0],
+                 prep.grand(e, gp)[0])]
+
+    ids = [f"f{i}" for i in range(len(corpus))] + \
+        [f"flac{j}" for j in range(len(pairs))]
+    return _sweep(corpus + pairs, points, report, cases, ids=ids)
 
 
 def check_te4(corpus, theta, q, C_pass: float | None = None,
@@ -335,22 +380,20 @@ def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
     """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
     cal = calibration()
     h = corpus_hash(items)
-    pts = []
-    for q, blocksup in points:
+
+    def report(q, blocksup):
         key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
-        rep = CheckReport("thm5_blocksup" if blocksup else "thm5", {"q": _jq(q)},
-                          h, cal[key] if C_pass is None else C_pass)
-        pts.append((rep, q, blocksup))
-    for i, item in enumerate(items):
-        prep = _Prepared(item)
-        for rep, q, blocksup in pts:
-            lhs = _block_sup_of(prep.sqrtS, q) if blocksup else _bochkarev_of(prep.S, q)
-            # both forms read the memoised right side at each q
-            rep.cases.append(CheckCase(f"f{i}", lhs, prep.lorentz(Exponents((2, 2), q))))
-    for rep, *_ in pts:
-        rep.notes["rhs_norm"] = "anisotropic Lorentz at p=(2,2), same q as the weights"
-        _attach_witness(rep, items)
-    return [rep for rep, *_ in pts]
+        return CheckReport("thm5_blocksup" if blocksup else "thm5", {"q": _jq(q)},
+                           h, cal[key] if C_pass is None else C_pass, notes={
+                               "rhs_norm": "anisotropic Lorentz at p=(2,2), "
+                                           "same q as the weights"})
+
+    def cases(prep, q, blocksup):
+        lhs = _block_sup_of(prep.sqrtS, q) if blocksup else _bochkarev_of(prep.S, q)
+        # both forms read the memoised right side at each q
+        return [("", lhs, prep.lorentz(Exponents((2, 2), q)))]
+
+    return _sweep(items, points, report, cases)
 
 
 def check_thm5(items, q, C_pass: float | None = None,
@@ -378,23 +421,21 @@ def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
     """:func:`check_embeddings_chain` at each ``theta`` of ``thetas``."""
     e = Exponents(p, q)
     h = corpus_hash(corpus)
-    pts = []
-    for theta in thetas:
-        rep = CheckReport("embeddings_chain",
-                          {"theta": list(theta), "p": list(p), "q": _jq(q)},
-                          h, 1.0 + tol)
-        pts.append((rep, GrandParams(theta), GrandParams((-theta[0], -theta[1]))))
-    for i, f in enumerate(corpus):
-        prep = _Prepared(f)
+
+    def report(theta):
+        return CheckReport("embeddings_chain",
+                           {"theta": list(theta), "p": list(p), "q": _jq(q)},
+                           h, 1.0 + tol, notes={
+                               "direction": "grid under-approximates the sup and "
+                                            "over-approximates the inf: both "
+                                            "favor the chain"})
+
+    def cases(prep, theta):
         L = prep.lorentz(e)
-        for rep, gp_plus, gp_minus in pts:
-            rep.cases.append(CheckCase(f"f{i}:upper", prep.grand(e, gp_plus).value, L))
-            rep.cases.append(CheckCase(f"f{i}:lower", L, prep.grand(e, gp_minus).value))
-    for rep, *_ in pts:
-        rep.notes["direction"] = ("grid under-approximates the sup and "
-                                  "over-approximates the inf: both favor the chain")
-        _attach_witness(rep, corpus)
-    return [rep for rep, *_ in pts]
+        return [(":upper", prep.grand(e, GrandParams(theta))[0], L),
+                (":lower", L, prep.grand(e, GrandParams((-theta[0], -theta[1])))[0])]
+
+    return _sweep(corpus, [(th,) for th in thetas], report, cases)
 
 
 def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1),
@@ -410,32 +451,24 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
     if not (theta[0] <= s[0] and theta[1] <= s[1]):
         raise ValueError("requires theta <= s componentwise")
     e = Exponents(p, q)
-    rep = CheckReport("embeddings_P1",
-                      {"theta": list(theta), "s": list(s), "p": list(p),
-                       "q": _jq(q)},
-                      corpus_hash(corpus), 1.0 + tol)
-    for i, f in enumerate(corpus):
-        prep = _Prepared(f)
-        rep.cases.append(CheckCase(f"f{i}", prep.grand(e, GrandParams(s)).value,
-                                   prep.grand(e, GrandParams(theta)).value))
-    _attach_witness(rep, corpus)
-    return rep
+    params = {"theta": list(theta), "s": list(s), "p": list(p), "q": _jq(q)}
+    return _sweep(corpus, [()], lambda: CheckReport(
+        "embeddings_P1", params, corpus_hash(corpus), 1.0 + tol),
+        lambda prep: [("", prep.grand(e, GrandParams(s))[0],
+                       prep.grand(e, GrandParams(theta))[0])])[0]
 
 
 def check_collapse(corpus, p=(2, 2), q=(1, 1)) -> CheckReport:
     """theta = 0 grand norm equals the Lorentz norm exactly."""
     e = Exponents(p, q)
-    rep = CheckReport("embeddings_collapse",
-                      {"p": list(p), "q": _jq(q)}, corpus_hash(corpus), 1.0)
-    for i, f in enumerate(corpus):
-        prep = _Prepared(f)
-        g0 = prep.grand(e, GrandParams((0.0, 0.0)))
-        L = prep.lorentz(e)
-        rep.cases.append(CheckCase(f"f{i}", g0.value, L))
-        if g0.value != L:
-            rep.notes.setdefault("inexact", []).append(f"f{i}")
-    rep.notes["exactness"] = "bitwise (eps = 0 grid point)"
-    _attach_witness(rep, corpus)
+    rep = _sweep(corpus, [()], lambda: CheckReport(
+        "embeddings_collapse", {"p": list(p), "q": _jq(q)}, corpus_hash(corpus),
+        1.0, notes={"exactness": "bitwise (eps = 0 grid point)"}),
+        lambda prep: [("", prep.grand(e, GrandParams((0.0, 0.0)))[0],
+                       prep.lorentz(e))])[0]
+    inexact = [c.case_id for c in rep.cases if c.lhs != c.rhs]
+    if inexact:
+        rep.notes["inexact"] = inexact
     return rep
 
 
@@ -450,23 +483,22 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     lo, hi = cal["l1_equiv_lo"], cal["l1_equiv_hi"]
     e = Exponents(p, (INF, INF))
     gp = GrandParams(theta)
-    rep = CheckReport("embeddings_L1",
-                      {"theta": list(theta), "p": list(p)}, "", 1.0)
     funcs = [_zero_last_slabs(f) for f in corpus]
-    rep.corpus_hash = corpus_hash(funcs)
+    live = [i for i, f in enumerate(funcs) if np.any(np.asarray(f.values) > 0)]
     raw = []
-    for i, f in enumerate(funcs):
-        if not np.any(np.asarray(f.values) > 0):
-            continue
-        g = _Prepared(f).grand(e, gp).value
-        w = logweight_sup_norm(f, p, theta)
-        raw.append(g / w)
-        rep.cases.append(CheckCase(f"f{i}:hi", g, hi * w))
-        rep.cases.append(CheckCase(f"f{i}:lo", lo * w, g))
+
+    def cases(prep):
+        g = prep.grand(e, gp)[0]
+        w = np.array([logweight_sup_norm(f, p, theta) for f in prep.fs])
+        raw.extend((g / w).tolist())
+        return [(":hi", g, hi * w), (":lo", lo * w, g)]
+
+    rep = _sweep([funcs[i] for i in live], [()], lambda: CheckReport(
+        "embeddings_L1", {"theta": list(theta), "p": list(p)}, corpus_hash(funcs),
+        1.0, notes={"corpus": "last row/column zeroed"}), cases,
+        ids=[f"f{i}" for i in live], witness=funcs)[0]
     rep.notes["ratio_min"] = min(raw) if raw else None
     rep.notes["ratio_max"] = max(raw) if raw else None
-    rep.notes["corpus"] = "last row/column zeroed"
-    _attach_witness(rep, funcs)
     return rep
 
 
@@ -474,24 +506,22 @@ def interp_sweep(corpus, points, J: int = 10,
                  slack: float = 1.05) -> list[CheckReport]:
     """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
     h = corpus_hash(corpus)
-    ts = None
-    pts = []
-    for theta, q in points:
-        ts = _interp_samples(theta, J)  # the same for every theta
+    points = list(points)
+
+    def report(theta, q):
+        return CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
+                                            "J": J}, h, slack, notes={
+            "direction": "lhs under-approximates the continuous integral"})
+
+    def cases(prep, theta, q):
         p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-        rep = CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
-                                           "J": J}, h, slack)
-        pts.append((rep, theta, p, q, constant_D(theta, q)))
-    for i, f in enumerate(corpus):
-        prep = _Prepared(f, khat_ts=ts)
-        for rep, theta, p, q, D in pts:
-            lhs = _interp_of(prep.K, theta, q, J)
-            rhs = 6.0 * D * prep.lorentz(Exponents(p, q))
-            rep.cases.append(CheckCase(f"f{i}", lhs, rhs))
-    for rep, *_ in pts:
-        rep.notes["direction"] = "lhs under-approximates the continuous integral"
-        _attach_witness(rep, list(corpus))
-    return [rep for rep, *_ in pts]
+        # one grid at a time: see _interp_of on stacks
+        lhs = np.array([_interp_of(K, theta, q, J) for K in prep.K])
+        return [("", lhs, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q)))]
+
+    # the samples are the same for every theta
+    ts = _interp_samples(points[0][0], J) if points else None
+    return _sweep(corpus, points, report, cases, khat_ts=ts)
 
 
 def check_interp_chain(corpus, theta, q, J: int = 10,

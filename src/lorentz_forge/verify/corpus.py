@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ class CorpusSpec:
         if self.kind not in ("random_step", "tensor", "power_log",
                              "lacunary", "indicator"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
+        if np.shape(self.level) != (2,) or not all(
+                isinstance(n, numbers.Integral) and n >= 0 for n in self.level):
+            raise ValueError(f"level must be two nonnegative integers, got {self.level!r}")
 
 
 def _power_log_profile(level: int, r: float, s: float) -> np.ndarray:
@@ -98,7 +102,8 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
     while (pos := int(round(ratio**j))) < min(K1, K2):
         if pos not in positions:
             positions.append(pos)
-        j += 1
+        # ratio**j < pos + 1/2 below this j, so round(ratio**j) = pos there
+        j = max(j + 1, math.floor(math.log(pos + 0.5) / math.log(ratio)))
     idx = np.array(positions, dtype=int)
     W1, W2 = walsh_on_cells(idx, n1), walsh_on_cells(idx, n2)
     rng = np.random.default_rng(seed)

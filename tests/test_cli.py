@@ -59,6 +59,15 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["norm", "--kind", "lorentz"],
+                                         ["coeffs", "--K", "1", "1"]])
+    def test_directory_as_input_exits_2(self, tmp_path, capsys, command):
+        rc = main([*command, "--in", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_output_file(self, const_grid, tmp_path):
         out = tmp_path / "norm.json"
         rc = main(["norm", "--kind", "mixed", "--p", "2", "2",
@@ -131,6 +140,24 @@ class TestVerifyCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "interp" in err and "all" in err
+
+    def test_existing_file_as_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["verify", "--suite", "karamata", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("level", [["-1", "2"], ["3", "-4"]])
+    def test_negative_level_exits_2(self, tmp_path, capsys, level):
+        rc = main(["verify", "--suite", "mink", "--level", *level,
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "level" in captured.err
 
     def test_reports_reproducible(self, tmp_path):
         a = tmp_path / "a"

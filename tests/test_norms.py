@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
-from lorentz_forge.fourier import WALSH, CoeffMatrix, te4_lhs
+from lorentz_forge.fourier import (WALSH, CoeffMatrix, _block_sup_of,
+                                   _bochkarev_of, te4_lhs)
 from lorentz_forge.interpolation import beta_from_q, interp_norm
 from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
-                                 _block_sqrt_table, _eps_grid,
+                                 _block_cumsum, _block_sqrt_table,
+                                 _dyadic_sqrt, _eps_grid, _grand_pick,
                                  _lorentz_core_batch, _lorentz_of,
                                  _power_cells, _qsum, _seq_block_core,
                                  discrete_grand_norm_P6,
@@ -631,3 +633,77 @@ def test_grand_seq_and_te4_surface_pick_match_per_theta_reference(J):
                               _ref_grand_seq_of(sqrtS, e, gp, sign))
                 e = Exponents((2, 2), q)
                 _same(te4_lhs(cm, e, gp), _ref_te4_lhs_of(sqrtS, e, gp))
+
+
+class TestStackedCoresMatchPerItem:
+    """A stack of same-shape items on leading axes gives, item by item, the
+    bits of the item's own call; every stack holds an all-zero item."""
+
+    QS = [0.5, 1, 2, 4, INF]
+
+    @staticmethod
+    def _same_per_item(got, fn, stack, *args):
+        assert got.shape[:stack.ndim - 2] == stack.shape[:-2]
+        for k in np.ndindex(stack.shape[:-2]):
+            assert got[k].tobytes() == fn(stack[k], *args).tobytes(), k
+
+    @staticmethod
+    def _grids(shape=(8, 4)):
+        g = np.sort(np.random.default_rng(17).random((5,) + shape), axis=-1)[..., ::-1]
+        g[2] = 0.0
+        g[3] *= 1e-200
+        return g
+
+    @staticmethod
+    def _tables():
+        rng = np.random.default_rng(19)
+        tables = []
+        for m in (rng.random((12, 5)), np.zeros((12, 5)), rng.random((12, 5)) * 1e150,
+                  rng.random((12, 5)) * (rng.random((12, 5)) < 0.3)):
+            tables.append(_block_cumsum(Sequence2D(m)))
+        return np.stack(tables)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_lorentz_core_batch(self, q, sign):
+        eps = _eps_grid(24, 0.5)
+        args = (0.125, 0.25, 0.5 + sign * eps, 0.5 + sign * eps[:7], q, 2.0)
+        for g in (self._grids(), self._grids().reshape(5, 1, 8, 4)):
+            self._same_per_item(_lorentz_core_batch(g, *args),
+                                _lorentz_core_batch, g, *args)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_seq_block_core(self, q, sign):
+        eps = _eps_grid(24, 1.0)
+        args = (0.5 + sign * eps - 0.5, 0.25 + sign * eps[3:] - 0.5, q, 4.0)
+        t = _dyadic_sqrt(self._tables())
+        self._same_per_item(_seq_block_core(t, *args), _seq_block_core, t, *args)
+
+    def test_dyadic_sqrt(self):
+        S = self._tables()
+        self._same_per_item(_dyadic_sqrt(S), _dyadic_sqrt, S)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_bochkarev_and_block_sup(self, q):
+        S = self._tables()
+        if q >= 2:
+            self._same_per_item(_bochkarev_of(S, (q, 2.0)), _bochkarev_of, S, (q, 2.0))
+        T = _dyadic_sqrt(S)
+        self._same_per_item(_block_sup_of(T, (q, 4.0)), _block_sup_of, T, (q, 4.0))
+
+    @pytest.mark.parametrize("theta", [(0.5, 0.25), (0.0, 0.5), (0.0, 0.0),
+                                       (-0.5, -1.0), (-0.25, -0.25)])
+    def test_grand_pick(self, theta):
+        gp = GrandParams(theta, eps_levels=6)
+        axes = _ref_eps_axes(gp, (1.0, 0.5))
+        rng = np.random.default_rng(23)
+        vals = rng.random((4, len(axes[0]), len(axes[1])))
+        vals[1] = 0.0
+        vals[2] = 1.0  # ties everywhere: the first grid point wins
+        value, eps = _grand_pick(axes, vals, gp)
+        assert value.shape == (4,) and eps.shape == (4, 2)
+        for k in range(4):
+            want = _ref_pick(axes, vals[k], gp)
+            assert value[k].tobytes() == np.float64(want.value).tobytes()
+            assert tuple(eps[k]) == want.eps

@@ -2,6 +2,7 @@ import collections
 import csv
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz_forge import norms
-from lorentz_forge.fourier import WALSH, CoeffMatrix, coeffs_2d, walsh_synthesize
-from lorentz_forge.norms import (Exponents, GrandParams, grand_lorentz_norm,
-                                 grand_seq_norm, lorentz_norm)
+from lorentz_forge.fourier import (WALSH, CoeffMatrix, block_sup_lhs,
+                                   bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs,
+                                   walsh_synthesize)
+from lorentz_forge.interpolation import constant_D, interp_norm
+from lorentz_forge.norms import (_BLOCK_CELLS, Exponents, GrandParams,
+                                 grand_lorentz_norm, grand_seq_norm,
+                                 logweight_sup_norm, lorentz_norm)
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
                                    power_weight_integral)
 from lorentz_forge.verify import checks
+from lorentz_forge.verify.calibration import calibration
 from lorentz_forge.verify.corpus import (CorpusSpec, corpus_hash, generate,
                                          generate_karamata_pairs,
                                          generate_lacunary_pairs)
@@ -69,6 +75,32 @@ class TestCorpus:
             generate_lacunary_pairs((3, 3), 1, 7, ratio=ratio)
         with pytest.raises(ValueError, match="ratio"):
             generate(CorpusSpec("lacunary", (3, 3), 1, 7, params={"ratio": ratio}))
+
+    @pytest.mark.parametrize("ratio", [2, 1.5, 3, 1.1, 1.01])
+    @pytest.mark.parametrize("level", [(9, 9), (5, 7)])
+    def test_lacunary_positions_match_one_step_scan(self, ratio, level):
+        # the reference steps j one at a time: the positions are the
+        # distinct round(ratio**j) below min(K1, K2), in order
+        want, j = [], 0
+        while (pos := int(round(ratio**j))) < min(2**level[0], 2**level[1]):
+            if pos not in want:
+                want.append(pos)
+            j += 1
+        planted = generate_lacunary_pairs(level, 1, 7, ratio)[0][0]
+        rows, cols = np.nonzero(planted.entries)
+        assert rows.tolist() == want and cols.tolist() == want
+
+    def test_lacunary_ratio_near_one_returns_quickly(self):
+        t0 = time.perf_counter()
+        planted = generate_lacunary_pairs((3, 3), 1, 7, ratio=1 + 1e-7)[0][0]
+        assert time.perf_counter() - t0 < 1.0
+        assert np.nonzero(planted.entries)[0].tolist() == list(range(1, 8))
+
+    @pytest.mark.parametrize("level", [(-1, 2), (2, -1), (5.0, 5), (5,), (5, 5, 5),
+                                       "55", 5, None])
+    def test_level_must_be_two_nonnegative_integers(self, level):
+        with pytest.raises(ValueError, match="level"):
+            CorpusSpec("random_step", level, 3, 7)
 
     @pytest.mark.parametrize("level", [(9, 9), (5, 7), (3, 9), (1, 1)])
     @pytest.mark.parametrize("seed", [7, 3])
@@ -539,12 +571,149 @@ class TestSweepsMatchOnePointChecks:
                     L, grand_lorentz_norm(f, e, GrandParams((-th[0], -th[1]))).value)
 
 
+def _full_coeffs(item):
+    """The coefficients a sweep reads of an item: planted for a pair, the
+    full-resolution Walsh coefficients for a function."""
+    if isinstance(item, tuple):
+        return item
+    return coeffs_2d(item, WALSH, WALSH, *(2**n for n in item.levels)), item
+
+
+def _bits(cases):
+    return [(c.case_id, float(c.lhs).hex(), float(c.rhs).hex()) for c in cases]
+
+
+def _want_bits(cases):
+    return [(cid, float(lhs).hex(), float(rhs).hex()) for cid, lhs, rhs in cases]
+
+
+class TestSweepCasesArePublicNorms:
+    """Every case of a stacked sweep carries, bit for bit, the values of the
+    public one-function norms of its item."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        corpus = checks.sweep_corpus(7, (3, 3)) + [constant_grid(0.0, (3, 3))]
+        pairs = generate_lacunary_pairs((5, 5), 2, 7)
+        return corpus, pairs
+
+    def test_te3(self, small):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
+        for rep, (th, q) in zip(checks.te3_sweep(funcs, points), points):
+            p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
+            assert _bits(rep.cases) == _want_bits(
+                (f"f{i}", te3_lhs(_full_coeffs(f)[0], p, q),
+                 6.0 * constant_D(th, q) * lorentz_norm(f, Exponents(p, q)))
+                for i, f in enumerate(funcs))
+
+    def test_te4(self, small):
+        corpus, pairs = small
+        points = [(th, q, th == (0.0, 0.0))
+                  for th in ((0.0, 0.0), (0.25, 0.25)) for q in checks.Q_SWEEP]
+        items = [(f"f{i}", f) for i, f in enumerate(corpus)] + \
+            [(f"flac{j}", pair) for j, pair in enumerate(pairs)]
+        for rep, (th, q, w) in zip(checks.te4_sweep(corpus, points, pairs=pairs),
+                                   points):
+            e, gp = Exponents((2, 2), q), GrandParams(th)
+            assert _bits(rep.cases) == _want_bits(
+                (cid, te4_lhs(_full_coeffs(it)[0], e, gp).value,
+                 grand_lorentz_norm(_full_coeffs(it)[1], e, gp).value)
+                for cid, it in items if w or not cid.startswith("flac"))
+
+    def test_thm5(self, small):
+        corpus, pairs = small
+        items = list(corpus) + list(pairs)
+        points = [(q, b) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
+                  for b in (False, True)]
+        for rep, (q, b) in zip(checks.thm5_sweep(items, points), points):
+            lhs = block_sup_lhs if b else bochkarev_lhs
+            assert _bits(rep.cases) == _want_bits(
+                (f"f{i}", lhs(_full_coeffs(it)[0], q),
+                 lorentz_norm(_full_coeffs(it)[1], Exponents((2, 2), q)))
+                for i, it in enumerate(items))
+
+    @pytest.mark.parametrize("q", [(1, 1), (4, 2)])
+    def test_p1_and_collapse(self, small, q):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        e = Exponents((2, 2), q)
+        for theta, s_ in (((0.25, 0.25), (0.5, 1.0)), ((0.0, 0.5), (1.0, 1.0))):
+            rep = checks.check_p1_monotone(funcs, theta, s_, q=q)
+            assert _bits(rep.cases) == _want_bits(
+                (f"f{i}", grand_lorentz_norm(f, e, GrandParams(s_)).value,
+                 grand_lorentz_norm(f, e, GrandParams(theta)).value)
+                for i, f in enumerate(funcs))
+        rep = checks.check_collapse(funcs, q=q)
+        assert _bits(rep.cases) == _want_bits(
+            (f"f{i}", grand_lorentz_norm(f, e, GrandParams((0.0, 0.0))).value,
+             lorentz_norm(f, e)) for i, f in enumerate(funcs))
+        assert "inexact" not in rep.notes
+
+    def test_logweight_equiv(self, small):
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        cal = calibration()
+        e, gp = Exponents((2, 2), (INF, INF)), GrandParams((0.5, 0.5))
+        rep = checks.check_logweight_equiv(funcs, (0.5, 0.5))
+        want = []
+        for i, f in enumerate(funcs):
+            z = checks._zero_last_slabs(f)
+            if not np.any(z.values > 0):
+                continue  # the all-zero function has no case
+            g, w = grand_lorentz_norm(z, e, gp).value, logweight_sup_norm(z, (2, 2), (0.5, 0.5))
+            want += [(f"f{i}:hi", g, cal["l1_equiv_hi"] * w),
+                     (f"f{i}:lo", cal["l1_equiv_lo"] * w, g)]
+        assert len(want) == 2 * (len(funcs) - 1)
+        assert _bits(rep.cases) == _want_bits(want)
+
+    def test_interp(self, small):
+        # at q = (4, 4) the last stage's power differs in the last bit for a
+        # numpy scalar and an array on some CPUs, so a stacked last stage
+        # fails here
+        corpus, pairs = small
+        funcs = corpus + [f for _, f in pairs]
+        q = (4.0, 4.0)
+        points = [(th, q) for th in checks.THETA_SWEEP]
+        for rep, (th, _) in zip(checks.interp_sweep(funcs, points), points):
+            p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
+            assert _bits(rep.cases) == _want_bits(
+                (f"f{i}", interp_norm(f, th, q),
+                 6.0 * constant_D(th, q) * lorentz_norm(f, Exponents(p, q)))
+                for i, f in enumerate(funcs))
+
+
+def test_stacks_keep_one_shape_and_bound_the_cells():
+    small = checks.sweep_corpus(7, (3, 3))[:4]
+    big = generate_lacunary_pairs((9, 9), 2, 7)
+    items = (small + [big[0][1]] + [f for _, f in big] + small
+             + generate_lacunary_pairs((3, 3), 2, 7) + small[:1]
+             + generate(CorpusSpec("random_step", (3, 4), 2, 7))
+             + generate(CorpusSpec("random_step", (5, 5), 300, 7)))
+    runs = checks._stacks(items)
+    assert [i for run in runs for i in run] == list(range(len(items)))
+
+    def kind(item):
+        return (np.shape(item[1].values), "pair") if isinstance(item, tuple) \
+            else (np.shape(item.values), "function")
+
+    for run in runs:
+        assert len({kind(items[i]) for i in run}) == 1
+        cells = sum(int(np.prod(kind(items[i])[0])) for i in run)
+        assert len(run) == 1 or cells <= _BLOCK_CELLS
+    sizes = [len(run) for run in runs]
+    # 512 x 512 items one at a time; 256 items of 32 x 32 fill a stack
+    assert sizes == [4, 1, 1, 1, 4, 2, 1, 2, 256, 44]
+
+
 def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
-    # one _Prepared keeps each epsilon surface and picks from it at every
-    # theta; read in any order, it must give what a fresh item and the
-    # public norms give
-    f = checks.sweep_corpus(7, (3, 3))[35]
-    pair = generate_lacunary_pairs((4, 4), 2, 7)[1]
+    # one _Prepared keeps each epsilon surface of its stack and picks from
+    # it at every theta; read in any order, it must give what a fresh stack
+    # gives and, item by item, the value and witnessing epsilon of the
+    # public norms
+    funcs = checks.sweep_corpus(7, (3, 3))[33:37] + [constant_grid(0.0, (3, 3))]
+    pairs = generate_lacunary_pairs((4, 4), 2, 7)
     thetas = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.25, 0.25), (0.5, 0.5),
               (1.0, 0.25), (-0.5, -0.5), (-0.25, -1.0)]
     calls = [(Exponents((2, 2), q), GrandParams(th, eps_levels=J), sign)
@@ -552,22 +721,28 @@ def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
              for J in (3, 24) for sign in (None, "minus", "plus")
              if sign is None or th[0] >= 0]
     random.Random(5).shuffle(calls)
-    for item in (f, pair):
-        prep = checks._Prepared(item)
-        fn = item[1] if isinstance(item, tuple) else item
-        coeffs = item[0] if isinstance(item, tuple) else \
-            coeffs_2d(f, WALSH, WALSH, *(2**n for n in f.levels))
+    for items in (funcs, pairs):
+        assert len(checks._stacks(items)) == 1
+        prep = checks._Prepared(items)
+        full = [_full_coeffs(it) for it in items]
         for e, gp, sign in calls:
-            got = prep.grand(e, gp, sign)
-            assert got == checks._Prepared(item).grand(e, gp, sign)
-            assert got == (grand_lorentz_norm(fn, e, gp) if sign is None else
-                           grand_seq_norm(coeffs.magnitudes, e, gp, sign))
+            value, eps = prep.grand(e, gp, sign)
+            fresh = checks._Prepared(items).grand(e, gp, sign)
+            assert value.tobytes() == fresh[0].tobytes()
+            assert eps.tobytes() == fresh[1].tobytes()
+            for k, (coeffs, fn) in enumerate(full):
+                want = grand_lorentz_norm(fn, e, gp) if sign is None else \
+                    grand_seq_norm(coeffs.magnitudes, e, gp, sign)
+                assert (float(value[k]).hex(), tuple(eps[k])) == \
+                    (want.value.hex(), want.eps)
 
 
 def test_suites_compute_each_surface_once(monkeypatch):
-    # per item: one grand Lorentz surface per (q, form), one Lorentz value
-    # per exponent, one sequence surface per q; at the parent of this
-    # design every theta rebuilt its surfaces (3150, 680, 680 and 560 calls)
+    # one core call per stack of same-shape items, parameter point and
+    # surface key: the 32 x 32 corpora are one stack each and every 512 x 512
+    # lacunary pair is a stack of its own.  With one call per item (the
+    # parent of this design) te3 made 1800 calls of each core, interp 1800,
+    # embeddings 550, te4 480 and 280, thm5 280
     counts = collections.Counter()
     for name in ("_lorentz_core_batch", "_seq_block_core"):
         def counted(*args, _fn=getattr(norms, name), _name=name, **kwargs):
@@ -575,11 +750,14 @@ def test_suites_compute_each_surface_once(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(norms, name, counted)
     got = {}
-    for suite in ("embeddings", "te4", "thm5"):
+    for suite in ("te3", "interp", "embeddings", "te4", "thm5"):
         counts.clear()
         checks.run_suite(suite, 7)
         got[suite] = dict(counts)
-    assert got["embeddings"]["_lorentz_core_batch"] <= 550
-    assert got["te4"]["_seq_block_core"] <= 280
-    assert got["te4"]["_lorentz_core_batch"] <= 480
-    assert got["thm5"]["_lorentz_core_batch"] <= 280
+    assert got["te3"]["_lorentz_core_batch"] <= 36
+    assert got["te3"]["_seq_block_core"] <= 36
+    assert got["interp"]["_lorentz_core_batch"] <= 36
+    assert got["embeddings"]["_lorentz_core_batch"] <= 7
+    assert got["te4"]["_lorentz_core_batch"] <= 88
+    assert got["te4"]["_seq_block_core"] <= 84
+    assert got["thm5"]["_lorentz_core_batch"] <= 84
