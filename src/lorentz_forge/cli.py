@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -125,6 +126,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # an unusable report directory fails here, before any suite runs
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     reports = run_suite(args.suite, seed=args.seed,
                         level=tuple(args.level))
     jl, cs = write_reports(reports, args.out)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _LN2, _qsum
-from .rearrange import iterated_rearrange_2d
+from .norms import _LN2, _nested, _rearranged_values
 from .stepfun import DyadicStep2D
 
 
@@ -93,10 +92,9 @@ class _KhatEvaluator:
     whole array of ``w2`` values is evaluated vectorized.
     """
 
-    def __init__(self, f: DyadicStep2D):
-        g = iterated_rearrange_2d(f)
-        self.G = np.asarray(g.values)  # [j2, j1]
-        self.h1, self.h2 = f.widths
+    def __init__(self, G: np.ndarray, widths: tuple[float, float]):
+        self.G = G  # [j2, j1]
+        self.h1, self.h2 = widths
         self.r2, self.r1 = self.G.shape
         self.edges1 = np.arange(self.r1 + 1) * self.h1
         self.edges2 = np.arange(self.r2 + 1) * self.h2
@@ -108,8 +106,8 @@ class _KhatEvaluator:
         c1 = np.clip(w1 - self.edges1[:-1], 0.0, self.h1)
         ctail = self.h1 - c1
         R = self.G @ c1                      # int_0^{w1} g ds1 per s2-cell
-        V = np.sqrt(self.G2 @ ctail)         # (int_{w1}^1 g^2 ds1)^{1/2}
-        Q2tail = self.G2 @ ctail
+        Q2tail = self.G2 @ ctail             # int_{w1}^1 g^2 ds1
+        V = np.sqrt(Q2tail)
         a = self.edges2[:-1]
         b = self.edges2[1:]
         Acum = np.concatenate([[0.0], np.cumsum(R * self.h2)])
@@ -158,14 +156,21 @@ def k_upper(f: DyadicStep2D, t1: float, t2: float) -> KTerms:
     """The four norm bounds of the constructive decomposition at ``(t1, t2)``."""
     if t1 <= 0 or t2 <= 0:
         raise ValueError("t1, t2 must be positive")
-    ev = _KhatEvaluator(f)
+    ev = _KhatEvaluator(_rearranged_values(f), f.widths)
     T00, T10, T01, T11 = ev.terms(min(t1 * t1, 1.0), np.array([t2 * t2]))
     return KTerms(t1, t2, float(T00[0]), float(T10[0]), float(T01[0]), float(T11[0]))
 
 
 def khat_grid(f: DyadicStep2D, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
     """Matrix ``Khat[i, j]`` over the grids ``t1s x t2s``."""
-    ev = _KhatEvaluator(f)
+    return _khat_of(_rearranged_values(f), f.widths, t1s, t2s)
+
+
+def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s: np.ndarray,
+             t2s: np.ndarray) -> np.ndarray:
+    """:func:`khat_grid` from the rearranged values ``G[j2, j1]`` and the
+    cell widths."""
+    ev = _KhatEvaluator(G, widths)
     t1s = np.asarray(t1s, dtype=float)
     t2s = np.asarray(t2s, dtype=float)
     w2s = np.minimum(t2s**2, 1.0)
@@ -205,15 +210,12 @@ def _interp_of(K: np.ndarray, theta: tuple[float, float],
                q: tuple[float, float], J: int) -> np.ndarray:
     """:func:`interp_norm` from Khat grids ``K[..., i, j]``, each a
     ``khat_grid(f, ts, ts)`` over the samples ``ts`` of
-    :func:`_interp_samples`, shape ``(...)``.
-
-    A single grid's last stage raises a numpy scalar to ``1/q``, which on
-    some CPUs differs in the last bit from the same power taken in an
-    array, so a stack of grids need not match its grids one by one.
+    :func:`_interp_samples`, shape ``(...)``: one
+    :func:`~lorentz_forge.norms._nested` call over the sample weights, so a
+    stack of grids gives each grid's own value, bit for bit.
     """
     ts = 2.0 ** np.arange(-J, 1)
-    # [..., t2, t1]: the t1 stage runs along the last axis, then t2
-    out = K.swapaxes(-1, -2)
+    weights = []
     for th, qq in zip(theta, q):
         # the cells [2^m, 2^{m+1}), m = -J..-1, weigh K(2^m) 2^{-m th}; the
         # t >= 1 tail is exact (Khat is constant there), and the linear
@@ -221,5 +223,6 @@ def _interp_of(K: np.ndarray, theta: tuple[float, float],
         omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
         omega[-1] = 1.0 / (th * qq)
         omega[0] += 1.0 / ((1.0 - th) * qq)
-        out = _qsum(out * ts**-th, omega, qq)
-    return out
+        weights.append(((ts**-th)[None], omega[None], qq))
+    # [..., t2, t1]: the t1 stage runs along the last axis, then t2
+    return _nested(K.swapaxes(-1, -2), *weights)[..., 0, 0]

@@ -8,12 +8,17 @@ Conventions
   corresponding integral (or sum) into a supremum.
 * All integrals reduce to closed-form power-weight sums over dyadic cells;
   a divergent integral yields ``+inf``, never an exception.
-* Every nested (q1, q2) stage (and the (p1, p2) stages of the mixed
-  Lebesgue norm), here and in the interpolation norm and the right sides of
-  the Hardy displays, is one :func:`_qsum`, which factors out the largest
-  term: the norms stay finite and 1-homogeneous at every exponent they
-  accept.  The Hardy left sides take their per-cell power integrals from
-  :func:`_power_cells` and scale the profile by its largest value instead.
+* Every nested (q1, q2) norm, here and in the interpolation norm, is weight
+  rows plus one :func:`_nested` call: a norm only builds its rows
+  (:func:`_power_cells` for the Lorentz cells, :func:`_block_cells` for the
+  dyadic blocks, the sample weights for interp), and each of the two
+  stages is one :func:`_stage`, as is a right side of the Hardy displays.
+  The stage's :func:`_qsum` factors out the largest term, so the norms stay
+  finite and 1-homogeneous at every exponent they accept, and is the one
+  place where ``0 * inf = 0``.  The mixed Lebesgue norm, whose weights are
+  constants, calls :func:`_qsum` directly.  The Hardy left sides take their
+  per-cell power integrals from :func:`_power_cells` and scale the profile
+  by its largest value instead.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -114,32 +119,67 @@ class GrandNormResult:
 
 
 # ---------------------------------------------------------------------------
-# the nested q-stage
+# the weighted stage
 
 
 def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
     """``(sum base^q omega)^{1/q}`` along the last axis; ``max(base)`` at
     ``q = inf``.
 
-    Every nested (q1, q2) norm is two of these stages.  The sum is taken as
-    ``M (sum (base/M)^q omega)^{1/q}`` with ``M`` the largest base, so a
-    finite value never overflows or underflows; callers put every factor
-    raised to ``q`` into ``base`` and pass the bounded rest as ``omega``.  A
-    zero base contributes 0 whatever its weight (``0 * inf = 0``); an
-    infinite base, or an infinite weight on a positive base, gives ``+inf``.
+    The sum is taken as ``M (sum (base/M)^q omega)^{1/q}`` with ``M`` the
+    largest base, so a finite value never overflows or underflows; callers
+    put every factor raised to ``q`` into ``base`` and pass the bounded rest
+    as ``omega``.  A zero base contributes 0 whatever its weight, and so
+    does a ``nan`` base, which is a zero value times an infinite weight
+    (``0 * inf = 0``, here only); an infinite base, or an infinite weight on
+    a positive base, gives ``+inf``.
     """
-    M = base.max(axis=-1, keepdims=True)
+    M = np.fmax.reduce(base, axis=-1, keepdims=True, initial=0.0)
     if q == INF:
         return M[..., 0]
     with np.errstate(invalid="ignore", over="ignore"):
         t = base / M
         t **= q
         t *= omega
-        t[base == 0] = 0.0
+        t[~(base > 0)] = 0.0
         out = M[..., 0] * t.sum(axis=-1) ** (1.0 / q)
     # a nan is inf/inf or an underflowed positive term times an infinite
     # weight: both mean a positive base meets a divergence
     return np.where(np.isnan(out), INF, out)
+
+
+# nested stages are evaluated in blocks of about this many cells, which
+# bounds the temporaries on large grids; the verify sweeps stack at most
+# this many cells of same-shape items for one core call
+_BLOCK_CELLS = 2**18
+
+
+def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
+           q: float) -> np.ndarray:
+    """The q-sums of the rows of ``(..., R, n)`` values against ``(m, n)``
+    weight rows ``(sup, omega)``, as :func:`_qsum` takes them (the values
+    times ``sup`` as the base): an ``(..., m, R)`` array."""
+    with np.errstate(invalid="ignore"):  # 0 * inf: _qsum counts it as 0
+        base = vals[..., None, :, :] * sup[:, None, :]
+    return _qsum(base, omega[:, None, :], q)
+
+
+def _nested(vals: np.ndarray, w1, w2) -> np.ndarray:
+    """The nested norms of ``(..., r2, r1)`` values: one :func:`_stage`
+    over the last axis with the weights ``w1 = (sup, omega, q)``, ``m1``
+    rows of ``r1`` entries, then one over ``r2`` with ``w2``.  Returns an
+    ``(..., m1, m2)`` array."""
+    sup1, om1, q1 = w1
+    r1, m2 = vals.shape[-1], len(w2[0])
+    out = np.empty(vals.shape[:-2] + (len(sup1), m2))
+    # both stages run per block of w1 rows, sized so that the inner
+    # (..., rows, r2, r1) and the outer (..., m2, rows, r2) temporaries stay
+    # under _BLOCK_CELLS cells
+    rows = max(1, _BLOCK_CELLS // (vals.size // r1 * max(r1, m2)))
+    for i in range(0, len(sup1), rows):
+        inner = _stage(vals, sup1[i:i + rows], om1[i:i + rows], q1)
+        out[..., i:i + rows, :] = _stage(inner, *w2).swapaxes(-1, -2)
+    return out
 
 
 def _power_cells(a: np.ndarray, n: int, h: float, q: float):
@@ -170,12 +210,6 @@ def _power_cells(a: np.ndarray, n: int, h: float, q: float):
     return sup, omega
 
 
-# epsilon rows of the Lorentz stages are evaluated in blocks of about this
-# many cells, which bounds the temporaries on large grids; the verify sweeps
-# stack at most this many cells of same-shape items for one core call
-_BLOCK_CELLS = 2**18
-
-
 def _lorentz_core(g: np.ndarray, h1: float, h2: float,
                   a1: float, a2: float, q1: float, q2: float) -> np.ndarray:
     """The 1x1 case of :func:`_lorentz_core_batch`, shape ``(...)``."""
@@ -190,23 +224,12 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
     over exponent grids, ``out[..., i, j]`` at ``(a1, a2) = (a1s[i], a2s[j])``.
 
     Computes ``( int ( int (t1^a1 t2^a2 g)^{q1} dt1/t1 )^{q2/q1} dt2/t2 )^{1/q2}``
-    with sup forms replacing infinite ``q`` components, one :func:`_qsum`
-    stage per axis.  Returns ``+inf`` on divergence.
+    with sup forms replacing infinite ``q`` components: :func:`_nested` over
+    the :func:`_power_cells` weights.  Returns ``+inf`` on divergence.
     """
     r2, r1 = g.shape[-2:]
-    sup1, w1 = _power_cells(a1s, r1, h1, q1)  # (m1, r1)
-    sup2, w2 = _power_cells(a2s, r2, h2, q2)  # (m2, r2)
-    g = g[..., None, :, :]
-    out = np.empty(g.shape[:-3] + (len(sup1), len(sup2)))
-    # both stages run per block of epsilon rows, sized so that the inner
-    # (..., rows, r2, r1) and the outer (..., rows, m2, r2) temporaries stay
-    # under _BLOCK_CELLS cells
-    rows = max(1, _BLOCK_CELLS // (g.size // r1 * max(r1, len(sup2))))
-    for i in range(0, len(sup1), rows):
-        blk = slice(i, i + rows)
-        inner = _qsum(g * sup1[blk, None, :], w1[blk, None, :], q1)
-        out[..., blk, :] = _qsum(inner[..., None, :] * sup2, w2, q2)
-    return out
+    return _nested(g, (*_power_cells(a1s, r1, h1, q1), q1),
+                   (*_power_cells(a2s, r2, h2, q2), q2))
 
 
 # ---------------------------------------------------------------------------
@@ -358,37 +381,39 @@ def _dyadic_sqrt(S: np.ndarray) -> np.ndarray:
     return np.sqrt(S[..., idx1[:, None], idx2])
 
 
-def _block_stage(vals: np.ndarray, nus: np.ndarray, q: float) -> np.ndarray:
-    """``out[..., i, r]``: the q-sum over ``k >= 0`` of
-    ``2^{nus[i] k} vals[..., r, k]`` for each row ``r`` of the ``(..., R, n)``
-    array ``vals``; beyond the stored values the last one, ``sat``, repeats
-    (the bracket saturates).  That geometric tail is one more :func:`_qsum`
-    term, with base ``sat 2^{nu n}`` and weight ``sum_{k >= 0} 2^{nu q k}``
-    (``+inf`` for ``nu >= 0``).  Returns an ``(..., m, R)`` array.
+def _block_cells(nus: np.ndarray, n: int, q: float):
+    """The weights ``2^{nu k}``, ``k >= 0``, one row per ``nu`` in ``nus``,
+    as :func:`_stage` takes them for ``n`` stored values padded with the
+    last one, ``sat``: ``(sup, omega)``, each ``(m, n + 1)``.  Beyond the
+    stored values ``sat`` repeats (the bracket saturates), and that
+    geometric tail is the last column: ``sup = 2^{nu n}`` with
+    ``omega = sum_{k >= 0} 2^{nu q k}`` (``+inf`` for ``nu >= 0``), or at
+    ``q = inf`` the tail's supremum (``+inf`` for ``nu > 0``) with
+    ``omega = 1``.
     """
-    n = vals.shape[-1]
-    vals = np.concatenate([vals, vals[..., -1:]], axis=-1)[..., None, :, :]
-    u = 2.0 ** (nus[:, None] * np.arange(n + 1))  # (m, n + 1)
-    base = u[:, None, :] * vals  # (..., m, R, n + 1)
+    sup = 2.0 ** (nus[:, None] * np.arange(n + 1))
+    omega = np.ones_like(sup)
     if q == INF:
-        # for nu > 0 the tail diverges in the sup form too
-        base[..., n][(nus[:, None] > 0) & (vals[..., n] > 0)] = INF
-        return _qsum(base, 1.0, q)
-    omega = np.ones((len(nus), 1, n + 1))
-    with np.errstate(divide="ignore", over="ignore"):
-        omega[:, 0, n] = np.where(nus < 0, -1.0 / np.expm1(nus * q * _LN2), INF)
-    return _qsum(base, omega, q)
+        sup[nus > 0, n] = INF
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            omega[:, n] = np.where(nus < 0, -1.0 / np.expm1(nus * q * _LN2), INF)
+    return sup, omega
 
 
 def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
                     q1: float, q2: float) -> np.ndarray:
     """Nested (q1, q2) block sums ``2^{nu1 k1 + nu2 k2} sqrtS[..., k1^, k2^]``
     over all ``k_i >= 0``, ``out[..., i, j]`` at
-    ``(nu1, nu2) = (nu1s[i], nu2s[j])``: :func:`_block_stage` over k1 in each
-    column, then over k2 in each row of the result.
+    ``(nu1, nu2) = (nu1s[i], nu2s[j])``: :func:`_nested` over k1 in each
+    column, then over k2, with the :func:`_block_cells` weights on the
+    table padded with its last row and column.
     """
-    inner = _block_stage(sqrtS.swapaxes(-1, -2), nu1s, q1)  # (..., m1, K2)
-    return _block_stage(inner, nu2s, q2).swapaxes(-1, -2)
+    K1, K2 = sqrtS.shape[-2:]
+    pad = np.concatenate([sqrtS, sqrtS[..., -1:, :]], axis=-2)
+    pad = np.concatenate([pad, pad[..., -1:]], axis=-1)
+    return _nested(pad.swapaxes(-1, -2), (*_block_cells(nu1s, K1, q1), q1),
+                   (*_block_cells(nu2s, K2, q2), q2))
 
 
 def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
@@ -466,18 +491,24 @@ def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
     The supremum is one-sided on (0,1): it is ``+inf`` exactly when the
     rearranged function is positive on a cell touching ``t = 1``.
     """
+    return float(_logweight_of(_rearranged_values(f), f.widths, p, theta))
+
+
+def _logweight_of(g: np.ndarray, widths: tuple[float, float],
+                  p: tuple[float, float], theta: tuple[float, float]) -> np.ndarray:
+    """:func:`logweight_sup_norm` from rearranged values ``g[..., j2, j1]``
+    and cell widths, shape ``(...)``."""
     if any(pi == INF for pi in p):
         raise ValueError("log-weighted sup form requires finite p")
     if any(ti <= 0 for ti in theta):
         raise ValueError("log-weighted sup form requires theta > 0")
-    g = _rearranged_values(f)
-    h1, h2 = f.widths
-    r2, r1 = g.shape
+    h1, h2 = widths
+    r2, r1 = g.shape[-2:]
     w1 = _log_weight_right_endpoints(r1, h1, 1.0 / p[0], theta[0])
     w2 = _log_weight_right_endpoints(r2, h2, 1.0 / p[1], theta[1])
     weights = np.outer(w2, w1)
     masked = np.where(g > 0, weights * np.where(g > 0, g, 1.0), 0.0)
-    return float(np.max(masked)) if masked.size else 0.0
+    return masked.max(axis=(-2, -1), initial=0.0)
 
 
 def _dyadic_samples(axis_len: int, level: int) -> np.ndarray:
@@ -515,17 +546,24 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     limit = 2.0 ** -(inv_p1 + inv_p2) * float(core[0, 0])  # k -> inf, finite
     best = 0.0
     for k2 in range(2, k_max + 1):
-        if k2**-theta[1] * 2.0 ** -theta[0] * limit <= best:
+        w2 = k2**-theta[1]
+        if w2 * 2.0 ** -theta[0] * limit <= best:
             break
-        for k1 in range(2, k_max + 1):
-            if k1**-theta[0] * k2**-theta[1] * limit <= best:
-                break
-            c1, c2 = inv_p1 + 1.0 / k1, inv_p2 + 1.0 / k2
-            core = _seq_block_core(vT, np.array([-c1]), np.array([-c2]), tau1, tau2)
-            val = k1**-theta[0] * k2**-theta[1] * (
-                2.0 ** -(c1 + c2) * float(core[0, 0]))
-            if val > best:
-                best = val
+        c2 = inv_p2 + 1.0 / k2
+        # k1 in blocks of 1, 2, 4, ... points, one core call each; within a
+        # block the scan stops where it would stop one point at a time
+        k1, size = 2, 1
+        while k1 <= k_max and k1**-theta[0] * w2 * limit > best:
+            ks = range(k1, min(k1 + size, k_max + 1))
+            c1s = [inv_p1 + 1.0 / k for k in ks]
+            core = _seq_block_core(vT, -np.array(c1s), np.array([-c2]), tau1, tau2)
+            for k, c1, v in zip(ks, c1s, core[:, 0].tolist()):
+                if k**-theta[0] * w2 * limit <= best:
+                    break
+                val = k**-theta[0] * w2 * (2.0 ** -(c1 + c2) * v)
+                if val > best:
+                    best = val
+            k1, size = ks.stop, 2 * size
     return best
 
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
-from ..interpolation import _interp_of, _interp_samples, constant_D, khat_grid
+from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
 from ..norms import (_BLOCK_CELLS, Exponents, GrandParams, _block_cumsum,
-                     _dyadic_sqrt, _grand_pick, _lorentz_of, _lorentz_surface,
-                     _rearranged_values, _seq_block_lorentz_of, _seq_surface,
-                     _surface_key, logweight_sup_norm, mixed_lebesgue_norm)
+                     _dyadic_sqrt, _grand_pick, _logweight_of, _lorentz_of,
+                     _lorentz_surface, _rearranged_values, _seq_block_lorentz_of,
+                     _seq_surface, _surface_key, mixed_lebesgue_norm)
 from ..stepfun import DyadicStep1D, DyadicStep2D
 from .calibration import calibration
 from .corpus import (CorpusSpec, corpus_hash, generate,
@@ -252,7 +252,8 @@ class _Prepared:
     @cached_property
     def K(self) -> np.ndarray:
         """The Khat grids over ``khat_ts x khat_ts``."""
-        return np.stack([khat_grid(f, self.khat_ts, self.khat_ts) for f in self.fs])
+        return np.stack([_khat_of(g, self.fs[0].widths, self.khat_ts, self.khat_ts)
+                         for g in self.g])
 
     def lorentz(self, e: Exponents) -> np.ndarray:
         """The Lorentz norms of the functions."""
@@ -312,9 +313,9 @@ def _sweep(items, points, report, cases, ids=None, witness=None,
 # one _sweep over its parameter points.
 
 
-def te3_sweep(corpus, points, c0: float | None = None) -> list[CheckReport]:
+def te3_sweep(corpus, points) -> list[CheckReport]:
     """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
-    c0 = calibration()["te3_c0"] if c0 is None else c0
+    c0 = calibration()["te3_c0"]
     h = corpus_hash(corpus)
 
     def report(theta, q):
@@ -334,17 +335,16 @@ def te3_sweep(corpus, points, c0: float | None = None) -> list[CheckReport]:
     return reps
 
 
-def check_te3(corpus, theta, q, c0: float | None = None) -> CheckReport:
+def check_te3(corpus, theta, q) -> CheckReport:
     """Discrete block norm of the coefficients against ``6 D(theta) |f|``."""
-    return te3_sweep(corpus, [(theta, q)], c0)[0]
+    return te3_sweep(corpus, [(theta, q)])[0]
 
 
-def te4_sweep(corpus, points, C_pass: float | None = None,
-              pairs=None) -> list[CheckReport]:
+def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
     """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
     the lacunary ``pairs`` enter the reports of the points with
     ``with_pairs`` only."""
-    C_pass = calibration()["te4_C_pass"] if C_pass is None else C_pass
+    C_pass = calibration()["te4_C_pass"]
     corpus, pairs, points = list(corpus), list(pairs or []), list(points)
     hashes = {w: corpus_hash(corpus + (pairs if w else []))
               for w in {w for *_, w in points}}
@@ -369,14 +369,13 @@ def te4_sweep(corpus, points, C_pass: float | None = None,
     return _sweep(corpus + pairs, points, report, cases, ids=ids)
 
 
-def check_te4(corpus, theta, q, C_pass: float | None = None,
-              pairs=None) -> CheckReport:
+def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     """Grand sequence norm of the coefficients at ``lambda = theta + beta``
     against the grand Lorentz norm at smoothness ``theta`` (p = (2,2))."""
-    return te4_sweep(corpus, [(theta, q, True)], C_pass, pairs)[0]
+    return te4_sweep(corpus, [(theta, q, True)], pairs)[0]
 
 
-def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
+def thm5_sweep(items, points) -> list[CheckReport]:
     """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
     cal = calibration()
     h = corpus_hash(items)
@@ -384,7 +383,7 @@ def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
     def report(q, blocksup):
         key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
         return CheckReport("thm5_blocksup" if blocksup else "thm5", {"q": _jq(q)},
-                           h, cal[key] if C_pass is None else C_pass, notes={
+                           h, cal[key], notes={
                                "rhs_norm": "anisotropic Lorentz at p=(2,2), "
                                            "same q as the weights"})
 
@@ -396,11 +395,10 @@ def thm5_sweep(items, points, C_pass: float | None = None) -> list[CheckReport]:
     return _sweep(items, points, report, cases)
 
 
-def check_thm5(items, q, C_pass: float | None = None,
-               blocksup: bool = False) -> CheckReport:
+def check_thm5(items, q, blocksup: bool = False) -> CheckReport:
     """Log-weighted coefficient block suprema against the p=(2,2) Lorentz
     norm, in the ``ln max(k,2)`` form or the dyadic block-sup form."""
-    return thm5_sweep(items, [(q, blocksup)], C_pass)[0]
+    return thm5_sweep(items, [(q, blocksup)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,7 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
 
     def cases(prep):
         g = prep.grand(e, gp)[0]
-        w = np.array([logweight_sup_norm(f, p, theta) for f in prep.fs])
+        w = _logweight_of(prep.g, prep.fs[0].widths, p, theta)
         raw.extend((g / w).tolist())
         return [(":hi", g, hi * w), (":lo", lo * w, g)]
 
@@ -502,33 +500,30 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
-def interp_sweep(corpus, points, J: int = 10,
-                 slack: float = 1.05) -> list[CheckReport]:
+def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
     """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
     h = corpus_hash(corpus)
     points = list(points)
 
     def report(theta, q):
         return CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
-                                            "J": J}, h, slack, notes={
+                                            "J": J}, h, 1.05, notes={
             "direction": "lhs under-approximates the continuous integral"})
 
     def cases(prep, theta, q):
         p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-        # one grid at a time: see _interp_of on stacks
-        lhs = np.array([_interp_of(K, theta, q, J) for K in prep.K])
-        return [("", lhs, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q)))]
+        return [("", _interp_of(prep.K, theta, q, J),
+                 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q)))]
 
     # the samples are the same for every theta
     ts = _interp_samples(points[0][0], J) if points else None
     return _sweep(corpus, points, report, cases, khat_ts=ts)
 
 
-def check_interp_chain(corpus, theta, q, J: int = 10,
-                       slack: float = 1.05) -> CheckReport:
+def check_interp_chain(corpus, theta, q, J: int = 10) -> CheckReport:
     """Discretized interpolation norm against ``6 D(theta)`` times the
-    Lorentz norm at the induced integrability exponents."""
-    return interp_sweep(corpus, [(theta, q)], J, slack)[0]
+    Lorentz norm at the induced integrability exponents, at threshold 1.05."""
+    return interp_sweep(corpus, [(theta, q)], J)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ use the monotone endpoint bound, which over-approximates the left-hand side:
 the safe direction for every asserted upper bound.  Divergent cases return
 ``+inf`` so the caller can skip and record them.
 
-The right sides are one :func:`~lorentz_forge.norms._qsum` stage.  The left
-sides evaluate every cell at once, from the per-cell power integrals of
-:func:`~lorentz_forge.norms._power_cells`, on the profile divided by its
-largest value; the result is multiplied back, so all four displays are
-1-homogeneous at any magnitude.
+The right sides are one :func:`~lorentz_forge.norms._stage` over the
+:func:`~lorentz_forge.norms._power_cells` weights.  The left sides evaluate
+every cell at once, from the same per-cell power integrals, on the profile
+divided by its largest value; the result is multiplied back, so all four
+displays are 1-homogeneous at any magnitude.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..norms import _power_cells, _qsum
+from ..norms import _power_cells, _stage
 from ..stepfun import DyadicStep1D
 
 INF = float("inf")
@@ -30,10 +30,8 @@ INF = float("inf")
 
 def _weighted_step_q(vals: np.ndarray, h: float, e: float, q: float) -> float:
     """``(int_0^1 (t^e v(t))^q dt/t)^{1/q}`` for a step profile; sup at q=inf."""
-    sup, omega = _power_cells(np.array([e]), len(vals), h, q)
-    with np.errstate(invalid="ignore"):
-        base = np.where(vals > 0, vals * sup, 0.0)  # 0 * inf = 0
-    return float(_qsum(base, omega, q)[0])
+    return float(_stage(vals[None], *_power_cells(np.array([e]), len(vals), h, q),
+                        q)[0, 0])
 
 
 def _lim0(s: float, x: float, w: float) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lorentz_forge import cli
 from lorentz_forge.cli import main
 from lorentz_forge.stepfun import constant_grid, save_grid
 
@@ -145,6 +146,20 @@ class TestVerifyCommand:
         out = tmp_path / "taken"
         out.write_text("")
         rc = main(["verify", "--suite", "karamata", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_unusable_output_fails_before_any_suite_runs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_suite was called")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["verify", "--suite", "all", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -8,20 +8,25 @@ from hypothesis import strategies as st
 from conftest import random_grids
 from lorentz_forge.fourier import (WALSH, CoeffMatrix, _block_sup_of,
                                    _bochkarev_of, te4_lhs)
-from lorentz_forge.interpolation import beta_from_q, interp_norm
+from lorentz_forge.interpolation import (_interp_of, beta_from_q, interp_norm,
+                                         khat_grid)
+import lorentz_forge.norms as norms
 from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  _block_cumsum, _block_sqrt_table,
-                                 _dyadic_sqrt, _eps_grid, _grand_pick,
+                                 _dyadic_samples, _dyadic_sqrt, _eps_grid,
+                                 _grand_pick, _logweight_of,
                                  _lorentz_core_batch, _lorentz_of,
-                                 _power_cells, _qsum, _seq_block_core,
+                                 _power_cells, _qsum, _seq_block_core, _stage,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
                                  lorentz_norm, mixed_lebesgue_norm,
                                  seq_block_lorentz_norm)
 from lorentz_forge.rearrange import Sequence2D, iterated_rearrange_2d
-from lorentz_forge.stepfun import DyadicStep2D, constant_grid, indicator_grid
+from lorentz_forge.stepfun import (DyadicStep1D, DyadicStep2D, constant_grid,
+                                   indicator_grid)
 from lorentz_forge.verify.calibration import calibration
+from lorentz_forge.verify.hardy import hardy_ascent_rhs, hardy_descent_rhs
 
 INF = float("inf")
 
@@ -707,3 +712,214 @@ class TestStackedCoresMatchPerItem:
             want = _ref_pick(axes, vals[k], gp)
             assert value[k].tobytes() == np.float64(want.value).tobytes()
             assert tuple(eps[k]) == want.eps
+
+
+# ---------------------------------------------------------------------------
+# one weighted stage: every nested norm as weight rows for _nested, against
+# the stage code it replaced (kept here as the reference)
+
+
+def _ref_qsum(base, omega, q):
+    M = base.max(axis=-1, keepdims=True)
+    if q == INF:
+        return M[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = base / M
+        t **= q
+        t *= omega
+        t[base == 0] = 0.0
+        out = M[..., 0] * t.sum(axis=-1) ** (1.0 / q)
+    return np.where(np.isnan(out), INF, out)
+
+
+def _ref_block_stage(vals, nus, q):
+    n = vals.shape[-1]
+    vals = np.concatenate([vals, vals[..., -1:]], axis=-1)[..., None, :, :]
+    u = 2.0 ** (nus[:, None] * np.arange(n + 1))
+    base = u[:, None, :] * vals
+    if q == INF:
+        base[..., n][(nus[:, None] > 0) & (vals[..., n] > 0)] = INF
+        return _ref_qsum(base, 1.0, q)
+    omega = np.ones((len(nus), 1, n + 1))
+    with np.errstate(divide="ignore", over="ignore"):
+        omega[:, 0, n] = np.where(nus < 0, -1.0 / np.expm1(nus * q * math.log(2.0)), INF)
+    return _ref_qsum(base, omega, q)
+
+
+def _ref_seq_block_core(sqrtS, nu1s, nu2s, q1, q2):
+    inner = _ref_block_stage(sqrtS.swapaxes(-1, -2), nu1s, q1)
+    return _ref_block_stage(inner, nu2s, q2).swapaxes(-1, -2)
+
+
+def _ref_lorentz_core_batch(g, h1, h2, a1s, a2s, q1, q2):
+    r2, r1 = g.shape[-2:]
+    sup1, w1 = _power_cells(a1s, r1, h1, q1)
+    sup2, w2 = _power_cells(a2s, r2, h2, q2)
+    g = g[..., None, :, :]
+    out = np.empty(g.shape[:-3] + (len(sup1), len(sup2)))
+    rows = max(1, 2**18 // (g.size // r1 * max(r1, len(sup2))))
+    for i in range(0, len(sup1), rows):
+        blk = slice(i, i + rows)
+        inner = _ref_qsum(g * sup1[blk, None, :], w1[blk, None, :], q1)
+        out[..., blk, :] = _ref_qsum(inner[..., None, :] * sup2, w2, q2)
+    return out
+
+
+def _ref_weighted_step_q(vals, h, e, q):
+    sup, omega = _power_cells(np.array([e]), len(vals), h, q)
+    with np.errstate(invalid="ignore"):
+        base = np.where(vals > 0, vals * sup, 0.0)
+    return float(_ref_qsum(base, omega, q)[0])
+
+
+def _ref_interp_of(K, theta, q, J):
+    ts = 2.0 ** np.arange(-J, 1)
+    out = K.swapaxes(-1, -2)
+    for th, qq in zip(theta, q):
+        omega = np.full(len(ts), -np.expm1(-th * qq * math.log(2.0)) / (th * qq))
+        omega[-1] = 1.0 / (th * qq)
+        omega[0] += 1.0 / ((1.0 - th) * qq)
+        out = _ref_qsum(out * ts**-th, omega, qq)
+    return out
+
+
+class TestNestedMatchesReplacedStages:
+    """``_lorentz_core_batch`` and ``_seq_block_core`` are one ``_nested``
+    call each and give the bits of the stages they replaced, on stacks
+    holding an all-zero item.  The tables have at least two columns: the
+    replaced block stage copied a single column into a contiguous row, which
+    numpy sums pairwise, where the padded table is summed in order, so there
+    the two differ in the last bit."""
+
+    QS = [0.5, 1, 2, 4, INF]
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_seq_block_core(self, q, sign):
+        eps = _eps_grid(24, 1.0)
+        nu1s, nu2s = 0.5 + sign * eps - 0.5, 0.25 + sign * eps[3:] - 0.5
+        rng = np.random.default_rng(29)
+        for shape in ((5, 4), (1, 2), (10, 10), (3, 7)):
+            m = rng.random((4,) + shape) * (rng.random((4,) + shape) < 0.6)
+            m[1] = 0.0
+            m[2] *= 1e150
+            t = np.sqrt(np.cumsum(np.cumsum(m, axis=-2), axis=-1))
+            for qq in ((q, 4.0), (q, q), (2.0, q)):
+                for tab in (t, t[0]):
+                    assert np.array_equal(_seq_block_core(tab, nu1s, nu2s, *qq),
+                                          _ref_seq_block_core(tab, nu1s, nu2s, *qq))
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_lorentz_core_batch(self, q, sign):
+        eps = _eps_grid(24, 0.5)
+        g = TestStackedCoresMatchPerItem._grids()
+        for qq in ((q, 2.0), (q, q), (1.0, q)):
+            args = (0.125, 0.25, 0.5 + sign * eps, 0.5 + sign * eps[:7], *qq)
+            for stack in (g, g[2], g.reshape(5, 1, 8, 4)):
+                assert np.array_equal(_lorentz_core_batch(stack, *args),
+                                      _ref_lorentz_core_batch(stack, *args))
+
+    @pytest.mark.parametrize("q", [2.0, INF])
+    def test_zero_saturation_with_diverging_tail(self, q):
+        # nu > 0: the saturated tail's weight is infinite, and a zero
+        # saturated value contributes 0 (the warnings gate is an error)
+        nus = np.array([0.5, 0.0, -0.5])
+        assert np.array_equal(_seq_block_core(np.zeros((4, 3)), nus, nus, q, q),
+                              np.zeros((3, 3)))
+        t = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 0.0]])
+        nu1, nu2 = np.array([-0.5]), np.array([0.5])
+        got = _seq_block_core(t, nu1, nu2, q, q)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, _ref_seq_block_core(t, nu1, nu2, q, q))
+
+    @pytest.mark.parametrize("q", [2.0, INF])
+    def test_zero_value_under_infinite_sup(self, q):
+        sup, omega = np.array([[INF, 2.0]]), np.ones((1, 2))
+        assert _stage(np.array([[0.0, 1.0]]), sup, omega, q)[0, 0] == 2.0
+        assert _stage(np.zeros((1, 2)), sup, omega, q)[0, 0] == 0.0
+        assert _stage(np.array([[1e-300, 1.0]]), sup, omega, q)[0, 0] == INF
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, INF])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_hardy_right_sides_with_a_zero_first_cell(self, q, r):
+        prof = DyadicStep1D(3, np.array([0.0, 1.0, 0.75, 0.5, 0.5, 0.25, 0.0, 0.0]))
+        v = np.asarray(prof.values)
+        for alpha in (0.25, 1.0, 2.0):
+            # 1/r - alpha < 0 for alpha > 1/r: the first cell's sup is inf
+            assert hardy_descent_rhs(prof, q, r, alpha) == \
+                _ref_weighted_step_q(v, prof.width, 1.0 / r - alpha, q)
+            assert hardy_ascent_rhs(prof, q, r, -alpha) == \
+                _ref_weighted_step_q(v, prof.width, 1.0 / r - alpha, q)
+            assert hardy_ascent_rhs(prof, q, r, alpha) == \
+                _ref_weighted_step_q(v, prof.width, alpha + 1.0 / r, q)
+
+    @pytest.mark.parametrize("q", [(1, 1), (2, 4), (4, 4), (INF, INF), (2, INF)])
+    def test_interp_stack_is_per_item_and_the_replaced_stages(self, q):
+        J = 6
+        ts = 2.0 ** np.arange(-J, 1)
+        fs = random_grids(4, (3, 3), seed=31)
+        fs[1] = constant_grid(0.0, (3, 3))
+        K = np.stack([khat_grid(f, ts, ts) for f in fs])
+        for theta in ((0.2, 0.8), (0.5, 0.5)):
+            got = _interp_of(K, theta, q, J)
+            assert got.shape == (4,) and got[1] == 0.0
+            for k in range(4):
+                assert got[k].tobytes() == _interp_of(K[k], theta, q, J).tobytes()
+                assert float(got[k]) == interp_norm(fs[k], theta, q, J)
+                want = float(_ref_interp_of(K[k], theta, q, J))
+                assert got[k] == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_logweight_stack_is_per_item(self):
+        fs = random_grids(4, (3, 2), seed=37)
+        fs[2] = constant_grid(0.0, (3, 2))
+        fs = [DyadicStep2D(f.levels, np.pad(np.asarray(f.values)[:-1, :-1], ((0, 1), (0, 1))))
+              for f in fs]
+        g = np.stack([np.asarray(iterated_rearrange_2d(f).values) for f in fs])
+        got = _logweight_of(g, fs[0].widths, (2, 1.5), (0.5, 1.0))
+        assert got.shape == (4,) and got[2] == 0.0
+        for k, f in enumerate(fs):
+            assert float(got[k]) == logweight_sup_norm(f, (2, 1.5), (0.5, 1.0))
+
+
+def _ref_p6(f, e, theta, k_max=2**12):
+    """The one-point-per-call (k1, k2) scan of ``discrete_grand_norm_P6``."""
+    tau1, tau2 = e.q
+    g = np.asarray(iterated_rearrange_2d(f).values)
+    n1, n2 = f.levels
+    r2, r1 = g.shape
+    vT = g[np.ix_(_dyadic_samples(r2, n2), _dyadic_samples(r1, n1))].T
+    inv_p1, inv_p2 = 1.0 / e.p[0], 1.0 / e.p[1]
+    core = _seq_block_core(vT, np.array([-inv_p1]), np.array([-inv_p2]), tau1, tau2)
+    limit = 2.0 ** -(inv_p1 + inv_p2) * float(core[0, 0])
+    best, calls = 0.0, 0
+    for k2 in range(2, k_max + 1):
+        if k2**-theta[1] * 2.0 ** -theta[0] * limit <= best:
+            break
+        for k1 in range(2, k_max + 1):
+            if k1**-theta[0] * k2**-theta[1] * limit <= best:
+                break
+            c1, c2 = inv_p1 + 1.0 / k1, inv_p2 + 1.0 / k2
+            core = _seq_block_core(vT, np.array([-c1]), np.array([-c2]), tau1, tau2)
+            calls += 1
+            val = k1**-theta[0] * k2**-theta[1] * (2.0 ** -(c1 + c2) * float(core[0, 0]))
+            if val > best:
+                best = val
+    return best, calls
+
+
+def test_p6_block_scan_matches_the_one_point_scan(monkeypatch):
+    core, calls = norms._seq_block_core, []
+    monkeypatch.setattr(norms, "_seq_block_core",
+                        lambda *a: calls.append(1) or core(*a))
+    rng = np.random.default_rng(47)
+    for i in range(12):
+        levels = tuple(int(x) for x in rng.integers(1, 7, 2))
+        f = random_grids(1, levels, seed=100 + i)[0]
+        e = Exponents(tuple(rng.uniform(1.1, 6, 2)), BLOCK_QS[i % len(BLOCK_QS)])
+        theta = tuple(rng.uniform(0.1, 2.0, 2))
+        want, one_point_calls = _ref_p6(f, e, theta)  # the unpatched core
+        calls.clear()
+        got = discrete_grand_norm_P6(f, e, theta)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert len(calls) <= one_point_calls + 1
