@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interpolation import beta_from_q
-from .norms import (Exponents, GrandNormResult, GrandParams, _block_cumsum,
-                    _block_sqrt_table, grand_seq_norm, seq_block_lorentz_norm)
+from .norms import (Exponents, GrandNormResult, GrandParams, _block_sqrt_table,
+                    _block_table, grand_seq_norm, seq_block_lorentz_norm)
 from .rearrange import (Sequence2D, iterated_rearrange_seq,
                         iterated_rearrange_seq_first_index)
 from .stepfun import DyadicStep2D
@@ -246,21 +246,28 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     ``sup_{k1,k2} (ln max(k1,2))^{1/q1 - 1/2} (ln max(k2,2))^{1/q2 - 1/2}``
     times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes.
     """
-    return float(_bochkarev_of(_block_cumsum(a.magnitudes), q))
+    m = a.magnitudes
+    return float(_bochkarev_of(_block_table(m.entries), q, m.dims))
 
 
-def _bochkarev_of(S: np.ndarray, q: tuple[float, float]) -> np.ndarray:
-    """:func:`bochkarev_lhs` from block tables ``S[..., i1, i2]`` of the
-    magnitudes (see :func:`~lorentz_forge.norms._block_cumsum`), shape
-    ``(...)``."""
+def _bochkarev_of(S: np.ndarray, q: tuple[float, float],
+                  dims: tuple[int, int]) -> np.ndarray:
+    """:func:`bochkarev_lhs` from the top-left blocks ``S[..., i1, i2]`` of
+    ``dims = (K1, K2)`` block tables of the magnitudes (see
+    :func:`~lorentz_forge.norms._block_table`), shape ``(...)``.
+
+    The weights are taken over all of ``dims`` and cut to the block: for
+    ``q >= 2`` they are nondecreasing, so the table's saturated part past
+    the block never beats the block's last row or column.
+    """
     if any(not (2 <= qi) for qi in q):
         raise ValueError(f"requires 2 <= q <= inf, got {q}")
-    K1, K2 = S.shape[-2:]
+    (K1, K2), (r1, r2) = dims, S.shape[-2:]
     e1 = 0.5 - 1.0 / q[0]
     e2 = 0.5 - 1.0 / q[1]
     w1 = np.log(np.maximum(np.arange(1, K1 + 1), 2)) ** e1
     w2 = np.log(np.maximum(np.arange(1, K2 + 1), 2)) ** e2
-    vals = np.sqrt(S) / np.outer(w1, w2)
+    vals = np.sqrt(S) / np.outer(w1[:r1], w2[:r2])
     return np.max(vals, axis=(-2, -1))
 
 

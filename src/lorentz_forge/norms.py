@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rearrange import Sequence2D, iterated_rearrange_2d, iterated_rearrange_seq
+from .rearrange import Sequence2D, _rearranged_values
 from .stepfun import DyadicStep2D
 
 INF = float("inf")
@@ -158,7 +158,13 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
            q: float) -> np.ndarray:
     """The q-sums of the rows of ``(..., R, n)`` values against ``(m, n)``
     weight rows ``(sup, omega)``, as :func:`_qsum` takes them (the values
-    times ``sup`` as the base): an ``(..., m, R)`` array."""
+    times ``sup`` as the base): an ``(..., m, R)`` array.
+
+    The product keeps the memory layout of ``vals``, and numpy sums a
+    contiguous axis pairwise but a strided one in order, so the last bits
+    follow that layout: the norms that call :func:`_nested` hand it a C
+    ordered array (or a fixed view of one) whatever their input's layout.
+    """
     with np.errstate(invalid="ignore"):  # 0 * inf: _qsum counts it as 0
         base = vals[..., None, :, :] * sup[:, None, :]
     return _qsum(base, omega[:, None, :], q)
@@ -227,6 +233,7 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
     with sup forms replacing infinite ``q`` components: :func:`_nested` over
     the :func:`_power_cells` weights.  Returns ``+inf`` on divergence.
     """
+    g = np.ascontiguousarray(g)  # the bits do not follow g's layout
     r2, r1 = g.shape[-2:]
     return _nested(g, (*_power_cells(a1s, r1, h1, q1), q1),
                    (*_power_cells(a2s, r2, h2, q2), q2))
@@ -250,13 +257,7 @@ def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
     in t1 with exponent q1, outer in t2 with q2; infinite ``q`` components
     become per-cell-exact suprema.  Divergence reports ``+inf``.
     """
-    return float(_lorentz_of(_rearranged_values(f), f.widths, e))
-
-
-def _rearranged_values(f: DyadicStep2D) -> np.ndarray:
-    """The values ``g[j2, j1]`` of the iterated rearrangement of ``f``: what
-    the rearrangement-based norms read of ``f`` besides its cell widths."""
-    return np.asarray(iterated_rearrange_2d(f).values)
+    return float(_lorentz_of(_rearranged_values(f.values), f.widths, e))
 
 
 def _lorentz_of(g: np.ndarray, widths: tuple[float, float],
@@ -324,7 +325,7 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
     grid minimum with exponents ``1/p_i - eps_i``, ``eps_i <= 1/p_i`` (an
     over-approximation of the true infimum).
     """
-    g = _rearranged_values(f)
+    g = _rearranged_values(f.values)
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
@@ -354,30 +355,44 @@ def _lorentz_surface(g: np.ndarray, widths: tuple[float, float], e: Exponents,
 # discrete sequence norms
 
 
-def _block_cumsum(a: Sequence2D) -> np.ndarray:
-    """``S[i1, i2]``: the square sum of the iterated rearrangement of ``a``
-    over its top ``(i1 + 1) x (i2 + 1)`` block."""
-    r = np.asarray(iterated_rearrange_seq(a).entries)
-    return np.cumsum(np.cumsum(r**2, axis=0), axis=1)
+def _block_table(m: np.ndarray) -> np.ndarray:
+    """The block tables of magnitudes ``m[..., i1, i2]``, over any leading
+    item axes: ``S[..., i1, i2]``, the square sum of the iterated
+    rearrangement of ``m`` over its top ``(i1 + 1) x (i2 + 1)`` block.
+
+    Only the top-left block of the table that holds the rearranged support
+    is built.  A row of ``m`` that is zero in every item sinks below the
+    nonzero ones in the column pass, and no column reaches past the longest
+    nonzero row, so the rearrangement is zero outside that block.  Beyond
+    it the table repeats its last row and column exactly (adding 0.0), so a
+    read at ``(min(i1, r1 - 1), min(i2, r2 - 1))`` of the ``r1 x r2`` block
+    gives the full table's bits.
+    """
+    live = np.any(m > 0, axis=-1).reshape(-1, m.shape[-2]).any(axis=0)
+    if not live.all():  # the zero rows go; an all-zero table keeps one
+        m = m[..., live, :] if live.any() else m[..., :1, :]
+    r = _rearranged_values(m)
+    cols = max(1, int(np.count_nonzero(r[..., 0, :], axis=-1).max()))
+    return np.cumsum(np.cumsum(r[..., :cols] ** 2, axis=-2), axis=-1)
 
 
 def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
     """``sqrt(S)[k1, k2]`` over the top ``2^{k1} x 2^{k2}`` blocks,
     ``k_i = 0..kappa_i`` with ``kappa_i = ceil(log2 K_i)`` (see
-    :func:`_block_cumsum`).
+    :func:`_block_table`).
 
     Dimensions are implicitly zero-padded to powers of two, so the table
     saturates at the true totals.
     """
-    return _dyadic_sqrt(_block_cumsum(a))
+    return _dyadic_sqrt(_block_table(a.entries), a.dims)
 
 
-def _dyadic_sqrt(S: np.ndarray) -> np.ndarray:
-    """The dyadic sqrt sub-tables of block tables ``S[..., i1, i2]`` (see
-    :func:`_block_sqrt_table`)."""
-    K1, K2 = S.shape[-2:]
-    idx1 = np.minimum(2 ** np.arange((K1 - 1).bit_length() + 1), K1) - 1
-    idx2 = np.minimum(2 ** np.arange((K2 - 1).bit_length() + 1), K2) - 1
+def _dyadic_sqrt(S: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The dyadic sqrt sub-tables (see :func:`_block_sqrt_table`) of
+    ``dims = (K1, K2)`` block tables, from their top-left blocks
+    ``S[..., i1, i2]`` (see :func:`_block_table`)."""
+    idx1, idx2 = (np.minimum(2 ** np.arange((K - 1).bit_length() + 1), n) - 1
+                  for K, n in zip(dims, S.shape[-2:]))
     return np.sqrt(S[..., idx1[:, None], idx2])
 
 
@@ -409,6 +424,7 @@ def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
     column, then over k2, with the :func:`_block_cells` weights on the
     table padded with its last row and column.
     """
+    sqrtS = np.ascontiguousarray(sqrtS)  # the bits do not follow its layout
     K1, K2 = sqrtS.shape[-2:]
     pad = np.concatenate([sqrtS, sqrtS[..., -1:, :]], axis=-2)
     pad = np.concatenate([pad, pad[..., -1:]], axis=-1)
@@ -491,7 +507,7 @@ def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
     The supremum is one-sided on (0,1): it is ``+inf`` exactly when the
     rearranged function is positive on a cell touching ``t = 1``.
     """
-    return float(_logweight_of(_rearranged_values(f), f.widths, p, theta))
+    return float(_logweight_of(_rearranged_values(f.values), f.widths, p, theta))
 
 
 def _logweight_of(g: np.ndarray, widths: tuple[float, float],
@@ -533,7 +549,7 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
     tau1, tau2 = e.q
-    g = _rearranged_values(f)
+    g = _rearranged_values(f.values)
     n1, n2 = f.levels
     r2, r1 = g.shape
     # samples v[i2, i1] = g(2^{-m1}, 2^{-m2}) for m = 1 .. level+1; the last

@@ -42,6 +42,14 @@ def _sort_desc(arr: np.ndarray, axis: int) -> np.ndarray:
     return -np.sort(-arr, axis=axis)
 
 
+def _rearranged_values(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v[..., i, j]`` sorted nonincreasing, then each column,
+    over any leading item axes: the values of :func:`iterated_rearrange_2d`
+    (rows are x2-slices) and the entries of :func:`iterated_rearrange_seq`
+    (rows fix ``m1``)."""
+    return _sort_desc(_sort_desc(v, axis=-1), axis=-2)
+
+
 def rearrange_1d(g: DyadicStep1D) -> DyadicStep1D:
     """Decreasing rearrangement: cell values sorted nonincreasing (exact)."""
     return DyadicStep1D(g.level, _sort_desc(np.asarray(g.values), axis=0))
@@ -62,9 +70,7 @@ def iterated_rearrange_2d(f: DyadicStep2D) -> DyadicStep2D:
     pass preserves the row-sortedness, so the output is nonincreasing in
     each variable with the other held fixed.
     """
-    v = _sort_desc(np.asarray(f.values), axis=1)
-    v = _sort_desc(v, axis=0)
-    return DyadicStep2D(f.levels, v)
+    return DyadicStep2D(f.levels, _rearranged_values(np.asarray(f.values)))
 
 
 def iterated_rearrange_seq(a: Sequence2D) -> Sequence2D:
@@ -73,9 +79,7 @@ def iterated_rearrange_seq(a: Sequence2D) -> Sequence2D:
     Each row (fixed ``m1``) is sorted nonincreasing in ``m2``, then each
     column (fixed ``m2``-slot) is sorted nonincreasing in ``m1``.
     """
-    e = _sort_desc(np.asarray(a.entries), axis=1)
-    e = _sort_desc(e, axis=0)
-    return Sequence2D(e)
+    return Sequence2D(_rearranged_values(np.asarray(a.entries)))
 
 
 def iterated_rearrange_seq_first_index(a: Sequence2D) -> Sequence2D:

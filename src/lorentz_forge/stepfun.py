@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,13 @@ import numpy as np
 
 class DivergentIntegralError(ValueError):
     """Raised when a requested weighted integral diverges at the origin."""
+
+
+def _level(n) -> int:
+    """``n`` as a grid level: an integer (not a bool) >= 0."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"a level must be an integer >= 0, got {n!r}")
+    return int(n)
 
 
 def _as_readonly(arr) -> np.ndarray:
@@ -31,16 +39,15 @@ def _as_readonly(arr) -> np.ndarray:
 class DyadicStep1D:
     """Step function on [0,1): cell ``j`` covers ``[j/2^level, (j+1)/2^level)``.
 
-    ``values`` must have length ``2**level`` and hold finite nonnegative
-    magnitudes.
+    ``level`` is an integer >= 0 and ``values`` must have length
+    ``2**level`` and hold finite nonnegative magnitudes.
     """
 
     level: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+        object.__setattr__(self, "level", _level(self.level))
         vals = _as_readonly(self.values)
         object.__setattr__(self, "values", vals)
         if vals.shape != (2**self.level,):
@@ -62,19 +69,18 @@ class DyadicStep2D:
     ``values[j2, j1]`` is the value on the rectangle
     ``[j1/2^{n1}, (j1+1)/2^{n1}) x [j2/2^{n2}, (j2+1)/2^{n2})``; rows index
     the second variable (x2-slices), columns the first.  Queries outside
-    ``[0,1)^2`` return 0 (implicit zero extension).
+    ``[0,1)^2`` return 0 (implicit zero extension).  The levels are
+    integers >= 0.
     """
 
     levels: tuple[int, int]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n1, n2 = self.levels
-        if n1 < 0 or n2 < 0:
-            raise ValueError(f"levels must be >= 0, got {self.levels}")
+        n1, n2 = map(_level, self.levels)
         vals = _as_readonly(self.values)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "levels", (int(n1), int(n2)))
+        object.__setattr__(self, "levels", (n1, n2))
         if vals.shape != (2**n2, 2**n1):
             raise ValueError(
                 f"values shape {vals.shape} does not match (2^{n2}, 2^{n1})"
@@ -86,10 +92,6 @@ class DyadicStep2D:
     def widths(self) -> tuple[float, float]:
         n1, n2 = self.levels
         return 2.0**-n1, 2.0**-n2
-
-    def row_slice(self, j2: int) -> DyadicStep1D:
-        """Slice at fixed x2-cell ``j2`` as a 1D step function of x1."""
-        return DyadicStep1D(self.levels[0], self.values[j2])
 
 
 def constant_grid(c: float, levels: tuple[int, int] = (0, 0)) -> DyadicStep2D:

@@ -12,16 +12,18 @@ notes.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
-from ..norms import (_BLOCK_CELLS, Exponents, GrandParams, _block_cumsum,
+from ..norms import (_BLOCK_CELLS, Exponents, GrandParams, _block_table,
                      _dyadic_sqrt, _grand_pick, _logweight_of, _lorentz_of,
-                     _lorentz_surface, _rearranged_values, _seq_block_lorentz_of,
-                     _seq_surface, _surface_key, mixed_lebesgue_norm)
+                     _lorentz_surface, _seq_block_lorentz_of, _seq_surface,
+                     _surface_key, mixed_lebesgue_norm)
+from ..rearrange import _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D
 from .calibration import calibration
 from .corpus import (CorpusSpec, corpus_hash, generate,
@@ -221,39 +223,52 @@ class _Prepared:
 
     An item is a function, whose Walsh coefficients are taken at full
     resolution, or a ``(coefficients, function)`` pair with planted
-    coefficients.  ``khat_ts`` are the sample points of the Khat grid.
-    Lorentz norms and epsilon surfaces are kept per exponent (and surface
-    key), so every theta of a sweep picks from one surface.
+    coefficients.  Lorentz norms, epsilon surfaces and Khat grids are kept
+    per exponent (surface key, sample points), so every theta of a sweep
+    picks from one surface.
     """
 
-    def __init__(self, items, khat_ts=None):
+    def __init__(self, items):
         self.a, self.fs = zip(*(it if isinstance(it, tuple) else (None, it)
                                 for it in items))
-        self.khat_ts = khat_ts
         self._memo = {}
+
+    @property
+    def pairs(self) -> bool:
+        """Whether the items are pairs: stacks never mix them with functions."""
+        return self.a[0] is not None
 
     @cached_property
     def g(self) -> np.ndarray:
         """The rearranged values of the functions."""
-        return np.stack([_rearranged_values(f) for f in self.fs])
+        return _rearranged_values(np.stack([f.values for f in self.fs]))
+
+    @cached_property
+    def dims(self) -> tuple[int, int]:
+        """The size ``(K1, K2)`` of the coefficient matrices."""
+        return self.a[0].truncation if self.pairs else \
+            tuple(2**n for n in self.fs[0].levels)
 
     @cached_property
     def S(self) -> np.ndarray:
-        """The block tables of the coefficient magnitudes."""
-        return np.stack([_block_cumsum((
-            coeffs_2d(f, WALSH, WALSH, 2**f.levels[0], 2**f.levels[1])
-            if a is None else a).magnitudes) for a, f in zip(self.a, self.fs)])
+        """The block tables of the coefficient magnitudes, cut to the block
+        that holds their support (see :func:`~lorentz_forge.norms._block_table`)."""
+        return _block_table(np.stack([np.abs(
+            (coeffs_2d(f, WALSH, WALSH, *self.dims) if a is None else a).entries)
+            for a, f in zip(self.a, self.fs)]))
 
     @cached_property
     def sqrtS(self) -> np.ndarray:
         """The dyadic sqrt sub-tables of :attr:`S`."""
-        return _dyadic_sqrt(self.S)
+        return _dyadic_sqrt(self.S, self.dims)
 
-    @cached_property
-    def K(self) -> np.ndarray:
-        """The Khat grids over ``khat_ts x khat_ts``."""
-        return np.stack([_khat_of(g, self.fs[0].widths, self.khat_ts, self.khat_ts)
-                         for g in self.g])
+    def khat(self, ts: np.ndarray) -> np.ndarray:
+        """The Khat grids over ``ts x ts``."""
+        key = ("khat", ts.tobytes())
+        if key not in self._memo:
+            self._memo[key] = np.stack([_khat_of(g, self.fs[0].widths, ts, ts)
+                                        for g in self.g])
+        return self._memo[key]
 
     def lorentz(self, e: Exponents) -> np.ndarray:
         """The Lorentz norms of the functions."""
@@ -279,44 +294,61 @@ class _Prepared:
         return _grand_pick(*self._memo[e, sign, key], gp)
 
 
-def _sweep(items, points, report, cases, ids=None, witness=None,
-           khat_ts=None) -> list[CheckReport]:
-    """The reports ``report(*point)``, one per parameter point, with their
-    cases over ``items``; the worst case's function is read from
-    ``witness`` (by default ``items``).
+class _Group(NamedTuple):
+    """One check's parameter points in a :func:`_sweep`: ``report(*point)``
+    makes a point's report and ``cases(prep, *point)`` gives its cases on
+    the stack ``prep`` as ``(suffix, lhs, rhs)`` with one array entry per
+    item, or ``None`` to leave the stack out of that point.  A case's id is
+    its item's id (``ids``, by default ``f0, f1, ...``) followed by the
+    suffix, and the worst case's function is read from ``witness`` (by
+    default the items).  ``finish(rep)`` runs on each report at the end."""
 
-    The items are prepared one stack at a time (see :func:`_stacks`), and a
-    stack's pieces go before the next is prepared.  ``cases(prep, *point)``
-    gives the cases of the stack ``prep`` at a point as ``(suffix, lhs,
-    rhs)`` with one array entry per item, or ``None`` to leave the stack out
-    of that point.  A case's id is its item's id (``ids``, by default
-    ``f0, f1, ...``) followed by the suffix.
+    points: list
+    report: Callable
+    cases: Callable
+    ids: list | None = None
+    witness: list | None = None
+    finish: Callable | None = None
+
+
+def _sweep(items, groups) -> list[list[CheckReport]]:
+    """The reports of each :class:`_Group` of ``groups`` over ``items``,
+    one per parameter point.
+
+    The items are prepared one stack at a time (see :func:`_stacks`); every
+    group's points read the stack, and its pieces go before the next is
+    prepared.
     """
-    items, points = list(items), list(points)
-    ids = [f"f{i}" for i in range(len(items))] if ids is None else ids
-    reps = [report(*pt) for pt in points]
+    items, groups = list(items), list(groups)
+    reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
+    ids = [gr.ids or [f"f{i}" for i in range(len(items))] for gr in groups]
     for run in _stacks(items):
-        prep = _Prepared(items[run.start:run.stop], khat_ts)
-        for rep, pt in zip(reps, points):
-            sides = cases(prep, *pt)
-            if sides is None:
-                continue
-            for k, i in enumerate(run):
-                rep.cases.extend(CheckCase(ids[i] + sfx, float(lhs[k]), float(rhs[k]))
-                                 for sfx, lhs, rhs in sides)
-    for rep in reps:
-        _attach_witness(rep, items if witness is None else witness)
+        prep = _Prepared(items[run.start:run.stop])
+        for gr, greps, gids in zip(groups, reps, ids):
+            for rep, pt in zip(greps, gr.points):
+                sides = gr.cases(prep, *pt)
+                if sides is None:
+                    continue
+                for k, i in enumerate(run):
+                    rep.cases.extend(CheckCase(gids[i] + sfx, float(lhs[k]),
+                                               float(rhs[k]))
+                                     for sfx, lhs, rhs in sides)
+    for gr, greps in zip(groups, reps):
+        for rep in greps:
+            _attach_witness(rep, items if gr.witness is None else gr.witness)
+            if gr.finish is not None:
+                gr.finish(rep)
     return reps
 
 
 # Each check below is the one-point case of its sweep, and every sweep is
-# one _sweep over its parameter points.
+# one _sweep over the group of its parameter points.  The theorem suites
+# te3, te4, thm5 and interp share one _sweep in run_suite("all").
 
 
-def te3_sweep(corpus, points) -> list[CheckReport]:
-    """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
+def _te3_group(points, h: str) -> _Group:
+    """:func:`te3_sweep`'s points on a corpus with hash ``h``."""
     c0 = calibration()["te3_c0"]
-    h = corpus_hash(corpus)
 
     def report(theta, q):
         return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, h, c0,
@@ -324,15 +356,22 @@ def te3_sweep(corpus, points) -> list[CheckReport]:
                                   "lhs exact (walsh), rhs exact"})
 
     def cases(prep, theta, q):
+        if prep.pairs:
+            return None
         p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
         rhs = 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
         return [("", _seq_block_lorentz_of(prep.sqrtS, p, q), rhs)]
 
-    reps = _sweep(corpus, points, report, cases)
-    for rep in reps:
+    def finish(rep):
         # the raw lhs / Lorentz ratio normalized by D: the growth statistic
         rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
-    return reps
+
+    return _Group(list(points), report, cases, finish=finish)
+
+
+def te3_sweep(corpus, points) -> list[CheckReport]:
+    """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
+    return _sweep(corpus, [_te3_group(points, corpus_hash(corpus))])[0]
 
 
 def check_te3(corpus, theta, q) -> CheckReport:
@@ -340,14 +379,11 @@ def check_te3(corpus, theta, q) -> CheckReport:
     return te3_sweep(corpus, [(theta, q)])[0]
 
 
-def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
-    """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
-    the lacunary ``pairs`` enter the reports of the points with
-    ``with_pairs`` only."""
+def _te4_group(points, hashes: dict, n_funcs: int, n_pairs: int) -> _Group:
+    """:func:`te4_sweep`'s points on ``n_funcs`` functions followed by
+    ``n_pairs`` pairs; ``hashes[with_pairs]`` is the hash of the items a
+    report covers."""
     C_pass = calibration()["te4_C_pass"]
-    corpus, pairs, points = list(corpus), list(pairs or []), list(points)
-    hashes = {w: corpus_hash(corpus + (pairs if w else []))
-              for w in {w for *_, w in points}}
 
     def report(theta, q, with_pairs):
         return CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
@@ -358,15 +394,25 @@ def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
                                "seq_exponent_sign": "minus"})
 
     def cases(prep, theta, q, with_pairs):
-        if prep.a[0] is not None and not with_pairs:
-            return None  # a stack of pairs: stacks never mix them with functions
+        if prep.pairs and not with_pairs:
+            return None
         e, gp = Exponents((2, 2), q), GrandParams(theta)
         return [("", prep.grand(e, _te4_params(e, gp), "minus")[0],
                  prep.grand(e, gp)[0])]
 
-    ids = [f"f{i}" for i in range(len(corpus))] + \
-        [f"flac{j}" for j in range(len(pairs))]
-    return _sweep(corpus + pairs, points, report, cases, ids=ids)
+    ids = [f"f{i}" for i in range(n_funcs)] + [f"flac{j}" for j in range(n_pairs)]
+    return _Group(list(points), report, cases, ids=ids)
+
+
+def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
+    """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
+    the lacunary ``pairs`` enter the reports of the points with
+    ``with_pairs`` only."""
+    corpus, pairs, points = list(corpus), list(pairs or []), list(points)
+    hashes = {w: corpus_hash(corpus + (pairs if w else []))
+              for w in {w for *_, w in points}}
+    return _sweep(corpus + pairs,
+                  [_te4_group(points, hashes, len(corpus), len(pairs))])[0]
 
 
 def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
@@ -375,10 +421,9 @@ def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     return te4_sweep(corpus, [(theta, q, True)], pairs)[0]
 
 
-def thm5_sweep(items, points) -> list[CheckReport]:
-    """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
+def _thm5_group(points, h: str) -> _Group:
+    """:func:`thm5_sweep`'s points on items with hash ``h``."""
     cal = calibration()
-    h = corpus_hash(items)
 
     def report(q, blocksup):
         key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
@@ -388,11 +433,17 @@ def thm5_sweep(items, points) -> list[CheckReport]:
                                            "same q as the weights"})
 
     def cases(prep, q, blocksup):
-        lhs = _block_sup_of(prep.sqrtS, q) if blocksup else _bochkarev_of(prep.S, q)
+        lhs = (_block_sup_of(prep.sqrtS, q) if blocksup
+               else _bochkarev_of(prep.S, q, prep.dims))
         # both forms read the memoised right side at each q
         return [("", lhs, prep.lorentz(Exponents((2, 2), q)))]
 
-    return _sweep(items, points, report, cases)
+    return _Group(list(points), report, cases)
+
+
+def thm5_sweep(items, points) -> list[CheckReport]:
+    """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
+    return _sweep(items, [_thm5_group(points, corpus_hash(items))])[0]
 
 
 def check_thm5(items, q, blocksup: bool = False) -> CheckReport:
@@ -433,7 +484,7 @@ def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
         return [(":upper", prep.grand(e, GrandParams(theta))[0], L),
                 (":lower", L, prep.grand(e, GrandParams((-theta[0], -theta[1])))[0])]
 
-    return _sweep(corpus, [(th,) for th in thetas], report, cases)
+    return _sweep(corpus, [_Group([(th,) for th in thetas], report, cases)])[0]
 
 
 def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1),
@@ -450,20 +501,20 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
         raise ValueError("requires theta <= s componentwise")
     e = Exponents(p, q)
     params = {"theta": list(theta), "s": list(s), "p": list(p), "q": _jq(q)}
-    return _sweep(corpus, [()], lambda: CheckReport(
+    return _sweep(corpus, [_Group([()], lambda: CheckReport(
         "embeddings_P1", params, corpus_hash(corpus), 1.0 + tol),
         lambda prep: [("", prep.grand(e, GrandParams(s))[0],
-                       prep.grand(e, GrandParams(theta))[0])])[0]
+                       prep.grand(e, GrandParams(theta))[0])])])[0][0]
 
 
 def check_collapse(corpus, p=(2, 2), q=(1, 1)) -> CheckReport:
     """theta = 0 grand norm equals the Lorentz norm exactly."""
     e = Exponents(p, q)
-    rep = _sweep(corpus, [()], lambda: CheckReport(
+    rep = _sweep(corpus, [_Group([()], lambda: CheckReport(
         "embeddings_collapse", {"p": list(p), "q": _jq(q)}, corpus_hash(corpus),
         1.0, notes={"exactness": "bitwise (eps = 0 grid point)"}),
         lambda prep: [("", prep.grand(e, GrandParams((0.0, 0.0)))[0],
-                       prep.lorentz(e))])[0]
+                       prep.lorentz(e))])])[0][0]
     inexact = [c.case_id for c in rep.cases if c.lhs != c.rhs]
     if inexact:
         rep.notes["inexact"] = inexact
@@ -491,19 +542,20 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
         raw.extend((g / w).tolist())
         return [(":hi", g, hi * w), (":lo", lo * w, g)]
 
-    rep = _sweep([funcs[i] for i in live], [()], lambda: CheckReport(
+    rep = _sweep([funcs[i] for i in live], [_Group([()], lambda: CheckReport(
         "embeddings_L1", {"theta": list(theta), "p": list(p)}, corpus_hash(funcs),
         1.0, notes={"corpus": "last row/column zeroed"}), cases,
-        ids=[f"f{i}" for i in live], witness=funcs)[0]
+        ids=[f"f{i}" for i in live], witness=funcs)])[0][0]
     rep.notes["ratio_min"] = min(raw) if raw else None
     rep.notes["ratio_max"] = max(raw) if raw else None
     return rep
 
 
-def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
-    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
-    h = corpus_hash(corpus)
+def _interp_group(points, h: str, J: int) -> _Group:
+    """:func:`interp_sweep`'s points on a corpus with hash ``h``."""
     points = list(points)
+    # the samples are the same for every theta
+    ts = _interp_samples(points[0][0], J) if points else None
 
     def report(theta, q):
         return CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
@@ -511,13 +563,18 @@ def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
             "direction": "lhs under-approximates the continuous integral"})
 
     def cases(prep, theta, q):
+        if prep.pairs:
+            return None
         p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-        return [("", _interp_of(prep.K, theta, q, J),
+        return [("", _interp_of(prep.khat(ts), theta, q, J),
                  6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q)))]
 
-    # the samples are the same for every theta
-    ts = _interp_samples(points[0][0], J) if points else None
-    return _sweep(corpus, points, report, cases, khat_ts=ts)
+    return _Group(points, report, cases)
+
+
+def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
+    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
+    return _sweep(corpus, [_interp_group(points, corpus_hash(corpus), J)])[0]
 
 
 def check_interp_chain(corpus, theta, q, J: int = 10) -> CheckReport:
@@ -571,25 +628,45 @@ def sweep_corpus(seed: int, level=(5, 5)) -> list[DyadicStep2D]:
             + generate(CorpusSpec("tensor", level, 10, seed + 2)))
 
 
+def _sweep_pairs(seed: int) -> list:
+    """The lacunary pairs that te4 and thm5 add to the sweep corpus."""
+    return generate_lacunary_pairs((9, 9), 20, seed)
+
+
+# the parameter points of te3 and interp, te4 and thm5
+_THETA_Q = tuple((th, q) for th in THETA_SWEEP for q in Q_SWEEP)
+_TE4_POINTS = tuple((th, q, th == (0.0, 0.0))
+                    for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP)
+_THM5_POINTS = tuple((q, blocksup)
+                     for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
+                     for blocksup in (False, True))
+
+
 def suite_te3(seed: int, level=(5, 5)) -> list[CheckReport]:
-    corpus = sweep_corpus(seed, level)
-    return te3_sweep(corpus, [(th, q) for th in THETA_SWEEP for q in Q_SWEEP])
+    return te3_sweep(sweep_corpus(seed, level), _THETA_Q)
 
 
 def suite_te4(seed: int, level=(5, 5)) -> list[CheckReport]:
-    corpus = sweep_corpus(seed, level)
-    pairs = generate_lacunary_pairs((9, 9), 20, seed)
-    points = [(th, q, th == (0.0, 0.0))
-              for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP]
-    return te4_sweep(corpus, points, pairs=pairs)
+    return te4_sweep(sweep_corpus(seed, level), _TE4_POINTS, pairs=_sweep_pairs(seed))
 
 
 def suite_thm5(seed: int, level=(5, 5)) -> list[CheckReport]:
-    corpus = sweep_corpus(seed, level)
-    pairs = generate_lacunary_pairs((9, 9), 20, seed)
-    points = [(q, blocksup) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
-              for blocksup in (False, True)]
-    return thm5_sweep(list(corpus) + list(pairs), points)
+    return thm5_sweep(sweep_corpus(seed, level) + _sweep_pairs(seed), _THM5_POINTS)
+
+
+def _theorem_suites(seed: int, level=(5, 5)) -> dict[str, list[CheckReport]]:
+    """The reports of te3, te4, thm5 and interp from one :func:`_sweep`
+    over the sweep corpus followed by the lacunary pairs, so each input is
+    generated, hashed and prepared once; each suite's reports equal its own
+    run's.  te3 and interp leave the pair stacks out."""
+    corpus, pairs = sweep_corpus(seed, level), _sweep_pairs(seed)
+    items = corpus + pairs
+    hashes = {False: corpus_hash(corpus), True: corpus_hash(items)}
+    groups = {"te3": _te3_group(_THETA_Q, hashes[False]),
+              "te4": _te4_group(_TE4_POINTS, hashes, len(corpus), len(pairs)),
+              "thm5": _thm5_group(_THM5_POINTS, hashes[True]),
+              "interp": _interp_group(_THETA_Q, hashes[False], 10)}
+    return dict(zip(groups, _sweep(items, groups.values())))
 
 
 def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
@@ -604,8 +681,7 @@ def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
 
 
 def suite_interp(seed: int, level=(5, 5)) -> list[CheckReport]:
-    corpus = sweep_corpus(seed, level)
-    return interp_sweep(corpus, [(th, q) for th in THETA_SWEEP for q in Q_SWEEP])
+    return interp_sweep(sweep_corpus(seed, level), _THETA_Q)
 
 
 _SUITES = {
@@ -626,9 +702,12 @@ SUITE_NAMES = (*_SUITES, "all")
 
 def run_suite(name: str, seed: int = 7, level=(5, 5)) -> list[CheckReport]:
     """Run one named suite (or ``all``, every suite in ``_SUITES`` order)
-    and return its reports."""
+    and return its reports.  ``all`` runs the theorem suites as one pass
+    (see :func:`_theorem_suites`)."""
     if name == "all":
-        return [r for suite in _SUITES.values() for r in suite(seed, level)]
+        shared = _theorem_suites(seed, level)
+        return [r for n, suite in _SUITES.items()
+                for r in (shared[n] if n in shared else suite(seed, level))]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {', '.join(SUITE_NAMES)}")

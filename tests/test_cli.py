@@ -47,6 +47,8 @@ class TestNormCommand:
         {"values": [[1.0]]},                  # no levels
         [[1.0]],                              # not an object
         {"levels": ["a", 1], "values": [[1.0, 1.0]]},
+        {"levels": [True, 1], "values": [[1.0, 1.0], [1.0, 1.0]]},
+        {"levels": [1.5, 1], "values": [[1.0, 1.0], [1.0, 1.0]]},
         {"levels": [0, 0]},                   # no values
     ])
     @pytest.mark.parametrize("command", [["norm", "--kind", "lorentz"],

@@ -12,7 +12,7 @@ from lorentz_forge.interpolation import (_interp_of, beta_from_q, interp_norm,
                                          khat_grid)
 import lorentz_forge.norms as norms
 from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
-                                 _block_cumsum, _block_sqrt_table,
+                                 _block_sqrt_table, _block_table,
                                  _dyadic_samples, _dyadic_sqrt, _eps_grid,
                                  _grand_pick, _logweight_of,
                                  _lorentz_core_batch, _lorentz_of,
@@ -22,10 +22,12 @@ from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  grand_seq_norm, logweight_sup_norm,
                                  lorentz_norm, mixed_lebesgue_norm,
                                  seq_block_lorentz_norm)
-from lorentz_forge.rearrange import Sequence2D, iterated_rearrange_2d
+from lorentz_forge.rearrange import (Sequence2D, iterated_rearrange_2d,
+                                     iterated_rearrange_seq)
 from lorentz_forge.stepfun import (DyadicStep1D, DyadicStep2D, constant_grid,
                                    indicator_grid)
 from lorentz_forge.verify.calibration import calibration
+from lorentz_forge.verify.corpus import generate_lacunary_pairs
 from lorentz_forge.verify.hardy import hardy_ascent_rhs, hardy_descent_rhs
 
 INF = float("inf")
@@ -640,6 +642,98 @@ def test_grand_seq_and_te4_surface_pick_match_per_theta_reference(J):
                 _same(te4_lhs(cm, e, gp), _ref_te4_lhs_of(sqrtS, e, gp))
 
 
+def _block_cumsum(a: Sequence2D) -> np.ndarray:
+    """The full block table of ``a``, the reference for the support block
+    that :func:`_block_table` builds."""
+    r = np.asarray(iterated_rearrange_seq(a).entries)
+    return np.cumsum(np.cumsum(r**2, axis=0), axis=1)
+
+
+class TestSupportBlockTables:
+    """The block table is built on the support of the rearranged magnitudes
+    only; read at the clamped indices it is the full table, bit for bit,
+    and so are the left sides that read it."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(29)
+        one = np.zeros((16, 8))
+        one[5, 3] = 0.75
+        sparse = rng.random((16, 8)) * (rng.random((16, 8)) < 0.1)
+        mats = [np.zeros((16, 8)), one, sparse, rng.random((16, 8)),
+                rng.random((8, 8)) * 1e150, rng.random((1, 8)), rng.random((16, 1)),
+                np.zeros((1, 1))]
+        for seed in (7, 3):
+            mats += [np.abs(a.entries) for a, _ in generate_lacunary_pairs((9, 9), 20, seed)]
+        return mats
+
+    @staticmethod
+    def _clamped(S, dims):
+        i1 = np.minimum(np.arange(dims[0]), S.shape[-2] - 1)
+        i2 = np.minimum(np.arange(dims[1]), S.shape[-1] - 1)
+        return S[..., i1[:, None], i2]
+
+    def test_table_is_the_full_table(self):
+        for m in self._matrices():
+            S = _block_table(m)
+            assert np.array_equal(self._clamped(S, m.shape), _block_cumsum(Sequence2D(m)))
+
+    def test_block_holds_the_support_only(self):
+        shapes = [_block_table(m).shape for m in self._matrices()]
+        assert shapes[:2] == [(1, 1), (1, 1)]  # all zero; one nonzero
+        assert shapes[3] == (16, 8)  # dense
+        # a planted pair: nine nonzeros on the diagonal of a 512 x 512 matrix
+        assert set(shapes[8:]) == {(9, 1)}
+
+    def test_stack_is_each_items_table(self):
+        mats = [m for m in self._matrices() if m.shape == (16, 8)]
+        S = _block_table(np.stack(mats))
+        for k, m in enumerate(mats):
+            assert np.array_equal(self._clamped(S[k], m.shape),
+                                  _block_cumsum(Sequence2D(m)))
+
+    @pytest.mark.parametrize("q", [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0), (INF, INF),
+                                   (2.0, INF)])
+    def test_left_sides_read_the_block(self, q):
+        for m in self._matrices():
+            small, full = _block_table(m), _block_cumsum(Sequence2D(m))
+            assert _bochkarev_of(small, q, m.shape).tobytes() == \
+                _bochkarev_of(full, q, m.shape).tobytes()
+            T = _dyadic_sqrt(small, m.shape)
+            assert T.tobytes() == _dyadic_sqrt(full, m.shape).tobytes()
+            assert _block_sup_of(T, q).tobytes() == \
+                _block_sup_of(_dyadic_sqrt(full, m.shape), q).tobytes()
+
+
+def _layouts(x):
+    """The values of ``x`` C-ordered, Fortran-ordered and as a view with
+    its last two axes' strides swapped."""
+    return [np.ascontiguousarray(x), np.asfortranarray(x),
+            np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)]
+
+
+@pytest.mark.parametrize("q", [0.5, 1, 2, 4, INF])
+def test_cores_do_not_depend_on_memory_layout(q):
+    # the nested norms read their input in C order, so the same values give
+    # the same bits in any layout
+    rng = np.random.default_rng(31)
+    eps = _eps_grid(24, 0.5)
+    for g in (rng.random((16, 16)), rng.random((3, 16, 16)) * rng.random((3, 16, 1))):
+        args = (1 / 16, 1 / 16, 0.5 + eps, 0.5 - eps[:5], q, 2.0)
+        want = _lorentz_core_batch(g, *args).tobytes()
+        for x in _layouts(g):
+            assert _lorentz_core_batch(x, *args).tobytes() == want
+    for t in (rng.random((10, 10)), rng.random((3, 10, 7))):
+        args = (-0.25 - eps, 0.125 - eps[:5], q, 3.0)
+        want = _seq_block_core(t, *args).tobytes()
+        for x in _layouts(t):
+            assert _seq_block_core(x, *args).tobytes() == want
+    for K in (rng.random((11, 11)), rng.random((3, 11, 11))):
+        want = _interp_of(K, (0.4, 0.7), (q, 2.0), 10).tobytes()
+        for x in _layouts(K):
+            assert _interp_of(x, (0.4, 0.7), (q, 2.0), 10).tobytes() == want
+
+
 class TestStackedCoresMatchPerItem:
     """A stack of same-shape items on leading axes gives, item by item, the
     bits of the item's own call; every stack holds an all-zero item."""
@@ -682,19 +776,20 @@ class TestStackedCoresMatchPerItem:
     def test_seq_block_core(self, q, sign):
         eps = _eps_grid(24, 1.0)
         args = (0.5 + sign * eps - 0.5, 0.25 + sign * eps[3:] - 0.5, q, 4.0)
-        t = _dyadic_sqrt(self._tables())
+        t = _dyadic_sqrt(self._tables(), (12, 5))
         self._same_per_item(_seq_block_core(t, *args), _seq_block_core, t, *args)
 
     def test_dyadic_sqrt(self):
         S = self._tables()
-        self._same_per_item(_dyadic_sqrt(S), _dyadic_sqrt, S)
+        self._same_per_item(_dyadic_sqrt(S, (12, 5)), _dyadic_sqrt, S, (12, 5))
 
     @pytest.mark.parametrize("q", QS)
     def test_bochkarev_and_block_sup(self, q):
         S = self._tables()
         if q >= 2:
-            self._same_per_item(_bochkarev_of(S, (q, 2.0)), _bochkarev_of, S, (q, 2.0))
-        T = _dyadic_sqrt(S)
+            self._same_per_item(_bochkarev_of(S, (q, 2.0), (12, 5)), _bochkarev_of,
+                                S, (q, 2.0), (12, 5))
+        T = _dyadic_sqrt(S, (12, 5))
         self._same_per_item(_block_sup_of(T, (q, 4.0)), _block_sup_of, T, (q, 4.0))
 
     @pytest.mark.parametrize("theta", [(0.5, 0.25), (0.0, 0.5), (0.0, 0.0),

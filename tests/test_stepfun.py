@@ -138,6 +138,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             DyadicStep1D(0, np.array([np.inf]))
 
+    @pytest.mark.parametrize("level", [True, False, 1.5, 1.0, "1", None, -1])
+    def test_levels_must_be_integers(self, level):
+        with pytest.raises(ValueError, match="level"):
+            DyadicStep1D(level, np.ones(2))
+        with pytest.raises(ValueError, match="level"):
+            DyadicStep2D((level, 1), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="level"):
+            DyadicStep2D((1, level), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("level", [1, np.int64(1), np.uint8(1)])
+    def test_integer_levels_accepted(self, level):
+        assert DyadicStep1D(level, np.ones(2)).level == 1
+        f = DyadicStep2D((level, level), np.ones((2, 2)))
+        assert f.levels == (1, 1) and type(f.levels[0]) is int
+
 
 def test_grid_json_round_trip(tmp_path, rng):
     f = DyadicStep2D((2, 3), rng.random((8, 4)))

@@ -761,3 +761,36 @@ def test_suites_compute_each_surface_once(monkeypatch):
     assert got["te4"]["_lorentz_core_batch"] <= 88
     assert got["te4"]["_seq_block_core"] <= 84
     assert got["thm5"]["_lorentz_core_batch"] <= 84
+    # the four theorem suites as one pass share each stack: 244 and 120
+    # calls when run apart
+    counts.clear()
+    checks._theorem_suites(7)
+    assert counts["_lorentz_core_batch"] <= 145
+    assert counts["_seq_block_core"] <= 120
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
+    # run_suite("all") gives each suite's own reports in suite order, while
+    # te3, te4, thm5 and interp share one generation and one hash of each
+    # item list
+    apart = [r.to_json_dict() for name in checks._SUITES
+             for r in checks.run_suite(name, seed)]
+    digests, made = collections.Counter(), []
+
+    def hashed(items, _fn=checks.corpus_hash):
+        digests[_fn(items)] += 1
+        return _fn(items)
+
+    def generated(*args, _fn=checks.generate_lacunary_pairs):
+        made.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(checks, "corpus_hash", hashed)
+    monkeypatch.setattr(checks, "generate_lacunary_pairs", generated)
+    assert [r.to_json_dict() for r in checks.run_suite("all", seed)] == apart
+    assert made == [((9, 9), 20, seed)]
+    corpus = checks.sweep_corpus(seed)
+    pairs = generate_lacunary_pairs((9, 9), 20, seed)
+    assert digests[corpus_hash(corpus)] == 1
+    assert digests[corpus_hash(corpus + pairs)] == 1
