@@ -11,14 +11,22 @@ Conventions
 * Every nested (q1, q2) norm, here and in the interpolation norm, is weight
   rows plus one :func:`_nested` call: a norm only builds its rows
   (:func:`_power_cells` for the Lorentz cells, :func:`_block_cells` for the
-  dyadic blocks, the sample weights for interp), and each of the two
-  stages is one :func:`_stage`, as is a right side of the Hardy displays.
-  The stage's :func:`_qsum` factors out the largest term, so the norms stay
-  finite and 1-homogeneous at every exponent they accept, and is the one
-  place where ``0 * inf = 0``.  The mixed Lebesgue norm, whose weights are
-  constants, calls :func:`_qsum` directly.  The Hardy left sides take their
-  per-cell power integrals from :func:`_power_cells` and scale the profile
-  by its largest value instead.
+  dyadic blocks, the sample weights for interp), and :func:`_nested` runs
+  the two stages.  A stage at finite q is separable (:func:`_sep_stage`):
+  the values and the weights are each divided by their row's largest entry
+  and raised to the q-th power once, and the sums are one contraction of
+  the two (:func:`_sum_products`), so all the epsilon rows of a grand norm
+  share one power of the data.  A stage at ``q = inf`` (a maximum of
+  products), and the entries the separable form does not take (a weight or
+  value row that is not finite, a sum lost to underflow), are the direct
+  :func:`_stage` in blocks of weight rows (:func:`_blocked_stage`); a right
+  side of the Hardy displays is one direct :func:`_stage`.  Both forms
+  factor out the largest values, so the norms stay finite and
+  1-homogeneous at every exponent they accept; the direct stage's
+  :func:`_qsum` is the one place where ``0 * inf = 0``.  The mixed
+  Lebesgue norm, whose weights are constants, calls :func:`_qsum`
+  directly.  The Hardy left sides take their per-cell power integrals from
+  :func:`_power_cells` and scale the profile by its largest value instead.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -55,6 +63,13 @@ INF = float("inf")
 _LN2 = math.log(2.0)
 
 
+def _exponent_pair(name: str, pair) -> tuple[float, float]:
+    """``pair`` as two floats, after checking that both lie in ``(0, inf]``."""
+    if len(pair) != 2 or any(not (x > 0) for x in pair):
+        raise ValueError(f"{name} components must be positive, got {pair}")
+    return float(pair[0]), float(pair[1])
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Integrability/fineness parameter bundle ``(p, q)``, components in (0, inf]."""
@@ -63,11 +78,8 @@ class Exponents:
     q: tuple[float, float]
 
     def __post_init__(self):
-        for name, pair in (("p", self.p), ("q", self.q)):
-            if len(pair) != 2 or any(not (x > 0) for x in pair):
-                raise ValueError(f"{name} components must be positive, got {pair}")
-        object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
-        object.__setattr__(self, "q", (float(self.q[0]), float(self.q[1])))
+        object.__setattr__(self, "p", _exponent_pair("p", self.p))
+        object.__setattr__(self, "q", _exponent_pair("q", self.q))
 
     def conjugate(self, i: int) -> float:
         """Conjugate exponent ``p_i'`` with ``1/p_i + 1/p_i' = 1`` (needs p_i >= 1)."""
@@ -95,6 +107,8 @@ class GrandParams:
 
     def __post_init__(self):
         t1, t2 = self.theta
+        if t1 != t1 or t2 != t2:
+            raise ValueError(f"theta components must be numbers, got {self.theta}")
         if (t1 < 0) != (t2 < 0):
             raise ValueError(f"mixed-sign theta {self.theta} is not defined")
         if self.eps_levels < 0:
@@ -148,10 +162,16 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
     return np.where(np.isnan(out), INF, out)
 
 
-# nested stages are evaluated in blocks of about this many cells, which
-# bounds the temporaries on large grids; the verify sweeps stack at most
-# this many cells of same-shape items for one core call
+# the blocked stage takes weight rows in blocks of about this many cells of
+# its (..., rows, R, n) temporary, which bounds it on large grids; the
+# verify sweeps stack at most this many cells of same-shape items for one
+# core call
 _BLOCK_CELLS = 2**18
+
+# a separable sum below this may have lost terms to underflow (the largest
+# value and the largest weight sit in different cells and both q-th powers
+# are tiny), so its entry is summed directly instead
+_TINY = 2.0**-900
 
 
 def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
@@ -160,7 +180,10 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     weight rows ``(sup, omega)``, as :func:`_qsum` takes them (the values
     times ``sup`` as the base): an ``(..., m, R)`` array.
 
-    The product keeps the memory layout of ``vals``, and numpy sums a
+    This is the direct form, one ``(..., m, R, n)`` temporary: the Hardy
+    right sides call it, and :func:`_nested` calls it in blocks
+    (:func:`_blocked_stage`) for the entries its separable stage does not
+    take.  The product keeps the memory layout of ``vals``, and numpy sums a
     contiguous axis pairwise but a strided one in order, so the last bits
     follow that layout: the norms that call :func:`_nested` hand it a C
     ordered array (or a fixed view of one) whatever their input's layout.
@@ -170,22 +193,109 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     return _qsum(base, omega[:, None, :], q)
 
 
+def _blocked_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
+                   q: float) -> np.ndarray:
+    """:func:`_stage` over blocks of weight rows, sized so that the
+    ``(..., rows, R, n)`` temporary stays under ``_BLOCK_CELLS`` cells (one
+    row at a time on a level-10 grid).  Each entry has the bits of the
+    unblocked call."""
+    rows = max(1, _BLOCK_CELLS // vals.size)
+    return np.concatenate([_stage(vals, sup[i:i + rows], omega[i:i + rows], q)
+                           for i in range(0, len(sup), rows)], axis=-2)
+
+
+def _sep_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
+               q: float) -> np.ndarray:
+    """:func:`_stage` of values ``>= 0`` at finite ``q`` in the separable
+    form: with ``D`` a value row's largest entry and ``W`` a weight row's
+    largest ``sup``,
+
+        ``sum_j (d_j s_j)^q omega_j = (D W)^q sum_j (d_j/D)^q (s_j/W)^q omega_j``,
+
+    so the data's q-th power is taken once for all the weight rows, and the
+    sums are one contraction of ``(d/D)^q`` with ``(s/W)^q omega``.  Three
+    kinds of entry go to :func:`_blocked_stage` instead, so that no ``inf``
+    or ``nan`` enters the contraction and the ``_qsum`` rules (``0 * inf =
+    0``, divergence) apply as they are: those of weight rows with a
+    non-finite ``sup`` or ``omega``, those of value rows whose largest
+    entry is not finite, and those whose separable sum falls below
+    ``_TINY`` or whose value overflows.
+
+    Each entry's bits depend on its value row and weight row only, not on
+    how many rows or items the call holds.
+    """
+    wok = np.isfinite(sup).all(axis=-1) & np.isfinite(omega).all(axis=-1)
+    if not wok.all():
+        out = np.empty(vals.shape[:-2] + (len(sup), vals.shape[-2]))
+        out[..., ~wok, :] = _blocked_stage(vals, sup[~wok], omega[~wok], q)
+        if wok.any():
+            out[..., wok, :] = _sep_stage(vals, sup[wok], omega[wok], q)
+        return out
+    R, n = vals.shape[-2:]
+    D = vals.max(axis=-1)
+    vok = np.isfinite(D)
+    Dn = np.where(vok & (D > 0), D, 1.0)  # a zero row sums to zero
+    A = np.divide(vals, Dn[..., None], order="C")
+    if not vok.all():
+        A[~vok] = 0.0
+    A **= q
+    W = sup.max(axis=-1)
+    Wn = np.where(W > 0, W, 1.0)
+    with np.errstate(over="ignore"):  # an overflow is redone below
+        S = _sum_products(A, (sup / Wn[:, None]) ** q * omega)  # (..., m, R)
+        val = S ** (1.0 / q) * Wn[:, None] * Dn[..., None, :]
+    redo = ~vok[..., None, :] | ~np.isfinite(val) | \
+        ((S < _TINY) & (D > 0)[..., None, :] & (W > 0)[:, None])
+    if redo.any():
+        # the value rows with an entry to redo, summed directly: an entry of
+        # _stage depends on its own value row and weight row only
+        vf, redo = val.reshape(-1, *val.shape[-2:]), redo.reshape(-1, *val.shape[-2:])
+        i, r = np.nonzero(redo.any(axis=-2))
+        direct = _blocked_stage(vals.reshape(-1, R, n)[i, r], sup, omega, q)
+        vf[i, :, r] = np.where(redo[i, :, r], direct.T, vf[i, :, r])
+    return val
+
+
+# the contraction of the separable stage sums chunks of this many products
+# in order, then the chunk sums pairwise
+_CHUNK = 64
+
+
+def _sum_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``sum_j A[..., r, j] B[i, j]`` as an ``(..., i, r)`` array, for a C
+    ordered ``A``.
+
+    Each sum is its own dot products, one per chunk of ``_CHUNK`` values of
+    ``j`` (the last chunk padded with zeros), added pairwise, so its bits do
+    not depend on how many rows or items the call holds, and its error
+    stays near that of numpy's pairwise sum.  A BLAS product is faster, but
+    the bits of its entries change with the shape of the call, and one dot
+    product per entry sums in order: on a 512-cell row with equal terms,
+    4x (BLAS) to 20x (``einsum``) the error of a pairwise sum.
+    """
+    n = A.shape[-1]
+    b = min(n, _CHUNK)
+    c = -(-n // b)
+    if c * b > n:
+        A = np.concatenate([A, np.zeros(A.shape[:-1] + (c * b - n,))], axis=-1)
+        B = np.concatenate([B, np.zeros((len(B), c * b - n))], axis=-1)
+    P = np.einsum("...rcj,icj->...irc", A.reshape(A.shape[:-1] + (c, b)),
+                  B.reshape(len(B), c, b))
+    return P.sum(axis=-1)
+
+
 def _nested(vals: np.ndarray, w1, w2) -> np.ndarray:
-    """The nested norms of ``(..., r2, r1)`` values: one :func:`_stage`
+    """The nested norms of ``(..., r2, r1)`` values ``>= 0``: one stage
     over the last axis with the weights ``w1 = (sup, omega, q)``, ``m1``
     rows of ``r1`` entries, then one over ``r2`` with ``w2``.  Returns an
-    ``(..., m1, m2)`` array."""
-    sup1, om1, q1 = w1
-    r1, m2 = vals.shape[-1], len(w2[0])
-    out = np.empty(vals.shape[:-2] + (len(sup1), m2))
-    # both stages run per block of w1 rows, sized so that the inner
-    # (..., rows, r2, r1) and the outer (..., m2, rows, r2) temporaries stay
-    # under _BLOCK_CELLS cells
-    rows = max(1, _BLOCK_CELLS // (vals.size // r1 * max(r1, m2)))
-    for i in range(0, len(sup1), rows):
-        inner = _stage(vals, sup1[i:i + rows], om1[i:i + rows], q1)
-        out[..., i:i + rows, :] = _stage(inner, *w2).swapaxes(-1, -2)
-    return out
+    ``(..., m1, m2)`` array.
+
+    A stage at finite ``q`` is :func:`_sep_stage`; at ``q = inf``, a
+    maximum of products, it is :func:`_blocked_stage`.
+    """
+    for sup, omega, q in (w1, w2):
+        vals = (_blocked_stage if q == INF else _sep_stage)(vals, sup, omega, q)
+    return vals.swapaxes(-1, -2)
 
 
 def _power_cells(a: np.ndarray, n: int, h: float, q: float):
@@ -244,7 +354,9 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
 
 
 def mixed_lebesgue_norm(f: DyadicStep2D, p: tuple[float, float]) -> float:
-    """Mixed-norm Lebesgue value: inner L^{p1} in x1, outer L^{p2} in x2."""
+    """Mixed-norm Lebesgue value: inner L^{p1} in x1, outer L^{p2} in x2,
+    ``p`` components in ``(0, inf]``."""
+    p = _exponent_pair("p", p)
     h1, h2 = f.widths
     inner = _qsum(np.asarray(f.values), h1, p[0])
     return float(_qsum(inner, h2, p[1]))

@@ -8,6 +8,7 @@ regression-pinned ratio table.
 import functools
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -230,3 +231,27 @@ def test_criterion_12_determinism(tmp_path):
     assert (outs[0] / "summary.csv").read_bytes() == \
         (outs[1] / "summary.csv").read_bytes()
     assert wall < 2 * 15 * 60, f"two full-suite runs took {wall:.0f}s"
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS")
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    """Criterion 12's run with BLAS pinned to one thread and with the BLAS
+    thread variables unset (the library's default) writes the same bytes."""
+    outs = []
+    for pinned in (True, False):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        out = tmp_path / ("pinned" if pinned else "unpinned")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "lorentz_forge.cli", "verify",
+             "--suite", "all", "--seed", "7", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outs.append(out)
+    assert (outs[0] / "reports.jsonl").read_bytes() == \
+        (outs[1] / "reports.jsonl").read_bytes()

@@ -71,6 +71,17 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [["--kind", "mixed", "--p", "0", "2"],
+                                      ["--kind", "mixed", "--p", "-1", "2"],
+                                      ["--kind", "grand", "--theta", "nan", "nan"],
+                                      ["--kind", "grand", "--theta", "0.5", "nan"]])
+    def test_bad_exponent_or_theta_exits_2(self, const_grid, capsys, args):
+        rc = main(["norm", *args, "--in", str(const_grid)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_output_file(self, const_grid, tmp_path):
         out = tmp_path / "norm.json"
         rc = main(["norm", "--kind", "mixed", "--p", "2", "2",

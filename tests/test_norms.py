@@ -16,6 +16,7 @@ from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  _dyadic_samples, _dyadic_sqrt, _eps_grid,
                                  _grand_pick, _logweight_of,
                                  _lorentz_core_batch, _lorentz_of,
+                                 _lorentz_surface,
                                  _power_cells, _qsum, _seq_block_core, _stage,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
@@ -46,6 +47,12 @@ class TestMixedLebesgue:
     def test_half_strip_l2(self):
         f = DyadicStep2D((1, 0), [[2.0, 0.0]])
         assert mixed_lebesgue_norm(f, (2, 2)) == pytest.approx(np.sqrt(2))
+
+    @pytest.mark.parametrize("p", [(0, 2), (-1, 2), (2, float("nan")), (2, -INF), (2,)])
+    def test_exponents_outside_the_range_rejected(self, p):
+        # as Exponents: components in (0, inf]
+        with pytest.raises(ValueError, match="p components"):
+            mixed_lebesgue_norm(constant_grid(1.0, (2, 2)), p)
 
 
 class TestLorentzNorm:
@@ -151,6 +158,13 @@ class TestGrandLorentz:
     def test_mixed_sign_theta_rejected(self):
         with pytest.raises(ValueError):
             GrandParams((0.5, -0.5))
+
+    @pytest.mark.parametrize("theta", [(float("nan"),) * 2, (float("nan"), 0.5),
+                                       (-0.5, float("nan"))])
+    def test_nan_theta_rejected(self, theta):
+        # nan passes the sign check, and nan >= 0 is False
+        with pytest.raises(ValueError, match="theta"):
+            GrandParams(theta)
 
     def test_inf_form_requires_finite_p(self):
         with pytest.raises(ValueError):
@@ -878,13 +892,29 @@ def _ref_interp_of(K, theta, q, J):
     return out
 
 
+def _assert_matches_replaced(got, want, exact):
+    """The comparison with the replaced stages: entries that are 0 or inf on
+    either side are equal, and so is every entry when ``exact`` (both stages
+    at q = inf, or the first one on the blocked path throughout); the
+    separable stage sums in another order, so the other entries agree to
+    rel 1e-14."""
+    assert got.shape == want.shape
+    if exact:
+        assert np.array_equal(got, want)
+        return
+    edge = (got == 0) | (want == 0) | np.isinf(got) | np.isinf(want)
+    assert np.array_equal(got[edge], want[edge])
+    assert np.allclose(got[~edge], want[~edge], rtol=1e-14, atol=0)
+
+
 class TestNestedMatchesReplacedStages:
     """``_lorentz_core_batch`` and ``_seq_block_core`` are one ``_nested``
-    call each and give the bits of the stages they replaced, on stacks
-    holding an all-zero item.  The tables have at least two columns: the
-    replaced block stage copied a single column into a contiguous row, which
-    numpy sums pairwise, where the padded table is summed in order, so there
-    the two differ in the last bit."""
+    call each and match the stages they replaced (see
+    :func:`_assert_matches_replaced`), on stacks holding an all-zero item.
+    The tables have at least two columns: the replaced block stage copied a
+    single column into a contiguous row, which numpy sums pairwise, where
+    the padded table is summed in order, so there the two differ in the last
+    bit even at q = inf."""
 
     QS = [0.5, 1, 2, 4, INF]
 
@@ -900,9 +930,12 @@ class TestNestedMatchesReplacedStages:
             m[2] *= 1e150
             t = np.sqrt(np.cumsum(np.cumsum(m, axis=-2), axis=-1))
             for qq in ((q, 4.0), (q, q), (2.0, q)):
+                # nu1 >= 0: every first-stage row has an infinite tail weight
+                exact = qq == (INF, INF) or (nu1s >= 0).all()
                 for tab in (t, t[0]):
-                    assert np.array_equal(_seq_block_core(tab, nu1s, nu2s, *qq),
-                                          _ref_seq_block_core(tab, nu1s, nu2s, *qq))
+                    _assert_matches_replaced(_seq_block_core(tab, nu1s, nu2s, *qq),
+                                             _ref_seq_block_core(tab, nu1s, nu2s, *qq),
+                                             exact)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -912,8 +945,9 @@ class TestNestedMatchesReplacedStages:
         for qq in ((q, 2.0), (q, q), (1.0, q)):
             args = (0.125, 0.25, 0.5 + sign * eps, 0.5 + sign * eps[:7], *qq)
             for stack in (g, g[2], g.reshape(5, 1, 8, 4)):
-                assert np.array_equal(_lorentz_core_batch(stack, *args),
-                                      _ref_lorentz_core_batch(stack, *args))
+                _assert_matches_replaced(_lorentz_core_batch(stack, *args),
+                                         _ref_lorentz_core_batch(stack, *args),
+                                         qq == (INF, INF))
 
     @pytest.mark.parametrize("q", [2.0, INF])
     def test_zero_saturation_with_diverging_tail(self, q):
@@ -926,7 +960,7 @@ class TestNestedMatchesReplacedStages:
         nu1, nu2 = np.array([-0.5]), np.array([0.5])
         got = _seq_block_core(t, nu1, nu2, q, q)
         assert np.isfinite(got).all()
-        assert np.array_equal(got, _ref_seq_block_core(t, nu1, nu2, q, q))
+        _assert_matches_replaced(got, _ref_seq_block_core(t, nu1, nu2, q, q), q == INF)
 
     @pytest.mark.parametrize("q", [2.0, INF])
     def test_zero_value_under_infinite_sup(self, q):
@@ -975,6 +1009,97 @@ class TestNestedMatchesReplacedStages:
         assert got.shape == (4,) and got[2] == 0.0
         for k, f in enumerate(fs):
             assert float(got[k]) == logweight_sup_norm(f, (2, 1.5), (0.5, 1.0))
+
+
+class TestSeparableStage:
+    """A finite-q stage of ``_nested`` is separable; what it leaves to the
+    direct ``_stage`` (a non-finite weight or value row, an underflowed sum)
+    keeps that stage's bits, and an entry's bits do not depend on the other
+    rows or items of the call."""
+
+    def test_inner_inf_reaches_the_outer_stage(self):
+        # inf form at eps_1 = 1/p_1: a1 = 0, the first cell's omega is +inf,
+        # so that row's inner sums are +inf; the outer stage keeps them +inf
+        # (inf/inf would be nan there) and the grid minimum stays finite
+        e, gp = Exponents((2, 2), (1, 1)), GrandParams((-0.5, -0.5))
+        for f in random_grids(6, (3, 3), seed=41):
+            g = np.asarray(iterated_rearrange_2d(f).values)
+            eps = _eps_grid(24, 0.5)
+            args = (*f.widths, 0.5 - eps, 0.5 - eps, 1.0, 1.0)
+            got, want = _lorentz_core_batch(g, *args), _ref_lorentz_core_batch(g, *args)
+            assert not np.isnan(got).any() and np.isinf(got[0]).all()
+            _assert_matches_replaced(got, want, False)
+            res = grand_lorentz_norm(f, e, gp)
+            assert np.isfinite(res.value)
+            assert res.value == pytest.approx(_grand_pick([eps, eps], want, gp)[0],
+                                              rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("q", [1e3, 1e4])
+    def test_underflow_guard(self, q):
+        # the largest value sits in the first cell and the largest weight in
+        # the last: both q-th powers underflow where their products do not
+        vals = np.array([[1.0, 0.5, 0.25, 0.125], [0.0, 0.0, 0.0, 0.0]])
+        sup = np.array([[0.125, 0.25, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        omega = np.array([[1.0, 2.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0]])
+        got = norms._sep_stage(vals, sup, omega, q)
+        assert np.array_equal(got, _stage(vals, sup, omega, q))
+        assert np.isfinite(got).all() and (got[:, 0] > 0).all()
+        # and through a core: steep values against increasing weights
+        g = 2.0 ** -np.add.outer(np.arange(8.0), np.arange(8.0))
+        args = (0.125, 0.125, np.array([0.5, 2.0]), np.array([0.5, 2.0]), q, q)
+        got = _lorentz_core_batch(g, *args)
+        assert np.isfinite(got).all() and (got > 0).all()
+        _assert_matches_replaced(got, _ref_lorentz_core_batch(g, *args), False)
+
+    @pytest.mark.parametrize("q", [(0.5, 2.0), (1.0, 1.0), (2.0, 4.0), (3.0, INF)])
+    def test_one_row_call_is_a_row_of_the_many_row_call(self, q):
+        g = TestStackedCoresMatchPerItem._grids()
+        eps = _eps_grid(24, 0.5)
+        # sup- and inf-form rows, the a = 0 row with its infinite omega among them
+        a1s, a2s = np.concatenate([0.5 + eps, 0.5 - eps]), 0.5 - eps[::3]
+        many = _lorentz_core_batch(g, 0.125, 0.25, a1s, a2s, *q)
+        for i, j in np.ndindex(len(a1s), len(a2s)):
+            one = _lorentz_core_batch(g, 0.125, 0.25, a1s[i:i + 1], a2s[j:j + 1], *q)
+            assert one[..., 0, 0].tobytes() == many[..., i, j].tobytes(), (i, j)
+        t = np.sqrt(np.cumsum(np.cumsum(g[..., :6, :], axis=-2), axis=-1))
+        nus = -0.25 + np.concatenate([-eps, eps[::4]])
+        many = _seq_block_core(t, nus, nus, *q)
+        for i, j in np.ndindex(len(nus), len(nus)):
+            one = _seq_block_core(t, nus[i:i + 1], nus[j:j + 1], *q)
+            assert one[..., 0, 0].tobytes() == many[..., i, j].tobytes(), (i, j)
+        # the plain norm is the surface's eps = 0 entry, bit for bit
+        e = Exponents((2, 2), q)
+        axes, surf = _lorentz_surface(g, (0.125, 0.25), e, True, 24, (True, True))
+        assert surf[..., -1, -1].tobytes() == _lorentz_of(g, (0.125, 0.25), e).tobytes()
+
+    @pytest.mark.parametrize("q", [(2.0, 1.5), (0.5, 4.0)])
+    def test_stacked_items_are_per_item_at_many_rows(self, q):
+        # 64 and 80 rows of 100 and 70 cells: more than one chunk per row,
+        # the last one padded
+        rng = np.random.default_rng(43)
+        eps = _eps_grid(24, 1.0)
+        g = -np.sort(-rng.random((3, 64, 100)), axis=-1)
+        g[1] = 0.0
+        g[2] *= 1e-200
+        args = (1 / 100, 1 / 64, 0.5 + eps, 0.5 - eps[1:9], *q)
+        got = _lorentz_core_batch(g, *args)
+        t = np.sqrt(np.cumsum(np.cumsum(rng.random((3, 80, 70)), axis=-2), axis=-1))
+        nus = -0.5 + eps[:12]
+        got_t = _seq_block_core(t, nus, -nus, *q)
+        for k in range(3):
+            assert got[k].tobytes() == _lorentz_core_batch(g[k], *args).tobytes()
+            assert got_t[k].tobytes() == _seq_block_core(t[k], nus, -nus, *q).tobytes()
+
+    def test_long_rows_keep_pairwise_accuracy(self):
+        # at p = q = (2, 2) the Lorentz norm is the L2 norm; a lacunary pair
+        # takes odd integer values, so math.fsum gives it to half an ulp.
+        # Over its 512-cell rows the chunked sums stay within two ulp, where
+        # one in-order dot product per entry is ten ulp off
+        for _, f in generate_lacunary_pairs((9, 9), 3, 7):
+            v = np.asarray(f.values)
+            want = math.sqrt(math.fsum((v * v).ravel()) * f.widths[0] * f.widths[1])
+            assert lorentz_norm(f, Exponents((2, 2), (2, 2))) == \
+                pytest.approx(want, rel=4.5e-16, abs=0)
 
 
 def _ref_p6(f, e, theta, k_max=2**12):
