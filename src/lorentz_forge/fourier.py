@@ -12,15 +12,16 @@ complex exponentials cell by cell in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .interpolation import beta_from_q
-from .norms import (Exponents, GrandNormResult, GrandParams, _block_sqrt_table,
-                    _block_table, grand_seq_norm, seq_block_lorentz_norm)
-from .rearrange import (Sequence2D, iterated_rearrange_seq,
-                        iterated_rearrange_seq_first_index)
-from .stepfun import DyadicStep2D
+from .norms import (Exponents, GrandNormResult, GrandParams, _dyadic_sqrt,
+                    _grand_of, _rearranged_support, _seq_block_lorentz_of,
+                    _seq_surface, _support_table, _surface_key)
+from .rearrange import Sequence2D, iterated_rearrange_seq_first_index
+from .stepfun import DyadicStep2D, _Memoised
 
 
 class ResolutionError(ValueError):
@@ -64,25 +65,33 @@ def _bitrev_perm(n_levels: int) -> np.ndarray:
 
 
 def fwht(arr: np.ndarray, axis: int) -> np.ndarray:
-    """In-order fast Walsh-Hadamard transform (natural/Hadamard order).
+    """In-order fast Walsh-Hadamard transform (natural/Hadamard order)."""
+    a = np.array(np.moveaxis(np.asarray(arr), axis, 0), dtype=float, order="C")
+    return np.moveaxis(_fwht_front(a), 0, axis)
+
+
+def _fwht_front(a: np.ndarray) -> np.ndarray:
+    """:func:`fwht` along the first axis of a C ordered float array, which
+    it overwrites; returns the transform, ``a`` or a second buffer.
 
     Each butterfly stage reads one buffer and writes the sums and
-    differences into the other, so a transform allocates two arrays.
+    differences into the other.  With the transform axis in front, the two
+    halves of a stage's blocks are contiguous ``(h, rest)`` slabs, so a
+    stage is one add and one subtract over whole slabs.
     """
-    a = np.array(np.moveaxis(np.asarray(arr), axis, -1), dtype=float, order="C")
-    n = a.shape[-1]
+    n = len(a)
     if n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     b = np.empty_like(a)
     h = 1
     while h < n:
-        shp = a.shape[:-1] + (n // (2 * h), 2, h)
+        shp = (n // (2 * h), 2, -1)
         src, dst = a.reshape(shp), b.reshape(shp)
-        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
-        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
         a, b = b, a
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    return a
 
 
 def walsh_on_cells(k, level: int) -> np.ndarray:
@@ -100,14 +109,18 @@ def walsh_on_cells(k, level: int) -> np.ndarray:
 
 
 def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.ndarray:
-    """Paley-order Walsh coefficients along one axis, exact for K <= 2^level."""
+    """Paley-order Walsh coefficients of real ``vals`` along one axis, exact
+    for K <= 2^level.
+
+    The bit-reversal gather is the copy that puts the axis in front for
+    :func:`_fwht_front`, and the scaling is in place.
+    """
     if K > 2**level:
         raise ResolutionError(
             f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
-    rev = _bitrev_perm(level)
-    reordered = np.take(vals, rev, axis=axis)
-    coeffs = fwht(reordered, axis=axis) * 2.0**-level
-    return np.take(coeffs, np.arange(K), axis=axis)
+    a = _fwht_front(np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0))
+    a *= 2.0**-level
+    return np.moveaxis(a[:K], 0, axis)
 
 
 def walsh_synthesize(coeffs: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
@@ -146,12 +159,15 @@ def _trig_cell_matrix(K: int, level: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(_Memoised):
     """Truncated double-indexed coefficient array with system metadata.
 
     ``entries[i1, i2]`` is the coefficient at enumeration slots
     ``(i1 + 1, i2 + 1)``; for Walsh those slots are the Paley indices
-    ``(i1, i2)`` directly.
+    ``(i1, i2)`` directly.  ``entries`` is a read-only copy of the input,
+    and the rearranged magnitudes and their block tables are computed on
+    first use and kept with the matrix: every block statistic of one matrix
+    reads them.
     """
 
     system1: OrthonormalSystem
@@ -171,6 +187,33 @@ class CoeffMatrix:
     def magnitudes(self) -> Sequence2D:
         return Sequence2D(np.abs(self.entries))
 
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """The iterated rearrangement of the magnitudes, second index first,
+        on the block that holds its support (see
+        :func:`~lorentz_forge.norms._rearranged_support`); zero elsewhere."""
+        r = _rearranged_support(np.abs(self.entries))
+        if r.base is not None:  # a cut of a larger sort: keep the block only
+            r = r.copy()
+        r.setflags(write=False)
+        return r
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The block table on :attr:`_support` (see
+        :func:`~lorentz_forge.norms._block_table`)."""
+        S = _support_table(self._support)
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def _sqrt_table(self) -> np.ndarray:
+        """The dyadic sqrt table of the magnitudes (see
+        :func:`~lorentz_forge.norms._block_sqrt_table`)."""
+        T = _dyadic_sqrt(self._table, self.truncation)
+        T.setflags(write=False)
+        return T
+
 
 def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
                        sys1: OrthonormalSystem, sys2: OrthonormalSystem,
@@ -186,17 +229,21 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
     n1, n2 = levels
     v = np.asarray(values, dtype=float)  # [j2, j1]
     if sys1.kind == "walsh":
-        a1 = _walsh_coeffs_axis(v, axis=1, level=n1, K=K1).astype(complex)
+        a1 = _walsh_coeffs_axis(v, axis=1, level=n1, K=K1)  # real (r2, K1)
     else:
-        a1 = v @ _trig_cell_matrix(K1, n1).T  # (r2, K1)
-    if sys2.kind == "walsh":
-        a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + (
-            # Walsh x Walsh: the imaginary part is zero and so is its transform
-            0j if sys1.kind == "walsh" else
-            1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2))
+        a1 = v @ _trig_cell_matrix(K1, n1).T  # complex (r2, K1)
+    if sys2.kind != "walsh":
+        a = _trig_cell_matrix(K2, n2) @ a1.astype(complex, order="C")  # (K2, K1)
+    elif sys1.kind == "walsh":
+        # Walsh x Walsh stays real until CoeffMatrix casts it to complex
+        # with a zero imaginary part; adding 0.0 turns -0.0 into 0.0, as
+        # adding 0j to the complex result does
+        a = _walsh_coeffs_axis(a1, axis=0, level=n2, K=K2)
+        a += 0.0
     else:
-        a = _trig_cell_matrix(K2, n2) @ a1  # (K2, K1)
-    return CoeffMatrix(sys1, sys2, a.T)  # entries [k1, k2]
+        a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + \
+            1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2)
+    return CoeffMatrix(sys1, sys2, a.T)  # entries [k1, k2], column-major
 
 
 def coeffs_2d(f: DyadicStep2D, sys1: OrthonormalSystem, sys2: OrthonormalSystem,
@@ -229,14 +276,16 @@ def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
     K1, K2 = a.truncation
     if not (1 <= N1 <= K1 and 1 <= N2 <= K2):
         raise ValueError(f"block ({N1},{N2}) exceeds truncation ({K1},{K2})")
-    mags = a.magnitudes
     if order == "seq":
-        r = iterated_rearrange_seq(mags)
+        # the support padded with zeros, in the layout of the entries: the
+        # sum's bits follow the memory order
+        r = a._support[:N1, :N2]
+        block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
+        block[:r.shape[0], :r.shape[1]] = r
     elif order == "fun":
-        r = iterated_rearrange_seq_first_index(mags)
+        block = iterated_rearrange_seq_first_index(a.magnitudes).entries[:N1, :N2]
     else:
         raise ValueError(f"order must be 'seq' or 'fun', got {order!r}")
-    block = np.asarray(r.entries)[:N1, :N2]
     return float(np.sqrt(np.sum(block**2)))
 
 
@@ -246,8 +295,7 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     ``sup_{k1,k2} (ln max(k1,2))^{1/q1 - 1/2} (ln max(k2,2))^{1/q2 - 1/2}``
     times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes.
     """
-    m = a.magnitudes
-    return float(_bochkarev_of(_block_table(m.entries), q, m.dims))
+    return float(_bochkarev_of(a._table, q, a.truncation))
 
 
 def _bochkarev_of(S: np.ndarray, q: tuple[float, float],
@@ -280,7 +328,7 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     Past ``kappa_i`` the block is the dyadic table's last one, so ``n_i``
     reads the table at ``min(n_i, kappa_i)``.
     """
-    return float(_block_sup_of(_block_sqrt_table(a.magnitudes), q))
+    return float(_block_sup_of(a._sqrt_table, q))
 
 
 def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
@@ -301,13 +349,15 @@ def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
 def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> float:
     """Discrete block-norm left side with weights ``2^{k/p'}`` on the
     normalized brackets of the rearranged coefficient magnitudes."""
-    return seq_block_lorentz_norm(a.magnitudes, p, q)
+    return float(_seq_block_lorentz_of(a._sqrt_table, p, q))
 
 
 def te4_lhs(a: CoeffMatrix, e: Exponents, gp: GrandParams) -> GrandNormResult:
     """Grand sequence norm of the magnitudes at smoothness ``lambda = theta + beta``,
     ``beta_i = max(1/2, 1/q_i)``, with the damped exponent sign."""
-    return grand_seq_norm(a.magnitudes, e, _te4_params(e, gp), sign="minus")
+    params = _te4_params(e, gp)
+    return _grand_of(_seq_surface(a._sqrt_table, e, "minus", *_surface_key(params)),
+                     params)
 
 
 def _te4_params(e: Exponents, gp: GrandParams) -> GrandParams:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import _LN2, _nested
-from .rearrange import _rearranged_values
 from .stepfun import DyadicStep2D
 
 
@@ -157,14 +156,14 @@ def k_upper(f: DyadicStep2D, t1: float, t2: float) -> KTerms:
     """The four norm bounds of the constructive decomposition at ``(t1, t2)``."""
     if t1 <= 0 or t2 <= 0:
         raise ValueError("t1, t2 must be positive")
-    ev = _KhatEvaluator(_rearranged_values(f.values), f.widths)
+    ev = _KhatEvaluator(f.rearranged, f.widths)
     T00, T10, T01, T11 = ev.terms(min(t1 * t1, 1.0), np.array([t2 * t2]))
     return KTerms(t1, t2, float(T00[0]), float(T10[0]), float(T01[0]), float(T11[0]))
 
 
 def khat_grid(f: DyadicStep2D, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
     """Matrix ``Khat[i, j]`` over the grids ``t1s x t2s``."""
-    return _khat_of(_rearranged_values(f.values), f.widths, t1s, t2s)
+    return _khat_of(f.rearranged, f.widths, t1s, t2s)
 
 
 def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s: np.ndarray,

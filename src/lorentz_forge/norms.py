@@ -39,14 +39,17 @@ Conventions
   depend on theta, only on the key :func:`_surface_key` (form, grid depth,
   which theta_i are zero).  :func:`_grand_pick` applies the ``eps^theta``
   weights, so one surface serves every theta with its key.
-* Each public norm prepares what it reads of its input (the rearranged
-  values of a grid, the block table of a sequence) and passes it to a
-  ``_*_of`` or ``_*_surface`` function; a parameter sweep prepares each
-  input once and calls the same functions.  The cores, those functions and
-  :func:`_grand_pick` take leading item axes: ``(..., r2, r1)`` values give
-  ``(...)`` norms and ``(..., m1, m2)`` surfaces, each item's entries
-  bitwise equal to its own call, so one call serves a stack of same-shape
-  functions.  The public norms take one function and return a float.
+* Each public norm reads what is prepared of its input and passes it to a
+  ``_*_of`` or ``_*_surface`` function: the rearranged values of a grid
+  are kept on the grid (:attr:`DyadicStep2D.rearranged`), so the norms of
+  one grid share one rearrangement, and a sequence's block table is built
+  per call (a coefficient matrix keeps its own, see
+  :class:`~lorentz_forge.fourier.CoeffMatrix`).  A parameter sweep
+  prepares a stack of inputs once and calls the same functions.  The
+  cores, those functions and :func:`_grand_pick` take leading item axes:
+  ``(..., r2, r1)`` values give ``(...)`` norms and ``(..., m1, m2)``
+  surfaces, each item's entries bitwise equal to its own call, so one call
+  serves a stack of same-shape functions.  The public norms take one function and return a float.
 """
 
 from __future__ import annotations
@@ -369,7 +372,7 @@ def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
     in t1 with exponent q1, outer in t2 with q2; infinite ``q`` components
     become per-cell-exact suprema.  Divergence reports ``+inf``.
     """
-    return float(_lorentz_of(_rearranged_values(f.values), f.widths, e))
+    return float(_lorentz_of(f.rearranged, f.widths, e))
 
 
 def _lorentz_of(g: np.ndarray, widths: tuple[float, float],
@@ -437,7 +440,7 @@ def grand_lorentz_norm(f: DyadicStep2D, e: Exponents, gp: GrandParams) -> GrandN
     grid minimum with exponents ``1/p_i - eps_i``, ``eps_i <= 1/p_i`` (an
     over-approximation of the true infimum).
     """
-    g = _rearranged_values(f.values)
+    g = f.rearranged
     if gp.theta == (0.0, 0.0):
         # the objective is nonincreasing in eps, so the supremum is the
         # monotone limit at eps -> 0: exactly the plain norm
@@ -473,19 +476,40 @@ def _block_table(m: np.ndarray) -> np.ndarray:
     rearrangement of ``m`` over its top ``(i1 + 1) x (i2 + 1)`` block.
 
     Only the top-left block of the table that holds the rearranged support
-    is built.  A row of ``m`` that is zero in every item sinks below the
-    nonzero ones in the column pass, and no column reaches past the longest
-    nonzero row, so the rearrangement is zero outside that block.  Beyond
-    it the table repeats its last row and column exactly (adding 0.0), so a
-    read at ``(min(i1, r1 - 1), min(i2, r2 - 1))`` of the ``r1 x r2`` block
-    gives the full table's bits.
+    (:func:`_rearranged_support`) is built.  Beyond it the table repeats
+    its last row and column exactly (adding 0.0), so a read at
+    ``(min(i1, r1 - 1), min(i2, r2 - 1))`` of the ``r1 x r2`` block gives
+    the full table's bits.
+    """
+    return _support_table(_rearranged_support(m))
+
+
+def _rearranged_support(m: np.ndarray) -> np.ndarray:
+    """The iterated rearrangement of magnitudes ``m[..., i1, i2]`` on the
+    top-left block that holds its support in every item (at least 1 x 1).
+
+    A row of ``m`` that is zero in every item sinks below the nonzero ones
+    in the column pass, and no column reaches past the longest nonzero row,
+    so the rearrangement is zero outside that block: the zero rows are
+    dropped before the sort, and the columns past the support after it.
     """
     live = np.any(m > 0, axis=-1).reshape(-1, m.shape[-2]).any(axis=0)
     if not live.all():  # the zero rows go; an all-zero table keeps one
         m = m[..., live, :] if live.any() else m[..., :1, :]
     r = _rearranged_values(m)
     cols = max(1, int(np.count_nonzero(r[..., 0, :], axis=-1).max()))
-    return np.cumsum(np.cumsum(r[..., :cols] ** 2, axis=-2), axis=-1)
+    return r if cols == r.shape[-1] else r[..., :cols]
+
+
+def _support_table(r: np.ndarray) -> np.ndarray:
+    """The block tables (see :func:`_block_table`) of rearranged magnitudes
+    ``r[..., i1, i2]``: the squares summed down each column, then along
+    each row, in one new C ordered array (the readers' weight tables are C
+    ordered, and a mixed layout makes their broadcasts several times
+    slower)."""
+    S = np.square(r, order="C")
+    np.cumsum(S, axis=-2, out=S)
+    return np.cumsum(S, axis=-1, out=S)
 
 
 def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
@@ -619,7 +643,7 @@ def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
     The supremum is one-sided on (0,1): it is ``+inf`` exactly when the
     rearranged function is positive on a cell touching ``t = 1``.
     """
-    return float(_logweight_of(_rearranged_values(f.values), f.widths, p, theta))
+    return float(_logweight_of(f.rearranged, f.widths, p, theta))
 
 
 def _logweight_of(g: np.ndarray, widths: tuple[float, float],
@@ -635,8 +659,9 @@ def _logweight_of(g: np.ndarray, widths: tuple[float, float],
     w1 = _log_weight_right_endpoints(r1, h1, 1.0 / p[0], theta[0])
     w2 = _log_weight_right_endpoints(r2, h2, 1.0 / p[1], theta[1])
     weights = np.outer(w2, w1)
-    masked = np.where(g > 0, weights * np.where(g > 0, g, 1.0), 0.0)
-    return masked.max(axis=(-2, -1), initial=0.0)
+    # an infinite weight on a zero value is left out, not 0 * inf = nan
+    with np.errstate(invalid="ignore"):
+        return np.max(weights * g, axis=(-2, -1), where=g > 0, initial=0.0)
 
 
 def _dyadic_samples(axis_len: int, level: int) -> np.ndarray:
@@ -661,7 +686,7 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
     tau1, tau2 = e.q
-    g = _rearranged_values(f.values)
+    g = f.rearranged
     n1, n2 = f.levels
     r2, r1 = g.shape
     # samples v[i2, i1] = g(2^{-m1}, 2^{-m2}) for m = 1 .. level+1; the last

@@ -39,15 +39,24 @@ class Sequence2D:
 
 
 def _sort_desc(arr: np.ndarray, axis: int) -> np.ndarray:
-    return -np.sort(-arr, axis=axis)
+    """``arr`` sorted nonincreasing along ``axis``, in one new array: the
+    negation is sorted in place and negated back in place."""
+    out = np.negative(arr)
+    out.sort(axis=axis)
+    return np.negative(out, out=out)
 
 
 def _rearranged_values(v: np.ndarray) -> np.ndarray:
     """Each row of ``v[..., i, j]`` sorted nonincreasing, then each column,
     over any leading item axes: the values of :func:`iterated_rearrange_2d`
     (rows are x2-slices) and the entries of :func:`iterated_rearrange_seq`
-    (rows fix ``m1``)."""
-    return _sort_desc(_sort_desc(v, axis=-1), axis=-2)
+    (rows fix ``m1``).  One new array, in the memory layout of ``v``: both
+    passes sort the negation in place (the negation of the row-sorted rows
+    is the sorted negation), and it is negated back once."""
+    out = np.negative(v)
+    out.sort(axis=-1)
+    out.sort(axis=-2)
+    return np.negative(out, out=out)
 
 
 def rearrange_1d(g: DyadicStep1D) -> DyadicStep1D:
@@ -70,7 +79,7 @@ def iterated_rearrange_2d(f: DyadicStep2D) -> DyadicStep2D:
     pass preserves the row-sortedness, so the output is nonincreasing in
     each variable with the other held fixed.
     """
-    return DyadicStep2D(f.levels, _rearranged_values(np.asarray(f.values)))
+    return DyadicStep2D(f.levels, f.rearranged)
 
 
 def iterated_rearrange_seq(a: Sequence2D) -> Sequence2D:

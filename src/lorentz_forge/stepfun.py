@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,16 @@ def _as_readonly(arr) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+class _Memoised:
+    """Base of the frozen dataclasses that keep per-object preparation in
+    cached properties.  Their arrays are read-only owned copies, so a memo
+    stays valid as long as the object.  Pickling and copying keep the
+    fields only: a copy prepares its own."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,15 @@ class DyadicStep1D:
 
 
 @dataclass(frozen=True)
-class DyadicStep2D:
+class DyadicStep2D(_Memoised):
     """Step function on [0,1)^2 over a ``2^{n1} x 2^{n2}`` dyadic grid.
 
     ``values[j2, j1]`` is the value on the rectangle
     ``[j1/2^{n1}, (j1+1)/2^{n1}) x [j2/2^{n2}, (j2+1)/2^{n2})``; rows index
     the second variable (x2-slices), columns the first.  Queries outside
     ``[0,1)^2`` return 0 (implicit zero extension).  The levels are
-    integers >= 0.
+    integers >= 0.  ``values`` is a read-only copy of the input, and
+    :attr:`rearranged` is computed on first use and kept with the grid.
     """
 
     levels: tuple[int, int]
@@ -92,6 +104,17 @@ class DyadicStep2D:
     def widths(self) -> tuple[float, float]:
         n1, n2 = self.levels
         return 2.0**-n1, 2.0**-n2
+
+    @cached_property
+    def rearranged(self) -> np.ndarray:
+        """The values of the iterated rearrangement (see
+        :func:`~lorentz_forge.rearrange.iterated_rearrange_2d`), read-only:
+        every norm that reads the rearranged function reads this array."""
+        from .rearrange import _rearranged_values  # rearrange imports this module
+
+        out = _rearranged_values(self.values)
+        out.setflags(write=False)
+        return out
 
 
 def constant_grid(c: float, levels: tuple[int, int] = (0, 0)) -> DyadicStep2D:

@@ -286,12 +286,17 @@ class _Prepared:
             # as in grand_lorentz_norm: exactly the plain norm
             L = self.lorentz(e)
             return L, np.zeros(L.shape + (2,))
+        return _grand_pick(*self.surface(e, gp, sign), gp)
+
+    def surface(self, e: Exponents, gp: GrandParams, sign=None):
+        """The epsilon surface that :meth:`grand` picks from at ``gp``: the
+        axes and the value matrices, one per item."""
         key = _surface_key(gp)
         if (e, sign, key) not in self._memo:
             self._memo[e, sign, key] = (
                 _lorentz_surface(self.g, self.fs[0].widths, e, *key) if sign is None
                 else _seq_surface(self.sqrtS, e, sign, *key))
-        return _grand_pick(*self._memo[e, sign, key], gp)
+        return self._memo[e, sign, key]
 
 
 class _Group(NamedTuple):
@@ -508,12 +513,14 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
 
 
 def check_collapse(corpus, p=(2, 2), q=(1, 1)) -> CheckReport:
-    """theta = 0 grand norm equals the Lorentz norm exactly."""
+    """theta = 0 grand norm equals the Lorentz norm exactly: the eps = (0, 0)
+    entry of the theta = 0 epsilon surface (its last row and column, see
+    :func:`~lorentz_forge.norms._eps_axes`) against the plain norm."""
     e = Exponents(p, q)
     rep = _sweep(corpus, [_Group([()], lambda: CheckReport(
         "embeddings_collapse", {"p": list(p), "q": _jq(q)}, corpus_hash(corpus),
         1.0, notes={"exactness": "bitwise (eps = 0 grid point)"}),
-        lambda prep: [("", prep.grand(e, GrandParams((0.0, 0.0)))[0],
+        lambda prep: [("", prep.surface(e, GrandParams((0.0, 0.0)))[1][..., -1, -1],
                        prep.lorentz(e))])])[0][0]
     inexact = [c.case_id for c in rep.cases if c.lhs != c.rhs]
     if inexact:

@@ -398,3 +398,90 @@ def test_trig_cell_matrix_matches_row_loop(level):
 @pytest.mark.parametrize("count,level", [(32, 5), (40, 6)])
 def test_trig_gram_matches_entry_loop(count, level):
     _assert_same_bits(gram_matrix(TRIG, count, level), _trig_gram_loop(count, level))
+
+
+def _fwht_strided(arr, axis):
+    """Reference for ``fwht``: the butterflies over strided views with the
+    transform axis last, whose inner runs are h = 1, 2, 4, ... long."""
+    a = np.array(np.moveaxis(np.asarray(arr), axis, -1), dtype=float, order="C")
+    n = a.shape[-1]
+    b = np.empty_like(a)
+    h = 1
+    while h < n:
+        shp = a.shape[:-1] + (n // (2 * h), 2, h)
+        src, dst = a.reshape(shp), b.reshape(shp)
+        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
+        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
+        a, b = b, a
+        h *= 2
+    return np.moveaxis(a, -1, axis)
+
+
+def _words(x):
+    """The 64-bit words of ``x`` in C order: equal words are equal values
+    with equal signs of zero."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(11)])
+def test_fwht_matches_strided_butterflies(n):
+    r = np.random.default_rng(300 + n)
+    for shape, axes in (((n, 2, 3), (0,)), ((2, n, 3), (1, -2)), ((2, 3, n), (-1,)),
+                        ((4, n), (1, -1)), ((n, 4), (0, -2))):
+        x = r.integers(-2, 3, shape).astype(float)  # ties give zeros of both signs
+        x[r.random(shape) < 0.2] = -0.0
+        for axis in axes:
+            got, want = fwht(x, axis), _fwht_strided(x, axis)
+            assert got.shape == want.shape
+            assert np.array_equal(_words(got), _words(want))
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_fwht_rejects_lengths_not_a_power_of_two(n):
+    with pytest.raises(ValueError, match="power of two"):
+        fwht(np.ones((2, n)), 1)
+    with pytest.raises(ValueError, match="power of two"):
+        fwht(np.ones(n), 0)
+
+
+def _walsh_axis_strided(vals, axis, level, K):
+    """Reference for ``_walsh_coeffs_axis``: gather, :func:`_fwht_strided`,
+    scale and cut, each in a new array."""
+    reordered = np.take(vals, _bitrev_perm(level), axis=axis)
+    coeffs = _fwht_strided(reordered, axis) * 2.0**-level
+    return np.take(coeffs, np.arange(K), axis=axis)
+
+
+def _coeffs_strided(f, sys1, sys2, K1, K2):
+    """Reference for ``coeffs_2d``: the complex path over the strided
+    transform."""
+    (n1, n2), v = f.levels, np.asarray(f.values)
+    if sys1.kind == "walsh":
+        a1 = _walsh_axis_strided(v, 1, n1, K1).astype(complex)
+    else:
+        a1 = v @ _trig_cell_matrix(K1, n1).T
+    if sys2.kind == "walsh":
+        a = _walsh_axis_strided(a1.real, 0, n2, K2) + (
+            0j if sys1.kind == "walsh" else 1j * _walsh_axis_strided(a1.imag, 0, n2, K2))
+    else:
+        a = _trig_cell_matrix(K2, n2) @ a1
+    return np.array(a.T, dtype=complex)
+
+
+@pytest.mark.parametrize("levels", [(0, 2), (3, 4), (5, 5), (6, 3)])
+def test_coeffs_match_the_strided_complex_path(levels):
+    """Bitwise, signs of zero included (the ``coeffs`` JSON prints them), and
+    in the same memory layout, which the sums downstream follow."""
+    r = np.random.default_rng(sum(levels))
+    n1, n2 = levels
+    vals = r.integers(0, 3, (2**n2, 2**n1)).astype(float)
+    vals[r.random(vals.shape) < 0.3] = -0.0
+    for f in (DyadicStep2D(levels, vals), DyadicStep2D(levels, np.full(vals.shape, -0.0)),
+              DyadicStep2D(levels, r.random(vals.shape))):
+        for sys1, sys2 in ((WALSH, WALSH), (WALSH, TRIG), (TRIG, WALSH)):
+            for K1, K2 in {(2**n1, 2**n2), (max(2**n1 // 2, 1), max(2**n2 - 1, 1))}:
+                got = coeffs_2d(f, sys1, sys2, K1, K2).entries
+                want = _coeffs_strided(f, sys1, sys2, K1, K2)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert np.array_equal(_words(got), _words(want))

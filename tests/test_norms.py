@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
+from lorentz_forge import rearrange
 from lorentz_forge.fourier import (WALSH, CoeffMatrix, _block_sup_of,
-                                   _bochkarev_of, te4_lhs)
+                                   _bochkarev_of, block_l2, block_sup_lhs,
+                                   bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs)
 from lorentz_forge.interpolation import (_interp_of, beta_from_q, interp_norm,
-                                         khat_grid)
+                                         k_upper, khat_grid)
 import lorentz_forge.norms as norms
 from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  _block_sqrt_table, _block_table,
@@ -1143,3 +1147,115 @@ def test_p6_block_scan_matches_the_one_point_scan(monkeypatch):
         got = discrete_grand_norm_P6(f, e, theta)
         assert got == pytest.approx(want, rel=1e-15, abs=0)
         assert len(calls) <= one_point_calls + 1
+
+
+class TestPreparedOnce:
+    """The rearranged values are kept on the grid, and the rearranged
+    magnitudes and their block tables on the coefficient matrix: every
+    public reader of one object shares one rearrangement."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        sort = rearrange._rearranged_values
+
+        def counted(v):
+            calls.append(v.shape)
+            return sort(v)
+
+        # the grid imports it from rearrange when it first prepares itself
+        monkeypatch.setattr(rearrange, "_rearranged_values", counted)
+        monkeypatch.setattr(norms, "_rearranged_values", counted)
+        return calls
+
+    @staticmethod
+    def _grid():
+        v = np.random.default_rng(41).random((16, 32))
+        v[-1, :] = v[:, -1] = 0.0  # a finite log-weighted sup
+        return DyadicStep2D((5, 4), v)
+
+    @staticmethod
+    def _grid_reads(f):
+        e = Exponents((2, 2), (2, 2))
+        ts = np.array([0.25, 0.5, 2.0])
+        return [lorentz_norm(f, e),
+                grand_lorentz_norm(f, e, GrandParams((0.5, 0.5), 8)).value,
+                grand_lorentz_norm(f, Exponents((2, 2), (INF, INF)),
+                                   GrandParams((-0.5, -0.5), 8)).value,
+                grand_lorentz_norm(f, e, GrandParams((0.0, 0.0))).value,
+                logweight_sup_norm(f, (2, 2), (0.5, 0.5)),
+                discrete_grand_norm_P6(f, e, (0.5, 0.5), k_max=32),
+                khat_grid(f, ts, ts), k_upper(f, 0.5, 0.25).khat,
+                interp_norm(f, (0.5, 0.5), (2.0, 2.0), J=6),
+                iterated_rearrange_2d(f).values,
+                evaluate_norm_request({"norm": "lorentz"}, f)["value"]]
+
+    @staticmethod
+    def _coeffs():
+        return coeffs_2d(TestPreparedOnce._grid(), WALSH, WALSH, 32, 16)
+
+    @staticmethod
+    def _coeff_reads(a):
+        e, gp = Exponents((2, 2), (2, 2)), GrandParams((0.25, 0.25), 8)
+        out = [te3_lhs(a, (1.5, 1.5), (2.0, 2.0)), te4_lhs(a, e, gp).value,
+               te4_lhs(a, Exponents((2, 2), (4.0, 4.0)), gp).value]
+        for q in ((2.0, 2.0), (4.0, INF)):
+            out += [bochkarev_lhs(a, q), block_sup_lhs(a, q)]
+        return out + [block_l2(a, *N) for N in ((1, 1), (4, 2), (32, 16))]
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert [np.asarray(x).tobytes() for x in got] == \
+            [np.asarray(x).tobytes() for x in want]
+
+    def test_grid_readers_rearrange_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        f = self._grid()
+        self._grid_reads(f)
+        self._grid_reads(f)
+        assert calls == [(16, 32)]
+
+    def test_coefficient_readers_rearrange_once(self, monkeypatch):
+        a = self._coeffs()
+        calls = self._count(monkeypatch)
+        self._coeff_reads(a)
+        self._coeff_reads(a)
+        assert calls == [(32, 16)]
+
+    def test_memo_is_read_only(self):
+        f, a = self._grid(), self._coeffs()
+        self._coeff_reads(a)
+        for arr in (f.rearranged, a._support, a._table, a._sqrt_table):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_results_equal_a_fresh_objects(self):
+        f, a = self._grid(), self._coeffs()
+        first = self._grid_reads(f), self._coeff_reads(a)
+        again = self._grid_reads(f), self._coeff_reads(a)
+        fresh = (self._grid_reads(DyadicStep2D(f.levels, f.values)),
+                 self._coeff_reads(CoeffMatrix(a.system1, a.system2, a.entries)))
+        for got in (again, fresh):
+            self._same_bits(got[0], first[0])
+            self._same_bits(got[1], first[1])
+
+    def test_equality_hash_replace_and_pickle(self):
+        f, a = self._grid(), self._coeffs()
+        plain = [pickle.dumps(f), pickle.dumps(a)]
+        self._grid_reads(f)
+        self._coeff_reads(a)
+        assert "rearranged" in vars(f) and "_table" in vars(a)
+        # the memo is no state: the pickles are the unprepared object's
+        assert [pickle.dumps(f), pickle.dumps(a)] == plain
+        for obj, memo in ((f, "rearranged"), (a, "_support")):
+            assert obj == obj
+            with pytest.raises(TypeError):
+                hash(obj)  # a frozen dataclass over an array field
+            for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj))):
+                assert memo not in vars(copy)
+                assert copy.__dataclass_fields__ == obj.__dataclass_fields__
+        g = pickle.loads(pickle.dumps(f))
+        assert g.levels == f.levels and np.array_equal(g.values, f.values)
+        assert g.rearranged.tobytes() == f.rearranged.tobytes()
+        self._same_bits(self._coeff_reads(pickle.loads(pickle.dumps(a))),
+                        self._coeff_reads(a))

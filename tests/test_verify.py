@@ -439,6 +439,24 @@ class TestEmbeddingChecks:
         assert rep.passed
         assert "inexact" not in rep.notes
 
+    def test_collapse_reads_the_surface(self, monkeypatch):
+        """The left side is the eps = (0, 0) entry of the theta = 0 surface,
+        so one ulp moved there shows as an inexact case."""
+        corpus = generate(CorpusSpec("random_step", (4, 4), 10, 29))
+        surface = checks._lorentz_surface
+
+        def nudged(*args):
+            axes, vals = surface(*args)
+            assert axes[0][-1] == axes[1][-1] == 0.0
+            vals = vals.copy()
+            vals[3, -1, -1] = np.nextafter(vals[3, -1, -1], INF)
+            return axes, vals
+
+        monkeypatch.setattr(checks, "_lorentz_surface", nudged)
+        rep = checks.check_collapse(corpus)
+        assert rep.notes["inexact"] == ["f3"]
+        assert not rep.passed
+
     def test_p1_requires_ordering(self):
         with pytest.raises(ValueError):
             checks.check_p1_monotone([], (0.5, 0.5), (0.25, 1.0))
@@ -757,7 +775,9 @@ def test_suites_compute_each_surface_once(monkeypatch):
     assert got["te3"]["_lorentz_core_batch"] <= 36
     assert got["te3"]["_seq_block_core"] <= 36
     assert got["interp"]["_lorentz_core_batch"] <= 36
-    assert got["embeddings"]["_lorentz_core_batch"] <= 7
+    # embeddings: the collapse check reads the theta = 0 surface besides
+    # the plain norm
+    assert got["embeddings"]["_lorentz_core_batch"] <= 8
     assert got["te4"]["_lorentz_core_batch"] <= 88
     assert got["te4"]["_seq_block_core"] <= 84
     assert got["thm5"]["_lorentz_core_batch"] <= 84
