@@ -12,31 +12,72 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .fourier import TRIG, WALSH, ResolutionError, coeffs_2d
 from .norms import GRID_KINDS, evaluate_norm_request, mixed_lebesgue_norm
-from .stepfun import DyadicStep2D, load_grid
-from .verify.checks import run_suite
-from .verify.corpus import corpus_hash
-from .verify.report import write_reports
+from .stepfun import DyadicStep2D, corpus_hash, load_grid
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` spells it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _matrix_json(m: np.ndarray, depth: int) -> Iterator[str]:
+    """``json.dumps(m.tolist(), indent=2)`` for a nonempty 2-D float array
+    nested ``depth`` levels deep, one piece per row, without the
+    pure-Python encoder that ``indent`` forces: one number per line."""
+    fmt = float.__repr__ if np.isfinite(m).all() else _json_float
+    outer = "\n" + "  " * (depth + 1)
+    inner = outer + "  "
+    sep = "[" + outer
+    for row in m:
+        yield sep + "[" + inner + ("," + inner).join(map(fmt, row.tolist())) + outer + "]"
+        sep = "," + outer
+    yield "\n" + "  " * depth + "]"
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` in pieces, for a
+    nonempty document in which 2-D float arrays stand for nested lists
+    (see :func:`_matrix_json`)."""
+    sep = "{\n  "
+    for key in sorted(doc):
+        val = doc[key]
+        yield f"{sep}{json.dumps(key)}: "
+        if isinstance(val, np.ndarray):
+            yield from _matrix_json(val, 1)
+        else:
+            yield json.dumps(val, sort_keys=True, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def _emit(doc: dict, out_path, fmt: str) -> None:
     if fmt == "csv":
-        lines = [",".join(map(str, doc.keys())), ",".join(repr(v) for v in doc.values())]
-        text = "\n".join(lines) + "\n"
+        vals = (v.tolist() if isinstance(v, np.ndarray) else v for v in doc.values())
+        lines = [",".join(map(str, doc.keys())), ",".join(map(repr, vals))]
+        chunks = ["\n".join(lines) + "\n"]
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        chunks = _json_chunks(doc)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _add_common(sp):
@@ -107,25 +148,38 @@ def cmd_coeffs(args) -> int:
     systems = [TRIG if name == "trig" else WALSH for name in args.system]
     K1, K2 = args.K
     a = coeffs_2d(f, systems[0], systems[1], K1, K2)
-    parseval = None
-    if all(s.kind == "walsh" for s in systems):
-        parseval = float(abs(np.sum(np.abs(a.entries) ** 2)
-                             - mixed_lebesgue_norm(f, (2, 2)) ** 2))
     doc = {
         "config": {"system": args.system, "K": [K1, K2]},
         "content_hash": corpus_hash([f]),
         "system": args.system,
         "K": [K1, K2],
-        "re": [[float(x) for x in row] for row in a.entries.real],
-        "im": [[float(x) for x in row] for row in a.entries.imag],
+        "re": a.entries.real,
+        "im": a.entries.imag,
     }
-    if parseval is not None:
-        doc["parseval_residual"] = parseval
+    if all(s.kind == "walsh" for s in systems):
+        doc["parseval_residual"] = _parseval_residual(f, a.entries)
     _emit(doc, args.out, args.format)
     return 0
 
 
+def _parseval_residual(f: DyadicStep2D, entries: np.ndarray) -> float:
+    """``|sum |a|^2 - ||f||_2^2|`` taken on ``f`` and ``a`` scaled by ``2^-k``,
+    ``2^k`` just above the largest value (``k = 0`` below 1), so no square
+    overflows; the power-of-two scaling is exact, and the residual is
+    scaled back."""
+    k = max(math.frexp(f.values.max())[1], 0)
+    r = abs(np.sum((np.abs(entries) * 2.0**-k) ** 2)
+            - math.ldexp(mixed_lebesgue_norm(f, (2, 2)), -k) ** 2)
+    try:
+        return math.ldexp(r, 2 * k)
+    except OverflowError:  # the residual itself exceeds the float range
+        return math.inf
+
+
 def cmd_verify(args) -> int:
+    from .verify.checks import run_suite
+    from .verify.report import write_reports
+
     # an unusable report directory fails here, before any suite runs
     Path(args.out).mkdir(parents=True, exist_ok=True)
     reports = run_suite(args.suite, seed=args.seed,

@@ -206,10 +206,12 @@ def refine(f: DyadicStep2D, new_levels: tuple[int, int]) -> DyadicStep2D:
 
 
 def save_grid(f: DyadicStep2D, path) -> None:
-    """Write the grid file format: levels plus rows in x2-major order."""
-    doc = {"levels": list(f.levels), "values": [list(map(float, r)) for r in f.values]}
+    """Write the grid file format: levels plus rows in x2-major order.
+    ``json.dumps`` takes the C encoder (``json.dump`` never does); the bytes
+    are the same."""
+    doc = {"levels": list(f.levels), "values": f.values.tolist()}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_grid(path) -> DyadicStep2D:
@@ -221,3 +223,18 @@ def load_grid(path) -> DyadicStep2D:
         return DyadicStep2D(tuple(doc["levels"]), np.array(doc["values"], dtype=float))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a grid document: {exc!r}") from exc
+
+
+def corpus_hash(funcs) -> str:
+    """SHA-256 over the concatenated levels and cell values of a corpus of
+    grids, or of ``(coeffs, grid)`` pairs."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for f in funcs:
+        if isinstance(f, tuple):  # (coeffs, function) pairs
+            h.update(np.ascontiguousarray(f[0].entries).tobytes())
+            f = f[1]
+        h.update(bytes(str(f.levels), "ascii"))
+        h.update(np.ascontiguousarray(f.values).tobytes())
+    return h.hexdigest()

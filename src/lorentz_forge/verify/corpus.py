@@ -9,7 +9,6 @@ lacunary coefficient polynomials, and indicator rectangles.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ import numpy as np
 
 from ..fourier import WALSH, CoeffMatrix, walsh_on_cells
 from ..rearrange import iterated_rearrange_2d
-from ..stepfun import DyadicStep2D
+from ..stepfun import DyadicStep2D, corpus_hash  # corpus_hash: re-exported
 
 
 @dataclass(frozen=True)
@@ -150,15 +149,3 @@ def generate_karamata_pairs(count: int, seed: int, length: int = 16
             raise AssertionError("generator bug: majorization hypothesis violated")
         out.append((f, g))
     return out
-
-
-def corpus_hash(funcs) -> str:
-    """SHA-256 over the concatenated levels and cell values of a corpus."""
-    h = hashlib.sha256()
-    for f in funcs:
-        if isinstance(f, tuple):  # (coeffs, function) pairs
-            h.update(np.ascontiguousarray(f[0].entries).tobytes())
-            f = f[1]
-        h.update(bytes(str(f.levels), "ascii"))
-        h.update(np.ascontiguousarray(f.values).tobytes())
-    return h.hexdigest()

@@ -1,11 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lorentz_forge import cli
 from lorentz_forge.cli import main
-from lorentz_forge.stepfun import constant_grid, save_grid
+from lorentz_forge.fourier import TRIG, WALSH, coeffs_2d
+from lorentz_forge.norms import mixed_lebesgue_norm
+from lorentz_forge.stepfun import DyadicStep2D, constant_grid, corpus_hash, save_grid
+from lorentz_forge.verify import checks
 
 
 @pytest.fixture()
@@ -141,6 +150,101 @@ class TestCoeffsCommand:
         assert "truncation" in captured.err
 
 
+def _listed_coeffs_doc(f, system, K):
+    """A coefficient document built from nested lists of floats, as
+    ``json.dumps`` takes it."""
+    sys1, sys2 = (TRIG if name == "trig" else WALSH for name in system)
+    a = coeffs_2d(f, sys1, sys2, *K)
+    doc = {"config": {"system": system, "K": K}, "content_hash": corpus_hash([f]),
+           "system": system, "K": K,
+           "re": [[float(x) for x in row] for row in a.entries.real],
+           "im": [[float(x) for x in row] for row in a.entries.imag]}
+    if system == ["walsh", "walsh"]:
+        doc["parseval_residual"] = float(abs(np.sum(np.abs(a.entries) ** 2)
+                                             - mixed_lebesgue_norm(f, (2, 2)) ** 2))
+    return doc
+
+
+class TestCoeffsWriter:
+    @pytest.fixture()
+    def grid(self, tmp_path):
+        f = DyadicStep2D((4, 3), np.random.default_rng(14).random((8, 16)))
+        path = tmp_path / "grid.json"
+        save_grid(f, path)
+        return f, path
+
+    @pytest.mark.parametrize("system,K", [(["walsh", "walsh"], [16, 8]),
+                                          (["trig", "trig"], [5, 7]),
+                                          (["walsh", "trig"], [4, 6]),
+                                          (["walsh", "walsh"], [1, 1])])
+    def test_json_bytes_match_json_dumps(self, grid, tmp_path, system, K):
+        f, path = grid
+        out = tmp_path / "coeffs.json"
+        rc = main(["coeffs", "--system", *system, "--K", *map(str, K),
+                   "--in", str(path), "--out", str(out)])
+        assert rc == 0
+        want = json.dumps(_listed_coeffs_doc(f, system, K), sort_keys=True, indent=2)
+        assert out.read_text() == want + "\n"
+
+    @pytest.mark.parametrize("system", [["walsh", "walsh"], ["trig", "walsh"]])
+    def test_csv_matches_listed_repr(self, grid, capsys, system):
+        f, path = grid
+        rc = main(["coeffs", "--system", *system, "--K", "4", "2",
+                   "--in", str(path), "--format", "csv"])
+        assert rc == 0
+        doc = _listed_coeffs_doc(f, system, [4, 2])
+        want = ",".join(doc) + "\n" + ",".join(repr(v) for v in doc.values()) + "\n"
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_matrix_writer_nonfinite_and_signed_zero(self, depth):
+        m = np.array([[np.inf, -np.inf, 1e-310], [np.nan, -0.0, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = "".join(cli._matrix_json(m, depth))
+        want = json.dumps(m.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
+        assert text == want
+        assert "Infinity" in text and "-0.0" in text and "NaN" in text
+
+    def test_large_values_give_finite_parseval_residual(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        save_grid(constant_grid(1e160, (3, 3)), path)
+        rc = main(["coeffs", "--system", "walsh", "walsh", "--K", "8", "8",
+                   "--in", str(path)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["re"][0][0] == pytest.approx(1e160)
+        assert np.isfinite(doc["parseval_residual"])
+        assert doc["parseval_residual"] <= 1e-10 * 1e320
+
+    def test_residual_beyond_float_range_reads_inf(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_grid(DyadicStep2D((3, 3), np.random.default_rng(3).random((8, 8)) * 1e300),
+                  path)
+        rc = main(["coeffs", "--K", "8", "8", "--in", str(path)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["parseval_residual"] == math.inf
+
+    def test_parseval_residual_scales_exactly(self, grid):
+        f, _ = grid
+        a = coeffs_2d(f, WALSH, WALSH, 16, 8)
+        r = cli._parseval_residual(f, a.entries)
+        assert r > 0
+        big = DyadicStep2D(f.levels, f.values * 2.0**520)
+        assert cli._parseval_residual(big, a.entries * 2.0**520) == math.ldexp(r, 1040)
+
+
+def test_cli_import_skips_verification_harness():
+    code = ("import sys, lorentz_forge.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('lorentz_forge.verify')))\n"
+            "import lorentz_forge.stepfun, lorentz_forge.verify.corpus\n"
+            "print(lorentz_forge.verify.corpus.corpus_hash is lorentz_forge.stepfun.corpus_hash)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()
+    assert out == ["[]", "True"]
+
+
 class TestVerifyCommand:
     def test_small_suite_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "karamata", "--seed", "7",
@@ -169,7 +273,7 @@ class TestVerifyCommand:
         def never(*args, **kwargs):
             raise AssertionError("run_suite was called")
 
-        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setattr(checks, "run_suite", never)
         out = tmp_path / "taken"
         out.write_text("")
         rc = main(["verify", "--suite", "all", "--out", str(out)])

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -164,6 +165,20 @@ def test_grid_json_round_trip(tmp_path, rng):
     g = load_grid(path)
     assert g.levels == f.levels
     assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("f", [
+    DyadicStep2D((5, 5), np.random.default_rng(5).random((32, 32))),
+    DyadicStep2D((1, 1), np.array([[5e-324, 1e-300], [1.7e308, 0.0]])),
+], ids=["random5", "extremes"])
+def test_save_grid_bytes_match_json_dump(tmp_path, f):
+    path = tmp_path / "grid.json"
+    save_grid(f, path)
+    ref = io.StringIO()
+    json.dump({"levels": list(f.levels),
+               "values": [list(map(float, r)) for r in f.values]}, ref)
+    assert path.read_text() == ref.getvalue()
+    assert np.array_equal(load_grid(path).values, f.values)
 
 
 def test_indicator_grid():
