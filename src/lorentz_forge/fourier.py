@@ -11,6 +11,7 @@ complex exponentials cell by cell in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,13 +114,22 @@ def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.nd
     for K <= 2^level.
 
     The bit-reversal gather is the copy that puts the axis in front for
-    :func:`_fwht_front`, and the scaling is in place.
+    :func:`_fwht_front`, and the scaling is in place.  A butterfly sum of
+    ``2^h`` values is at most ``2^h max|v|``, so values that could sum past
+    the float range are first divided by the least ``2^k`` that keeps
+    ``2^level max|v|`` finite, and ``2^k`` joins the final ``2^-level``: the
+    power-of-two scalings are exact, and ``k = 0`` whenever no sum overflows.
     """
     if K > 2**level:
         raise ResolutionError(
             f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
-    a = _fwht_front(np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0))
-    a *= 2.0**-level
+    v = np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0)
+    # frexp's exponent e gives max|v| < 2^e; non-finite values keep k = 0
+    k = max(math.frexp(max(v.max(), -v.min()))[1] + level - 1024, 0)
+    if k:
+        v *= 2.0**-k
+    a = _fwht_front(v)
+    a *= 2.0 ** (k - level)
     return np.moveaxis(a[:K], 0, axis)
 
 
@@ -197,6 +207,13 @@ class CoeffMatrix(_Memoised):
             r = r.copy()
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def _fun_order(self) -> np.ndarray:
+        """The iterated rearrangement of the magnitudes, first index first
+        (see :func:`~lorentz_forge.rearrange.iterated_rearrange_seq_first_index`),
+        in its own layout: the block sums of :func:`block_l2` follow it."""
+        return iterated_rearrange_seq_first_index(self.magnitudes).entries
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -283,7 +300,7 @@ def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
         block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
         block[:r.shape[0], :r.shape[1]] = r
     elif order == "fun":
-        block = iterated_rearrange_seq_first_index(a.magnitudes).entries[:N1, :N2]
+        block = a._fun_order[:N1, :N2]
     else:
         raise ValueError(f"order must be 'seq' or 'fun', got {order!r}")
     return float(np.sqrt(np.sum(block**2)))

@@ -14,6 +14,13 @@ integrands are piecewise ``alpha + beta/s`` (antiderivatives use ``ln``) or
 squares of step functions, so everything is closed form.  ``Khat`` is
 constant for ``t >= (1,1)``, which makes the upper tails of the
 interpolation integral exact.
+
+For a fixed ``w1`` the s2-direction profiles are step functions (the
+inner-l2 tail and the squared row masses) or piecewise ``alpha + beta/s``
+(the running average), one value of ``alpha`` and ``beta`` per s2-cell.
+Their antiderivatives are cumulated once over the cells, so each ``w2`` is a
+lookup of its cell's prefix or suffix plus a partial-cell term.  One call
+of ``_khat_of`` does this for every grid of a stack and every ``w1`` at once.
 """
 
 from __future__ import annotations
@@ -84,101 +91,76 @@ def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:
     )
 
 
-class _KhatEvaluator:
-    """Closed-form evaluation of the four terms on a rearranged grid.
-
-    For a fixed ``w1`` the s2-direction profiles are step or piecewise-linear
-    functions whose cumulative antiderivatives are precomputed once, so a
-    whole array of ``w2`` values is evaluated vectorized.
-    """
-
-    def __init__(self, G: np.ndarray, widths: tuple[float, float]):
-        self.G = G  # [j2, j1]
-        self.h1, self.h2 = widths
-        self.r2, self.r1 = self.G.shape
-        self.edges1 = np.arange(self.r1 + 1) * self.h1
-        self.edges2 = np.arange(self.r2 + 1) * self.h2
-        self.G2 = self.G**2
-
-    def terms(self, w1: float, w2s: np.ndarray):
-        """Arrays ``(T00, T10, T01, T11)`` over the ``w2s`` grid at fixed ``w1``."""
-        w1 = min(w1, 1.0)
-        c1 = np.clip(w1 - self.edges1[:-1], 0.0, self.h1)
-        ctail = self.h1 - c1
-        R = self.G @ c1                      # int_0^{w1} g ds1 per s2-cell
-        Q2tail = self.G2 @ ctail             # int_{w1}^1 g^2 ds1
-        V = np.sqrt(Q2tail)
-        a = self.edges2[:-1]
-        b = self.edges2[1:]
-        Acum = np.concatenate([[0.0], np.cumsum(R * self.h2)])
-        beta = Acum[:-1] - R * a             # A(s2)/s2 = R + beta/s2 on each cell
-
-        w2c = np.clip(np.asarray(w2s, dtype=float), 0.0, 1.0)
-        j = np.minimum((w2c / self.h2).astype(int), self.r2 - 1)
-        aj = a[j]
-        bj = np.minimum(w2c, b[j])
-
-        # T10: prefix integral of the step V
-        p10 = np.concatenate([[0.0], np.cumsum(V * self.h2)])
-        T10 = p10[j] + V[j] * (bj - aj)
-
-        # T11^2: suffix integral of the step g^2 row masses over (w2, 1]
-        s11 = np.concatenate([np.cumsum((Q2tail * self.h2)[::-1])[::-1], [0.0]])
-        T11 = np.sqrt(np.maximum(s11[j] - Q2tail[j] * (bj - aj), 0.0))
-
-        # T00: integral of R + beta/s over (0, w2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_b_a = np.where(beta != 0.0, np.log(b / np.where(a > 0, a, 1.0)), 0.0)
-        full00 = R * self.h2 + beta * ln_b_a
-        cum00 = np.concatenate([[0.0], np.cumsum(full00)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            part_ln = np.where(beta[j] != 0.0,
-                               np.log(bj / np.where(aj > 0, aj, 1.0)), 0.0)
-        T00 = cum00[j] + R[j] * (bj - aj) + beta[j] * part_ln
-
-        # T01^2: integral of (R + beta/s)^2 over (w2, 1]
-        def sq_anti(s, alpha, bet):
-            # antiderivative of (alpha + bet/s)^2, with the 1/s and ln terms
-            # dropped exactly when bet == 0 (first cell has bet == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.where(bet != 0.0, -bet**2 / np.where(s > 0, s, 1.0), 0.0)
-                lg = np.where(bet != 0.0, 2 * alpha * bet * np.log(np.where(s > 0, s, 1.0)), 0.0)
-            return alpha**2 * s + lg + inv
-
-        full01 = sq_anti(b, R, beta) - sq_anti(a, R, beta)
-        suf01 = np.concatenate([np.cumsum(full01[::-1])[::-1], [0.0]])
-        part01 = sq_anti(bj, R[j], beta[j]) - sq_anti(aj, R[j], beta[j])
-        T01 = np.sqrt(np.maximum(suf01[j] - part01, 0.0))
-        return T00, T10, T01, T11
-
-
 def k_upper(f: DyadicStep2D, t1: float, t2: float) -> KTerms:
     """The four norm bounds of the constructive decomposition at ``(t1, t2)``."""
     if t1 <= 0 or t2 <= 0:
         raise ValueError("t1, t2 must be positive")
-    ev = _KhatEvaluator(f.rearranged, f.widths)
-    T00, T10, T01, T11 = ev.terms(min(t1 * t1, 1.0), np.array([t2 * t2]))
-    return KTerms(t1, t2, float(T00[0]), float(T10[0]), float(T01[0]), float(T11[0]))
+    _, *terms = _khat_of(f.rearranged, f.widths, [t1], [t2])
+    return KTerms(t1, t2, *(float(T[0, 0]) for T in terms))
 
 
 def khat_grid(f: DyadicStep2D, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
     """Matrix ``Khat[i, j]`` over the grids ``t1s x t2s``."""
-    return _khat_of(f.rearranged, f.widths, t1s, t2s)
+    return _khat_of(f.rearranged, f.widths, t1s, t2s)[0]
 
 
-def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s: np.ndarray,
-             t2s: np.ndarray) -> np.ndarray:
-    """:func:`khat_grid` from the rearranged values ``G[j2, j1]`` and the
-    cell widths."""
-    ev = _KhatEvaluator(G, widths)
-    t1s = np.asarray(t1s, dtype=float)
+def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s, t2s):
+    """``(Khat, T00, T10, T01, T11)`` over ``(..., t1s, t2s)`` from the
+    rearranged values ``G[..., j2, j1]`` and the cell widths: a stack of
+    grids gives each grid's own values, bit for bit.
+
+    The r1 contractions are stacked matrix-vector products, one gemv per
+    grid and t1, so no entry's bits depend on how many grids or points
+    share the call.
+    """
+    h1, h2 = widths
+    r2, r1 = G.shape[-2:]
+    t1s = np.asarray(t1s, dtype=float)[:, None]
     t2s = np.asarray(t2s, dtype=float)
-    w2s = np.minimum(t2s**2, 1.0)
-    out = np.empty((len(t1s), len(t2s)))
-    for i, t1 in enumerate(t1s):
-        T00, T10, T01, T11 = ev.terms(min(t1 * t1, 1.0), w2s)
-        out[i] = T00 + t1 * T10 + t2s * T01 + t1 * t2s * T11
-    return out
+    c1 = np.clip(np.minimum(t1s**2, 1.0) - np.arange(r1) * h1, 0.0, h1)
+    # int_0^{w1} g ds1 and int_{w1}^1 g^2 ds1 per s2-cell: [..., t1, j2]
+    R = (G[..., None, :, :] @ c1[:, :, None])[..., 0]
+    Q2tail = ((G**2)[..., None, :, :] @ (h1 - c1)[:, :, None])[..., 0]
+    V = np.sqrt(Q2tail)
+    edges2 = np.arange(r2 + 1) * h2
+    a, b = edges2[:-1], edges2[1:]
+    beta = _cumsum(R * h2)[..., :-1] - R * a  # A(s2)/s2 = R + beta/s2 per cell
+
+    w2 = np.minimum(t2s**2, 1.0)
+    j = np.minimum((w2 / h2).astype(int), r2 - 1)
+    aj, bj = a[j], np.minimum(w2, b[j])
+    Rj, betaj = R[..., j], beta[..., j]
+
+    T10 = _cumsum(V * h2)[..., j] + V[..., j] * (bj - aj)
+    T11 = np.sqrt(np.maximum(_cumsum(Q2tail * h2, tail=True)[..., j]
+                             - Q2tail[..., j] * (bj - aj), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_b_a = np.where(beta != 0.0, np.log(b / np.where(a > 0, a, 1.0)), 0.0)
+        part_ln = np.where(betaj != 0.0, np.log(bj / np.where(aj > 0, aj, 1.0)), 0.0)
+    T00 = _cumsum(R * h2 + beta * ln_b_a)[..., j] + Rj * (bj - aj) + betaj * part_ln
+    full01 = _sq_anti(b, R, beta) - _sq_anti(a, R, beta)
+    part01 = _sq_anti(bj, Rj, betaj) - _sq_anti(aj, Rj, betaj)
+    T01 = np.sqrt(np.maximum(_cumsum(full01, tail=True)[..., j] - part01, 0.0))
+    return T00 + t1s * T10 + t2s * T01 + t1s * t2s * T11, T00, T10, T01, T11
+
+
+def _cumsum(x: np.ndarray, tail: bool = False) -> np.ndarray:
+    """Running sums along the last axis with a zero at the open end: the
+    prefix sums ``[0, x0, x0 + x1, ...]`` or, with ``tail``, the suffix sums
+    ``[..., x_{n-2} + x_{n-1}, x_{n-1}, 0]``."""
+    pad = np.zeros(x.shape[:-1] + (1,))
+    if tail:
+        return np.concatenate([np.cumsum(x[..., ::-1], axis=-1)[..., ::-1], pad], axis=-1)
+    return np.concatenate([pad, np.cumsum(x, axis=-1)], axis=-1)
+
+
+def _sq_anti(s, alpha, bet):
+    """Antiderivative of ``(alpha + bet/s)^2``, with the ``1/s`` and ``ln``
+    terms dropped exactly when ``bet == 0`` (the first s2-cell)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(bet != 0.0, -bet**2 / np.where(s > 0, s, 1.0), 0.0)
+        lg = np.where(bet != 0.0, 2 * alpha * bet * np.log(np.where(s > 0, s, 1.0)), 0.0)
+    return alpha**2 * s + lg + inv
 
 
 def interp_norm(f: DyadicStep2D, theta: tuple[float, float],

@@ -650,10 +650,11 @@ def _logweight_of(g: np.ndarray, widths: tuple[float, float],
                   p: tuple[float, float], theta: tuple[float, float]) -> np.ndarray:
     """:func:`logweight_sup_norm` from rearranged values ``g[..., j2, j1]``
     and cell widths, shape ``(...)``."""
+    p = _exponent_pair("p", p)
     if any(pi == INF for pi in p):
         raise ValueError("log-weighted sup form requires finite p")
-    if any(ti <= 0 for ti in theta):
-        raise ValueError("log-weighted sup form requires theta > 0")
+    if not all(0 < ti < INF for ti in theta):
+        raise ValueError(f"log-weighted sup form requires finite theta > 0, got {theta}")
     h1, h2 = widths
     r2, r1 = g.shape[-2:]
     w1 = _log_weight_right_endpoints(r1, h1, 1.0 / p[0], theta[0])
@@ -681,8 +682,8 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     serves as a cross-check oracle.  A monotone bound on the tail of the
     ``k`` scan allows early exit.
     """
-    if any(ti <= 0 for ti in theta):
-        raise ValueError("requires theta > 0")
+    if not all(0 < ti < INF for ti in theta):
+        raise ValueError(f"requires finite theta > 0, got {theta}")
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
     tau1, tau2 = e.q

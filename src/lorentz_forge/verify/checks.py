@@ -266,8 +266,7 @@ class _Prepared:
         """The Khat grids over ``ts x ts``."""
         key = ("khat", ts.tobytes())
         if key not in self._memo:
-            self._memo[key] = np.stack([_khat_of(g, self.fs[0].widths, ts, ts)
-                                        for g in self.g])
+            self._memo[key] = _khat_of(self.g, self.fs[0].widths, ts, ts)[0]
         return self._memo[key]
 
     def lorentz(self, e: Exponents) -> np.ndarray:

@@ -83,7 +83,16 @@ class TestNormCommand:
     @pytest.mark.parametrize("args", [["--kind", "mixed", "--p", "0", "2"],
                                       ["--kind", "mixed", "--p", "-1", "2"],
                                       ["--kind", "grand", "--theta", "nan", "nan"],
-                                      ["--kind", "grand", "--theta", "0.5", "nan"]])
+                                      ["--kind", "grand", "--theta", "0.5", "nan"],
+                                      ["--kind", "logweight", "--p", "0", "2",
+                                       "--theta", "0.5", "0.5"],
+                                      ["--kind", "logweight", "--p", "-2", "2",
+                                       "--theta", "0.5", "0.5"],
+                                      ["--kind", "logweight", "--p", "nan", "2",
+                                       "--theta", "0.5", "0.5"],
+                                      ["--kind", "logweight", "--theta", "nan", "0.5"],
+                                      ["--kind", "p6", "--theta", "0.5", "nan"],
+                                      ["--kind", "p6", "--theta", "inf", "0.5"]])
     def test_bad_exponent_or_theta_exits_2(self, const_grid, capsys, args):
         rc = main(["norm", *args, "--in", str(const_grid)])
         assert rc == 2
@@ -224,6 +233,18 @@ class TestCoeffsWriter:
         rc = main(["coeffs", "--K", "8", "8", "--in", str(path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["parseval_residual"] == math.inf
+
+    def test_walsh_dump_finite_when_cell_values_sum_past_the_float_range(
+            self, tmp_path, capsys):
+        path = tmp_path / "sum_overflows.json"
+        save_grid(DyadicStep2D((1, 1), [[1.7e308, 1e308], [1.0, 0.0]]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["coeffs", "--K", "2", "2", "--in", str(path)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["re"][0][0] == 6.75e307
+        assert all(math.isfinite(x) for row in doc["re"] for x in row)
 
     def test_parseval_residual_scales_exactly(self, grid):
         f, _ = grid

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,32 @@ def _coeffs_strided(f, sys1, sys2, K1, K2):
     else:
         a = _trig_cell_matrix(K2, n2) @ a1
     return np.array(a.T, dtype=complex)
+
+
+def test_walsh_coeffs_finite_when_cell_values_sum_past_the_float_range():
+    # the cell sums overflow, the means do not: the (0, 0) coefficient is
+    # (1.7e308 + 1e308 + 1) / 4
+    f = DyadicStep2D((1, 1), [[1.7e308, 1e308], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = coeffs_2d(f, WALSH, WALSH, 2, 2).entries.real
+    assert a[0, 0] == 6.75e307
+    assert np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("levels", [(0, 0), (3, 4), (6, 5)])
+def test_walsh_coeffs_scale_exactly_up_to_the_float_maximum(levels):
+    # 2^j v gives 2^j times the coefficients of v, bit for bit, also where
+    # the transform has to scale the values down to keep its sums finite
+    n1, n2 = levels
+    v = np.random.default_rng(n1 + n2).uniform(-1, 1, (2**n2, 2**n1))
+    want = coeffs_from_values(v, levels, WALSH, WALSH, 2**n1, 2**n2).entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (1, 300, 1000, 1018, 1021, 1023):
+            got = coeffs_from_values(v * 2.0**j, levels, WALSH, WALSH,
+                                     2**n1, 2**n2).entries
+            assert np.array_equal(_words(got), _words(want * 2.0**j))
 
 
 @pytest.mark.parametrize("levels", [(0, 2), (3, 4), (5, 5), (6, 3)])

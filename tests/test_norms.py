@@ -36,6 +36,7 @@ from lorentz_forge.verify.corpus import generate_lacunary_pairs
 from lorentz_forge.verify.hardy import hardy_ascent_rhs, hardy_descent_rhs
 
 INF = float("inf")
+NAN = float("nan")
 
 
 class TestMixedLebesgue:
@@ -336,11 +337,24 @@ class TestLogWeightSup:
         with pytest.raises(ValueError):
             logweight_sup_norm(constant_grid(1.0), (2, 2), (0.0, 1.0))
 
+    @pytest.mark.parametrize("p, theta", [
+        ((2, 2), (NAN, 0.5)), ((2, 2), (0.5, INF)),
+        ((0, 2), (0.5, 0.5)), ((-2, 2), (0.5, 0.5)), ((NAN, 2), (0.5, 0.5)),
+        ((2, INF), (0.5, 0.5))])
+    def test_rejects_bad_exponents_and_theta(self, p, theta):
+        with pytest.raises(ValueError):
+            logweight_sup_norm(constant_grid(1.0), p, theta)
+
 
 class TestDiscreteP6:
     def test_zero_function(self):
         assert discrete_grand_norm_P6(constant_grid(0.0, (2, 2)),
                                       Exponents((2, 2), (2, 2)), (1, 1)) == 0.0
+
+    @pytest.mark.parametrize("theta", [(0.5, NAN), (INF, 0.5), (0.0, 0.5)])
+    def test_requires_finite_positive_theta(self, theta):
+        with pytest.raises(ValueError):
+            discrete_grand_norm_P6(constant_grid(1.0), Exponents((2, 2), (2, 2)), theta)
 
     def test_monotone_in_smoothness(self, rng):
         f = DyadicStep2D((4, 4), rng.random((16, 16)))

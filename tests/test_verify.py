@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz_forge import norms
+from lorentz_forge import fourier, norms
 from lorentz_forge.fourier import (WALSH, CoeffMatrix, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs,
                                    walsh_synthesize)
@@ -787,6 +787,32 @@ def test_suites_compute_each_surface_once(monkeypatch):
     checks._theorem_suites(7)
     assert counts["_lorentz_core_batch"] <= 145
     assert counts["_seq_block_core"] <= 120
+
+
+def test_interp_evaluates_khat_once_per_stack(monkeypatch):
+    # one Khat call for the 50-function stack, for all its items and t values
+    calls = []
+
+    def counted(G, *args, _fn=checks._khat_of):
+        calls.append(G.shape)
+        return _fn(G, *args)
+    monkeypatch.setattr(checks, "_khat_of", counted)
+    checks.run_suite("interp", 7)
+    assert calls == [(50, 32, 32)]
+
+
+def test_le3_rearranges_each_matrix_once_in_function_order(monkeypatch):
+    # block_l2(order="fun") reads the order kept on the matrix: one
+    # rearrangement per coefficient matrix (100 Walsh and 20 trig), not one
+    # per block size
+    calls = []
+
+    def counted(a, _fn=fourier.iterated_rearrange_seq_first_index):
+        calls.append(a)
+        return _fn(a)
+    monkeypatch.setattr(fourier, "iterated_rearrange_seq_first_index", counted)
+    checks.run_suite("le3", 7)
+    assert len(calls) == 120
 
 
 @pytest.mark.parametrize("seed", [7, 3])
