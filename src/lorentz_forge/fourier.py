@@ -201,7 +201,9 @@ class CoeffMatrix(_Memoised):
     def _support(self) -> np.ndarray:
         """The iterated rearrangement of the magnitudes, second index first,
         on the block that holds its support (see
-        :func:`~lorentz_forge.norms._rearranged_support`); zero elsewhere."""
+        :func:`~lorentz_forge.norms._rearranged_support`); zero elsewhere.
+        C ordered whatever the layout of the entries (see
+        :func:`~lorentz_forge.rearrange._rearranged_values`)."""
         r = _rearranged_support(np.abs(self.entries))
         if r.base is not None:  # a cut of a larger sort: keep the block only
             r = r.copy()
@@ -211,8 +213,7 @@ class CoeffMatrix(_Memoised):
     @cached_property
     def _fun_order(self) -> np.ndarray:
         """The iterated rearrangement of the magnitudes, first index first
-        (see :func:`~lorentz_forge.rearrange.iterated_rearrange_seq_first_index`),
-        in its own layout: the block sums of :func:`block_l2` follow it."""
+        (see :func:`~lorentz_forge.rearrange.iterated_rearrange_seq_first_index`)."""
         return iterated_rearrange_seq_first_index(self.magnitudes).entries
 
     @cached_property
@@ -293,16 +294,14 @@ def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
     K1, K2 = a.truncation
     if not (1 <= N1 <= K1 and 1 <= N2 <= K2):
         raise ValueError(f"block ({N1},{N2}) exceeds truncation ({K1},{K2})")
-    if order == "seq":
-        # the support padded with zeros, in the layout of the entries: the
-        # sum's bits follow the memory order
-        r = a._support[:N1, :N2]
-        block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
-        block[:r.shape[0], :r.shape[1]] = r
-    elif order == "fun":
-        block = a._fun_order[:N1, :N2]
-    else:
+    if order not in ("seq", "fun"):
         raise ValueError(f"order must be 'seq' or 'fun', got {order!r}")
+    # the block of the rearrangement (of the support for "seq") padded with
+    # zeros, in the layout of the entries: the sum's bits follow the memory
+    # order
+    r = (a._support if order == "seq" else a._fun_order)[:N1, :N2]
+    block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
+    block[:r.shape[0], :r.shape[1]] = r
     return float(np.sqrt(np.sum(block**2)))
 
 

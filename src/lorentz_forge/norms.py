@@ -16,14 +16,18 @@ Conventions
   the values and the weights are each divided by their row's largest entry
   and raised to the q-th power once, and the sums are one contraction of
   the two (:func:`_sum_products`), so all the epsilon rows of a grand norm
-  share one power of the data.  A stage at ``q = inf`` (a maximum of
-  products), and the entries the separable form does not take (a weight or
-  value row that is not finite, a sum lost to underflow), are the direct
-  :func:`_stage` in blocks of weight rows (:func:`_blocked_stage`); a right
-  side of the Hardy displays is one direct :func:`_stage`.  Both forms
-  factor out the largest values, so the norms stay finite and
-  1-homogeneous at every exponent they accept; the direct stage's
-  :func:`_qsum` is the one place where ``0 * inf = 0``.  The mixed
+  share one power of the data.  A stage at ``q = inf``, a maximum of
+  products, is :func:`_inf_stage`: blocks of value rows, flattened over the
+  item axes, times one weight row at a time in one reused cache-sized
+  buffer, reduced with ``fmax`` from 0; a maximum is exact in any order,
+  so it has the direct stage's bits.  The entries the separable form does
+  not take (a weight or value row that is not finite, a sum lost to
+  underflow) are the direct :func:`_stage` in blocks of weight rows
+  (:func:`_blocked_stage`); a right side of the Hardy displays is one
+  direct :func:`_stage`.  The stages factor out the largest values, so the
+  norms stay finite and 1-homogeneous at every exponent they accept; the
+  direct stage's :func:`_qsum` and the ``fmax`` of :func:`_inf_stage` are
+  the only places where ``0 * inf = 0``.  The mixed
   Lebesgue norm, whose weights are constants, calls :func:`_qsum`
   directly.  The Hardy left sides take their per-cell power integrals from
   :func:`_power_cells` and scale the profile by its largest value instead.
@@ -44,7 +48,12 @@ Conventions
   are kept on the grid (:attr:`DyadicStep2D.rearranged`), so the norms of
   one grid share one rearrangement, and a sequence's block table is built
   per call (a coefficient matrix keeps its own, see
-  :class:`~lorentz_forge.fourier.CoeffMatrix`).  A parameter sweep
+  :class:`~lorentz_forge.fourier.CoeffMatrix`).  No pass walks down the
+  columns of a ``2^k``-wide array, whose power-of-two steps collide in the
+  cache: the rearrangement sorts on a padded row pitch, the block table
+  sums down its columns one row at a time, and both return new C ordered
+  arrays (see :func:`~lorentz_forge.rearrange._rearranged_values` and
+  :func:`_support_table`).  A parameter sweep
   prepares a stack of inputs once and calls the same functions.  The
   cores, those functions and :func:`_grand_pick` take leading item axes:
   ``(..., r2, r1)`` values give ``(...)`` norms and ``(..., m1, m2)``
@@ -148,8 +157,8 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
     put every factor raised to ``q`` into ``base`` and pass the bounded rest
     as ``omega``.  A zero base contributes 0 whatever its weight, and so
     does a ``nan`` base, which is a zero value times an infinite weight
-    (``0 * inf = 0``, here only); an infinite base, or an infinite weight on
-    a positive base, gives ``+inf``.
+    (``0 * inf = 0``, here and in :func:`_inf_stage` only); an infinite
+    base, or an infinite weight on a positive base, gives ``+inf``.
     """
     M = np.fmax.reduce(base, axis=-1, keepdims=True, initial=0.0)
     if q == INF:
@@ -171,6 +180,11 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
 # core call
 _BLOCK_CELLS = 2**18
 
+# a q = inf stage multiplies blocks of value rows by one weight row at a
+# time into one reused buffer of about this many cells (256 KiB), which
+# stays in cache
+_INF_CELLS = 2**15
+
 # a separable sum below this may have lost terms to underflow (the largest
 # value and the largest weight sit in different cells and both q-th powers
 # are tiny), so its entry is summed directly instead
@@ -184,8 +198,8 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     times ``sup`` as the base): an ``(..., m, R)`` array.
 
     This is the direct form, one ``(..., m, R, n)`` temporary: the Hardy
-    right sides call it, and :func:`_nested` calls it in blocks
-    (:func:`_blocked_stage`) for the entries its separable stage does not
+    right sides call it, and :func:`_sep_stage` calls it in blocks
+    (:func:`_blocked_stage`) for the entries the separable form does not
     take.  The product keeps the memory layout of ``vals``, and numpy sums a
     contiguous axis pairwise but a strided one in order, so the last bits
     follow that layout: the norms that call :func:`_nested` hand it a C
@@ -205,6 +219,31 @@ def _blocked_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     rows = max(1, _BLOCK_CELLS // vals.size)
     return np.concatenate([_stage(vals, sup[i:i + rows], omega[i:i + rows], q)
                            for i in range(0, len(sup), rows)], axis=-2)
+
+
+def _inf_stage(vals: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """:func:`_stage` at ``q = inf``: the maxima of the rows of ``(..., R, n)``
+    values times the ``(m, n)`` weight rows ``sup``, an ``(..., m, R)``
+    array, under :func:`_qsum`'s rules (a ``nan`` from ``0 * inf`` counts
+    as 0, an infinite product gives ``+inf``).
+
+    The value rows, flattened over the item axes, go in blocks of about
+    ``_INF_CELLS`` cells; each weight row's products with a block are
+    written into one reused buffer and reduced with ``fmax`` from 0.  A
+    maximum is exact in any order, so the bits are those of :func:`_stage`.
+    """
+    n = vals.shape[-1]
+    v = vals.reshape(-1, n)
+    out = np.empty((len(sup), len(v)))
+    buf = np.empty((min(len(v), max(1, _INF_CELLS // n)), n))
+    with np.errstate(invalid="ignore"):  # 0 * inf: fmax passes over the nan
+        for i in range(0, len(v), len(buf)):
+            blk = v[i:i + len(buf)]
+            b = buf[:len(blk)]
+            for k, s in enumerate(sup):
+                np.multiply(blk, s, out=b)
+                np.fmax.reduce(b, axis=-1, initial=0.0, out=out[k, i:i + len(blk)])
+    return np.moveaxis(out.reshape(len(sup), *vals.shape[:-1]), 0, -2)
 
 
 def _sep_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
@@ -294,10 +333,10 @@ def _nested(vals: np.ndarray, w1, w2) -> np.ndarray:
     ``(..., m1, m2)`` array.
 
     A stage at finite ``q`` is :func:`_sep_stage`; at ``q = inf``, a
-    maximum of products, it is :func:`_blocked_stage`.
+    maximum of products, it is :func:`_inf_stage`.
     """
     for sup, omega, q in (w1, w2):
-        vals = (_blocked_stage if q == INF else _sep_stage)(vals, sup, omega, q)
+        vals = _inf_stage(vals, sup) if q == INF else _sep_stage(vals, sup, omega, q)
     return vals.swapaxes(-1, -2)
 
 
@@ -506,9 +545,18 @@ def _support_table(r: np.ndarray) -> np.ndarray:
     ``r[..., i1, i2]``: the squares summed down each column, then along
     each row, in one new C ordered array (the readers' weight tables are C
     ordered, and a mixed layout makes their broadcasts several times
-    slower)."""
+    slower).
+
+    The column sums run one row at a time, each row of squares added in
+    place to the running sums above it: a pass down the columns of a
+    ``2^k``-wide table steps a power of two and keeps landing in the same
+    few cache sets (see :data:`~lorentz_forge.rearrange._PAD`), and it
+    takes no second table.  Each running sum adds in order, as ``cumsum``
+    does, so the bits do not depend on the pass order or the layout.
+    """
     S = np.square(r, order="C")
-    np.cumsum(S, axis=-2, out=S)
+    for i in range(1, S.shape[-2]):
+        np.add(S[..., i - 1, :], S[..., i, :], out=S[..., i, :])
     return np.cumsum(S, axis=-1, out=S)
 
 

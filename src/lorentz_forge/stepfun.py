@@ -108,8 +108,9 @@ class DyadicStep2D(_Memoised):
     @cached_property
     def rearranged(self) -> np.ndarray:
         """The values of the iterated rearrangement (see
-        :func:`~lorentz_forge.rearrange.iterated_rearrange_2d`), read-only:
-        every norm that reads the rearranged function reads this array."""
+        :func:`~lorentz_forge.rearrange.iterated_rearrange_2d`), C ordered
+        and read-only: every norm that reads the rearranged function reads
+        this array."""
         from .rearrange import _rearranged_values  # rearrange imports this module
 
         out = _rearranged_values(self.values)

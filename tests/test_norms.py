@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grids
-from lorentz_forge import rearrange
-from lorentz_forge.fourier import (WALSH, CoeffMatrix, _block_sup_of,
+from conftest import (random_grids, ref_rearranged_values, ref_sort_desc,
+                      ref_support_table, same_bits)
+from lorentz_forge import fourier, rearrange
+from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, _block_sup_of,
                                    _bochkarev_of, block_l2, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs)
 from lorentz_forge.interpolation import (_interp_of, beta_from_q, interp_norm,
@@ -32,7 +33,8 @@ from lorentz_forge.rearrange import (Sequence2D, iterated_rearrange_2d,
 from lorentz_forge.stepfun import (DyadicStep1D, DyadicStep2D, constant_grid,
                                    indicator_grid)
 from lorentz_forge.verify.calibration import calibration
-from lorentz_forge.verify.corpus import generate_lacunary_pairs
+from lorentz_forge.verify.corpus import (CorpusSpec, generate,
+                                        generate_lacunary_pairs)
 from lorentz_forge.verify.hardy import hardy_ascent_rhs, hardy_descent_rhs
 
 INF = float("inf")
@@ -766,6 +768,23 @@ def test_cores_do_not_depend_on_memory_layout(q):
             assert _interp_of(x, (0.4, 0.7), (q, 2.0), 10).tobytes() == want
 
 
+def test_grid_reads_do_not_depend_on_memory_layout():
+    # the rearranged values are C ordered whatever the layout of the grid's
+    # values, so Khat's matrix-vector products, too, give the same bits
+    v = np.random.default_rng(32).random((64, 32))
+    v[-1] = v[:, -1] = 0.0
+    ts = 2.0 ** np.arange(-6, 1)
+    want = None
+    for x in _layouts(v):
+        f = DyadicStep2D((5, 6), x)
+        assert f.rearranged.flags.c_contiguous
+        got = [khat_grid(f, ts, ts), interp_norm(f, (0.5, 0.5), (2.0, 2.0)),
+               lorentz_norm(f, Exponents((2, 3), (1.5, 2.0))),
+               logweight_sup_norm(f, (2, 2), (0.5, 0.5))]
+        want = want or got
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 class TestStackedCoresMatchPerItem:
     """A stack of same-shape items on leading axes gives, item by item, the
     bits of the item's own call; every stack holds an all-zero item."""
@@ -1273,3 +1292,164 @@ class TestPreparedOnce:
         assert g.rearranged.tobytes() == f.rearranged.tobytes()
         self._same_bits(self._coeff_reads(pickle.loads(pickle.dumps(a))),
                         self._coeff_reads(a))
+
+
+# ---------------------------------------------------------------------------
+# the q = inf stage in blocks of value rows, the rearrangement on a padded
+# pitch and the block table summed row by row, against the direct stage and
+# the unpadded forms (see conftest)
+
+
+def _direct_inf_stage(vals, sup):
+    """The direct ``_stage`` at q = inf, one weight row at a time (an entry
+    depends on its own weight row only), so a level-10 grid needs one 8 MiB
+    product at a time."""
+    ones = np.ones((1, sup.shape[-1]))
+    return np.concatenate([_stage(vals, s[None], ones, INF) for s in sup], axis=-2)
+
+
+@pytest.fixture(scope="module")
+def level10_grid():
+    """A level-10 random_step grid with its last row and column zeroed, so
+    its log-weighted sup norm is finite."""
+    vals = np.array(generate(CorpusSpec("random_step", (10, 10), 1, 10000))[0].values)
+    vals[-1, :] = 0.0
+    vals[:, -1] = 0.0
+    return DyadicStep2D((10, 10), vals)
+
+
+class TestInfStage:
+    """A q = inf stage takes the value rows in blocks and keeps the bits of
+    the direct ``_stage``: a maximum is exact in any order, a ``nan`` from
+    ``0 * inf`` counts as 0 and an infinite product gives inf."""
+
+    @staticmethod
+    def _check(vals, sup):
+        got = norms._inf_stage(vals, sup)
+        assert same_bits(got, _stage(vals, sup, np.ones_like(sup), INF))
+        return got
+
+    def test_item_axes_and_partial_blocks(self):
+        r = np.random.default_rng(61)
+        n = 96
+        rows = norms._INF_CELLS // n  # the value rows of one block
+        sup = r.random((5, n)) * 4.0
+        for shape in ((1, n), (rows, n), (rows + 1, n), (3 * rows - 7, n),
+                      (3, 7, n), (2, 2, rows + 3, n), (4, 1, n)):
+            assert self._check(r.random(shape), sup).shape == \
+                shape[:-2] + (5, shape[-2])
+        self._check(r.random((rows + 5, n)), sup[:1])  # a single weight row
+        wide = 2 * norms._INF_CELLS  # a row longer than a block: one row per block
+        self._check(r.random((3, wide)), sup[:, :1].repeat(wide, axis=1))
+
+    def test_zero_times_inf_and_infinite_products(self):
+        sup = np.array([[INF, 1.0, 2.0], [INF, INF, 0.5], [1.0, 1.0, 1.0],
+                        [INF, INF, INF]])
+        vals = np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0],
+                         [0.0, 0.0, 5.0]])
+        got = self._check(vals, sup)
+        assert got.tolist() == [[6.0, 0.0, INF, 10.0], [INF, 0.0, INF, 2.5],
+                                [3.0, 0.0, 1e-300, 5.0], [INF, 0.0, INF, INF]]
+
+    def test_block_cells_tail(self):
+        # at nu > 0 the tail column's sup is inf: a row with a positive
+        # saturation value reads inf, a zero one keeps its finite maximum
+        nus = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
+        sup, _ = norms._block_cells(nus, 6, INF)
+        vals = np.random.default_rng(62).random((9, 7))
+        vals[2] = 0.0
+        vals[5, -1] = 0.0
+        got = self._check(vals, sup)
+        assert np.isinf(got[nus > 0][:, [0, 1, 3, 4, 6, 7, 8]]).all()
+        assert np.isfinite(got[nus > 0][:, 5]).all() and (got[:, 2] == 0).all()
+
+    def test_all_zero_rows(self):
+        vals = np.zeros((5, 40))
+        vals[3, 7] = 2.0
+        sup = np.full((3, 40), 0.5)
+        sup[1, 0] = INF
+        got = self._check(vals, sup)
+        assert same_bits(np.delete(got, 3, axis=-1), np.zeros((3, 4)))
+
+    def test_level10_grid_at_the_grand_inf_rows(self, level10_grid):
+        f = level10_grid
+        eps = norms._eps_axes(24, (False, False), (0.5, 0.5))[0]
+        sup, _ = _power_cells(0.5 - eps, 1024, f.widths[0], INF)
+        got = norms._inf_stage(f.rearranged, sup)
+        assert got.shape == (len(eps), 1024)
+        assert same_bits(got, _direct_inf_stage(f.rearranged, sup))
+
+
+class TestSupportTableMatchesReference:
+    """The block table sums down its columns one row at a time and
+    returns a new C ordered table with the bits of the two cumsums."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (8, 32), (32, 8),
+                                       (33, 70), (5, 32, 32)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_and_layout(self, shape, order):
+        r = np.random.default_rng(shape[-1]).random(shape)
+        r[..., 1::4, :] = 0.0
+        r = np.asarray(ref_rearranged_values(r), order=order)
+        before = r.copy(order="K")
+        got = norms._support_table(r)
+        assert got.flags.c_contiguous and got.base is None
+        assert same_bits(got, ref_support_table(r))
+        assert same_bits(r, before)
+        r.setflags(write=False)
+        assert same_bits(norms._support_table(r), got)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_coefficient_matrix_keeps_its_bits(self, order):
+        r = np.random.default_rng(63)
+        e = r.standard_normal((24, 40)) + 1j * r.standard_normal((24, 40))
+        e[5:9] = 0.0
+        e[:, 30:] = 0.0
+        a = CoeffMatrix(WALSH, TRIG, np.asarray(e, order=order))
+        mags = np.abs(a.entries)
+        ref_rearranged = ref_rearranged_values(mags)
+        assert a._support.flags.c_contiguous
+        assert a._support.shape == (20, 30)  # the block that holds the support
+        assert same_bits(a._support, ref_rearranged[:20, :30])
+        assert not ref_rearranged[20:].any() and not ref_rearranged[:, 30:].any()
+        assert same_bits(a._table, ref_support_table(a._support))
+        fun = ref_sort_desc(ref_sort_desc(mags, axis=0), axis=1)
+        for N in ((1, 1), (3, 5), (20, 31), (24, 40)):
+            # block_l2 as it read the unpadded rearrangements: its sums
+            # follow the layout of the entries
+            block = np.zeros(N, order=order)
+            block[:] = ref_rearranged[:N[0], :N[1]]
+            assert same_bits(block_l2(a, *N), np.sqrt(np.sum(block**2)))
+            assert same_bits(block_l2(a, *N, order="fun"),
+                             np.sqrt(np.sum(fun[:N[0], :N[1]] ** 2)))
+
+
+def _mix(f):
+    """The grand_inf request, lorentz and te4_lhs on a fresh copy of ``f``,
+    as floats: the values and witnesses."""
+    f = DyadicStep2D(f.levels, f.values)
+    out = []
+    for req in ({"norm": "lorentz", "p": [2, 2], "q": [2, 2]},
+                {"norm": "grand", "p": [2, 2], "q": ["inf", "inf"],
+                 "theta": [-0.5, -0.5]}):
+        doc = evaluate_norm_request(req, f)
+        out += [doc["value"], *(doc["argmax_eps"] or [])]
+    k = 2 ** f.levels[0]
+    g = te4_lhs(coeffs_2d(f, WALSH, WALSH, k, k), Exponents((2, 2), (2, 2)),
+                GrandParams((0.25, 0.25)))
+    return out + [g.value, *g.eps]
+
+
+def test_level10_calls_match_the_reference_path(level10_grid, monkeypatch):
+    """On a level-10 grid, the calls that read the q = inf stage, the
+    rearrangement and the block table give the bits they give with the
+    direct stage and the unpadded forms in their place."""
+    got = _mix(level10_grid)
+    for mod in (rearrange, norms):
+        monkeypatch.setattr(mod, "_rearranged_values", ref_rearranged_values)
+    for mod in (norms, fourier):
+        monkeypatch.setattr(mod, "_support_table", ref_support_table)
+    monkeypatch.setattr(norms, "_inf_stage", _direct_inf_stage)
+    want = _mix(level10_grid)
+    assert np.isfinite(got).all()
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz_forge.rearrange import (Sequence2D, distribution_function,
+from conftest import ref_rearranged_values, ref_sort_desc, same_bits
+from lorentz_forge.rearrange import (Sequence2D, _rearranged_values,
+                                     distribution_function,
                                      iterated_rearrange_2d,
                                      iterated_rearrange_seq,
                                      iterated_rearrange_seq_first_index,
@@ -140,3 +142,55 @@ def test_2d_rearrangement_preserves_multiset(vals):
     f = DyadicStep2D((2, 2), np.array(vals).reshape(4, 4))
     g = iterated_rearrange_2d(f)
     assert sorted(g.values.ravel()) == sorted(f.values.ravel())
+
+
+def _values(shape, seed):
+    """Random values with ties and zeros, signed zeros among them."""
+    v = np.random.default_rng(seed).integers(0, 5, shape) * 0.25
+    v[v == 0.5] = -0.0
+    return v
+
+
+class TestRearrangedValuesMatchReference:
+    """The rearrangement sorts on a padded row pitch and returns a new C
+    ordered array; its bits are those of the unpadded negate-sort-sort in
+    the input's layout."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (8, 32), (32, 8),
+                                       (33, 70), (64, 64), (5, 32, 32), (2, 3, 8, 4)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_and_layout(self, shape, order):
+        v = np.asarray(_values(shape, len(shape) + shape[-1]), order=order)
+        before = v.copy(order="K")
+        got = _rearranged_values(v)
+        assert got.flags.c_contiguous and got.base is None
+        assert same_bits(got, ref_rearranged_values(v))
+        assert same_bits(v, before) and v.flags[order + "_CONTIGUOUS"]  # not written
+
+    def test_stack_is_per_item(self):
+        v = _values((6, 32, 32), 3)
+        got = _rearranged_values(v)
+        for item, row in zip(v, got):
+            assert same_bits(row, _rearranged_values(item))
+
+    def test_read_only_and_strided_input(self):
+        v = _values((16, 48), 4)
+        v.setflags(write=False)
+        assert same_bits(_rearranged_values(v), ref_rearranged_values(v))
+        cut = _values((40, 40), 5)[::2, 1::3]  # neither C nor F contiguous
+        assert same_bits(_rearranged_values(cut), ref_rearranged_values(cut))
+
+    def test_public_passes_keep_their_bits(self):
+        for shape in ((1, 1), (4, 8), (16, 4), (32, 32)):
+            for order in ("C", "F"):
+                e = np.asarray(np.abs(_values(shape, shape[0])), order=order)
+                a = Sequence2D(e)
+                assert same_bits(iterated_rearrange_seq(a).entries,
+                                 ref_rearranged_values(e))
+                want = ref_sort_desc(ref_sort_desc(e, axis=0), axis=1)
+                got = iterated_rearrange_seq_first_index(a).entries
+                assert same_bits(got, want)
+                if order == "F":  # the layout of a coefficient matrix's magnitudes
+                    assert got.flags.f_contiguous == want.flags.f_contiguous
+        g = DyadicStep1D(6, np.abs(_values(64, 6)))
+        assert same_bits(rearrange_1d(g).values, ref_sort_desc(g.values, axis=0))
