@@ -350,7 +350,14 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
 def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
     """:func:`block_sup_lhs` from dyadic sqrt tables ``T[..., k1, k2]`` of
     the magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`),
-    shape ``(...)``."""
+    shape ``(...)``.
+
+    For ``q < 2`` the weights grow while the bracket saturates, so the
+    supremum over a nonzero matrix is ``+inf``, which no finite scan
+    reaches: such a ``q`` raises, as in :func:`_bochkarev_of`.
+    """
+    if any(not (2 <= qi) for qi in q):
+        raise ValueError(f"requires 2 <= q <= inf, got {q}")
     kap1, kap2 = T.shape[-2] - 1, T.shape[-1] - 1
     e1 = 1.0 / q[0] - 0.5
     e2 = 1.0 / q[1] - 0.5

@@ -92,15 +92,19 @@ def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:
 
 
 def k_upper(f: DyadicStep2D, t1: float, t2: float) -> KTerms:
-    """The four norm bounds of the constructive decomposition at ``(t1, t2)``."""
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("t1, t2 must be positive")
+    """The four norm bounds of the constructive decomposition at ``(t1, t2)``,
+    both in ``(0, inf)``."""
+    if not (0 < t1 < np.inf and 0 < t2 < np.inf):
+        raise ValueError(f"t1, t2 must be positive and finite, got ({t1}, {t2})")
     _, *terms = _khat_of(f.rearranged, f.widths, [t1], [t2])
     return KTerms(t1, t2, *(float(T[0, 0]) for T in terms))
 
 
 def khat_grid(f: DyadicStep2D, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
-    """Matrix ``Khat[i, j]`` over the grids ``t1s x t2s``."""
+    """Matrix ``Khat[i, j]`` over the grids ``t1s x t2s``, every point in
+    ``(0, inf)``."""
+    if not all(((t > 0) & (t < np.inf)).all() for t in map(np.asarray, (t1s, t2s))):
+        raise ValueError(f"t1, t2 must be positive and finite, got {t1s}, {t2s}")
     return _khat_of(f.rearranged, f.widths, t1s, t2s)[0]
 
 
@@ -207,4 +211,4 @@ def _interp_of(K: np.ndarray, theta: tuple[float, float],
         omega[0] += 1.0 / ((1.0 - th) * qq)
         weights.append(((ts**-th)[None], omega[None], qq))
     # [..., t2, t1]: the t1 stage runs along the last axis, then t2
-    return _nested(np.ascontiguousarray(K).swapaxes(-1, -2), *weights)[..., 0, 0]
+    return _nested(K.swapaxes(-1, -2), *weights)[..., 0, 0]

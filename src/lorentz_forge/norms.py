@@ -16,21 +16,21 @@ Conventions
   the values and the weights are each divided by their row's largest entry
   and raised to the q-th power once, and the sums are one contraction of
   the two (:func:`_sum_products`), so all the epsilon rows of a grand norm
-  share one power of the data.  A stage at ``q = inf``, a maximum of
-  products, is :func:`_inf_stage`: blocks of value rows, flattened over the
-  item axes, times one weight row at a time in one reused cache-sized
-  buffer, reduced with ``fmax`` from 0; a maximum is exact in any order,
-  so it has the direct stage's bits.  The entries the separable form does
-  not take (a weight or value row that is not finite, a sum lost to
-  underflow) are the direct :func:`_stage` in blocks of weight rows
-  (:func:`_blocked_stage`); a right side of the Hardy displays is one
-  direct :func:`_stage`.  The stages factor out the largest values, so the
-  norms stay finite and 1-homogeneous at every exponent they accept; the
-  direct stage's :func:`_qsum` and the ``fmax`` of :func:`_inf_stage` are
-  the only places where ``0 * inf = 0``.  The mixed
-  Lebesgue norm, whose weights are constants, calls :func:`_qsum`
-  directly.  The Hardy left sides take their per-cell power integrals from
-  :func:`_power_cells` and scale the profile by its largest value instead.
+  share one power of the data.  Every other stage is the direct
+  :func:`_stage`: blocks of value rows, flattened over the item axes, times
+  one weight row at a time in one reused cache-sized buffer, q-summed
+  there by :func:`_qsum` (at ``q = inf``, a maximum of products, reduced
+  with ``fmax`` from 0 in place).  It runs a ``q = inf`` stage, the entries
+  the separable form does not take (a weight or value row that is not
+  finite, a sum lost to underflow) and a right side of the Hardy displays.
+  Both stages sum C ordered copies of the value rows, so the bits do not
+  depend on the input's memory layout.  The stages factor out the largest
+  values, so the norms stay finite and 1-homogeneous at every exponent
+  they accept; :func:`_qsum` and the ``fmax`` of :func:`_stage` are the
+  only places where ``0 * inf = 0``.  The mixed Lebesgue norm, whose
+  weights are constants, calls :func:`_qsum` directly.  The Hardy left
+  sides take their per-cell power integrals from :func:`_power_cells` and
+  scale the profile by its largest value instead.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -157,8 +157,9 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
     put every factor raised to ``q`` into ``base`` and pass the bounded rest
     as ``omega``.  A zero base contributes 0 whatever its weight, and so
     does a ``nan`` base, which is a zero value times an infinite weight
-    (``0 * inf = 0``, here and in :func:`_inf_stage` only); an infinite
-    base, or an infinite weight on a positive base, gives ``+inf``.
+    (``0 * inf = 0``, here and in the ``fmax`` of :func:`_stage` only); an
+    infinite base, or an infinite weight on a positive base, gives
+    ``+inf``.
     """
     M = np.fmax.reduce(base, axis=-1, keepdims=True, initial=0.0)
     if q == INF:
@@ -174,16 +175,10 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
     return np.where(np.isnan(out), INF, out)
 
 
-# the blocked stage takes weight rows in blocks of about this many cells of
-# its (..., rows, R, n) temporary, which bounds it on large grids; the
-# verify sweeps stack at most this many cells of same-shape items for one
-# core call
-_BLOCK_CELLS = 2**18
-
-# a q = inf stage multiplies blocks of value rows by one weight row at a
+# the direct stage multiplies blocks of value rows by one weight row at a
 # time into one reused buffer of about this many cells (256 KiB), which
 # stays in cache
-_INF_CELLS = 2**15
+_STAGE_CELLS = 2**15
 
 # a separable sum below this may have lost terms to underflow (the largest
 # value and the largest weight sit in different cells and both q-th powers
@@ -197,52 +192,31 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     weight rows ``(sup, omega)``, as :func:`_qsum` takes them (the values
     times ``sup`` as the base): an ``(..., m, R)`` array.
 
-    This is the direct form, one ``(..., m, R, n)`` temporary: the Hardy
-    right sides call it, and :func:`_sep_stage` calls it in blocks
-    (:func:`_blocked_stage`) for the entries the separable form does not
-    take.  The product keeps the memory layout of ``vals``, and numpy sums a
-    contiguous axis pairwise but a strided one in order, so the last bits
-    follow that layout: the norms that call :func:`_nested` hand it a C
-    ordered array (or a fixed view of one) whatever their input's layout.
-    """
-    with np.errstate(invalid="ignore"):  # 0 * inf: _qsum counts it as 0
-        base = vals[..., None, :, :] * sup[:, None, :]
-    return _qsum(base, omega[:, None, :], q)
-
-
-def _blocked_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
-                   q: float) -> np.ndarray:
-    """:func:`_stage` over blocks of weight rows, sized so that the
-    ``(..., rows, R, n)`` temporary stays under ``_BLOCK_CELLS`` cells (one
-    row at a time on a level-10 grid).  Each entry has the bits of the
-    unblocked call."""
-    rows = max(1, _BLOCK_CELLS // vals.size)
-    return np.concatenate([_stage(vals, sup[i:i + rows], omega[i:i + rows], q)
-                           for i in range(0, len(sup), rows)], axis=-2)
-
-
-def _inf_stage(vals: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """:func:`_stage` at ``q = inf``: the maxima of the rows of ``(..., R, n)``
-    values times the ``(m, n)`` weight rows ``sup``, an ``(..., m, R)``
-    array, under :func:`_qsum`'s rules (a ``nan`` from ``0 * inf`` counts
-    as 0, an infinite product gives ``+inf``).
-
-    The value rows, flattened over the item axes, go in blocks of about
-    ``_INF_CELLS`` cells; each weight row's products with a block are
-    written into one reused buffer and reduced with ``fmax`` from 0.  A
-    maximum is exact in any order, so the bits are those of :func:`_stage`.
+    This is the direct form: the value rows, flattened over the item axes,
+    go in blocks of about ``_STAGE_CELLS`` cells, and each weight row's
+    products with a block are written into one reused C ordered buffer and
+    q-summed there (at ``q = inf`` reduced with ``fmax`` from 0 in place,
+    as :func:`_qsum` does).  An entry depends on its own value row and
+    weight row only, and each row of the buffer is summed pairwise whatever
+    the layout of ``vals``, so its bits do not depend on the block, the
+    other rows or items, or that layout.  :func:`_nested` calls it at
+    ``q = inf``, :func:`_sep_stage` for the entries the separable form does
+    not take, and the Hardy right sides directly.
     """
     n = vals.shape[-1]
     v = vals.reshape(-1, n)
     out = np.empty((len(sup), len(v)))
-    buf = np.empty((min(len(v), max(1, _INF_CELLS // n)), n))
-    with np.errstate(invalid="ignore"):  # 0 * inf: fmax passes over the nan
+    buf = np.empty((min(len(v), max(1, _STAGE_CELLS // n)), n))
+    with np.errstate(invalid="ignore"):  # 0 * inf: a nan base counts as 0
         for i in range(0, len(v), len(buf)):
             blk = v[i:i + len(buf)]
             b = buf[:len(blk)]
             for k, s in enumerate(sup):
                 np.multiply(blk, s, out=b)
-                np.fmax.reduce(b, axis=-1, initial=0.0, out=out[k, i:i + len(blk)])
+                if q == INF:
+                    np.fmax.reduce(b, axis=-1, initial=0.0, out=out[k, i:i + len(blk)])
+                else:
+                    out[k, i:i + len(blk)] = _qsum(b, omega[k], q)
     return np.moveaxis(out.reshape(len(sup), *vals.shape[:-1]), 0, -2)
 
 
@@ -256,20 +230,21 @@ def _sep_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
 
     so the data's q-th power is taken once for all the weight rows, and the
     sums are one contraction of ``(d/D)^q`` with ``(s/W)^q omega``.  Three
-    kinds of entry go to :func:`_blocked_stage` instead, so that no ``inf``
-    or ``nan`` enters the contraction and the ``_qsum`` rules (``0 * inf =
-    0``, divergence) apply as they are: those of weight rows with a
-    non-finite ``sup`` or ``omega``, those of value rows whose largest
-    entry is not finite, and those whose separable sum falls below
+    kinds of entry go to the direct :func:`_stage` instead, so that no
+    ``inf`` or ``nan`` enters the contraction and the ``_qsum`` rules
+    (``0 * inf = 0``, divergence) apply as they are: those of weight rows
+    with a non-finite ``sup`` or ``omega``, those of value rows whose
+    largest entry is not finite, and those whose separable sum falls below
     ``_TINY`` or whose value overflows.
 
     Each entry's bits depend on its value row and weight row only, not on
-    how many rows or items the call holds.
+    how many rows or items the call holds, nor on the layout of ``vals``:
+    the scaled values are a C ordered copy.
     """
     wok = np.isfinite(sup).all(axis=-1) & np.isfinite(omega).all(axis=-1)
     if not wok.all():
         out = np.empty(vals.shape[:-2] + (len(sup), vals.shape[-2]))
-        out[..., ~wok, :] = _blocked_stage(vals, sup[~wok], omega[~wok], q)
+        out[..., ~wok, :] = _stage(vals, sup[~wok], omega[~wok], q)
         if wok.any():
             out[..., wok, :] = _sep_stage(vals, sup[wok], omega[wok], q)
         return out
@@ -293,7 +268,7 @@ def _sep_stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
         # _stage depends on its own value row and weight row only
         vf, redo = val.reshape(-1, *val.shape[-2:]), redo.reshape(-1, *val.shape[-2:])
         i, r = np.nonzero(redo.any(axis=-2))
-        direct = _blocked_stage(vals.reshape(-1, R, n)[i, r], sup, omega, q)
+        direct = _stage(vals.reshape(-1, R, n)[i, r], sup, omega, q)
         vf[i, :, r] = np.where(redo[i, :, r], direct.T, vf[i, :, r])
     return val
 
@@ -333,10 +308,10 @@ def _nested(vals: np.ndarray, w1, w2) -> np.ndarray:
     ``(..., m1, m2)`` array.
 
     A stage at finite ``q`` is :func:`_sep_stage`; at ``q = inf``, a
-    maximum of products, it is :func:`_inf_stage`.
+    maximum of products, it is the direct :func:`_stage`.
     """
     for sup, omega, q in (w1, w2):
-        vals = _inf_stage(vals, sup) if q == INF else _sep_stage(vals, sup, omega, q)
+        vals = (_stage if q == INF else _sep_stage)(vals, sup, omega, q)
     return vals.swapaxes(-1, -2)
 
 
@@ -368,6 +343,8 @@ def _power_cells(a: np.ndarray, n: int, h: float, q: float):
     return sup, omega
 
 
+# kept although it is one call of the batch core: perfbench's tracer binds
+# _lorentz_core, _lorentz_core_batch and _seq_block_core by name
 def _lorentz_core(g: np.ndarray, h1: float, h2: float,
                   a1: float, a2: float, q1: float, q2: float) -> np.ndarray:
     """The 1x1 case of :func:`_lorentz_core_batch`, shape ``(...)``."""
@@ -385,7 +362,6 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
     with sup forms replacing infinite ``q`` components: :func:`_nested` over
     the :func:`_power_cells` weights.  Returns ``+inf`` on divergence.
     """
-    g = np.ascontiguousarray(g)  # the bits do not follow g's layout
     r2, r1 = g.shape[-2:]
     return _nested(g, (*_power_cells(a1s, r1, h1, q1), q1),
                    (*_power_cells(a2s, r2, h2, q2), q2))
@@ -608,7 +584,6 @@ def _seq_block_core(sqrtS: np.ndarray, nu1s: np.ndarray, nu2s: np.ndarray,
     column, then over k2, with the :func:`_block_cells` weights on the
     table padded with its last row and column.
     """
-    sqrtS = np.ascontiguousarray(sqrtS)  # the bits do not follow its layout
     K1, K2 = sqrtS.shape[-2:]
     pad = np.concatenate([sqrtS, sqrtS[..., -1:, :]], axis=-2)
     pad = np.concatenate([pad, pad[..., -1:]], axis=-1)
@@ -734,6 +709,8 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
         raise ValueError(f"requires finite theta > 0, got {theta}")
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
+    if k_max < 2:  # the scan would be empty and read 0
+        raise ValueError(f"requires k_max >= 2, got {k_max}")
     tau1, tau2 = e.q
     g = f.rearranged
     n1, n2 = f.levels

@@ -19,7 +19,7 @@ import numpy as np
 from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
-from ..norms import (_BLOCK_CELLS, Exponents, GrandParams, _block_table,
+from ..norms import (Exponents, GrandParams, _block_table,
                      _dyadic_sqrt, _grand_pick, _logweight_of, _lorentz_of,
                      _lorentz_surface, _seq_block_lorentz_of, _seq_surface,
                      _surface_key, mixed_lebesgue_norm)
@@ -199,6 +199,11 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 # the main theorems
 
 
+# a verify sweep stacks at most this many cells of same-shape items for
+# one core call
+_BLOCK_CELLS = 2**18
+
+
 def _stacks(items) -> list[range]:
     """Split ``items`` into runs of one shape, each a stack for
     :class:`_Prepared`.  A run holds functions only or pairs only, and at
@@ -350,6 +355,14 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
 # te3, te4, thm5 and interp share one _sweep in run_suite("all").
 
 
+def _theta_rhs(prep: _Prepared, theta, q):
+    """The right side of te3 and interp: the exponents ``p_i = 1/(1 -
+    theta_i/2)`` and ``6 D(theta, q)`` times the stack's Lorentz norms at
+    ``(p, q)``."""
+    p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
+    return p, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
+
+
 def _te3_group(points, h: str) -> _Group:
     """:func:`te3_sweep`'s points on a corpus with hash ``h``."""
     c0 = calibration()["te3_c0"]
@@ -362,8 +375,7 @@ def _te3_group(points, h: str) -> _Group:
     def cases(prep, theta, q):
         if prep.pairs:
             return None
-        p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-        rhs = 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
+        p, rhs = _theta_rhs(prep, theta, q)
         return [("", _seq_block_lorentz_of(prep.sqrtS, p, q), rhs)]
 
     def finish(rep):
@@ -571,9 +583,8 @@ def _interp_group(points, h: str, J: int) -> _Group:
     def cases(prep, theta, q):
         if prep.pairs:
             return None
-        p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
         return [("", _interp_of(prep.khat(ts), theta, q, J),
-                 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q)))]
+                 _theta_rhs(prep, theta, q)[1])]
 
     return _Group(points, report, cases)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lorentz_forge.norms import _qsum
 from lorentz_forge.stepfun import DyadicStep2D
 
 INF = float("inf")
@@ -19,8 +20,9 @@ def random_grids(count, levels=(4, 4), seed=12345):
             for _ in range(count)]
 
 
-# the rearrangement and the block table as plain whole-array sorts and
-# cumsums, kept as references: the package's passes must give their bits
+# the rearrangement, the block table and the direct stage as plain
+# whole-array sorts, cumsums and products, kept as references: the
+# package's passes must give their bits
 
 
 def ref_rearranged_values(v):
@@ -47,6 +49,21 @@ def ref_support_table(r):
     S = np.square(r, order="C")
     np.cumsum(S, axis=-2, out=S)
     return np.cumsum(S, axis=-1, out=S)
+
+
+def ref_direct_stage(vals, sup, omega, q):
+    """The direct weighted stage as a broadcast product: the q-sums of the
+    rows of ``(..., R, n)`` values against ``(m, n)`` weight rows ``(sup,
+    omega)``, an ``(..., m, R)`` array.  Each weight row's product with all
+    the values is one temporary in the layout of ``vals``, q-summed by
+    ``_qsum``; one row at a time, so a level-10 grid needs one 8 MiB
+    product at a time."""
+    def row(s, w):
+        with np.errstate(invalid="ignore"):  # 0 * inf: _qsum counts it as 0
+            base = vals * s
+        return _qsum(base, w, q)
+
+    return np.stack([row(s, w) for s, w in zip(sup, omega)], axis=-2)
 
 
 def same_bits(got, want):

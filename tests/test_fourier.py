@@ -173,6 +173,14 @@ class TestTheoremLeftSides:
         with pytest.raises(ValueError):
             bochkarev_lhs(a, (1, 2))
 
+    @pytest.mark.parametrize("q", [(1, 1), (2, 1.5), (0.5, INF)])
+    def test_block_sup_requires_q_at_least_two(self, q):
+        # below q = 2 the weights grow while the bracket saturates: the
+        # supremum is +inf, which no finite scan reads
+        f = DyadicStep2D((2, 2), np.arange(1, 17.0).reshape(4, 4))
+        with pytest.raises(ValueError):
+            block_sup_lhs(coeffs_2d(f, WALSH, WALSH, 4, 4), q)
+
     def test_block_sup_saturates(self, rng):
         a = CoeffMatrix(WALSH, WALSH, rng.random((8, 8)).astype(complex))
         total = np.sqrt(np.sum(np.abs(a.entries) ** 2))

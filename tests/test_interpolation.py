@@ -43,6 +43,16 @@ class TestKUpper:
         with pytest.raises(ValueError):
             k_upper(constant_grid(1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, INF, float("nan")])
+    def test_points_outside_the_open_half_line_raise(self, bad):
+        # -0.5 read a negative Khat and inf a nan before these were checked
+        f = DyadicStep2D((2, 2), np.arange(1, 17.0).reshape(4, 4))
+        for t1, t2 in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError):
+                k_upper(f, t1, t2)
+            with pytest.raises(ValueError):
+                khat_grid(f, [0.25, t1], [t2])
+
     def test_monotone_on_dyadic_grid(self):
         ts = 2.0 ** np.arange(-8, 1)
         for f in random_grids(20, (4, 4), seed=41):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_grids, ref_rearranged_values, ref_sort_desc,
-                      ref_support_table, same_bits)
+from conftest import (random_grids, ref_direct_stage, ref_rearranged_values,
+                      ref_sort_desc, ref_support_table, same_bits)
 from lorentz_forge import fourier, rearrange
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, _block_sup_of,
                                    _bochkarev_of, block_l2, block_sup_lhs,
@@ -357,6 +357,16 @@ class TestDiscreteP6:
     def test_requires_finite_positive_theta(self, theta):
         with pytest.raises(ValueError):
             discrete_grand_norm_P6(constant_grid(1.0), Exponents((2, 2), (2, 2)), theta)
+
+    @pytest.mark.parametrize("k_max", [1, 0, -3])
+    def test_requires_k_max_at_least_two(self, k_max):
+        # the scan over k_i in {2..k_max} would be empty and read 0.0
+        f = DyadicStep2D((2, 2), np.arange(1, 17.0).reshape(4, 4))
+        assert discrete_grand_norm_P6(f, Exponents((2, 2), (2, 2)), (0.5, 0.5),
+                                      k_max=2) > 0
+        with pytest.raises(ValueError):
+            discrete_grand_norm_P6(f, Exponents((2, 2), (2, 2)), (0.5, 0.5),
+                                   k_max=k_max)
 
     def test_monotone_in_smoothness(self, rng):
         f = DyadicStep2D((4, 4), rng.random((16, 16)))
@@ -748,8 +758,8 @@ def _layouts(x):
 
 @pytest.mark.parametrize("q", [0.5, 1, 2, 4, INF])
 def test_cores_do_not_depend_on_memory_layout(q):
-    # the nested norms read their input in C order, so the same values give
-    # the same bits in any layout
+    # every stage sums C ordered copies of the value rows, so the same
+    # values give the same bits in any layout
     rng = np.random.default_rng(31)
     eps = _eps_grid(24, 0.5)
     for g in (rng.random((16, 16)), rng.random((3, 16, 16)) * rng.random((3, 16, 1))):
@@ -837,10 +847,15 @@ class TestStackedCoresMatchPerItem:
     @pytest.mark.parametrize("q", QS)
     def test_bochkarev_and_block_sup(self, q):
         S = self._tables()
-        if q >= 2:
-            self._same_per_item(_bochkarev_of(S, (q, 2.0), (12, 5)), _bochkarev_of,
-                                S, (q, 2.0), (12, 5))
         T = _dyadic_sqrt(S, (12, 5))
+        if q < 2:  # both suprema are +inf there, and both forms raise
+            with pytest.raises(ValueError):
+                _bochkarev_of(S, (q, 2.0), (12, 5))
+            with pytest.raises(ValueError):
+                _block_sup_of(T, (q, 4.0))
+            return
+        self._same_per_item(_bochkarev_of(S, (q, 2.0), (12, 5)), _bochkarev_of,
+                            S, (q, 2.0), (12, 5))
         self._same_per_item(_block_sup_of(T, (q, 4.0)), _block_sup_of, T, (q, 4.0))
 
     @pytest.mark.parametrize("theta", [(0.5, 0.25), (0.0, 0.5), (0.0, 0.0),
@@ -1295,17 +1310,9 @@ class TestPreparedOnce:
 
 
 # ---------------------------------------------------------------------------
-# the q = inf stage in blocks of value rows, the rearrangement on a padded
-# pitch and the block table summed row by row, against the direct stage and
-# the unpadded forms (see conftest)
-
-
-def _direct_inf_stage(vals, sup):
-    """The direct ``_stage`` at q = inf, one weight row at a time (an entry
-    depends on its own weight row only), so a level-10 grid needs one 8 MiB
-    product at a time."""
-    ones = np.ones((1, sup.shape[-1]))
-    return np.concatenate([_stage(vals, s[None], ones, INF) for s in sup], axis=-2)
+# the direct stage in blocks of value rows, the rearrangement on a padded
+# pitch and the block table summed row by row, against the broadcast
+# product and the unpadded forms (see conftest)
 
 
 @pytest.fixture(scope="module")
@@ -1318,66 +1325,133 @@ def level10_grid():
     return DyadicStep2D((10, 10), vals)
 
 
-class TestInfStage:
-    """A q = inf stage takes the value rows in blocks and keeps the bits of
-    the direct ``_stage``: a maximum is exact in any order, a ``nan`` from
-    ``0 * inf`` counts as 0 and an infinite product gives inf."""
+class TestStage:
+    """The direct stage takes the value rows in blocks and keeps the bits of
+    the broadcast product at every q: a maximum is exact in any order, a
+    row of the buffer is summed pairwise as a contiguous row of the product
+    is, a ``nan`` from ``0 * inf`` counts as 0 and an infinite product gives
+    inf."""
+
+    QS = [1.0, 2.5, INF]
 
     @staticmethod
-    def _check(vals, sup):
-        got = norms._inf_stage(vals, sup)
-        assert same_bits(got, _stage(vals, sup, np.ones_like(sup), INF))
+    def _check(vals, sup, q, omega=None):
+        omega = np.ones_like(sup) if omega is None else omega
+        got = _stage(vals, sup, omega, q)
+        assert same_bits(got, ref_direct_stage(vals, sup, omega, q))
         return got
 
-    def test_item_axes_and_partial_blocks(self):
+    @pytest.mark.parametrize("q", QS)
+    def test_item_axes_and_partial_blocks(self, q):
         r = np.random.default_rng(61)
         n = 96
-        rows = norms._INF_CELLS // n  # the value rows of one block
-        sup = r.random((5, n)) * 4.0
+        rows = norms._STAGE_CELLS // n  # the value rows of one block
+        sup, omega = r.random((5, n)) * 4.0, r.random((5, n)) + 0.5
         for shape in ((1, n), (rows, n), (rows + 1, n), (3 * rows - 7, n),
                       (3, 7, n), (2, 2, rows + 3, n), (4, 1, n)):
-            assert self._check(r.random(shape), sup).shape == \
+            assert self._check(r.random(shape), sup, q, omega).shape == \
                 shape[:-2] + (5, shape[-2])
-        self._check(r.random((rows + 5, n)), sup[:1])  # a single weight row
-        wide = 2 * norms._INF_CELLS  # a row longer than a block: one row per block
-        self._check(r.random((3, wide)), sup[:, :1].repeat(wide, axis=1))
+        # a single weight row
+        self._check(r.random((rows + 5, n)), sup[:1], q, omega[:1])
+        wide = 2 * norms._STAGE_CELLS  # a row longer than a block: one row per block
+        self._check(r.random((3, wide)), sup[:, :1].repeat(wide, axis=1), q)
 
-    def test_zero_times_inf_and_infinite_products(self):
+    @pytest.mark.parametrize("q", QS)
+    def test_zero_times_inf_and_infinite_products(self, q):
         sup = np.array([[INF, 1.0, 2.0], [INF, INF, 0.5], [1.0, 1.0, 1.0],
                         [INF, INF, INF]])
         vals = np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0],
                          [0.0, 0.0, 5.0]])
-        got = self._check(vals, sup)
-        assert got.tolist() == [[6.0, 0.0, INF, 10.0], [INF, 0.0, INF, 2.5],
-                                [3.0, 0.0, 1e-300, 5.0], [INF, 0.0, INF, INF]]
+        got = self._check(vals, sup, q)
+        if q == INF:
+            assert got.tolist() == [[6.0, 0.0, INF, 10.0], [INF, 0.0, INF, 2.5],
+                                    [3.0, 0.0, 1e-300, 5.0], [INF, 0.0, INF, INF]]
 
-    def test_block_cells_tail(self):
-        # at nu > 0 the tail column's sup is inf: a row with a positive
-        # saturation value reads inf, a zero one keeps its finite maximum
+    @pytest.mark.parametrize("q", QS)
+    def test_block_cells_tail(self, q):
+        # at nu > 0 the tail column's weight is inf: a row with a positive
+        # saturation value reads inf, a zero one stays finite
         nus = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
-        sup, _ = norms._block_cells(nus, 6, INF)
+        sup, omega = norms._block_cells(nus, 6, q)
         vals = np.random.default_rng(62).random((9, 7))
         vals[2] = 0.0
         vals[5, -1] = 0.0
-        got = self._check(vals, sup)
+        got = self._check(vals, sup, q, omega)
         assert np.isinf(got[nus > 0][:, [0, 1, 3, 4, 6, 7, 8]]).all()
         assert np.isfinite(got[nus > 0][:, 5]).all() and (got[:, 2] == 0).all()
 
-    def test_all_zero_rows(self):
+    @pytest.mark.parametrize("q", QS)
+    def test_all_zero_rows(self, q):
         vals = np.zeros((5, 40))
         vals[3, 7] = 2.0
         sup = np.full((3, 40), 0.5)
         sup[1, 0] = INF
-        got = self._check(vals, sup)
+        got = self._check(vals, sup, q)
         assert same_bits(np.delete(got, 3, axis=-1), np.zeros((3, 4)))
 
-    def test_level10_grid_at_the_grand_inf_rows(self, level10_grid):
+    @pytest.mark.parametrize("q", QS)
+    def test_outer_stage_reads_the_inner_view(self, q):
+        # after a q = inf inner stage, _nested hands the outer stage a view
+        # whose rows are contiguous but whose other axes are not C ordered
+        r = np.random.default_rng(64)
+        vals = r.random((3, 5, 12, 16))
+        inner = _stage(vals, r.random((7, 16)), np.ones((7, 16)), INF)
+        assert inner.shape == (3, 5, 7, 12) and not inner.flags.c_contiguous
+        sup, omega = r.random((4, 12)) * 2.0, r.random((4, 12)) + 0.5
+        assert self._check(inner, sup, q, omega).shape == (3, 5, 4, 7)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_bits_do_not_follow_the_layout(self, q):
+        # numpy sums a contiguous axis pairwise and a strided one in order;
+        # the stage sums C ordered copies of the rows in every layout
+        r = np.random.default_rng(65)
+        vals = r.random((3, 40, 64))
+        sup, omega = r.random((6, 64)) * 2.0, r.random((6, 64)) + 0.5
+        want = _stage(vals, sup, omega, q)
+        for x in _layouts(vals):
+            assert same_bits(_stage(x, sup, omega, q), want)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_underflow_and_non_finite_weight_rows(self, q):
+        # an infinite omega (first row) or sup (second row): a positive
+        # value there gives inf, a zero one counts as 0; at q = 2.5 the
+        # first value's q-th power relative to its row's largest underflows,
+        # and 0 * inf = nan reads inf
+        vals = np.array([[1e-300, 1.0], [0.0, 1.0], [2.0, 0.5]])
+        sup = np.array([[1.0, 1.0], [INF, 1.0], [1.0, 2.0]])
+        omega = np.array([[INF, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        got = self._check(vals, sup, q, omega)
+        fin = q != INF
+        assert np.isinf(got).tolist() == [[fin, False, fin], [True, False, True],
+                                          [False, False, False]]
+        assert got[:2, 1].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_level10_grid_at_the_grand_inf_rows(self, level10_grid, q):
         f = level10_grid
         eps = norms._eps_axes(24, (False, False), (0.5, 0.5))[0]
-        sup, _ = _power_cells(0.5 - eps, 1024, f.widths[0], INF)
-        got = norms._inf_stage(f.rearranged, sup)
+        sup, omega = _power_cells(0.5 - eps, 1024, f.widths[0], q)
+        got = _stage(f.rearranged, sup, omega, q)
         assert got.shape == (len(eps), 1024)
-        assert same_bits(got, _direct_inf_stage(f.rearranged, sup))
+        assert same_bits(got, ref_direct_stage(f.rearranged, sup, omega, q))
+
+
+@pytest.mark.parametrize("q", [(INF, 2.0), (2.0, INF)])
+def test_nested_with_the_inf_form_zero_row(q, monkeypatch):
+    """An inf-form core whose grid reaches ``a = 0`` (an infinite first-cell
+    omega at finite q) on either side of a q = inf stage: the direct stage
+    runs the q = inf stage and the separable stage's non-finite weight row,
+    and gives the bits of the broadcast product in both places."""
+    g = TestStackedCoresMatchPerItem._grids()
+    eps = _eps_grid(24, 0.5)
+    args = (0.125, 0.25, 0.5 - eps, 0.5 - eps[::2], *q)
+    got = _lorentz_core_batch(g, *args)
+    monkeypatch.setattr(norms, "_stage", ref_direct_stage)
+    want = _lorentz_core_batch(g, *args)
+    assert same_bits(got, want)
+    assert not np.isnan(got).any() and (got[2] == 0).all()  # g[2] is zero
+    live = got[[0, 1, 3, 4]]
+    assert np.isinf(live[:, 0, :] if q[0] != INF else live[..., 0]).all()
 
 
 class TestSupportTableMatchesReference:
@@ -1441,15 +1515,15 @@ def _mix(f):
 
 
 def test_level10_calls_match_the_reference_path(level10_grid, monkeypatch):
-    """On a level-10 grid, the calls that read the q = inf stage, the
+    """On a level-10 grid, the calls that read the direct stage, the
     rearrangement and the block table give the bits they give with the
-    direct stage and the unpadded forms in their place."""
+    broadcast product and the unpadded forms in their place."""
     got = _mix(level10_grid)
     for mod in (rearrange, norms):
         monkeypatch.setattr(mod, "_rearranged_values", ref_rearranged_values)
     for mod in (norms, fourier):
         monkeypatch.setattr(mod, "_support_table", ref_support_table)
-    monkeypatch.setattr(norms, "_inf_stage", _direct_inf_stage)
+    monkeypatch.setattr(norms, "_stage", ref_direct_stage)
     want = _mix(level10_grid)
     assert np.isfinite(got).all()
     assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -14,9 +14,9 @@ from lorentz_forge.fourier import (WALSH, CoeffMatrix, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs,
                                    walsh_synthesize)
 from lorentz_forge.interpolation import constant_D, interp_norm
-from lorentz_forge.norms import (_BLOCK_CELLS, Exponents, GrandParams,
-                                 grand_lorentz_norm, grand_seq_norm,
-                                 logweight_sup_norm, lorentz_norm)
+from lorentz_forge.norms import (Exponents, GrandParams, grand_lorentz_norm,
+                                 grand_seq_norm, logweight_sup_norm,
+                                 lorentz_norm)
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
                                    power_weight_integral)
@@ -719,7 +719,7 @@ def test_stacks_keep_one_shape_and_bound_the_cells():
     for run in runs:
         assert len({kind(items[i]) for i in run}) == 1
         cells = sum(int(np.prod(kind(items[i])[0])) for i in run)
-        assert len(run) == 1 or cells <= _BLOCK_CELLS
+        assert len(run) == 1 or cells <= checks._BLOCK_CELLS
     sizes = [len(run) for run in runs]
     # 512 x 512 items one at a time; 256 items of 32 x 32 fill a stack
     assert sizes == [4, 1, 1, 1, 4, 2, 1, 2, 256, 44]
