@@ -80,9 +80,12 @@ def _rearranged_values(v: np.ndarray) -> np.ndarray:
         np.negative(padded[i:i + _STRIP], out=dense[i:i + _STRIP])
     # then the buffer shrinks in place to the result, once no view of it is
     # left: results of the padded size leave blocks of an odd size that the
-    # allocator keeps, ~15 MB more peak memory over a run of level-10 grids
+    # allocator keeps, ~15 MB more peak memory over a run of level-10 grids.
+    # The del drops every view of buf, so the resize skips numpy's
+    # reference count check, which a profiler or tracer holding one more
+    # reference to buf (a bound method, a frame's locals) would fail
     del out, dst, padded, dense
-    buf.resize(v.shape)
+    buf.resize(v.shape, refcheck=False)
     return buf
 
 

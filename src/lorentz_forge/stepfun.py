@@ -226,6 +226,17 @@ def load_grid(path) -> DyadicStep2D:
         raise ValueError(f"{path} is not a grid document: {exc!r}") from exc
 
 
+def _hash_into(h, f) -> None:
+    """Feed one grid, or one ``(coeffs, grid)`` pair, to the hash ``h`` as
+    :func:`corpus_hash` does.  ``hashlib`` reads a C ordered array's buffer
+    directly, the bytes ``tobytes`` would copy out."""
+    if isinstance(f, tuple):  # (coeffs, function) pairs
+        h.update(np.ascontiguousarray(f[0].entries))
+        f = f[1]
+    h.update(bytes(str(f.levels), "ascii"))
+    h.update(np.ascontiguousarray(f.values))
+
+
 def corpus_hash(funcs) -> str:
     """SHA-256 over the concatenated levels and cell values of a corpus of
     grids, or of ``(coeffs, grid)`` pairs."""
@@ -233,9 +244,5 @@ def corpus_hash(funcs) -> str:
 
     h = hashlib.sha256()
     for f in funcs:
-        if isinstance(f, tuple):  # (coeffs, function) pairs
-            h.update(np.ascontiguousarray(f[0].entries).tobytes())
-            f = f[1]
-        h.update(bytes(str(f.levels), "ascii"))
-        h.update(np.ascontiguousarray(f.values).tobytes())
+        _hash_into(h, f)
     return h.hexdigest()

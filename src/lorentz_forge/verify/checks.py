@@ -11,7 +11,10 @@ notes.
 
 from __future__ import annotations
 
-from functools import cached_property
+import hashlib
+import itertools
+from collections.abc import Sequence
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,9 +27,9 @@ from ..norms import (Exponents, GrandParams, _block_table,
                      _lorentz_surface, _seq_block_lorentz_of, _seq_surface,
                      _surface_key, mixed_lebesgue_norm)
 from ..rearrange import _rearranged_values
-from ..stepfun import DyadicStep1D, DyadicStep2D
+from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
-from .corpus import (CorpusSpec, corpus_hash, generate,
+from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
 from .hardy import (hardy_ascent_lhs, hardy_ascent_rhs, hardy_descent_lhs,
                     hardy_descent_rhs)
@@ -34,18 +37,28 @@ from .report import CheckCase, CheckReport, serialize_grid
 
 INF = float("inf")
 
-def _attach_witness(rep: CheckReport, items) -> None:
-    """Serialize the worst case's function when the id carries its index."""
+def _witness(items) -> Callable[[str], dict]:
+    """The witness of a case id: the serialized function of the item of
+    ``items`` that the id names by its index (``f<i>:...``), read once per
+    item, or else the id itself."""
+
+    @cache
+    def grid(i: int) -> dict:
+        item = items[i]
+        return serialize_grid(item[1] if isinstance(item, tuple) else item)
 
     def witness(cid: str):
         tok = cid.split(":")[0]
         if tok.startswith("f") and tok[1:].isdigit():
-            item = items[int(tok[1:])]
-            f = item[1] if isinstance(item, tuple) else item
-            return serialize_grid(f)
+            return grid(int(tok[1:]))
         return {"case": cid}
 
-    rep.finalize_witness(witness)
+    return witness
+
+
+def _attach_witness(rep: CheckReport, items) -> None:
+    """Serialize the worst case's function when the id carries its index."""
+    rep.finalize_witness(_witness(items))
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +217,24 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 _BLOCK_CELLS = 2**18
 
 
-def _stacks(items) -> list[range]:
-    """Split ``items`` into runs of one shape, each a stack for
-    :class:`_Prepared`.  A run holds functions only or pairs only, and at
-    most ``_BLOCK_CELLS`` cells unless a single item is larger, so a large
-    item is prepared alone."""
-    runs, last = [], None
+def _stacks(items):
+    """Split ``items``, in one ordered pass, into runs of one shape, each a
+    stack for :class:`_Prepared`: yields each run's index range with its
+    items.  A run holds functions only or pairs only, and at most
+    ``_BLOCK_CELLS`` cells unless a single item is larger, so a large item
+    is prepared alone.  A run is yielded once the item after it is drawn,
+    and the pass keeps no other item."""
+    run, last = [], None
     for i, item in enumerate(items):
         a, f = item if isinstance(item, tuple) else (None, item)
         key = (np.shape(f.values), None if a is None else a.truncation)
-        if key == last and (len(runs[-1]) + 1) * f.values.size <= _BLOCK_CELLS:
-            runs[-1] = range(runs[-1].start, i + 1)
-        else:
-            runs.append(range(i, i + 1))
+        if run and (key != last or (len(run) + 1) * f.values.size > _BLOCK_CELLS):
+            yield range(i - len(run), i), run
+            run = []
+        run.append(item)
         last = key
-    return runs
+    if run:
+        yield range(i + 1 - len(run), i + 1), run
 
 
 class _Prepared:
@@ -321,33 +337,67 @@ class _Group(NamedTuple):
 
 
 def _sweep(items, groups) -> list[list[CheckReport]]:
-    """The reports of each :class:`_Group` of ``groups`` over ``items``,
-    one per parameter point.
+    """The reports of each :class:`_Group` of ``groups`` over the sequence
+    ``items``, one per parameter point.
 
-    The items are prepared one stack at a time (see :func:`_stacks`); every
-    group's points read the stack, and its pieces go before the next is
-    prepared.
+    The items are read in one pass and prepared one stack at a time (see
+    :func:`_stacks`); every group's points read the stack, and it goes,
+    pieces and items, before the next item is read.  The pass hashes the
+    items as :func:`corpus_hash` does, and a report made without a corpus
+    hash (``None``) gets that digest.  A witness reads the one item it
+    names again, once per item.
     """
-    items, groups = list(items), list(groups)
+    groups = list(groups)
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
-    ids = [gr.ids or [f"f{i}" for i in range(len(items))] for gr in groups]
-    for run in _stacks(items):
-        prep = _Prepared(items[run.start:run.stop])
-        for gr, greps, gids in zip(groups, reps, ids):
+    h = hashlib.sha256()
+    for run, stack in _stacks(items):
+        for item in stack:
+            _hash_into(h, item)
+        prep = _Prepared(stack)
+        for gr, greps in zip(groups, reps):
             for rep, pt in zip(greps, gr.points):
                 sides = gr.cases(prep, *pt)
                 if sides is None:
                     continue
                 for k, i in enumerate(run):
-                    rep.cases.extend(CheckCase(gids[i] + sfx, float(lhs[k]),
+                    cid = gr.ids[i] if gr.ids else f"f{i}"
+                    rep.cases.extend(CheckCase(cid + sfx, float(lhs[k]),
                                                float(rhs[k]))
                                      for sfx, lhs, rhs in sides)
+        # the stack goes before the next item is read
+        del prep, stack
+    witness = _witness(items)
     for gr, greps in zip(groups, reps):
         for rep in greps:
-            _attach_witness(rep, items if gr.witness is None else gr.witness)
+            if rep.corpus_hash is None:
+                rep.corpus_hash = h.hexdigest()
+            rep.finalize_witness(witness if gr.witness is None
+                                 else _witness(gr.witness))
             if gr.finish is not None:
                 gr.finish(rep)
     return reps
+
+
+class _Chain(Sequence):
+    """Sequences read as one, one after another, without copying an item:
+    a corpus followed by :func:`generate_lacunary_pairs`' pairs.  Takes
+    indices ``>= 0``."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, i: int):
+        for part in self.parts:
+            if 0 <= i < len(part):
+                return part[i]
+            i -= len(part)
+        raise IndexError("index out of range")
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.parts)
 
 
 # Each check below is the one-point case of its sweep, and every sweep is
@@ -363,8 +413,9 @@ def _theta_rhs(prep: _Prepared, theta, q):
     return p, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
 
 
-def _te3_group(points, h: str) -> _Group:
-    """:func:`te3_sweep`'s points on a corpus with hash ``h``."""
+def _te3_group(points, h: str | None) -> _Group:
+    """:func:`te3_sweep`'s points on a corpus with hash ``h`` (``None``:
+    the hash of the sweep's items)."""
     c0 = calibration()["te3_c0"]
 
     def report(theta, q):
@@ -387,7 +438,7 @@ def _te3_group(points, h: str) -> _Group:
 
 def te3_sweep(corpus, points) -> list[CheckReport]:
     """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
-    return _sweep(corpus, [_te3_group(points, corpus_hash(corpus))])[0]
+    return _sweep(corpus, [_te3_group(points, None)])[0]
 
 
 def check_te3(corpus, theta, q) -> CheckReport:
@@ -398,7 +449,7 @@ def check_te3(corpus, theta, q) -> CheckReport:
 def _te4_group(points, hashes: dict, n_funcs: int, n_pairs: int) -> _Group:
     """:func:`te4_sweep`'s points on ``n_funcs`` functions followed by
     ``n_pairs`` pairs; ``hashes[with_pairs]`` is the hash of the items a
-    report covers."""
+    report covers (``None``: the hash of the sweep's items)."""
     C_pass = calibration()["te4_C_pass"]
 
     def report(theta, q, with_pairs):
@@ -424,10 +475,9 @@ def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
     """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
     the lacunary ``pairs`` enter the reports of the points with
     ``with_pairs`` only."""
-    corpus, pairs, points = list(corpus), list(pairs or []), list(points)
-    hashes = {w: corpus_hash(corpus + (pairs if w else []))
-              for w in {w for *_, w in points}}
-    return _sweep(corpus + pairs,
+    corpus, pairs, points = list(corpus), pairs or (), list(points)
+    hashes = {False: corpus_hash(corpus), True: None}
+    return _sweep(_Chain(corpus, pairs),
                   [_te4_group(points, hashes, len(corpus), len(pairs))])[0]
 
 
@@ -437,14 +487,14 @@ def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     return te4_sweep(corpus, [(theta, q, True)], pairs)[0]
 
 
-def _thm5_group(points, h: str) -> _Group:
-    """:func:`thm5_sweep`'s points on items with hash ``h``."""
+def _thm5_group(points) -> _Group:
+    """:func:`thm5_sweep`'s points; a report covers all the sweep's items."""
     cal = calibration()
 
     def report(q, blocksup):
         key = "thm5_blocksup_C_pass" if blocksup else "thm5_C_pass"
         return CheckReport("thm5_blocksup" if blocksup else "thm5", {"q": _jq(q)},
-                           h, cal[key], notes={
+                           None, cal[key], notes={
                                "rhs_norm": "anisotropic Lorentz at p=(2,2), "
                                            "same q as the weights"})
 
@@ -459,7 +509,7 @@ def _thm5_group(points, h: str) -> _Group:
 
 def thm5_sweep(items, points) -> list[CheckReport]:
     """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
-    return _sweep(items, [_thm5_group(points, corpus_hash(items))])[0]
+    return _sweep(items, [_thm5_group(points)])[0]
 
 
 def check_thm5(items, q, blocksup: bool = False) -> CheckReport:
@@ -485,12 +535,11 @@ def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
                 tol: float = 1e-12) -> list[CheckReport]:
     """:func:`check_embeddings_chain` at each ``theta`` of ``thetas``."""
     e = Exponents(p, q)
-    h = corpus_hash(corpus)
 
     def report(theta):
         return CheckReport("embeddings_chain",
                            {"theta": list(theta), "p": list(p), "q": _jq(q)},
-                           h, 1.0 + tol, notes={
+                           None, 1.0 + tol, notes={
                                "direction": "grid under-approximates the sup and "
                                             "over-approximates the inf: both "
                                             "favor the chain"})
@@ -518,7 +567,7 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
     e = Exponents(p, q)
     params = {"theta": list(theta), "s": list(s), "p": list(p), "q": _jq(q)}
     return _sweep(corpus, [_Group([()], lambda: CheckReport(
-        "embeddings_P1", params, corpus_hash(corpus), 1.0 + tol),
+        "embeddings_P1", params, None, 1.0 + tol),
         lambda prep: [("", prep.grand(e, GrandParams(s))[0],
                        prep.grand(e, GrandParams(theta))[0])])])[0][0]
 
@@ -529,7 +578,7 @@ def check_collapse(corpus, p=(2, 2), q=(1, 1)) -> CheckReport:
     :func:`~lorentz_forge.norms._eps_axes`) against the plain norm."""
     e = Exponents(p, q)
     rep = _sweep(corpus, [_Group([()], lambda: CheckReport(
-        "embeddings_collapse", {"p": list(p), "q": _jq(q)}, corpus_hash(corpus),
+        "embeddings_collapse", {"p": list(p), "q": _jq(q)}, None,
         1.0, notes={"exactness": "bitwise (eps = 0 grid point)"}),
         lambda prep: [("", prep.surface(e, GrandParams((0.0, 0.0)))[1][..., -1, -1],
                        prep.lorentz(e))])])[0][0]
@@ -569,8 +618,9 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
-def _interp_group(points, h: str, J: int) -> _Group:
-    """:func:`interp_sweep`'s points on a corpus with hash ``h``."""
+def _interp_group(points, h: str | None, J: int) -> _Group:
+    """:func:`interp_sweep`'s points on a corpus with hash ``h`` (``None``:
+    the hash of the sweep's items)."""
     points = list(points)
     # the samples are the same for every theta
     ts = _interp_samples(points[0][0], J) if points else None
@@ -591,7 +641,7 @@ def _interp_group(points, h: str, J: int) -> _Group:
 
 def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
     """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
-    return _sweep(corpus, [_interp_group(points, corpus_hash(corpus), J)])[0]
+    return _sweep(corpus, [_interp_group(points, None, J)])[0]
 
 
 def check_interp_chain(corpus, theta, q, J: int = 10) -> CheckReport:
@@ -645,7 +695,7 @@ def sweep_corpus(seed: int, level=(5, 5)) -> list[DyadicStep2D]:
             + generate(CorpusSpec("tensor", level, 10, seed + 2)))
 
 
-def _sweep_pairs(seed: int) -> list:
+def _sweep_pairs(seed: int) -> LacunaryPairs:
     """The lacunary pairs that te4 and thm5 add to the sweep corpus."""
     return generate_lacunary_pairs((9, 9), 20, seed)
 
@@ -668,22 +718,23 @@ def suite_te4(seed: int, level=(5, 5)) -> list[CheckReport]:
 
 
 def suite_thm5(seed: int, level=(5, 5)) -> list[CheckReport]:
-    return thm5_sweep(sweep_corpus(seed, level) + _sweep_pairs(seed), _THM5_POINTS)
+    return thm5_sweep(_Chain(sweep_corpus(seed, level), _sweep_pairs(seed)),
+                      _THM5_POINTS)
 
 
 def _theorem_suites(seed: int, level=(5, 5)) -> dict[str, list[CheckReport]]:
     """The reports of te3, te4, thm5 and interp from one :func:`_sweep`
     over the sweep corpus followed by the lacunary pairs, so each input is
-    generated, hashed and prepared once; each suite's reports equal its own
+    generated once and each pair is built once for its stack and its hash
+    (and once more if it is a witness); each suite's reports equal its own
     run's.  te3 and interp leave the pair stacks out."""
     corpus, pairs = sweep_corpus(seed, level), _sweep_pairs(seed)
-    items = corpus + pairs
-    hashes = {False: corpus_hash(corpus), True: corpus_hash(items)}
+    hashes = {False: corpus_hash(corpus), True: None}
     groups = {"te3": _te3_group(_THETA_Q, hashes[False]),
               "te4": _te4_group(_TE4_POINTS, hashes, len(corpus), len(pairs)),
-              "thm5": _thm5_group(_THM5_POINTS, hashes[True]),
+              "thm5": _thm5_group(_THM5_POINTS),
               "interp": _interp_group(_THETA_Q, hashes[False], 10)}
-    return dict(zip(groups, _sweep(items, groups.values())))
+    return dict(zip(groups, _sweep(_Chain(corpus, pairs), groups.values())))
 
 
 def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,44 @@ def generate(spec: CorpusSpec) -> list[DyadicStep2D]:
     return out
 
 
+class LacunaryPairs(Sequence):
+    """The pairs of :func:`generate_lacunary_pairs`, each built when read.
+
+    The positions, the Walsh rows on the cells and every instance's signs
+    are fixed when the sequence is made.  ``pairs[i]`` builds instance
+    ``i``'s planted coefficients and function anew on each read (a 4 MiB
+    and a 2 MiB array at level (9, 9)); a slice gives a list of them.  A
+    reader that goes through the pairs in order holds only the ones it
+    keeps.
+    """
+
+    def __init__(self, level, idx, W1, W2, signs):
+        self._level, self._idx, self._W1, self._W2 = level, idx, W1, W2
+        self._signs = signs
+
+    def __len__(self) -> int:
+        return len(self._signs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._pair(k) for k in range(len(self))[i]]
+        return self._pair(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._pair, range(len(self)))
+
+    def _pair(self, i: int) -> tuple[CoeffMatrix, DyadicStep2D]:
+        signs = self._signs[i]
+        c = np.zeros((self._W1.shape[1], self._W2.shape[1]), dtype=complex)
+        c[self._idx, self._idx] = signs
+        # sum_j s_j w_{n_j}(x1) w_{n_j}(x2) on the cells [j2, j1]: small
+        # integers, exact in any summation order
+        f = DyadicStep2D(self._level, np.abs(self._W2.T @ (signs[:, None] * self._W1)))
+        return CoeffMatrix(WALSH, WALSH, c), f
+
+
 def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
-                            ratio: float = 2.0) -> list[tuple[CoeffMatrix, DyadicStep2D]]:
+                            ratio: float = 2.0) -> LacunaryPairs:
     """Sign-planted lacunary coefficient polynomials with their functions.
 
     Instance 0 is the canonical all-plus diagonal polynomial
@@ -92,6 +129,10 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
     instances draw random signs.  Each pair holds the planted coefficients
     (the true coefficients of the signed polynomial) and the magnitude
     function used on the norm side.  ``ratio`` must be finite and > 1.
+
+    Returns a read-only sequence of the ``count`` pairs that builds a pair
+    only when it is read (see :class:`LacunaryPairs`); the signs of every
+    instance are drawn here, so the pairs depend on the arguments only.
     """
     if not (math.isfinite(ratio) and ratio > 1):
         raise ValueError(f"lacunary ratio must be finite and > 1, got {ratio}")
@@ -104,23 +145,12 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
         # ratio**j < pos + 1/2 below this j, so round(ratio**j) = pos there
         j = max(j + 1, math.floor(math.log(pos + 0.5) / math.log(ratio)))
     idx = np.array(positions, dtype=int)
-    W1, W2 = walsh_on_cells(idx, n1), walsh_on_cells(idx, n2)
     rng = np.random.default_rng(seed)
-    out = []
-    # CoeffMatrix copies its entries, so one buffer serves every instance:
-    # the positions stay and only the signs change (a fresh 4 MB buffer per
-    # instance fragments the heap and raised the peak RSS of a
-    # `verify --suite all` process by 5-30 MB)
-    c = np.zeros((K1, K2), dtype=complex)
-    for i in range(count):
-        signs = np.ones(len(positions)) if i == 0 else \
-            rng.choice([-1.0, 1.0], size=len(positions))
-        c[idx, idx] = signs
-        # sum_j s_j w_{n_j}(x1) w_{n_j}(x2) on the cells [j2, j1]: small
-        # integers, exact in any summation order
-        f = DyadicStep2D(level, np.abs(W2.T @ (signs[:, None] * W1)))
-        out.append((CoeffMatrix(WALSH, WALSH, c), f))
-    return out
+    signs = np.ones((max(count, 0), len(positions)))
+    for i in range(1, count):
+        signs[i] = rng.choice([-1.0, 1.0], size=len(positions))
+    return LacunaryPairs(level, idx, walsh_on_cells(idx, n1),
+                         walsh_on_cells(idx, n2), signs)
 
 
 def generate_karamata_pairs(count: int, seed: int, length: int = 16

@@ -78,7 +78,7 @@ def serialize_grid(f) -> dict:
     if vals.size <= 4096:
         return {"levels": list(f.levels), "values": [list(map(float, r)) for r in vals]}
     return {"levels": list(f.levels),
-            "sha256": hashlib.sha256(np.ascontiguousarray(vals).tobytes()).hexdigest(),
+            "sha256": hashlib.sha256(np.ascontiguousarray(vals)).hexdigest(),
             "note": "values omitted (large); regenerate from the corpus spec"}
 
 

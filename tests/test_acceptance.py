@@ -212,18 +212,40 @@ def test_criterion_11_interp():
         assert r.passed, (r.params, r.max_ratio)
 
 
-@criterion(12, "byte-identical verification reports, full-suite wall clock")
+# the peak resident memory of one `verify --suite all` process; the
+# lacunary pairs streamed through the theorem pass keep it near 60 MiB,
+# and holding all twenty at once took it past 160 MiB
+_VERIFY_ALL_RSS_MIB = 120
+
+# runs its arguments as a child process and prints the child's peak
+# resident set in KiB as the last line.  The peak that wait4 reports for a
+# child starts from that of the process that spawned it (the child's exec
+# replaces a copy that shares the spawner's memory), so a small launcher
+# keeps the memory of the test process out of the reading
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, flush=True)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@criterion(12, "byte-identical verification reports, full-suite wall clock and memory")
 def test_criterion_12_determinism(tmp_path):
     outs = []
     t0 = time.time()
     for name in ("run1", "run2"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+             sys.executable, "-W", "error::RuntimeWarning", "-m",
              "lorentz_forge.cli", "verify",
              "--suite", "all", "--seed", "7", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        rss = int(proc.stdout.splitlines()[-1]) / 1024
+        assert rss < _VERIFY_ALL_RSS_MIB, f"{name} peak RSS {rss:.1f} MiB"
         outs.append(out)
     wall = time.time() - t0
     assert (outs[0] / "reports.jsonl").read_bytes() == \

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_rearranged_values, ref_sort_desc, same_bits
+from lorentz_forge.norms import Exponents, lorentz_norm
 from lorentz_forge.rearrange import (Sequence2D, _rearranged_values,
                                      distribution_function,
                                      iterated_rearrange_2d,
@@ -194,3 +196,23 @@ class TestRearrangedValuesMatchReference:
                     assert got.flags.f_contiguous == want.flags.f_contiguous
         g = DyadicStep1D(6, np.abs(_values(64, 6)))
         assert same_bits(rearrange_1d(g).values, ref_sort_desc(g.values, axis=0))
+
+
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+def test_lorentz_norm_runs_under_a_profiler_or_tracer(hook):
+    # a profiler or a Python-level tracer holds one more reference to the
+    # sort buffer while it shrinks to the result; the values stay the same
+    vals = np.random.default_rng(3).random((64, 32))
+    e = Exponents((2.0, 3.0), (1.5, 4.0))
+    want = lorentz_norm(DyadicStep2D((5, 6), vals), e)
+
+    def tracer(frame, event, arg):
+        return tracer
+
+    old = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+    hook(tracer)
+    try:
+        got = lorentz_norm(DyadicStep2D((5, 6), vals), e)
+    finally:
+        hook(old)
+    assert got.hex() == want.hex()

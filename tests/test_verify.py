@@ -1,8 +1,12 @@
 import collections
 import csv
+import hashlib
+import itertools
 import json
 import random
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,12 +26,13 @@ from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    power_weight_integral)
 from lorentz_forge.verify import checks
 from lorentz_forge.verify.calibration import calibration
-from lorentz_forge.verify.corpus import (CorpusSpec, corpus_hash, generate,
-                                         generate_karamata_pairs,
+from lorentz_forge.verify.corpus import (CorpusSpec, LacunaryPairs, corpus_hash,
+                                         generate, generate_karamata_pairs,
                                          generate_lacunary_pairs)
 from lorentz_forge.verify.hardy import (hardy_ascent_lhs, hardy_ascent_rhs,
                                         hardy_descent_lhs, hardy_descent_rhs)
-from lorentz_forge.verify.report import CheckCase, CheckReport, write_reports
+from lorentz_forge.verify.report import (CheckCase, CheckReport, serialize_grid,
+                                         write_reports)
 
 INF = float("inf")
 
@@ -108,7 +113,9 @@ class TestCorpus:
         pairs = generate_lacunary_pairs(level, 20, seed)
         want = _lacunary_pairs_by_synthesis(level, 20, seed)
         assert len(pairs) == len(want)
-        for (a, f), (a_ref, f_ref) in zip(pairs, want):
+
+        def assert_same_pair(pair, ref):
+            (a, f), (a_ref, f_ref) = pair, ref
             assert a.entries.dtype == a_ref.entries.dtype
             for part in (np.real, np.imag):
                 assert np.array_equal(part(a.entries), part(a_ref.entries))
@@ -117,7 +124,22 @@ class TestCorpus:
             assert f.levels == f_ref.levels
             assert np.array_equal(f.values, f_ref.values)
             assert np.array_equal(np.signbit(f.values), np.signbit(f_ref.values))
+
+        for pair, ref in zip(pairs, want):
+            assert_same_pair(pair, ref)
         assert corpus_hash(pairs) == corpus_hash(want)
+        # each read builds its pair anew, the same bits each time
+        for i in (0, 1, len(want) - 1, -1, -len(want), 3, 3):
+            assert_same_pair(pairs[i], want[i])
+        for sl in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -4),
+                   slice(5, 2), slice(18, 40)):
+            got = pairs[sl]
+            assert isinstance(got, list) and len(got) == len(want[sl])
+            for pair, ref in zip(got, want[sl]):
+                assert_same_pair(pair, ref)
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                pairs[i]
 
     def test_karamata_generator_hypotheses(self):
         for f, g in generate_karamata_pairs(50, 5):
@@ -125,6 +147,38 @@ class TestCorpus:
             assert np.all(np.diff(g) <= 1e-12)
             assert np.all(np.cumsum(f) >= np.cumsum(g) - 1e-12)
             assert np.sum(f) == pytest.approx(np.sum(g))
+
+
+def _tobytes_hash(items):
+    """Reference for ``corpus_hash``: every array's bytes copied out by
+    ``tobytes`` before they are hashed."""
+    h = hashlib.sha256()
+    for f in items:
+        if isinstance(f, tuple):
+            h.update(np.ascontiguousarray(f[0].entries).tobytes())
+            f = f[1]
+        h.update(bytes(str(f.levels), "ascii"))
+        h.update(np.ascontiguousarray(f.values).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_hashes_equal_the_tobytes_digests(layout):
+    # hashlib reads a C ordered array's buffer in place: the digests are
+    # those of the bytes tobytes copies out, whatever the input's layout
+    rng = np.random.default_rng(5)
+
+    def laid_out(a):
+        v = a[:, ::2]
+        return v if layout == "strided" else np.asarray(v, order=layout)
+
+    vals = laid_out(rng.random((64, 256)))
+    ent = laid_out(rng.random((32, 64)) + 1j * rng.random((32, 64)))
+    grid = SimpleNamespace(levels=(7, 6), values=vals)
+    items = [grid, (SimpleNamespace(entries=ent), grid), constant_grid(2.0, (2, 3))]
+    assert corpus_hash(items) == _tobytes_hash(items)
+    assert serialize_grid(grid)["sha256"] == \
+        hashlib.sha256(np.ascontiguousarray(vals).tobytes()).hexdigest()
 
 
 def _lacunary_pairs_by_synthesis(level, count, seed, ratio=2.0):
@@ -706,10 +760,24 @@ def test_stacks_keep_one_shape_and_bound_the_cells():
     small = checks.sweep_corpus(7, (3, 3))[:4]
     big = generate_lacunary_pairs((9, 9), 2, 7)
     items = (small + [big[0][1]] + [f for _, f in big] + small
-             + generate_lacunary_pairs((3, 3), 2, 7) + small[:1]
+             + list(generate_lacunary_pairs((3, 3), 2, 7)) + small[:1]
              + generate(CorpusSpec("random_step", (3, 4), 2, 7))
              + generate(CorpusSpec("random_step", (5, 5), 300, 7)))
-    runs = checks._stacks(items)
+    drawn = []
+
+    def stream():
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    runs = []
+    for run, stack in checks._stacks(stream()):
+        # one pass: a run comes with its own items, once the pass has read
+        # them and at most the next one
+        assert len(drawn) <= run.stop + 1
+        assert len(stack) == len(run)
+        assert all(a is b for a, b in zip(stack, items[run.start:run.stop]))
+        runs.append(run)
     assert [i for run in runs for i in run] == list(range(len(items)))
 
     def kind(item):
@@ -740,7 +808,7 @@ def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
              if sign is None or th[0] >= 0]
     random.Random(5).shuffle(calls)
     for items in (funcs, pairs):
-        assert len(checks._stacks(items)) == 1
+        assert len(list(checks._stacks(items))) == 1
         prep = checks._Prepared(items)
         full = [_full_coeffs(it) for it in items]
         for e, gp, sign in calls:
@@ -819,7 +887,8 @@ def test_le3_rearranges_each_matrix_once_in_function_order(monkeypatch):
 def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
     # run_suite("all") gives each suite's own reports in suite order, while
     # te3, te4, thm5 and interp share one generation and one hash of each
-    # item list
+    # item list: the corpus by corpus_hash, the corpus and the pairs by the
+    # pass that reads them
     apart = [r.to_json_dict() for name in checks._SUITES
              for r in checks.run_suite(name, seed)]
     digests, made = collections.Counter(), []
@@ -834,9 +903,44 @@ def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
 
     monkeypatch.setattr(checks, "corpus_hash", hashed)
     monkeypatch.setattr(checks, "generate_lacunary_pairs", generated)
-    assert [r.to_json_dict() for r in checks.run_suite("all", seed)] == apart
+    got = [r.to_json_dict() for r in checks.run_suite("all", seed)]
+    assert got == apart
     assert made == [((9, 9), 20, seed)]
     corpus = checks.sweep_corpus(seed)
-    pairs = generate_lacunary_pairs((9, 9), 20, seed)
+    full = corpus_hash(itertools.chain(corpus,
+                                       generate_lacunary_pairs((9, 9), 20, seed)))
     assert digests[corpus_hash(corpus)] == 1
-    assert digests[corpus_hash(corpus + pairs)] == 1
+    assert digests[full] == 0
+    assert {r["corpusHash"] for r in got if r["checkId"].startswith("thm5")} == {full}
+    assert {r["corpusHash"] for r in got if r["checkId"] == "te4"} == \
+        {corpus_hash(corpus), full}
+
+
+@pytest.mark.parametrize("suite", ["all", "te4", "thm5"])
+def test_each_pair_is_built_at_most_twice_per_pass(monkeypatch, suite):
+    # a pass builds each lacunary pair once, for its hash and its stack
+    # together, and once more only if its function is a report's witness
+    built = collections.Counter()
+
+    def counted(self, i, _fn=LacunaryPairs._pair):
+        built[i] += 1
+        return _fn(self, i)
+
+    monkeypatch.setattr(LacunaryPairs, "_pair", counted)
+    checks.run_suite(suite, 7)
+    assert sorted(built) == list(range(20))
+    assert max(built.values()) <= 2
+
+
+def test_lacunary_pairs_stream_in_bounded_memory():
+    # the pairs are built as the pass reads them: at level (9, 9) a pair
+    # takes 6 MiB, and all twenty of them took 125 MiB up front
+    for run, bound in ((lambda: generate_lacunary_pairs((9, 9), 20, 7), 4),
+                       (lambda: checks._theorem_suites(7), 48)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (bound, peak / 2**20)
