@@ -18,10 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .interpolation import beta_from_q
-from .norms import (Exponents, GrandNormResult, GrandParams, _dyadic_sqrt,
-                    _grand_of, _rearranged_support, _seq_block_lorentz_of,
-                    _seq_surface, _support_table, _surface_key)
-from .rearrange import Sequence2D, iterated_rearrange_seq_first_index
+from .norms import (Exponents, GrandNormResult, GrandParams, grand_seq_norm,
+                    seq_block_lorentz_norm)
+from .rearrange import Sequence2D, _BlockTables, iterated_rearrange_seq_first_index
 from .stepfun import DyadicStep2D, _Memoised
 
 
@@ -169,15 +168,16 @@ def _trig_cell_matrix(K: int, level: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoeffMatrix(_Memoised):
+class CoeffMatrix(_BlockTables, _Memoised):
     """Truncated double-indexed coefficient array with system metadata.
 
     ``entries[i1, i2]`` is the coefficient at enumeration slots
     ``(i1 + 1, i2 + 1)``; for Walsh those slots are the Paley indices
-    ``(i1, i2)`` directly.  ``entries`` is a read-only copy of the input,
-    and the rearranged magnitudes and their block tables are computed on
-    first use and kept with the matrix: every block statistic of one matrix
-    reads them.
+    ``(i1, i2)`` directly.  ``entries`` is a read-only 2-D copy of the
+    input, at least 1 x 1, and the block tables of the magnitudes (see
+    :class:`~lorentz_forge.rearrange._BlockTables`) and the magnitudes
+    rearranged first index first are computed on first use and kept with
+    the matrix: every block statistic of one matrix reads them.
     """
 
     system1: OrthonormalSystem
@@ -188,49 +188,27 @@ class CoeffMatrix(_Memoised):
         ent = np.array(self.entries, dtype=complex)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
+        if ent.ndim != 2 or 0 in ent.shape:
+            raise ValueError(f"entries must be 2D and nonempty, got shape {ent.shape}")
 
     @property
     def truncation(self) -> tuple[int, int]:
         return self.entries.shape
 
+    _block_dims = truncation
+
     @property
     def magnitudes(self) -> Sequence2D:
         return Sequence2D(np.abs(self.entries))
 
-    @cached_property
-    def _support(self) -> np.ndarray:
-        """The iterated rearrangement of the magnitudes, second index first,
-        on the block that holds its support (see
-        :func:`~lorentz_forge.norms._rearranged_support`); zero elsewhere.
-        C ordered whatever the layout of the entries (see
-        :func:`~lorentz_forge.rearrange._rearranged_values`)."""
-        r = _rearranged_support(np.abs(self.entries))
-        if r.base is not None:  # a cut of a larger sort: keep the block only
-            r = r.copy()
-        r.setflags(write=False)
-        return r
+    def _block_magnitudes(self) -> np.ndarray:
+        return np.abs(self.entries)
 
     @cached_property
     def _fun_order(self) -> np.ndarray:
         """The iterated rearrangement of the magnitudes, first index first
         (see :func:`~lorentz_forge.rearrange.iterated_rearrange_seq_first_index`)."""
         return iterated_rearrange_seq_first_index(self.magnitudes).entries
-
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """The block table on :attr:`_support` (see
-        :func:`~lorentz_forge.norms._block_table`)."""
-        S = _support_table(self._support)
-        S.setflags(write=False)
-        return S
-
-    @cached_property
-    def _sqrt_table(self) -> np.ndarray:
-        """The dyadic sqrt table of the magnitudes (see
-        :func:`~lorentz_forge.norms._block_sqrt_table`)."""
-        T = _dyadic_sqrt(self._table, self.truncation)
-        T.setflags(write=False)
-        return T
 
 
 def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
@@ -318,7 +296,7 @@ def _bochkarev_of(S: np.ndarray, q: tuple[float, float],
                   dims: tuple[int, int]) -> np.ndarray:
     """:func:`bochkarev_lhs` from the top-left blocks ``S[..., i1, i2]`` of
     ``dims = (K1, K2)`` block tables of the magnitudes (see
-    :func:`~lorentz_forge.norms._block_table`), shape ``(...)``.
+    :class:`~lorentz_forge.rearrange._BlockTables`), shape ``(...)``.
 
     The weights are taken over all of ``dims`` and cut to the block: for
     ``q >= 2`` they are nondecreasing, so the table's saturated part past
@@ -349,7 +327,7 @@ def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
 
 def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
     """:func:`block_sup_lhs` from dyadic sqrt tables ``T[..., k1, k2]`` of
-    the magnitudes (see :func:`~lorentz_forge.norms._block_sqrt_table`),
+    the magnitudes (see :func:`~lorentz_forge.rearrange._dyadic_sqrt`),
     shape ``(...)``.
 
     For ``q < 2`` the weights grow while the bracket saturates, so the
@@ -372,15 +350,13 @@ def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
 def te3_lhs(a: CoeffMatrix, p: tuple[float, float], q: tuple[float, float]) -> float:
     """Discrete block-norm left side with weights ``2^{k/p'}`` on the
     normalized brackets of the rearranged coefficient magnitudes."""
-    return float(_seq_block_lorentz_of(a._sqrt_table, p, q))
+    return seq_block_lorentz_norm(a, p, q)
 
 
 def te4_lhs(a: CoeffMatrix, e: Exponents, gp: GrandParams) -> GrandNormResult:
     """Grand sequence norm of the magnitudes at smoothness ``lambda = theta + beta``,
     ``beta_i = max(1/2, 1/q_i)``, with the damped exponent sign."""
-    params = _te4_params(e, gp)
-    return _grand_of(_seq_surface(a._sqrt_table, e, "minus", *_surface_key(params)),
-                     params)
+    return grand_seq_norm(a, e, _te4_params(e, gp), sign="minus")
 
 
 def _te4_params(e: Exponents, gp: GrandParams) -> GrandParams:

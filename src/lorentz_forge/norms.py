@@ -46,14 +46,15 @@ Conventions
 * Each public norm reads what is prepared of its input and passes it to a
   ``_*_of`` or ``_*_surface`` function: the rearranged values of a grid
   are kept on the grid (:attr:`DyadicStep2D.rearranged`), so the norms of
-  one grid share one rearrangement, and a sequence's block table is built
-  per call (a coefficient matrix keeps its own, see
-  :class:`~lorentz_forge.fourier.CoeffMatrix`).  No pass walks down the
+  one grid share one rearrangement, and the block tables of a sequence, a
+  coefficient matrix or a sweep's stack are kept on it (see
+  :class:`~lorentz_forge.rearrange._BlockTables`): the sequence norms read
+  ``a._sqrt_table`` of whichever they are given.  No pass walks down the
   columns of a ``2^k``-wide array, whose power-of-two steps collide in the
   cache: the rearrangement sorts on a padded row pitch, the block table
   sums down its columns one row at a time, and both return new C ordered
   arrays (see :func:`~lorentz_forge.rearrange._rearranged_values` and
-  :func:`_support_table`).  A parameter sweep
+  :func:`~lorentz_forge.rearrange._support_table`).  A parameter sweep
   prepares a stack of inputs once and calls the same functions.  The
   cores, those functions and :func:`_grand_pick` take leading item axes:
   ``(..., r2, r1)`` values give ``(...)`` norms and ``(..., m1, m2)``
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rearrange import Sequence2D, _rearranged_values
+from .rearrange import Sequence2D
 from .stepfun import DyadicStep2D
 
 INF = float("inf")
@@ -493,77 +494,6 @@ def _lorentz_surface(g: np.ndarray, widths: tuple[float, float], e: Exponents,
 # discrete sequence norms
 
 
-def _block_table(m: np.ndarray) -> np.ndarray:
-    """The block tables of magnitudes ``m[..., i1, i2]``, over any leading
-    item axes: ``S[..., i1, i2]``, the square sum of the iterated
-    rearrangement of ``m`` over its top ``(i1 + 1) x (i2 + 1)`` block.
-
-    Only the top-left block of the table that holds the rearranged support
-    (:func:`_rearranged_support`) is built.  Beyond it the table repeats
-    its last row and column exactly (adding 0.0), so a read at
-    ``(min(i1, r1 - 1), min(i2, r2 - 1))`` of the ``r1 x r2`` block gives
-    the full table's bits.
-    """
-    return _support_table(_rearranged_support(m))
-
-
-def _rearranged_support(m: np.ndarray) -> np.ndarray:
-    """The iterated rearrangement of magnitudes ``m[..., i1, i2]`` on the
-    top-left block that holds its support in every item (at least 1 x 1).
-
-    A row of ``m`` that is zero in every item sinks below the nonzero ones
-    in the column pass, and no column reaches past the longest nonzero row,
-    so the rearrangement is zero outside that block: the zero rows are
-    dropped before the sort, and the columns past the support after it.
-    """
-    live = np.any(m > 0, axis=-1).reshape(-1, m.shape[-2]).any(axis=0)
-    if not live.all():  # the zero rows go; an all-zero table keeps one
-        m = m[..., live, :] if live.any() else m[..., :1, :]
-    r = _rearranged_values(m)
-    cols = max(1, int(np.count_nonzero(r[..., 0, :], axis=-1).max()))
-    return r if cols == r.shape[-1] else r[..., :cols]
-
-
-def _support_table(r: np.ndarray) -> np.ndarray:
-    """The block tables (see :func:`_block_table`) of rearranged magnitudes
-    ``r[..., i1, i2]``: the squares summed down each column, then along
-    each row, in one new C ordered array (the readers' weight tables are C
-    ordered, and a mixed layout makes their broadcasts several times
-    slower).
-
-    The column sums run one row at a time, each row of squares added in
-    place to the running sums above it: a pass down the columns of a
-    ``2^k``-wide table steps a power of two and keeps landing in the same
-    few cache sets (see :data:`~lorentz_forge.rearrange._PAD`), and it
-    takes no second table.  Each running sum adds in order, as ``cumsum``
-    does, so the bits do not depend on the pass order or the layout.
-    """
-    S = np.square(r, order="C")
-    for i in range(1, S.shape[-2]):
-        np.add(S[..., i - 1, :], S[..., i, :], out=S[..., i, :])
-    return np.cumsum(S, axis=-1, out=S)
-
-
-def _block_sqrt_table(a: Sequence2D) -> np.ndarray:
-    """``sqrt(S)[k1, k2]`` over the top ``2^{k1} x 2^{k2}`` blocks,
-    ``k_i = 0..kappa_i`` with ``kappa_i = ceil(log2 K_i)`` (see
-    :func:`_block_table`).
-
-    Dimensions are implicitly zero-padded to powers of two, so the table
-    saturates at the true totals.
-    """
-    return _dyadic_sqrt(_block_table(a.entries), a.dims)
-
-
-def _dyadic_sqrt(S: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """The dyadic sqrt sub-tables (see :func:`_block_sqrt_table`) of
-    ``dims = (K1, K2)`` block tables, from their top-left blocks
-    ``S[..., i1, i2]`` (see :func:`_block_table`)."""
-    idx1, idx2 = (np.minimum(2 ** np.arange((K - 1).bit_length() + 1), n) - 1
-                  for K, n in zip(dims, S.shape[-2:]))
-    return np.sqrt(S[..., idx1[:, None], idx2])
-
-
 def _block_cells(nus: np.ndarray, n: int, q: float):
     """The weights ``2^{nu k}``, ``k >= 0``, one row per ``nu`` in ``nus``,
     as :func:`_stage` takes them for ``n`` stored values padded with the
@@ -604,13 +534,13 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     """Discrete block norm with fixed weights ``2^{k1/p1' + k2/p2'}`` applied
     to the normalized brackets ``[2^{-k1-k2} sum (a^{*2,*1})^2]^{1/2}``.
     """
-    return float(_seq_block_lorentz_of(_block_sqrt_table(a), p, q))
+    return float(_seq_block_lorentz_of(a._sqrt_table, p, q))
 
 
 def _seq_block_lorentz_of(sqrtS: np.ndarray, p: tuple[float, float],
                           q: tuple[float, float]) -> np.ndarray:
     """:func:`seq_block_lorentz_norm` from dyadic sqrt tables
-    ``sqrtS[..., k1, k2]`` (see :func:`_block_sqrt_table`), shape ``(...)``."""
+    ``sqrtS[..., k1, k2]`` (:func:`~lorentz_forge.rearrange._dyadic_sqrt`), shape ``(...)``."""
     e = Exponents(p, q)
     nu1 = 1.0 / e.conjugate(0) - 0.5
     nu2 = 1.0 / e.conjugate(1) - 0.5
@@ -628,14 +558,15 @@ def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,
     damped exponent ``2^{k(1/p - eps)}`` consistent with the way the norm is
     consumed downstream.  The grid supremum under-approximates.
     """
-    return _grand_of(_seq_surface(_block_sqrt_table(a), e, sign, *_surface_key(gp)), gp)
+    return _grand_of(_seq_surface(a._sqrt_table, e, sign, *_surface_key(gp)), gp)
 
 
 def _seq_surface(sqrtS: np.ndarray, e: Exponents, sign: str, sup_form: bool,
                  levels: int, zeros: tuple[bool, bool]):
     """The epsilon surface of :func:`grand_seq_norm` from dyadic sqrt
-    tables ``sqrtS[..., k1, k2]`` (see :func:`_block_sqrt_table`): the epsilon axes and
-    the nested block sums over them, one core call."""
+    tables ``sqrtS[..., k1, k2]`` (see
+    :func:`~lorentz_forge.rearrange._dyadic_sqrt`): the epsilon axes and the
+    nested block sums over them, one core call."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if not sup_form:
@@ -758,13 +689,14 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
 # JSON request surface
 
 
-def _parse_pair(raw) -> tuple[float, float]:
-    def one(x):
-        if isinstance(x, str) and x.lower() in ("inf", "infinity"):
-            return INF
-        return float(x)
-
-    return one(raw[0]), one(raw[1])
+def _parse_pair(name: str, raw) -> tuple[float, float]:
+    """A request's ``name`` pair: a list or tuple of two ``float`` inputs."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        try:
+            return float(raw[0]), float(raw[1])
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a pair of numbers, got {raw!r}")
 
 
 # the request kinds evaluated on a grid (``seq_grand`` takes a sequence)
@@ -778,10 +710,9 @@ def evaluate_norm_request(req: dict, obj) -> dict:
     "sign": ..., "epsJ": ...}``; the response reports ``value``,
     ``approx_direction`` and, for grand norms, ``argmax_eps``.
     """
-    kind = req["norm"]
-    p = _parse_pair(req.get("p", (2, 2)))
-    q = _parse_pair(req.get("q", (2, 2)))
-    theta = tuple(float(x) for x in req.get("theta", (0.0, 0.0)))
+    kind = req.get("norm")  # a missing kind is an unknown one
+    p, q, theta = (_parse_pair(k, req.get(k, d)) for k, d in
+                   (("p", (2, 2)), ("q", (2, 2)), ("theta", (0.0, 0.0))))
     eps_j = int(req.get("epsJ", 24))
     if kind == "seq_grand":
         if not isinstance(obj, Sequence2D):

@@ -22,11 +22,10 @@ import numpy as np
 from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
                        block_l2, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
-from ..norms import (Exponents, GrandParams, _block_table,
-                     _dyadic_sqrt, _grand_pick, _logweight_of, _lorentz_of,
-                     _lorentz_surface, _seq_block_lorentz_of, _seq_surface,
-                     _surface_key, mixed_lebesgue_norm)
-from ..rearrange import _rearranged_values
+from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
+                     _lorentz_of, _lorentz_surface, _seq_block_lorentz_of,
+                     _seq_surface, _surface_key, mixed_lebesgue_norm)
+from ..rearrange import _BlockTables, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
 from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
@@ -237,10 +236,11 @@ def _stacks(items):
         yield range(i + 1 - len(run), i + 1), run
 
 
-class _Prepared:
+class _Prepared(_BlockTables):
     """The per-function pieces of a stack of same-shape corpus items, each
     computed on first use for the whole stack and read at every parameter
-    point of a sweep.  Values are arrays with one entry per item.
+    point of a sweep.  Values are arrays with one entry per item, block
+    tables too (see :class:`~lorentz_forge.rearrange._BlockTables`).
 
     An item is a function, whose Walsh coefficients are taken at full
     resolution, or a ``(coefficients, function)`` pair with planted
@@ -264,24 +264,19 @@ class _Prepared:
         """The rearranged values of the functions."""
         return _rearranged_values(np.stack([f.values for f in self.fs]))
 
-    @cached_property
+    @property
     def dims(self) -> tuple[int, int]:
         """The size ``(K1, K2)`` of the coefficient matrices."""
         return self.a[0].truncation if self.pairs else \
             tuple(2**n for n in self.fs[0].levels)
 
-    @cached_property
-    def S(self) -> np.ndarray:
-        """The block tables of the coefficient magnitudes, cut to the block
-        that holds their support (see :func:`~lorentz_forge.norms._block_table`)."""
-        return _block_table(np.stack([np.abs(
-            (coeffs_2d(f, WALSH, WALSH, *self.dims) if a is None else a).entries)
-            for a, f in zip(self.a, self.fs)]))
+    _block_dims = dims
 
-    @cached_property
-    def sqrtS(self) -> np.ndarray:
-        """The dyadic sqrt sub-tables of :attr:`S`."""
-        return _dyadic_sqrt(self.S, self.dims)
+    def _block_magnitudes(self) -> np.ndarray:
+        """The magnitudes of the planted or full Walsh coefficients."""
+        return np.stack([np.abs(
+            (coeffs_2d(f, WALSH, WALSH, *self.dims) if a is None else a).entries)
+            for a, f in zip(self.a, self.fs)])
 
     def khat(self, ts: np.ndarray) -> np.ndarray:
         """The Khat grids over ``ts x ts``."""
@@ -315,7 +310,7 @@ class _Prepared:
         if (e, sign, key) not in self._memo:
             self._memo[e, sign, key] = (
                 _lorentz_surface(self.g, self.fs[0].widths, e, *key) if sign is None
-                else _seq_surface(self.sqrtS, e, sign, *key))
+                else _seq_surface(self._sqrt_table, e, sign, *key))
         return self._memo[e, sign, key]
 
 
@@ -427,7 +422,7 @@ def _te3_group(points, h: str | None) -> _Group:
         if prep.pairs:
             return None
         p, rhs = _theta_rhs(prep, theta, q)
-        return [("", _seq_block_lorentz_of(prep.sqrtS, p, q), rhs)]
+        return [("", _seq_block_lorentz_of(prep._sqrt_table, p, q), rhs)]
 
     def finish(rep):
         # the raw lhs / Lorentz ratio normalized by D: the growth statistic
@@ -499,8 +494,8 @@ def _thm5_group(points) -> _Group:
                                            "same q as the weights"})
 
     def cases(prep, q, blocksup):
-        lhs = (_block_sup_of(prep.sqrtS, q) if blocksup
-               else _bochkarev_of(prep.S, q, prep.dims))
+        lhs = (_block_sup_of(prep._sqrt_table, q) if blocksup
+               else _bochkarev_of(prep._table, q, prep.dims))
         # both forms read the memoised right side at each q
         return [("", lhs, prep.lorentz(Exponents((2, 2), q)))]
 

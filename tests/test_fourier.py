@@ -150,6 +150,36 @@ class TestBlocks:
             block_l2(a, 4, 2)
 
 
+class TestMalformedEntries:
+    """A matrix takes non-finite entries, as a coefficient dump spells them,
+    but every block statistic of them raises ``ValueError``; entries that are
+    not 2-D with at least one row and one column raise when the matrix is
+    made."""
+
+    STATS = [lambda a: te3_lhs(a, (1.5, 1.5), (2.0, 2.0)),
+             lambda a: te4_lhs(a, Exponents((2, 2), (2, 2)), GrandParams((0.25, 0.25), 8)),
+             lambda a: bochkarev_lhs(a, (2.0, 2.0)),
+             lambda a: block_sup_lhs(a, (2.0, 2.0)),
+             lambda a: block_l2(a, 2, 2),
+             lambda a: block_l2(a, 2, 2, order="fun")]
+
+    @pytest.mark.parametrize("stat", range(len(STATS)))
+    @pytest.mark.parametrize("bad", [math.nan, INF])
+    def test_non_finite_entries_raise(self, stat, bad):
+        c = np.random.default_rng(5).random((4, 4)).astype(complex)
+        assert math.isfinite(float(self.STATS[stat](CoeffMatrix(WALSH, WALSH, c))))
+        c[1, 2] = bad
+        a = CoeffMatrix(WALSH, WALSH, c)
+        assert a.entries[1, 2] == bad or np.isnan(a.entries[1, 2])
+        with pytest.raises(ValueError):
+            self.STATS[stat](a)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (3,), (2, 2, 2), ()])
+    def test_entries_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(ValueError):
+            CoeffMatrix(WALSH, WALSH, np.ones(shape))
+
+
 class TestTheoremLeftSides:
     def test_bochkarev_single_coefficient(self):
         c = np.zeros((4, 4), dtype=complex)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (random_grids, ref_direct_stage, ref_rearranged_values,
                       ref_sort_desc, ref_support_table, same_bits)
-from lorentz_forge import fourier, rearrange
+from lorentz_forge import rearrange
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, _block_sup_of,
                                    _bochkarev_of, block_l2, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs)
@@ -17,8 +17,7 @@ from lorentz_forge.interpolation import (_interp_of, beta_from_q, interp_norm,
                                          k_upper, khat_grid)
 import lorentz_forge.norms as norms
 from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
-                                 _block_sqrt_table, _block_table,
-                                 _dyadic_samples, _dyadic_sqrt, _eps_grid,
+                                 _dyadic_samples, _eps_grid,
                                  _grand_pick, _logweight_of,
                                  _lorentz_core_batch, _lorentz_of,
                                  _lorentz_surface,
@@ -28,8 +27,9 @@ from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  grand_seq_norm, logweight_sup_norm,
                                  lorentz_norm, mixed_lebesgue_norm,
                                  seq_block_lorentz_norm)
-from lorentz_forge.rearrange import (Sequence2D, iterated_rearrange_2d,
-                                     iterated_rearrange_seq)
+from lorentz_forge.rearrange import (Sequence2D, _dyadic_sqrt,
+                                     _rearranged_support, _support_table,
+                                     iterated_rearrange_2d, iterated_rearrange_seq)
 from lorentz_forge.stepfun import (DyadicStep1D, DyadicStep2D, constant_grid,
                                    indicator_grid)
 from lorentz_forge.verify.calibration import calibration
@@ -295,7 +295,7 @@ class TestSeqBlockCoreMatchesScalar:
             gp = GrandParams(theta, eps_levels=8)
             for sign, s in (("plus", 1.0), ("minus", -1.0)):
                 res = grand_seq_norm(a, e, gp, sign=sign)
-                sqrtS = _block_sqrt_table(a)
+                sqrtS = a._sqrt_table
                 eps = 2.0 ** -np.arange(gp.eps_levels + 1)
                 (e1, w1), (e2, w2) = [(np.append(eps, 0.0), np.ones(len(eps) + 1))
                                       if t == 0 else (eps, eps**t) for t in theta]
@@ -314,7 +314,7 @@ class TestSeqBlockCoreMatchesScalar:
         assert type(val) is float
         e = Exponents((4 / 3, 4), q)
         assert val == _scalar_seq_block_core(
-            _block_sqrt_table(a), 1 / e.conjugate(0) - 0.5,
+            a._sqrt_table, 1 / e.conjugate(0) - 0.5,
             1 / e.conjugate(1) - 0.5, *q)
 
 
@@ -417,6 +417,22 @@ class TestNormRequestSurface:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             evaluate_norm_request({"norm": "sobolev"}, constant_grid(1.0))
+
+    @pytest.mark.parametrize("req", [
+        {"norm": "lorentz", "p": [2]}, {"norm": "lorentz", "p": [2, 2, 2]},
+        {"norm": "lorentz", "p": "22"}, {"norm": "lorentz", "q": 2},
+        {"norm": "lorentz", "q": [2, None]}, {"norm": "grand", "theta": [0.5]},
+        {"norm": "grand", "theta": "55"}, {"p": [2, 2]}])
+    def test_malformed_requests_rejected(self, req):
+        with pytest.raises(ValueError):
+            evaluate_norm_request(req, constant_grid(1.0, (2, 2)))
+
+    def test_pairs_are_lists_or_tuples_of_two(self):
+        f = constant_grid(1.0, (2, 2))
+        got = evaluate_norm_request({"norm": "lorentz", "p": ("Infinity", 2),
+                                     "q": ["inf", "2"]}, f)
+        assert got == evaluate_norm_request({"norm": "lorentz", "p": [INF, 2.0],
+                                             "q": (INF, 2.0)}, f)
 
     @pytest.mark.parametrize("kind", ["p6", "logweight", "mixed"])
     def test_other_kinds_dispatch(self, kind):
@@ -672,7 +688,7 @@ def test_grand_seq_and_te4_surface_pick_match_per_theta_reference(J):
     rng = np.random.default_rng(43)
     for shape in ((1, 1), (5, 8), (16, 3)):
         a = Sequence2D(rng.random(shape) * (rng.random(shape) < 0.6))
-        sqrtS = _block_sqrt_table(a)
+        sqrtS = a._sqrt_table
         cm = CoeffMatrix(WALSH, WALSH, a.entries)
         for q in _SURFACE_QS:
             for th in _SUP_THETAS:
@@ -684,6 +700,12 @@ def test_grand_seq_and_te4_surface_pick_match_per_theta_reference(J):
                               _ref_grand_seq_of(sqrtS, e, gp, sign))
                 e = Exponents((2, 2), q)
                 _same(te4_lhs(cm, e, gp), _ref_te4_lhs_of(sqrtS, e, gp))
+
+
+def _block_table(m: np.ndarray) -> np.ndarray:
+    """The block tables of magnitudes ``m[..., i1, i2]`` on the block that
+    holds their support, as every owner of block tables builds them."""
+    return _support_table(_rearranged_support(m))
 
 
 def _block_cumsum(a: Sequence2D) -> np.ndarray:
@@ -1199,8 +1221,8 @@ def test_p6_block_scan_matches_the_one_point_scan(monkeypatch):
 
 class TestPreparedOnce:
     """The rearranged values are kept on the grid, and the rearranged
-    magnitudes and their block tables on the coefficient matrix: every
-    public reader of one object shares one rearrangement."""
+    magnitudes and their block tables on the coefficient matrix and on the
+    sequence: every public reader of one object shares one rearrangement."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -1211,9 +1233,9 @@ class TestPreparedOnce:
             calls.append(v.shape)
             return sort(v)
 
-        # the grid imports it from rearrange when it first prepares itself
+        # the grid imports it from rearrange when it first prepares itself,
+        # and the block tables sort in rearrange
         monkeypatch.setattr(rearrange, "_rearranged_values", counted)
-        monkeypatch.setattr(norms, "_rearranged_values", counted)
         return calls
 
     @staticmethod
@@ -1252,6 +1274,17 @@ class TestPreparedOnce:
         return out + [block_l2(a, *N) for N in ((1, 1), (4, 2), (32, 16))]
 
     @staticmethod
+    def _seq():
+        return Sequence2D(np.random.default_rng(43).random((12, 20)))
+
+    @staticmethod
+    def _seq_reads(a):
+        e, gp = Exponents((1.5, 3.0), (2.0, 4.0)), GrandParams((0.25, 0.5), 8)
+        return [seq_block_lorentz_norm(a, (1.5, 1.5), (2.0, 2.0)),
+                grand_seq_norm(a, e, gp, sign="plus").value,
+                grand_seq_norm(a, e, gp, sign="minus").value]
+
+    @staticmethod
     def _same_bits(got, want):
         assert [np.asarray(x).tobytes() for x in got] == \
             [np.asarray(x).tobytes() for x in want]
@@ -1270,32 +1303,44 @@ class TestPreparedOnce:
         self._coeff_reads(a)
         assert calls == [(32, 16)]
 
+    def test_sequence_readers_rearrange_once(self, monkeypatch):
+        s = self._seq()
+        calls = self._count(monkeypatch)
+        self._seq_reads(s)
+        self._seq_reads(s)
+        assert calls == [(12, 20)]
+
     def test_memo_is_read_only(self):
-        f, a = self._grid(), self._coeffs()
+        f, a, s = self._grid(), self._coeffs(), self._seq()
         self._coeff_reads(a)
-        for arr in (f.rearranged, a._support, a._table, a._sqrt_table):
+        self._seq_reads(s)
+        for arr in (f.rearranged, a._support, a._table, a._sqrt_table,
+                    s._support, s._table, s._sqrt_table):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
     def test_results_equal_a_fresh_objects(self):
-        f, a = self._grid(), self._coeffs()
-        first = self._grid_reads(f), self._coeff_reads(a)
-        again = self._grid_reads(f), self._coeff_reads(a)
+        f, a, s = self._grid(), self._coeffs(), self._seq()
+        first = self._grid_reads(f), self._coeff_reads(a), self._seq_reads(s)
+        again = self._grid_reads(f), self._coeff_reads(a), self._seq_reads(s)
         fresh = (self._grid_reads(DyadicStep2D(f.levels, f.values)),
-                 self._coeff_reads(CoeffMatrix(a.system1, a.system2, a.entries)))
+                 self._coeff_reads(CoeffMatrix(a.system1, a.system2, a.entries)),
+                 self._seq_reads(Sequence2D(s.entries)))
         for got in (again, fresh):
             self._same_bits(got[0], first[0])
             self._same_bits(got[1], first[1])
+            self._same_bits(got[2], first[2])
 
     def test_equality_hash_replace_and_pickle(self):
-        f, a = self._grid(), self._coeffs()
-        plain = [pickle.dumps(f), pickle.dumps(a)]
+        f, a, s = self._grid(), self._coeffs(), self._seq()
+        plain = [pickle.dumps(f), pickle.dumps(a), pickle.dumps(s)]
         self._grid_reads(f)
         self._coeff_reads(a)
-        assert "rearranged" in vars(f) and "_table" in vars(a)
+        self._seq_reads(s)
+        assert "rearranged" in vars(f) and "_table" in vars(a) and "_table" in vars(s)
         # the memo is no state: the pickles are the unprepared object's
-        assert [pickle.dumps(f), pickle.dumps(a)] == plain
-        for obj, memo in ((f, "rearranged"), (a, "_support")):
+        assert [pickle.dumps(f), pickle.dumps(a), pickle.dumps(s)] == plain
+        for obj, memo in ((f, "rearranged"), (a, "_support"), (s, "_support")):
             assert obj == obj
             with pytest.raises(TypeError):
                 hash(obj)  # a frozen dataclass over an array field
@@ -1307,6 +1352,8 @@ class TestPreparedOnce:
         assert g.rearranged.tobytes() == f.rearranged.tobytes()
         self._same_bits(self._coeff_reads(pickle.loads(pickle.dumps(a))),
                         self._coeff_reads(a))
+        self._same_bits(self._seq_reads(pickle.loads(pickle.dumps(s))),
+                        self._seq_reads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -1466,12 +1513,12 @@ class TestSupportTableMatchesReference:
         r[..., 1::4, :] = 0.0
         r = np.asarray(ref_rearranged_values(r), order=order)
         before = r.copy(order="K")
-        got = norms._support_table(r)
+        got = rearrange._support_table(r)
         assert got.flags.c_contiguous and got.base is None
         assert same_bits(got, ref_support_table(r))
         assert same_bits(r, before)
         r.setflags(write=False)
-        assert same_bits(norms._support_table(r), got)
+        assert same_bits(rearrange._support_table(r), got)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_coefficient_matrix_keeps_its_bits(self, order):
@@ -1519,10 +1566,8 @@ def test_level10_calls_match_the_reference_path(level10_grid, monkeypatch):
     rearrangement and the block table give the bits they give with the
     broadcast product and the unpadded forms in their place."""
     got = _mix(level10_grid)
-    for mod in (rearrange, norms):
-        monkeypatch.setattr(mod, "_rearranged_values", ref_rearranged_values)
-    for mod in (norms, fourier):
-        monkeypatch.setattr(mod, "_support_table", ref_support_table)
+    monkeypatch.setattr(rearrange, "_rearranged_values", ref_rearranged_values)
+    monkeypatch.setattr(rearrange, "_support_table", ref_support_table)
     monkeypatch.setattr(norms, "_stage", ref_direct_stage)
     want = _mix(level10_grid)
     assert np.isfinite(got).all()

@@ -137,6 +137,11 @@ class TestIteratedSeq:
         with pytest.raises(ValueError):
             Sequence2D(np.array([[1.0, -2.0]]))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (3,), (2, 2, 2), ()])
+    def test_entries_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(ValueError):
+            Sequence2D(np.zeros(shape))
+
 
 @settings(max_examples=25)
 @given(st.lists(st.floats(min_value=0, max_value=10), min_size=16, max_size=16))
