@@ -11,7 +11,6 @@ complex exponentials cell by cell in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,27 +108,45 @@ def walsh_on_cells(k, level: int) -> np.ndarray:
 
 
 def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.ndarray:
-    """Paley-order Walsh coefficients of real ``vals`` along one axis, exact
-    for K <= 2^level.
+    """Paley-order Walsh coefficients of real ``vals[..., r2, r1]`` along
+    one of the last two axes (``axis`` -1 or -2, or 1 or 0 without item
+    axes), over any leading item axes, exact for K <= 2^level.
 
     The bit-reversal gather is the copy that puts the axis in front for
     :func:`_fwht_front`, and the scaling is in place.  A butterfly sum of
-    ``2^h`` values is at most ``2^h max|v|``, so values that could sum past
-    the float range are first divided by the least ``2^k`` that keeps
-    ``2^level max|v|`` finite, and ``2^k`` joins the final ``2^-level``: the
-    power-of-two scalings are exact, and ``k = 0`` whenever no sum overflows.
+    ``2^h`` values is at most ``2^h max|v|``, so an item's values that
+    could sum past the float range are first divided by the least ``2^k``
+    that keeps ``2^level max|v|`` finite, and ``2^k`` joins the final
+    ``2^-level``: the power-of-two scalings are exact, and ``k = 0``
+    whenever no sum overflows.  The butterflies add and subtract
+    elementwise, so each item's bits are those of its own call.
     """
     if K > 2**level:
         raise ResolutionError(
             f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
     v = np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0)
-    # frexp's exponent e gives max|v| < 2^e; non-finite values keep k = 0
-    k = max(math.frexp(max(v.max(), -v.min()))[1] + level - 1024, 0)
-    if k:
-        v *= 2.0**-k
+    # v is (2^level, *items, other); frexp's exponent e gives max|v| < 2^e,
+    # and non-finite values keep k = 0
+    big = np.maximum(v.max(axis=(0, -1)), -v.min(axis=(0, -1)))
+    k = np.maximum(np.frexp(big)[1] + (level - 1024), 0)[..., None]
+    if k.any():
+        v *= np.ldexp(1.0, -k)
     a = _fwht_front(v)
-    a *= 2.0 ** (k - level)
+    a *= np.ldexp(1.0, k - level)
     return np.moveaxis(a[:K], 0, axis)
+
+
+def _walsh_coeffs_2d(vals: np.ndarray, levels: tuple[int, int],
+                     K1: int, K2: int) -> np.ndarray:
+    """The Walsh x Walsh coefficients of real ``vals[..., j2, j1]`` over any
+    leading item axes, real, as ``a[..., k2, k1]`` (the transpose of the
+    :class:`CoeffMatrix` entries); each item's bits are those of its own
+    call.  Adding 0.0 turns -0.0 into 0.0, as adding 0j to a complex
+    result does."""
+    a = _walsh_coeffs_axis(vals, axis=-1, level=levels[0], K=K1)  # (..., r2, K1)
+    a = _walsh_coeffs_axis(a, axis=-2, level=levels[1], K=K2)  # (..., K2, K1)
+    a += 0.0
+    return a
 
 
 def walsh_synthesize(coeffs: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
@@ -224,18 +241,16 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
         raise ValueError(f"truncation ({K1}, {K2}) must be positive")
     n1, n2 = levels
     v = np.asarray(values, dtype=float)  # [j2, j1]
+    if sys1.kind == sys2.kind == "walsh":
+        # stays real until CoeffMatrix casts it to complex with a zero
+        # imaginary part
+        return CoeffMatrix(sys1, sys2, _walsh_coeffs_2d(v, levels, K1, K2).T)
     if sys1.kind == "walsh":
         a1 = _walsh_coeffs_axis(v, axis=1, level=n1, K=K1)  # real (r2, K1)
     else:
         a1 = v @ _trig_cell_matrix(K1, n1).T  # complex (r2, K1)
     if sys2.kind != "walsh":
         a = _trig_cell_matrix(K2, n2) @ a1.astype(complex, order="C")  # (K2, K1)
-    elif sys1.kind == "walsh":
-        # Walsh x Walsh stays real until CoeffMatrix casts it to complex
-        # with a zero imaginary part; adding 0.0 turns -0.0 into 0.0, as
-        # adding 0j to the complex result does
-        a = _walsh_coeffs_axis(a1, axis=0, level=n2, K=K2)
-        a += 0.0
     else:
         a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + \
             1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2)
@@ -274,13 +289,21 @@ def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
         raise ValueError(f"block ({N1},{N2}) exceeds truncation ({K1},{K2})")
     if order not in ("seq", "fun"):
         raise ValueError(f"order must be 'seq' or 'fun', got {order!r}")
-    # the block of the rearrangement (of the support for "seq") padded with
-    # zeros, in the layout of the entries: the sum's bits follow the memory
-    # order
-    r = (a._support if order == "seq" else a._fun_order)[:N1, :N2]
-    block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
-    block[:r.shape[0], :r.shape[1]] = r
-    return float(np.sqrt(np.sum(block**2)))
+    return float(_block_l2_of(a._support if order == "seq" else a._fun_order,
+                              N1, N2, a.entries.flags.f_contiguous))
+
+
+def _block_l2_of(r: np.ndarray, N1: int, N2: int, fortran: bool) -> np.ndarray:
+    """:func:`block_l2` from rearranged magnitudes ``r[..., i1, i2]`` (the
+    support's or the function order's), shape ``(...)``: the top ``N1 x
+    N2`` block, padded with zeros, is summed in the memory order of the
+    entries (column-major if ``fortran``), pairwise, so each item's bits
+    follow that order as a whole-array sum of its block does."""
+    r = r[..., :N1, :N2]
+    lead = r.shape[:-2]
+    block = np.zeros(lead + ((N2, N1) if fortran else (N1, N2)))
+    (block.swapaxes(-1, -2) if fortran else block)[..., :r.shape[-2], :r.shape[-1]] = r
+    return np.sqrt(np.square(block).reshape(lead + (N1 * N2,)).sum(axis=-1))
 
 
 def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +151,12 @@ class GrandNormResult:
 # the weighted stage
 
 
-def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
+def _qsum(base: np.ndarray, omega, q: float, itemwise: bool = False) -> np.ndarray:
     """``(sum base^q omega)^{1/q}`` along the last axis; ``max(base)`` at
-    ``q = inf``.
+    ``q = inf``.  With ``itemwise``, the roots ``^{1/q}`` are taken one sum
+    at a time on numpy scalars (libm ``pow``), as the sum of a single row
+    takes them: numpy's array power runs a SIMD loop whose last bit can
+    differ.
 
     The sum is taken as ``M (sum (base/M)^q omega)^{1/q}`` with ``M`` the
     largest base, so a finite value never overflows or underflows; callers
@@ -171,7 +175,12 @@ def _qsum(base: np.ndarray, omega, q: float) -> np.ndarray:
         t **= q
         t *= omega
         t[~(base > 0)] = 0.0
-        out = M[..., 0] * t.sum(axis=-1) ** (1.0 / q)
+        s = t.sum(axis=-1)
+        if itemwise:
+            root = np.array([x ** (1.0 / q) for x in s.flat]).reshape(np.shape(s))
+        else:
+            root = s ** (1.0 / q)
+        out = M[..., 0] * root
     # a nan is inf/inf or an underflowed positive term times an infinite
     # weight: both mean a positive base meets a divergence
     return np.where(np.isnan(out), INF, out)
@@ -383,10 +392,19 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
 def mixed_lebesgue_norm(f: DyadicStep2D, p: tuple[float, float]) -> float:
     """Mixed-norm Lebesgue value: inner L^{p1} in x1, outer L^{p2} in x2,
     ``p`` components in ``(0, inf]``."""
-    p = _exponent_pair("p", p)
-    h1, h2 = f.widths
-    inner = _qsum(np.asarray(f.values), h1, p[0])
-    return float(_qsum(inner, h2, p[1]))
+    return float(_mixed_of(np.asarray(f.values), f.widths, _exponent_pair("p", p)))
+
+
+def _mixed_of(vals: np.ndarray, widths: tuple[float, float],
+              p: tuple[float, float]) -> np.ndarray:
+    """:func:`mixed_lebesgue_norm` from values ``vals[..., j2, j1]`` and
+    cell widths, shape ``(...)``; each item's bits are those of its own
+    call on values in the same layout.  The inner sums run in the layout of
+    ``vals``: pairwise along a contiguous axis, in order down one that is
+    not (as on a transposed grid's column-major copy).  The outer roots are
+    taken item by item (see :func:`_qsum`)."""
+    h1, h2 = widths
+    return _qsum(_qsum(vals, h1, p[0]), h2, p[1], itemwise=True)
 
 
 def lorentz_norm(f: DyadicStep2D, e: Exponents) -> float:
@@ -699,6 +717,16 @@ def _parse_pair(name: str, raw) -> tuple[float, float]:
     raise ValueError(f"{name} must be a pair of numbers, got {raw!r}")
 
 
+def _parse_depth(raw) -> int:
+    """A request's ``epsJ``: a number with an integral value (not a bool)."""
+    if not isinstance(raw, bool):
+        if isinstance(raw, numbers.Integral):
+            return int(raw)
+        if isinstance(raw, numbers.Real) and float(raw).is_integer():
+            return int(raw)
+    raise ValueError(f"epsJ must be an integer, got {raw!r}")
+
+
 # the request kinds evaluated on a grid (``seq_grand`` takes a sequence)
 GRID_KINDS = ("lorentz", "grand", "mixed", "logweight", "p6")
 
@@ -710,10 +738,12 @@ def evaluate_norm_request(req: dict, obj) -> dict:
     "sign": ..., "epsJ": ...}``; the response reports ``value``,
     ``approx_direction`` and, for grand norms, ``argmax_eps``.
     """
+    if not isinstance(req, dict):
+        raise ValueError(f"a norm request must be an object, got {req!r}")
     kind = req.get("norm")  # a missing kind is an unknown one
     p, q, theta = (_parse_pair(k, req.get(k, d)) for k, d in
                    (("p", (2, 2)), ("q", (2, 2)), ("theta", (0.0, 0.0))))
-    eps_j = int(req.get("epsJ", 24))
+    eps_j = _parse_depth(req.get("epsJ", 24))
     if kind == "seq_grand":
         if not isinstance(obj, Sequence2D):
             raise TypeError("seq_grand norm needs a sequence")

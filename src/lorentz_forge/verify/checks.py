@@ -19,19 +19,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..fourier import (WALSH, TRIG, _block_sup_of, _bochkarev_of, _te4_params,
-                       block_l2, coeffs_2d)
+from ..fourier import (WALSH, TRIG, _block_l2_of, _block_sup_of, _bochkarev_of,
+                       _te4_params, _walsh_coeffs_2d, coeffs_2d)
 from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
 from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
-                     _lorentz_of, _lorentz_surface, _seq_block_lorentz_of,
-                     _seq_surface, _surface_key, mixed_lebesgue_norm)
-from ..rearrange import _BlockTables, _rearranged_values
+                     _lorentz_of, _lorentz_surface, _mixed_of,
+                     _seq_block_lorentz_of, _seq_surface, _surface_key)
+from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
 from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
-from .hardy import (hardy_ascent_lhs, hardy_ascent_rhs, hardy_descent_lhs,
-                    hardy_descent_rhs)
+from .hardy import hardy_grid
 from .report import CheckCase, CheckReport, serialize_grid
 
 INF = float("inf")
@@ -79,23 +78,29 @@ def check_karamata(pairs, p: float, tol: float = 1e-12) -> CheckReport:
 
 def check_mink(corpus, p: float, q: float, tol: float = 1e-10) -> CheckReport:
     """Row rearrangement decreases the (inner q over x2, outer p over x1)
-    mixed norm and increases the (inner p, outer q) one, for p <= q."""
+    mixed norm and increases the (inner p, outer q) one, for p <= q.
+
+    Each stack of same-shape functions (see :func:`_stacks`) is sorted once
+    and its four mixed norms are four stacked calls; the x2-inner norms
+    read the stack transposed, so their inner sums run in order down the
+    rows, as on a transposed grid's column-major copy."""
     if not (0 < p <= q):
         raise ValueError(f"requires 0 < p <= q, got ({p}, {q})")
     rep = CheckReport("mink", {"p": p, "q": q}, corpus_hash(corpus), 1.0 + tol)
+    for run, stack in _stacks(corpus):
+        n1, n2 = stack[0].levels
+        vals = np.stack([f.values for f in stack])
+        sorted_rows = -np.sort(-vals, axis=-1)
 
-    def norm_x2_inner(vals, levels, inner, outer):
-        fT = DyadicStep2D((levels[1], levels[0]), np.asarray(vals).T)
-        return mixed_lebesgue_norm(fT, (inner, outer))
+        def x2_inner(v, inner, outer):
+            return _mixed_of(v.swapaxes(-1, -2), (2.0**-n2, 2.0**-n1),
+                             (inner, outer)).tolist()
 
-    for i, f in enumerate(corpus):
-        sorted_rows = -np.sort(-np.asarray(f.values), axis=1)
-        lhs_a = norm_x2_inner(f.values, f.levels, q, p)
-        rhs_a = norm_x2_inner(sorted_rows, f.levels, q, p)
-        lhs_b = norm_x2_inner(f.values, f.levels, p, q)
-        rhs_b = norm_x2_inner(sorted_rows, f.levels, p, q)
-        rep.cases.append(CheckCase(f"f{i}:a", rhs_a, lhs_a))
-        rep.cases.append(CheckCase(f"f{i}:b", lhs_b, rhs_b))
+        sides = zip(x2_inner(vals, q, p), x2_inner(sorted_rows, q, p),
+                    x2_inner(vals, p, q), x2_inner(sorted_rows, p, q))
+        for i, (lhs_a, rhs_a, lhs_b, rhs_b) in zip(run, sides):
+            rep.cases.append(CheckCase(f"f{i}:a", rhs_a, lhs_a))
+            rep.cases.append(CheckCase(f"f{i}:b", lhs_b, rhs_b))
     rep.notes["direction"] = "both sides exact"
     _attach_witness(rep, corpus)
     return rep
@@ -132,14 +137,12 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
     skipped = []
     ratios: dict[str, list[float]] = {}
     for name, prof in _hardy_profiles(r, seed):
-        for disp, flhs, frhs in (("descent", hardy_descent_lhs, hardy_descent_rhs),
-                                 ("ascent", hardy_ascent_lhs, hardy_ascent_rhs)):
+        for disp in ("descent", "ascent"):
             key = f"{name}:{disp}"
             gamma = gamma_descent if (disp == "descent" or r != INF) else 0.0
             ratios[key] = []
-            for alpha in alpha_grid:
-                lhs = flhs(prof, q, r, alpha)
-                rhs = frhs(prof, q, r, alpha)
+            for alpha, lhs, rhs in zip(alpha_grid, *hardy_grid(
+                    prof, q, r, alpha_grid, descent=disp == "descent")):
                 if not np.isfinite(lhs) or not np.isfinite(rhs) or rhs == 0:
                     skipped.append(f"{key}:a={alpha}")
                     continue
@@ -175,36 +178,57 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
     rep = CheckReport("le3", {"systems": [sys1.kind, sys2.kind],
                               "N": [list(n) for n in Ns]},
                       corpus_hash(corpus), 1.0 + tol)
-    fun_order_max = 0.0
-    for i, f in enumerate(corpus):
-        n1, n2 = f.levels
+    M1, M2 = sys1.bound, sys2.bound
+    fun_order = [0.0]  # the running maximum starts at 0
+    trig = "trig" in (sys1.kind, sys2.kind)
+    for run, stack in _stacks(corpus, _TRIG_CELLS if trig else _BLOCK_CELLS):
+        n1, n2 = stack[0].levels
         K1 = 2**n1 if sys1.kind == "walsh" else 2 ** (n1 + 2)
         K2 = 2**n2 if sys2.kind == "walsh" else 2 ** (n2 + 2)
-        a = coeffs_2d(f, sys1, sys2, K1, K2)
-        m21 = mixed_lebesgue_norm(f, (2, 1))
-        m12 = mixed_lebesgue_norm(f, (1, 2))
-        m11 = mixed_lebesgue_norm(f, (1, 1))
-        m22 = mixed_lebesgue_norm(f, (2, 2))
-        M1, M2 = sys1.bound, sys2.bound
+        vals = np.stack([f.values for f in stack])
+        mags = _le3_magnitudes(stack, vals, systems, K1, K2)
+        m21, m12, m11, m22 = (_mixed_of(vals, stack[0].widths, p)
+                              for p in ((2, 1), (1, 2), (1, 1), (2, 2)))
+        seq = _rearranged_support(mags)
+        fun = _rearranged_values(mags.swapaxes(-1, -2)).swapaxes(-1, -2)
+        per_N = []
         for (N1, N2) in Ns:
             N1c, N2c = min(N1, K1), min(N2, K2)
-            lhs = block_l2(a, N1c, N2c, order="seq")
-            rep.cases.append(CheckCase(f"f{i}:N{N1}x{N2}:m21",
-                                       lhs, M2 * N2c**0.5 * m21))
-            rep.cases.append(CheckCase(f"f{i}:N{N1}x{N2}:m12",
-                                       lhs, M1 * N1c**0.5 * m12))
-            rep.cases.append(CheckCase(f"f{i}:N{N1}x{N2}:m11",
-                                       lhs, M1 * M2 * (N1c * N2c) ** 0.5 * m11))
-            rep.cases.append(CheckCase(f"f{i}:N{N1}x{N2}:parseval", lhs, m22))
-            lhs_fun = block_l2(a, N1c, N2c, order="fun")
-            fun_order_max = max(fun_order_max,
-                                lhs_fun / m22 if m22 > 0 else 0.0)
-    rep.notes["fun_order_max_ratio_vs_parseval"] = fun_order_max
+            if N1c < 1 or N2c < 1:
+                raise ValueError(f"block ({N1c},{N2c}) exceeds truncation ({K1},{K2})")
+            lhs = _block_l2_of(seq, N1c, N2c, fortran=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fun_ratio = np.where(m22 > 0, _block_l2_of(fun, N1c, N2c, True) / m22,
+                                     0.0)
+            per_N.append((f"N{N1}x{N2}", lhs.tolist(), [
+                (":m21", (M2 * N2c**0.5 * m21).tolist()),
+                (":m12", (M1 * N1c**0.5 * m12).tolist()),
+                (":m11", (M1 * M2 * (N1c * N2c) ** 0.5 * m11).tolist()),
+                (":parseval", m22.tolist())], fun_ratio.tolist()))
+        for k, i in enumerate(run):
+            for tag, lhs, rhss, fun_ratio in per_N:
+                rep.cases.extend(CheckCase(f"f{i}:{tag}{sfx}", lhs[k], rhs[k])
+                                 for sfx, rhs in rhss)
+                fun_order.append(fun_ratio[k])
+    rep.notes["fun_order_max_ratio_vs_parseval"] = max(fun_order)
     rep.notes["direction"] = ("trig truncation under-approximates the left side"
-                              if "trig" in (sys1.kind, sys2.kind)
-                              else "walsh blocks exact")
+                              if trig else "walsh blocks exact")
     _attach_witness(rep, corpus)
     return rep
+
+
+def _le3_magnitudes(stack, vals: np.ndarray, systems, K1: int,
+                    K2: int) -> np.ndarray:
+    """The coefficient magnitudes ``m[k, i1, i2]`` of a stack of functions
+    with values ``vals[k, j2, j1]``, each item's the magnitudes of its
+    :func:`coeffs_2d` entries: Walsh x Walsh in one stacked transform, any
+    trig system one function at a time (its products with the cell
+    matrices are BLAS calls, whose bits follow the call's shape)."""
+    if all(s.kind == "walsh" for s in systems):
+        # |x + 0j| = |x|: the magnitudes of the real coefficients
+        a = _walsh_coeffs_2d(vals, stack[0].levels, K1, K2)
+        return np.abs(a).swapaxes(-1, -2)
+    return np.stack([np.abs(coeffs_2d(f, *systems, K1, K2).entries) for f in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +240,25 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 _BLOCK_CELLS = 2**18
 
 
-def _stacks(items):
+# le3's trig coefficient matrices have 16 times the cells of their
+# functions; their stacks hold at most this many function cells, so each
+# stacked array stays at 1 MiB.  With all 20 in one stack (2.6 MiB
+# arrays), perfbench's verify_all peak RSS read ~78 MB against ~70 MB
+_TRIG_CELLS = 2**13
+
+
+def _stacks(items, cells: int = _BLOCK_CELLS):
     """Split ``items``, in one ordered pass, into runs of one shape, each a
     stack for :class:`_Prepared`: yields each run's index range with its
     items.  A run holds functions only or pairs only, and at most
-    ``_BLOCK_CELLS`` cells unless a single item is larger, so a large item
-    is prepared alone.  A run is yielded once the item after it is drawn,
-    and the pass keeps no other item."""
+    ``cells`` cells unless a single item is larger, so a large item is
+    prepared alone.  A run is yielded once the item after it is drawn, and
+    the pass keeps no other item."""
     run, last = [], None
     for i, item in enumerate(items):
         a, f = item if isinstance(item, tuple) else (None, item)
         key = (np.shape(f.values), None if a is None else a.truncation)
-        if run and (key != last or (len(run) + 1) * f.values.size > _BLOCK_CELLS):
+        if run and (key != last or (len(run) + 1) * f.values.size > cells):
             yield range(i - len(run), i), run
             run = []
         run.append(item)

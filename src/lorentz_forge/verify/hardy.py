@@ -10,15 +10,18 @@ use the monotone endpoint bound, which over-approximates the left-hand side:
 the safe direction for every asserted upper bound.  Divergent cases return
 ``+inf`` so the caller can skip and record them.
 
-The right sides are one :func:`~lorentz_forge.norms._stage` over the
-:func:`~lorentz_forge.norms._power_cells` weights.  The left sides evaluate
-every cell at once, from the same per-cell power integrals, on the profile
-divided by its largest value; the result is multiplied back, so all four
-displays are 1-homogeneous at any magnitude.
+The right sides of one profile and display over a whole alpha grid are
+one :func:`~lorentz_forge.norms._stage` call with one weight row per alpha
+(:func:`hardy_grid`), and so is the ascent left side at ``r = inf``, which
+has the same form.  Each row is its own one-exponent
+:func:`~lorentz_forge.norms._power_cells` call, so every entry has the bits
+of its one-alpha display.  The other left sides take one alpha at a time
+and evaluate every cell at once, from the same per-cell power integrals, on
+the profile divided by its largest value; the result is multiplied back,
+so all four displays are 1-homogeneous at any magnitude.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -28,10 +31,17 @@ from ..stepfun import DyadicStep1D
 INF = float("inf")
 
 
-def _weighted_step_q(vals: np.ndarray, h: float, e: float, q: float) -> float:
-    """``(int_0^1 (t^e v(t))^q dt/t)^{1/q}`` for a step profile; sup at q=inf."""
-    return float(_stage(vals[None], *_power_cells(np.array([e]), len(vals), h, q),
-                        q)[0, 0])
+def _weighted_step_q(prof: DyadicStep1D, es, q: float) -> np.ndarray:
+    """``(int_0^1 (t^e v(t))^q dt/t)^{1/q}`` for a step profile ``v`` at
+    each exponent ``e`` of ``es``; sup at q=inf.  One :func:`_stage` over
+    one weight row per exponent, each row from its own :func:`_power_cells`
+    call: a one-element exponent array takes numpy's scalar fast paths
+    (``sqrt`` at 1/2), which a shared call would not."""
+    vals = np.asarray(prof.values, dtype=float)
+    rows = [_power_cells(np.array([e]), len(vals), prof.width, q) for e in es]
+    sup = np.concatenate([s for s, _ in rows])
+    omega = np.concatenate([w for _, w in rows])
+    return _stage(vals[None], sup, omega, q)[:, 0]
 
 
 def _lim0(s: float, x: float, w: float) -> float:
@@ -113,18 +123,34 @@ def hardy_descent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> f
 
 def hardy_descent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{1/r - alpha} f(t) )^q dt/t )^{1/q}``."""
-    return _weighted_step_q(np.asarray(prof.values), prof.width, 1.0 / r - alpha, q)
+    return float(_weighted_step_q(prof, [1.0 / r - alpha], q)[0])
 
 
 def hardy_ascent_lhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{alpha} (int_t^inf f^r)^{1/r} )^q dt/t )^{1/q}``."""
     if r == INF:
         # running sup from the right equals f itself (right-continuous steps)
-        return _weighted_step_q(np.asarray(prof.values, dtype=float), prof.width,
-                                alpha, q)
+        return float(_weighted_step_q(prof, [alpha], q)[0])
     return _hardy_lhs(prof, q, r, alpha, descent=False)
 
 
 def hardy_ascent_rhs(prof: DyadicStep1D, q: float, r: float, alpha: float) -> float:
     """``( int_0^inf ( t^{alpha + 1/r} f(t) )^q dt/t )^{1/q}``."""
-    return _weighted_step_q(np.asarray(prof.values), prof.width, alpha + 1.0 / r, q)
+    return float(_weighted_step_q(prof, [alpha + 1.0 / r], q)[0])
+
+
+def hardy_grid(prof: DyadicStep1D, q: float, r: float, alphas,
+               descent: bool) -> tuple[list[float], list[float]]:
+    """The left and right sides of the descent (or ascent) display at each
+    alpha of ``alphas``, each entry bitwise its one-alpha display's.  The
+    right sides are one :func:`_weighted_step_q` call over the grid, and so
+    is the ascent left side at ``r = inf``; the other left sides are the
+    one-alpha displays."""
+    if descent:
+        lhs = [hardy_descent_lhs(prof, q, r, alpha) for alpha in alphas]
+        rhs = _weighted_step_q(prof, [1.0 / r - alpha for alpha in alphas], q)
+    else:
+        lhs = (_weighted_step_q(prof, alphas, q).tolist() if r == INF else
+               [hardy_ascent_lhs(prof, q, r, alpha) for alpha in alphas])
+        rhs = _weighted_step_q(prof, [alpha + 1.0 / r for alpha in alphas], q)
+    return lhs, rhs.tolist()

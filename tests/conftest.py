@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from lorentz_forge.norms import _qsum
+from lorentz_forge.fourier import coeffs_2d
+from lorentz_forge.norms import _power_cells, _qsum, _stage
 from lorentz_forge.stepfun import DyadicStep2D
+from lorentz_forge.verify.hardy import hardy_ascent_lhs, hardy_descent_lhs
 
 INF = float("inf")
 
@@ -71,3 +73,86 @@ def same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and \
         np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the per-item loops of the lemma checks, kept as references: the stacked
+# checks must give their cases' bits
+
+
+def ref_mixed_norm(f, p):
+    """The mixed norm of one grid as two ``_qsum`` calls on its values in
+    their own layout; the outer sum is a numpy scalar, so its root is
+    libm's ``pow``."""
+    h1, h2 = f.widths
+    return float(_qsum(_qsum(np.asarray(f.values), h1, p[0]), h2, p[1]))
+
+
+def ref_mink_cases(corpus, p, q):
+    """``check_mink``'s cases ``(id, lhs, rhs)``, one function at a time:
+    the x2-inner norms are those of the transposed grid, whose values are
+    a column-major copy."""
+    def x2_inner(f, vals, inner, outer):
+        fT = DyadicStep2D((f.levels[1], f.levels[0]), np.asarray(vals).T)
+        return ref_mixed_norm(fT, (inner, outer))
+
+    out = []
+    for i, f in enumerate(corpus):
+        sorted_rows = -np.sort(-np.asarray(f.values), axis=1)
+        lhs_a, rhs_a = x2_inner(f, f.values, q, p), x2_inner(f, sorted_rows, q, p)
+        lhs_b, rhs_b = x2_inner(f, f.values, p, q), x2_inner(f, sorted_rows, p, q)
+        out += [(f"f{i}:a", rhs_a, lhs_a), (f"f{i}:b", lhs_b, rhs_b)]
+    return out
+
+
+def ref_weighted_step_q(prof, e, q):
+    """A Hardy right side (or the ascent left side at ``r = inf``) at one
+    exponent ``e``: one ``_stage`` call on one weight row."""
+    vals = np.asarray(prof.values, dtype=float)
+    return float(_stage(vals[None], *_power_cells(np.array([e]), len(vals),
+                                                   prof.width, q), q)[0, 0])
+
+
+def ref_hardy_sides(prof, q, r, alpha, descent):
+    """Both sides of a Hardy display at one alpha, the right side (and the
+    ascent left side at ``r = inf``) by :func:`ref_weighted_step_q`."""
+    if descent:
+        return (hardy_descent_lhs(prof, q, r, alpha),
+                ref_weighted_step_q(prof, 1.0 / r - alpha, q))
+    lhs = (ref_weighted_step_q(prof, alpha, q) if r == INF
+           else hardy_ascent_lhs(prof, q, r, alpha))
+    return lhs, ref_weighted_step_q(prof, alpha + 1.0 / r, q)
+
+
+def ref_block_l2(a, N1, N2, order):
+    """``block_l2`` of one matrix: the block of its rearrangement padded
+    with zeros in the layout of its entries, summed whole."""
+    r = (a._support if order == "seq" else a._fun_order)[:N1, :N2]
+    block = np.zeros((N1, N2), order="F" if a.entries.flags.f_contiguous else "C")
+    block[:r.shape[0], :r.shape[1]] = r
+    return float(np.sqrt(np.sum(block**2)))
+
+
+def ref_le3(corpus, systems, Ns):
+    """``check_le3``'s cases ``(id, lhs, rhs)`` and its function-order
+    maximum, one function at a time."""
+    sys1, sys2 = systems
+    cases, fun_max = [], 0.0
+    for i, f in enumerate(corpus):
+        n1, n2 = f.levels
+        K1 = 2**n1 if sys1.kind == "walsh" else 2 ** (n1 + 2)
+        K2 = 2**n2 if sys2.kind == "walsh" else 2 ** (n2 + 2)
+        a = coeffs_2d(f, sys1, sys2, K1, K2)
+        m21, m12, m11, m22 = (ref_mixed_norm(f, p)
+                              for p in ((2, 1), (1, 2), (1, 1), (2, 2)))
+        M1, M2 = sys1.bound, sys2.bound
+        for (N1, N2) in Ns:
+            N1c, N2c = min(N1, K1), min(N2, K2)
+            lhs = ref_block_l2(a, N1c, N2c, "seq")
+            tag = f"f{i}:N{N1}x{N2}"
+            cases += [(tag + ":m21", lhs, M2 * N2c**0.5 * m21),
+                      (tag + ":m12", lhs, M1 * N1c**0.5 * m12),
+                      (tag + ":m11", lhs, M1 * M2 * (N1c * N2c) ** 0.5 * m11),
+                      (tag + ":parseval", lhs, m22)]
+            lhs_fun = ref_block_l2(a, N1c, N2c, "fun")
+            fun_max = max(fun_max, lhs_fun / m22 if m22 > 0 else 0.0)
+    return cases, fun_max

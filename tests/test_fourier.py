@@ -6,15 +6,16 @@ import pytest
 
 from conftest import random_grids
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
-                                   _bitrev_perm, _trig_cell_matrix,
-                                   _walsh_coeffs_axis, block_l2,
+                                   _bitrev_perm, _block_l2_of, _trig_cell_matrix,
+                                   _walsh_coeffs_2d, _walsh_coeffs_axis, block_l2,
                                    block_sup_lhs, bochkarev_lhs, coeffs_2d,
                                    coeffs_from_values, fwht, gram_matrix, te3_lhs,
                                    te4_lhs, trig_frequency, walsh_on_cells,
                                    walsh_synthesize)
 from lorentz_forge.norms import (Exponents, GrandParams, grand_seq_norm,
                                  mixed_lebesgue_norm)
-from lorentz_forge.rearrange import Sequence2D, iterated_rearrange_seq
+from lorentz_forge.rearrange import (Sequence2D, _rearranged_support,
+                                     _rearranged_values, iterated_rearrange_seq)
 from lorentz_forge.stepfun import DyadicStep2D, constant_grid
 
 INF = float("inf")
@@ -550,3 +551,33 @@ def test_coeffs_match_the_strided_complex_path(levels):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.flags.f_contiguous == want.flags.f_contiguous
                 assert np.array_equal(_words(got), _words(want))
+
+
+@pytest.mark.parametrize("levels", [(0, 0), (3, 4), (5, 5)])
+def test_stacked_walsh_items_are_their_own_calls(levels):
+    # each item is scaled by its own power of two: an item that needs
+    # scaling does not move the bits of one that does not
+    n1, n2 = levels
+    r = np.random.default_rng(n1 + 7 * n2)
+    vals = r.uniform(-1, 1, (4, 2**n2, 2**n1))
+    vals[1] *= 2.0**1023
+    vals[2] = -0.0
+    got = _walsh_coeffs_2d(vals, levels, 2**n1, max(2**n2 // 2, 1))
+    for v, a in zip(vals, got):
+        want = coeffs_from_values(v, levels, WALSH, WALSH, 2**n1, max(2**n2 // 2, 1))
+        assert np.array_equal(_words(a.T.astype(complex)), _words(want.entries))
+
+
+def test_stacked_block_sums_are_each_matrix_s():
+    r = np.random.default_rng(3)
+    mats = [coeffs_2d(DyadicStep2D((3, 2), r.random((4, 8))), WALSH, WALSH, 8, 4)
+            for _ in range(3)]
+    mats.append(coeffs_2d(DyadicStep2D((3, 2), np.zeros((4, 8))), WALSH, WALSH, 8, 4))
+    mags = np.stack([np.abs(a.entries) for a in mats])
+    for order, r_of in (("seq", _rearranged_support),
+                        ("fun", lambda m: _rearranged_values(m.swapaxes(-1, -2))
+                         .swapaxes(-1, -2))):
+        for N1, N2 in ((1, 1), (3, 2), (8, 4)):
+            got = _block_l2_of(r_of(mags), N1, N2, fortran=True)
+            want = [block_l2(a, N1, N2, order) for a in mats]
+            assert np.array_equal(_words(got), _words(np.array(want)))

@@ -434,6 +434,26 @@ class TestNormRequestSurface:
         assert got == evaluate_norm_request({"norm": "lorentz", "p": [INF, 2.0],
                                              "q": (INF, 2.0)}, f)
 
+    @pytest.mark.parametrize("depth", [2.7, None, "3", True, INF, float("nan")])
+    def test_depth_must_be_an_integer(self, depth):
+        # 2.7 was read as a depth of 2, None raised TypeError
+        with pytest.raises(ValueError, match="epsJ"):
+            evaluate_norm_request({"norm": "grand", "theta": [0.5, 0.5],
+                                   "epsJ": depth}, constant_grid(1.0, (2, 2)))
+
+    def test_integral_depths_are_read(self):
+        f = constant_grid(1.0, (2, 2))
+        req = {"norm": "grand", "theta": [0.5, 0.5]}
+        assert evaluate_norm_request({**req, "epsJ": 3.0}, f) == \
+            evaluate_norm_request({**req, "epsJ": np.int64(3)}, f) == \
+            evaluate_norm_request({**req, "epsJ": 3}, f)
+
+    @pytest.mark.parametrize("req", [["norm", "lorentz"], "lorentz", None, 3])
+    def test_request_must_be_an_object(self, req):
+        # a list raised AttributeError
+        with pytest.raises(ValueError, match="object"):
+            evaluate_norm_request(req, constant_grid(1.0, (2, 2)))
+
     @pytest.mark.parametrize("kind", ["p6", "logweight", "mixed"])
     def test_other_kinds_dispatch(self, kind):
         f = indicator_grid(0.5, 0.5, (2, 2))

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_hardy_sides, ref_le3, ref_mink_cases, same_bits
 from lorentz_forge import fourier, norms
-from lorentz_forge.fourier import (WALSH, CoeffMatrix, block_sup_lhs,
+from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs,
                                    walsh_synthesize)
 from lorentz_forge.interpolation import constant_D, interp_norm
@@ -24,15 +25,16 @@ from lorentz_forge.norms import (Exponents, GrandParams, grand_lorentz_norm,
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
                                    power_weight_integral)
-from lorentz_forge.verify import checks
+from lorentz_forge.verify import checks, hardy
 from lorentz_forge.verify.calibration import calibration
 from lorentz_forge.verify.corpus import (CorpusSpec, LacunaryPairs, corpus_hash,
                                          generate, generate_karamata_pairs,
                                          generate_lacunary_pairs)
 from lorentz_forge.verify.hardy import (hardy_ascent_lhs, hardy_ascent_rhs,
-                                        hardy_descent_lhs, hardy_descent_rhs)
-from lorentz_forge.verify.report import (CheckCase, CheckReport, serialize_grid,
-                                         write_reports)
+                                        hardy_descent_lhs, hardy_descent_rhs,
+                                        hardy_grid)
+from lorentz_forge.verify.report import (CheckCase, CheckReport, _JsonEncoder,
+                                         serialize_grid, write_reports)
 
 INF = float("inf")
 
@@ -870,17 +872,17 @@ def test_interp_evaluates_khat_once_per_stack(monkeypatch):
 
 
 def test_le3_rearranges_each_matrix_once_in_function_order(monkeypatch):
-    # block_l2(order="fun") reads the order kept on the matrix: one
-    # rearrangement per coefficient matrix (100 Walsh and 20 trig), not one
-    # per block size
+    # the function-order blocks read one rearrangement per stack of
+    # coefficient matrices (100 Walsh, and 20 trig in stacks of at most 8),
+    # not one per block size: each matrix is rearranged once
     calls = []
 
-    def counted(a, _fn=fourier.iterated_rearrange_seq_first_index):
-        calls.append(a)
-        return _fn(a)
-    monkeypatch.setattr(fourier, "iterated_rearrange_seq_first_index", counted)
+    def counted(m, _fn=checks._rearranged_values):
+        calls.append(m.shape)
+        return _fn(m)
+    monkeypatch.setattr(checks, "_rearranged_values", counted)
     checks.run_suite("le3", 7)
-    assert len(calls) == 120
+    assert calls == [(100, 32, 32), (8, 128, 128), (8, 128, 128), (4, 128, 128)]
 
 
 @pytest.mark.parametrize("seed", [7, 3])
@@ -944,3 +946,168 @@ def test_lacunary_pairs_stream_in_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (bound, peak / 2**20)
+
+
+# ---------------------------------------------------------------------------
+# the stacked lemma checks against their per-item loops
+
+
+def _mixed_corpus():
+    """Functions of three shapes in runs, an all-zero one among them."""
+    r = np.random.default_rng(5)
+    return ([DyadicStep2D((3, 4), r.random((16, 8))) for _ in range(3)]
+            + [DyadicStep2D((4, 3), np.zeros((8, 16)))]
+            + [DyadicStep2D((4, 3), r.random((8, 16))) for _ in range(2)]
+            + [DyadicStep2D((2, 2), r.random((4, 4)))]
+            + [DyadicStep2D((3, 4), r.random((16, 8)))])
+
+
+def _lemma_corpora():
+    yield "mixed", _mixed_corpus()
+    yield "empty", []
+    for seed in (0, 7, 13):
+        yield f"seed{seed}", generate(CorpusSpec("random_step", (5, 5), 100, seed))
+
+
+_LEMMA_CORPORA = dict(_lemma_corpora())
+
+
+def _assert_cases(rep, want):
+    got = [(c.case_id, c.lhs, c.rhs) for c in rep.cases]
+    assert [c[0] for c in got] == [c[0] for c in want]
+    assert same_bits([c[1:] for c in got], [c[1:] for c in want])
+
+
+class TestStackedLemmaChecksMatchTheLoops:
+    @pytest.mark.parametrize("name", _LEMMA_CORPORA)
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, INF), (2, 4), (0.5, 3.0)])
+    def test_mink(self, name, p, q):
+        corpus = _LEMMA_CORPORA[name]
+        _assert_cases(checks.check_mink(corpus, p, q), ref_mink_cases(corpus, p, q))
+
+    @pytest.mark.parametrize("name", _LEMMA_CORPORA)
+    @pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG), (WALSH, TRIG)])
+    def test_le3(self, name, systems):
+        corpus = _LEMMA_CORPORA[name]
+        if systems != (WALSH, WALSH):
+            corpus = corpus[:12]  # a trig matrix is 4x the grid per axis
+        rep = checks.check_le3(corpus, systems, Ns=((2, 2), (8, 8), (32, 32)))
+        cases, fun_max = ref_le3(corpus, systems, ((2, 2), (8, 8), (32, 32)))
+        _assert_cases(rep, cases)
+        assert same_bits(rep.notes["fun_order_max_ratio_vs_parseval"], fun_max)
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("r", [1.0, 2.0, INF])
+    def test_hardy(self, seed, q, r):
+        alphas = 2.0 ** -np.arange(1, 11)
+        rep = checks.check_hardy(q, r, alphas, seed)
+        beta = max(1.0 / q, 1.0 / r)
+        want, skipped = [], []
+        for name, prof in checks._hardy_profiles(r, seed):
+            for disp in ("descent", "ascent"):
+                for alpha in alphas:
+                    lhs, rhs = ref_hardy_sides(prof, q, r, alpha, disp == "descent")
+                    cid = f"{name}:{disp}:a={alpha}"
+                    if np.isfinite(lhs) and np.isfinite(rhs) and rhs != 0:
+                        want.append((cid, lhs * alpha**beta, rhs))
+                    else:
+                        skipped.append(cid)
+        _assert_cases(rep, want)
+        assert rep.notes["skipped_divergent"] == skipped
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, INF])
+    def test_hardy_one_alpha_displays_are_the_grid(self, r):
+        prof = checks._hardy_profiles(r, 7)[1][1]
+        alphas = [0.5, 0.25, 2.0**-10]
+        for descent, flhs, frhs in ((True, hardy_descent_lhs, hardy_descent_rhs),
+                                    (False, hardy_ascent_lhs, hardy_ascent_rhs)):
+            lhs, rhs = hardy_grid(prof, 2.0, r, alphas, descent)
+            assert same_bits(lhs, [flhs(prof, 2.0, r, a) for a in alphas])
+            assert same_bits(rhs, [frhs(prof, 2.0, r, a) for a in alphas])
+
+
+@pytest.fixture(scope="module")
+def spied_all_pass():
+    """One ``run_suite("all")`` with counters on the Hardy suite's
+    ``_stage`` and on the lemma and embedding checks that perfbench times
+    by rebinding their names."""
+    names = ("check_karamata", "check_mink", "check_hardy", "check_le3",
+             "check_p1_monotone", "check_collapse", "check_logweight_equiv")
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(checks, name, counted(name, getattr(checks, name)))
+        mp.setattr(hardy, "_stage", counted("hardy._stage", hardy._stage))
+        checks.run_suite("all", 7)
+    return names, calls
+
+
+def test_hardy_suite_takes_one_stage_per_profile_display_and_grid(spied_all_pass):
+    # 9 (q, r) points x 3 profiles x 2 displays right sides, and the ascent
+    # left side at r = inf for 3 q's x 3 profiles; 630 with one per alpha
+    assert spied_all_pass[1]["hardy._stage"] <= 63
+
+
+def test_the_timed_checks_are_still_called(spied_all_pass):
+    # perfbench times the checks by rebinding these module globals
+    names, calls = spied_all_pass
+    assert all(calls[name] > 0 for name in names), calls
+
+
+class TestNanCases:
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_nan_ratio_fails_the_report(self, order):
+        cases = [CheckCase("a", 1.0, 2.0), CheckCase("b", float("nan"), 1.0)]
+        rep = CheckReport("x", {}, "", 1.0, [cases[i] for i in order])
+        rep.finalize_witness(lambda cid: {"case": cid})
+        assert np.isnan(rep.max_ratio)
+        assert not rep.passed
+        assert rep.worst_witness == {"case": "b"}
+        d = rep.to_json_dict()
+        assert np.isnan(d["maxRatio"]) and d["pass"] is False
+
+    def test_the_first_nan_case_is_the_witness(self):
+        nan = float("nan")
+        rep = CheckReport("x", {}, "", 1.0, [CheckCase("a", 3.0, 1.0),
+                                             CheckCase("b", nan, 1.0),
+                                             CheckCase("c", 1.0, nan)])
+        rep.finalize_witness(lambda cid: {"case": cid})
+        assert rep.worst_witness == {"case": "b"}
+
+    def test_the_first_largest_ratio_is_the_witness(self):
+        rep = CheckReport("x", {}, "", 1.0, [CheckCase("a", 1.0, 2.0),
+                                             CheckCase("b", 3.0, 1.0),
+                                             CheckCase("c", 6.0, 2.0)])
+        rep.finalize_witness(lambda cid: {"case": cid})
+        assert rep.max_ratio == 3.0 and rep.worst_witness == {"case": "b"}
+
+
+def test_spliced_lines_equal_whole_report_dumps(tmp_path):
+    # a witness is None, a case-id string, or a grid dict shared by reports
+    grid = serialize_grid(generate(CorpusSpec("random_step", (2, 2), 1, 3))[0])
+    notes = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+             "inf": INF, "nan": float("nan"), "arr": np.array([1.5, -INF]),
+             "nested": {"z": [np.float32(0.25), None]}}
+    reps = []
+    for k, w in enumerate([None, "f3:a", {"case": "f1"}, grid, grid, None, grid]):
+        rep = CheckReport(f"c{k % 3}", {"q": [2.0, "inf"], "k": k}, "h", 1.0 + k,
+                          [CheckCase("f0", np.float64(k), 3.0),
+                           CheckCase("f1", 1.0, np.float64(0.0))][:k % 3],
+                          notes=dict(notes), worst_witness=w)
+        reps.append(rep)
+    jl, cs = write_reports(reps, tmp_path)
+    lines = jl.read_text().splitlines()
+    want = [json.dumps(r.to_json_dict(), sort_keys=True, cls=_JsonEncoder)
+            for r in reps]
+    assert lines == want
+    rows = list(csv.reader(cs.read_text().splitlines()))[1:]
+    assert [row[2] for row in rows] == [repr(float(r.max_ratio)) for r in reps]
+    assert [row[4] for row in rows] == [str(int(r.passed)) for r in reps]
