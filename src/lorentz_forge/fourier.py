@@ -3,14 +3,16 @@ systems (complex exponentials and Paley-ordered Walsh functions), block
 statistics of the rearranged coefficients, and the log-weighted coefficient
 suprema.
 
-Coefficients are exact: Walsh coefficients come from a fast Walsh-Hadamard
-transform of the cell values (step functions at level n lie in the span of
-the first 2^n Walsh functions), and trigonometric coefficients integrate the
-complex exponentials cell by cell in closed form.
+Coefficients are exact, and one per-axis operator over stacked items,
+:func:`_coeffs_axis`, computes them all: Walsh coefficients are a fast
+Walsh-Hadamard transform of the cell values (step functions at level n lie
+in the span of the first 2^n Walsh functions), and trigonometric ones
+integrate the complex exponentials cell by cell in closed form.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +43,8 @@ class OrthonormalSystem:
     def __post_init__(self):
         if self.kind not in ("trig", "walsh"):
             raise ValueError(f"unknown system kind {self.kind!r}")
+        if isinstance(self.bound, bool) or not 0 < self.bound < np.inf:
+            raise ValueError(f"bound must be a finite number > 0, got {self.bound!r}")
 
 
 TRIG = OrthonormalSystem("trig")
@@ -107,48 +111,6 @@ def walsh_on_cells(k, level: int) -> np.ndarray:
     return fwht(unit, axis=-1)[..., _bitrev_perm(level)]
 
 
-def _walsh_coeffs_axis(vals: np.ndarray, axis: int, level: int, K: int) -> np.ndarray:
-    """Paley-order Walsh coefficients of real ``vals[..., r2, r1]`` along
-    one of the last two axes (``axis`` -1 or -2, or 1 or 0 without item
-    axes), over any leading item axes, exact for K <= 2^level.
-
-    The bit-reversal gather is the copy that puts the axis in front for
-    :func:`_fwht_front`, and the scaling is in place.  A butterfly sum of
-    ``2^h`` values is at most ``2^h max|v|``, so an item's values that
-    could sum past the float range are first divided by the least ``2^k``
-    that keeps ``2^level max|v|`` finite, and ``2^k`` joins the final
-    ``2^-level``: the power-of-two scalings are exact, and ``k = 0``
-    whenever no sum overflows.  The butterflies add and subtract
-    elementwise, so each item's bits are those of its own call.
-    """
-    if K > 2**level:
-        raise ResolutionError(
-            f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
-    v = np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0)
-    # v is (2^level, *items, other); frexp's exponent e gives max|v| < 2^e,
-    # and non-finite values keep k = 0
-    big = np.maximum(v.max(axis=(0, -1)), -v.min(axis=(0, -1)))
-    k = np.maximum(np.frexp(big)[1] + (level - 1024), 0)[..., None]
-    if k.any():
-        v *= np.ldexp(1.0, -k)
-    a = _fwht_front(v)
-    a *= np.ldexp(1.0, k - level)
-    return np.moveaxis(a[:K], 0, axis)
-
-
-def _walsh_coeffs_2d(vals: np.ndarray, levels: tuple[int, int],
-                     K1: int, K2: int) -> np.ndarray:
-    """The Walsh x Walsh coefficients of real ``vals[..., j2, j1]`` over any
-    leading item axes, real, as ``a[..., k2, k1]`` (the transpose of the
-    :class:`CoeffMatrix` entries); each item's bits are those of its own
-    call.  Adding 0.0 turns -0.0 into 0.0, as adding 0j to a complex
-    result does."""
-    a = _walsh_coeffs_axis(vals, axis=-1, level=levels[0], K=K1)  # (..., r2, K1)
-    a = _walsh_coeffs_axis(a, axis=-2, level=levels[1], K=K2)  # (..., K2, K1)
-    a += 0.0
-    return a
-
-
 def walsh_synthesize(coeffs: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
     """Cell values of ``sum c[k1,k2] w_{k1}(x1) w_{k2}(x2)`` (Paley order).
 
@@ -182,6 +144,62 @@ def _exp_cell_integrals(c: np.ndarray, level: int) -> np.ndarray:
 def _trig_cell_matrix(K: int, level: int) -> np.ndarray:
     """``E[k, j] = int_cell_j exp(-2 pi i freq(k) x) dx`` in closed form."""
     return _exp_cell_integrals(-2j * np.pi * trig_frequency(np.arange(K)), level)
+
+
+def _coeffs_axis(vals: np.ndarray, axis: int, system: OrthonormalSystem,
+                 level: int, K: int) -> np.ndarray:
+    """The first ``K`` coefficients of ``system`` along the x1 (``axis=-1``)
+    or x2 (``axis=-2``) axis of cell values ``vals[..., j2, j1]`` over any
+    leading item axes; each item's bits are those of its own call.
+
+    Trig coefficients are products with :func:`_trig_cell_matrix`, on a C
+    ordered complex copy on x2, one item at a time: BLAS bits follow a
+    call's shape and layout.  Walsh coefficients of complex values are
+    ``real + 1j * imag``, and of real ones exact for K <= 2^level.  The
+    bit-reversal gather is the copy that puts the axis in front for
+    :func:`_fwht_front`, and the scaling is in place.  A butterfly sum of
+    ``2^h`` values is at most ``2^h max|v|``, so an item's values that
+    could sum past the float range are first divided by the least ``2^k``
+    that keeps ``2^level max|v|`` finite, and ``2^k`` joins the final
+    ``2^-level``: the power-of-two scalings are exact, and ``k = 0``
+    whenever no sum overflows.  The butterflies are elementwise.
+    """
+    if system.kind == "trig":
+        E = _trig_cell_matrix(K, level)
+        a = [v @ E.T if axis == -1 else E @ v.astype(complex, order="C")
+             for v in vals.reshape((-1,) + vals.shape[-2:])]
+        a = np.stack(a) if len(a) > 1 else a[0][None]  # one item: no copy
+        return a.reshape(vals.shape[:-2] + a.shape[-2:])
+    if np.iscomplexobj(vals):
+        return _coeffs_axis(vals.real, axis, system, level, K) + \
+            1j * _coeffs_axis(vals.imag, axis, system, level, K)
+    if K > 2**level:
+        raise ResolutionError(
+            f"walsh truncation {K} exceeds resolution 2^{level}; refine first")
+    v = np.take(np.moveaxis(vals, axis, 0), _bitrev_perm(level), axis=0)
+    # v is (2^level, *items, other); frexp's exponent e gives max|v| < 2^e,
+    # and non-finite values keep k = 0
+    big = np.maximum(v.max(axis=(0, -1)), -v.min(axis=(0, -1)))
+    k = np.maximum(np.frexp(big)[1] + (level - 1024), 0)[..., None]
+    if k.any():
+        v *= np.ldexp(1.0, -k)
+    a = _fwht_front(v)
+    a *= np.ldexp(1.0, k - level)
+    return np.moveaxis(a[:K], 0, axis)
+
+
+def _tensor_coeffs(vals: np.ndarray, levels: tuple[int, int],
+                   sys1: OrthonormalSystem, sys2: OrthonormalSystem,
+                   K1: int, K2: int) -> np.ndarray:
+    """The ``sys1 x sys2`` coefficients ``a[..., k2, k1]`` of cell values
+    ``vals[..., j2, j1]``, :func:`_coeffs_axis` on x1 and then on x2.  A
+    real (Walsh x Walsh) result gets 0.0 added, which turns -0.0 into 0.0
+    as adding 0j to a complex one does."""
+    a = _coeffs_axis(vals, -1, sys1, levels[0], K1)  # (..., r2, K1)
+    a = _coeffs_axis(a, -2, sys2, levels[1], K2)  # (..., K2, K1)
+    if not np.iscomplexobj(a):
+        a += 0.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -235,25 +253,17 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
 
     The norm side of every check works with magnitudes, but the coefficient
     side may legitimately come from signed synthesis; this entry point keeps
-    the two consistent.
+    the two consistent.  The truncations must be integers >= 1 and the
+    values a ``levels`` grid; Walsh truncations past the grid's resolution
+    raise :class:`ResolutionError`.
     """
-    if K1 < 1 or K2 < 1:
-        raise ValueError(f"truncation ({K1}, {K2}) must be positive")
-    n1, n2 = levels
+    if any(isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 1
+           for K in (K1, K2)):
+        raise ValueError(f"truncation ({K1!r}, {K2!r}) must be integers >= 1")
     v = np.asarray(values, dtype=float)  # [j2, j1]
-    if sys1.kind == sys2.kind == "walsh":
-        # stays real until CoeffMatrix casts it to complex with a zero
-        # imaginary part
-        return CoeffMatrix(sys1, sys2, _walsh_coeffs_2d(v, levels, K1, K2).T)
-    if sys1.kind == "walsh":
-        a1 = _walsh_coeffs_axis(v, axis=1, level=n1, K=K1)  # real (r2, K1)
-    else:
-        a1 = v @ _trig_cell_matrix(K1, n1).T  # complex (r2, K1)
-    if sys2.kind != "walsh":
-        a = _trig_cell_matrix(K2, n2) @ a1.astype(complex, order="C")  # (K2, K1)
-    else:
-        a = _walsh_coeffs_axis(a1.real, axis=0, level=n2, K=K2) + \
-            1j * _walsh_coeffs_axis(a1.imag, axis=0, level=n2, K=K2)
+    if v.shape != (2 ** levels[1], 2 ** levels[0]):
+        raise ValueError(f"values of shape {v.shape} are not a level {levels} grid")
+    a = _tensor_coeffs(v, levels, sys1, sys2, K1, K2)
     return CoeffMatrix(sys1, sys2, a.T)  # entries [k1, k2], column-major
 
 

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_l2_of, _block_sup_of, _bochkarev_of,
-                       _te4_params, _walsh_coeffs_2d, coeffs_2d)
+                       _te4_params, _tensor_coeffs)
 from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
 from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
                      _lorentz_of, _lorentz_surface, _mixed_of,
@@ -175,6 +175,8 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
     orders genuinely differ on non-tensor matrices.
     """
     sys1, sys2 = systems
+    if any(N < 1 for n in Ns for N in n):
+        raise ValueError(f"block sizes must be >= 1, got {Ns}")
     rep = CheckReport("le3", {"systems": [sys1.kind, sys2.kind],
                               "N": [list(n) for n in Ns]},
                       corpus_hash(corpus), 1.0 + tol)
@@ -186,7 +188,7 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
         K1 = 2**n1 if sys1.kind == "walsh" else 2 ** (n1 + 2)
         K2 = 2**n2 if sys2.kind == "walsh" else 2 ** (n2 + 2)
         vals = np.stack([f.values for f in stack])
-        mags = _le3_magnitudes(stack, vals, systems, K1, K2)
+        mags = np.abs(_tensor_coeffs(vals, (n1, n2), *systems, K1, K2)).swapaxes(-1, -2)
         m21, m12, m11, m22 = (_mixed_of(vals, stack[0].widths, p)
                               for p in ((2, 1), (1, 2), (1, 1), (2, 2)))
         seq = _rearranged_support(mags)
@@ -194,8 +196,6 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
         per_N = []
         for (N1, N2) in Ns:
             N1c, N2c = min(N1, K1), min(N2, K2)
-            if N1c < 1 or N2c < 1:
-                raise ValueError(f"block ({N1c},{N2c}) exceeds truncation ({K1},{K2})")
             lhs = _block_l2_of(seq, N1c, N2c, fortran=True)
             with np.errstate(divide="ignore", invalid="ignore"):
                 fun_ratio = np.where(m22 > 0, _block_l2_of(fun, N1c, N2c, True) / m22,
@@ -215,20 +215,6 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
                               if trig else "walsh blocks exact")
     _attach_witness(rep, corpus)
     return rep
-
-
-def _le3_magnitudes(stack, vals: np.ndarray, systems, K1: int,
-                    K2: int) -> np.ndarray:
-    """The coefficient magnitudes ``m[k, i1, i2]`` of a stack of functions
-    with values ``vals[k, j2, j1]``, each item's the magnitudes of its
-    :func:`coeffs_2d` entries: Walsh x Walsh in one stacked transform, any
-    trig system one function at a time (its products with the cell
-    matrices are BLAS calls, whose bits follow the call's shape)."""
-    if all(s.kind == "walsh" for s in systems):
-        # |x + 0j| = |x|: the magnitudes of the real coefficients
-        a = _walsh_coeffs_2d(vals, stack[0].levels, K1, K2)
-        return np.abs(a).swapaxes(-1, -2)
-    return np.stack([np.abs(coeffs_2d(f, *systems, K1, K2).entries) for f in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +259,12 @@ class _Prepared(_BlockTables):
     point of a sweep.  Values are arrays with one entry per item, block
     tables too (see :class:`~lorentz_forge.rearrange._BlockTables`).
 
-    An item is a function, whose Walsh coefficients are taken at full
-    resolution, or a ``(coefficients, function)`` pair with planted
-    coefficients.  Lorentz norms, epsilon surfaces and Khat grids are kept
-    per exponent (surface key, sample points), so every theta of a sweep
-    picks from one surface.
+    An item is a function or a ``(coefficients, function)`` pair with
+    planted coefficients.  A function stack's Walsh coefficients are taken
+    at full resolution in one stacked call of
+    :func:`~lorentz_forge.fourier._tensor_coeffs`.  Lorentz norms, epsilon
+    surfaces and Khat grids are kept per exponent (surface key, sample
+    points), so every theta of a sweep picks from one surface.
     """
 
     def __init__(self, items):
@@ -304,10 +291,12 @@ class _Prepared(_BlockTables):
     _block_dims = dims
 
     def _block_magnitudes(self) -> np.ndarray:
-        """The magnitudes of the planted or full Walsh coefficients."""
-        return np.stack([np.abs(
-            (coeffs_2d(f, WALSH, WALSH, *self.dims) if a is None else a).entries)
-            for a, f in zip(self.a, self.fs)])
+        """The magnitudes ``[k, i1, i2]`` of the planted or full Walsh coefficients."""
+        if self.pairs:
+            return np.stack([np.abs(a.entries) for a in self.a])
+        vals = np.stack([f.values for f in self.fs])
+        return np.abs(_tensor_coeffs(vals, self.fs[0].levels, WALSH, WALSH,
+                                     *self.dims)).swapaxes(-1, -2)
 
     def khat(self, ts: np.ndarray) -> np.ndarray:
         """The Khat grids over ``ts x ts``."""

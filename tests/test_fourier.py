@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_grids
-from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, ResolutionError,
-                                   _bitrev_perm, _block_l2_of, _trig_cell_matrix,
-                                   _walsh_coeffs_2d, _walsh_coeffs_axis, block_l2,
-                                   block_sup_lhs, bochkarev_lhs, coeffs_2d,
+from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, OrthonormalSystem,
+                                   ResolutionError, _bitrev_perm, _block_l2_of,
+                                   _coeffs_axis, _tensor_coeffs, _trig_cell_matrix,
+                                   block_l2, block_sup_lhs, bochkarev_lhs, coeffs_2d,
                                    coeffs_from_values, fwht, gram_matrix, te3_lhs,
                                    te4_lhs, trig_frequency, walsh_on_cells,
                                    walsh_synthesize)
@@ -102,6 +102,22 @@ class TestCoeffs:
             coeffs_from_values(vals, (2, 2), *systems, *K)
         assert not isinstance(exc.value, ResolutionError)
 
+    @pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG),
+                                         (WALSH, TRIG), (TRIG, WALSH)])
+    @pytest.mark.parametrize("levels,K,match", [
+        ((2, 2), (2.5, 2), "truncation"), ((2, 2), (2, 2.5), "truncation"),
+        ((2, 2), (True, 2), "truncation"), ((2, 2), (2, False), "truncation"),
+        ((2, 2), (np.float64(2), 2), "truncation"), ((2, 2), ("2", 2), "truncation"),
+        ((3, 3), (2, 2), "shape"), ((2, 1), (2, 2), "shape"), ((-1, 2), (1, 1), "shape")])
+    def test_malformed_requests_are_typed(self, systems, levels, K, match):
+        # a 4 x 4 grid: integral K >= 1 and a levels (2, 2) grid are required
+        vals = np.random.default_rng(1).random((4, 4))
+        with pytest.raises(ValueError, match=match) as exc:
+            coeffs_from_values(vals, levels, *systems, *K)
+        assert not isinstance(exc.value, ResolutionError)
+        a = coeffs_from_values(vals, (2, 2), *systems, np.int64(3), 2)
+        assert a.truncation == (3, 2)
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("system", [TRIG, WALSH])
@@ -112,6 +128,14 @@ class TestOrthonormality:
     def test_walsh_uniform_bound(self):
         for k in range(16):
             assert np.abs(walsh_on_cells(k, 4)).max() == 1.0
+
+    @pytest.mark.parametrize("kind", ["trig", "walsh"])
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, 0.0, -0.0, math.inf, True])
+    def test_bound_must_be_finite_and_positive(self, kind, bound):
+        with pytest.raises(ValueError, match="bound"):
+            OrthonormalSystem(kind, bound=bound)
+        assert TRIG.bound == WALSH.bound == 1.0
+        assert OrthonormalSystem(kind, bound=2.5).bound == 2.5
 
     @pytest.mark.parametrize("k,match", [(-1, "negative"), (-8, "negative"),
                                          ([0, -1], "negative"), (8, "not constant"),
@@ -282,9 +306,9 @@ def test_synthesis_round_trip(rng):
 def _walsh_walsh_three_transforms(vals, levels, K1, K2):
     """Reference for Walsh x Walsh coefficients: the complex path that also
     transforms the zero imaginary part."""
-    a1 = _walsh_coeffs_axis(vals, axis=1, level=levels[0], K=K1).astype(complex)
-    a = _walsh_coeffs_axis(a1.real, axis=0, level=levels[1], K=K2) + \
-        1j * _walsh_coeffs_axis(a1.imag, axis=0, level=levels[1], K=K2)
+    a1 = _coeffs_axis(vals, -1, WALSH, levels[0], K1).astype(complex)
+    a = _coeffs_axis(a1.real, -2, WALSH, levels[1], K2) + \
+        1j * _coeffs_axis(a1.imag, -2, WALSH, levels[1], K2)
     return a.T
 
 
@@ -485,7 +509,7 @@ def test_fwht_rejects_lengths_not_a_power_of_two(n):
 
 
 def _walsh_axis_strided(vals, axis, level, K):
-    """Reference for ``_walsh_coeffs_axis``: gather, :func:`_fwht_strided`,
+    """Reference for Walsh ``_coeffs_axis``: gather, :func:`_fwht_strided`,
     scale and cut, each in a new array."""
     reordered = np.take(vals, _bitrev_perm(level), axis=axis)
     coeffs = _fwht_strided(reordered, axis) * 2.0**-level
@@ -544,7 +568,7 @@ def test_coeffs_match_the_strided_complex_path(levels):
     vals[r.random(vals.shape) < 0.3] = -0.0
     for f in (DyadicStep2D(levels, vals), DyadicStep2D(levels, np.full(vals.shape, -0.0)),
               DyadicStep2D(levels, r.random(vals.shape))):
-        for sys1, sys2 in ((WALSH, WALSH), (WALSH, TRIG), (TRIG, WALSH)):
+        for sys1, sys2 in ((WALSH, WALSH), (WALSH, TRIG), (TRIG, WALSH), (TRIG, TRIG)):
             for K1, K2 in {(2**n1, 2**n2), (max(2**n1 // 2, 1), max(2**n2 - 1, 1))}:
                 got = coeffs_2d(f, sys1, sys2, K1, K2).entries
                 want = _coeffs_strided(f, sys1, sys2, K1, K2)
@@ -553,19 +577,29 @@ def test_coeffs_match_the_strided_complex_path(levels):
                 assert np.array_equal(_words(got), _words(want))
 
 
+@pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG),
+                                     (WALSH, TRIG), (TRIG, WALSH)],
+                         ids=lambda s: f"{s[0].kind}-{s[1].kind}")
 @pytest.mark.parametrize("levels", [(0, 0), (3, 4), (5, 5)])
-def test_stacked_walsh_items_are_their_own_calls(levels):
-    # each item is scaled by its own power of two: an item that needs
-    # scaling does not move the bits of one that does not
+def test_stacked_items_are_their_own_calls(levels, systems):
+    # each Walsh item is scaled by its own power of two: an item that needs
+    # scaling does not move the bits of one that does not; each trig item
+    # is its own BLAS call
     n1, n2 = levels
     r = np.random.default_rng(n1 + 7 * n2)
-    vals = r.uniform(-1, 1, (4, 2**n2, 2**n1))
-    vals[1] *= 2.0**1023
-    vals[2] = -0.0
-    got = _walsh_coeffs_2d(vals, levels, 2**n1, max(2**n2 // 2, 1))
-    for v, a in zip(vals, got):
-        want = coeffs_from_values(v, levels, WALSH, WALSH, 2**n1, max(2**n2 // 2, 1))
-        assert np.array_equal(_words(a.T.astype(complex)), _words(want.entries))
+    vals = r.uniform(-1, 1, (2, 3, 2**n2, 2**n1))
+    vals[0, 1] *= 2.0**1023
+    vals[1, 0] = -0.0
+    vals[1, 2][r.random((2**n2, 2**n1)) < 0.3] = -0.0
+    K = (2**n1, max(2**n2 // 2, 1))
+    got = _tensor_coeffs(vals, levels, *systems, *K)
+    assert got.shape == (2, 3, K[1], K[0])
+    for i in np.ndindex(2, 3):
+        want = coeffs_from_values(vals[i], levels, *systems, *K).entries
+        # CoeffMatrix keeps the memory order of the item it is given
+        ent = CoeffMatrix(*systems, got[i].T).entries
+        assert ent.flags.f_contiguous and want.flags.f_contiguous
+        assert np.array_equal(_words(ent), _words(want))
 
 
 def test_stacked_block_sums_are_each_matrix_s():

@@ -449,6 +449,9 @@ class TestLe3Check:
     def test_constant_function(self):
         rep = checks.check_le3([constant_grid(1.0, (3, 3))], Ns=((2, 2), (8, 8)))
         assert rep.passed
+        for Ns in (((0, 2),), ((2, 2), (2, -1))):
+            with pytest.raises(ValueError, match="block sizes must be >= 1"):
+                checks.check_le3([constant_grid(1.0, (3, 3))], Ns=Ns)
 
 
 class TestTheoremChecks:
@@ -793,6 +796,18 @@ def test_stacks_keep_one_shape_and_bound_the_cells():
     sizes = [len(run) for run in runs]
     # 512 x 512 items one at a time; 256 items of 32 x 32 fill a stack
     assert sizes == [4, 1, 1, 1, 4, 2, 1, 2, 256, 44]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_prepared_magnitudes_are_each_function_s(seed):
+    # a function stack's Walsh magnitudes are one stacked transform, each
+    # item's bits those of its own coeffs_2d call
+    for _, stack in checks._stacks(checks.sweep_corpus(seed)):
+        prep = checks._Prepared(stack)
+        want = np.stack([np.abs(coeffs_2d(f, WALSH, WALSH, *prep.dims).entries)
+                         for f in stack])
+        got = prep._block_magnitudes()
+        assert got.shape == want.shape and same_bits(got, want)
 
 
 def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
