@@ -12,7 +12,6 @@ integrate the complex exponentials cell by cell in closed form.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,7 @@ from .interpolation import beta_from_q
 from .norms import (Exponents, GrandNormResult, GrandParams, grand_seq_norm,
                     seq_block_lorentz_norm)
 from .rearrange import Sequence2D, _BlockTables, iterated_rearrange_seq_first_index
-from .stepfun import DyadicStep2D, _Memoised
+from .stepfun import DyadicStep2D, _Memoised, _integer
 
 
 class ResolutionError(ValueError):
@@ -254,15 +253,15 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
     The norm side of every check works with magnitudes, but the coefficient
     side may legitimately come from signed synthesis; this entry point keeps
     the two consistent.  The truncations must be integers >= 1 and the
-    values a ``levels`` grid; Walsh truncations past the grid's resolution
-    raise :class:`ResolutionError`.
+    values a finite ``levels`` grid; Walsh truncations past the grid's
+    resolution raise :class:`ResolutionError`.
     """
-    if any(isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 1
-           for K in (K1, K2)):
-        raise ValueError(f"truncation ({K1!r}, {K2!r}) must be integers >= 1")
+    K1, K2 = (_integer(K, 1, "a truncation") for K in (K1, K2))
     v = np.asarray(values, dtype=float)  # [j2, j1]
     if v.shape != (2 ** levels[1], 2 ** levels[0]):
         raise ValueError(f"values of shape {v.shape} are not a level {levels} grid")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     a = _tensor_coeffs(v, levels, sys1, sys2, K1, K2)
     return CoeffMatrix(sys1, sys2, a.T)  # entries [k1, k2], column-major
 

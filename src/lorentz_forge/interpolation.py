@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import _LN2, _nested
-from .stepfun import DyadicStep2D
+from .stepfun import DyadicStep2D, _integer
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,7 @@ def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
     th1, th2 = theta
     if not (0 < th1 < 1 and 0 < th2 < 1):
         raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
-    if J < 4:
-        raise ValueError("J must be >= 4")
-    return 2.0 ** np.arange(-J, 1)
+    return 2.0 ** np.arange(-_integer(J, 4, "J"), 1)
 
 
 def _interp_of(K: np.ndarray, theta: tuple[float, float],

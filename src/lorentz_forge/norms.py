@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rearrange import Sequence2D
-from .stepfun import DyadicStep2D
+from .stepfun import DyadicStep2D, _integer
 
 INF = float("inf")
 _LN2 = math.log(2.0)
@@ -114,7 +114,7 @@ class GrandParams:
 
     ``theta`` components must share one sign: both >= 0 selects the sup form,
     both < 0 the inf form.  ``eps_levels`` is the geometric grid depth J
-    (grid ``2^-j, j=0..J``).
+    (grid ``2^-j, j=0..J``), an integer >= 0.
     """
 
     theta: tuple[float, float]
@@ -126,8 +126,7 @@ class GrandParams:
             raise ValueError(f"theta components must be numbers, got {self.theta}")
         if (t1 < 0) != (t2 < 0):
             raise ValueError(f"mixed-sign theta {self.theta} is not defined")
-        if self.eps_levels < 0:
-            raise ValueError("eps_levels must be >= 0")
+        object.__setattr__(self, "eps_levels", _integer(self.eps_levels, 0, "eps_levels"))
         object.__setattr__(self, "theta", (float(t1), float(t2)))
 
     @property
@@ -666,8 +665,7 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
         raise ValueError(f"requires finite theta > 0, got {theta}")
     if any(pi == INF for pi in e.p):
         raise ValueError("requires finite p")
-    if k_max < 2:  # the scan would be empty and read 0
-        raise ValueError(f"requires k_max >= 2, got {k_max}")
+    _integer(k_max, 2, "k_max")  # below 2 the scan would be empty and read 0
     tau1, tau2 = e.q
     g = f.rearranged
     n1, n2 = f.levels

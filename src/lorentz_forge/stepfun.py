@@ -23,10 +23,11 @@ class DivergentIntegralError(ValueError):
     """Raised when a requested weighted integral diverges at the origin."""
 
 
-def _level(n) -> int:
-    """``n`` as a grid level: an integer (not a bool) >= 0."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"a level must be an integer >= 0, got {n!r}")
+def _integer(n, least: int = 0, name: str = "a level") -> int:
+    """``n`` as an integer (not a bool) >= ``least``, by default a grid
+    level; the error names it ``name``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
     return int(n)
 
 
@@ -58,7 +59,7 @@ class DyadicStep1D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "level", _level(self.level))
+        object.__setattr__(self, "level", _integer(self.level))
         vals = _as_readonly(self.values)
         object.__setattr__(self, "values", vals)
         if vals.shape != (2**self.level,):
@@ -89,7 +90,7 @@ class DyadicStep2D(_Memoised):
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n1, n2 = map(_level, self.levels)
+        n1, n2 = map(_integer, self.levels)
         vals = _as_readonly(self.values)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "levels", (n1, n2))
@@ -120,8 +121,8 @@ class DyadicStep2D(_Memoised):
 
 def constant_grid(c: float, levels: tuple[int, int] = (0, 0)) -> DyadicStep2D:
     """Constant function ``f = c`` at the requested resolution."""
-    n1, n2 = levels
-    return DyadicStep2D(levels, np.full((2**n2, 2**n1), float(c)))
+    n1, n2 = map(_integer, levels)
+    return DyadicStep2D((n1, n2), np.full((2**n2, 2**n1), float(c)))
 
 
 def indicator_grid(a1: float, a2: float, levels: tuple[int, int]) -> DyadicStep2D:

@@ -7,6 +7,12 @@ rounding tolerance; calibrated checks compare against thresholds pinned in
 for the asserted side (supremum-type left sides are under-approximated,
 right sides are exact or under-approximated) and are recorded in the report
 notes.
+
+Every check over a corpus of grids (mink, le3, the theorems, the
+embeddings) is a :class:`_Group` of parameter points run by :func:`_sweep`,
+the one driver that stacks, hashes and prepares the items and picks each
+report's witness.  The suites te3, te4, thm5 and interp, alone or together,
+run through :func:`_theorem_suites`.
 """
 
 from __future__ import annotations
@@ -28,197 +34,16 @@ from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
 from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
-from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
+from .corpus import (CorpusSpec, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
 from .hardy import hardy_grid
 from .report import CheckCase, CheckReport, serialize_grid
 
 INF = float("inf")
 
-def _witness(items) -> Callable[[str], dict]:
-    """The witness of a case id: the serialized function of the item of
-    ``items`` that the id names by its index (``f<i>:...``), read once per
-    item, or else the id itself."""
-
-    @cache
-    def grid(i: int) -> dict:
-        item = items[i]
-        return serialize_grid(item[1] if isinstance(item, tuple) else item)
-
-    def witness(cid: str):
-        tok = cid.split(":")[0]
-        if tok.startswith("f") and tok[1:].isdigit():
-            return grid(int(tok[1:]))
-        return {"case": cid}
-
-    return witness
-
-
-def _attach_witness(rep: CheckReport, items) -> None:
-    """Serialize the worst case's function when the id carries its index."""
-    rep.finalize_witness(_witness(items))
-
 
 # ---------------------------------------------------------------------------
-# section-3 lemmas
-
-
-def check_karamata(pairs, p: float, tol: float = 1e-12) -> CheckReport:
-    """Prefix-majorized nonincreasing pairs: the p-th power sums order one
-    way for p >= 1 and the other for p <= 1."""
-    rep = CheckReport("karamata", {"p": p}, "", 1.0 + tol)
-    for i, (f, g) in enumerate(pairs):
-        sf, sg = float(np.sum(f**p)), float(np.sum(g**p))
-        lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
-        rep.cases.append(CheckCase(f"pair{i}", lhs, rhs))
-    rep.notes["direction"] = "exact closed-form sums"
-    _attach_witness(rep, [])
-    return rep
-
-
-def check_mink(corpus, p: float, q: float, tol: float = 1e-10) -> CheckReport:
-    """Row rearrangement decreases the (inner q over x2, outer p over x1)
-    mixed norm and increases the (inner p, outer q) one, for p <= q.
-
-    Each stack of same-shape functions (see :func:`_stacks`) is sorted once
-    and its four mixed norms are four stacked calls; the x2-inner norms
-    read the stack transposed, so their inner sums run in order down the
-    rows, as on a transposed grid's column-major copy."""
-    if not (0 < p <= q):
-        raise ValueError(f"requires 0 < p <= q, got ({p}, {q})")
-    rep = CheckReport("mink", {"p": p, "q": q}, corpus_hash(corpus), 1.0 + tol)
-    for run, stack in _stacks(corpus):
-        n1, n2 = stack[0].levels
-        vals = np.stack([f.values for f in stack])
-        sorted_rows = -np.sort(-vals, axis=-1)
-
-        def x2_inner(v, inner, outer):
-            return _mixed_of(v.swapaxes(-1, -2), (2.0**-n2, 2.0**-n1),
-                             (inner, outer)).tolist()
-
-        sides = zip(x2_inner(vals, q, p), x2_inner(sorted_rows, q, p),
-                    x2_inner(vals, p, q), x2_inner(sorted_rows, p, q))
-        for i, (lhs_a, rhs_a, lhs_b, rhs_b) in zip(run, sides):
-            rep.cases.append(CheckCase(f"f{i}:a", rhs_a, lhs_a))
-            rep.cases.append(CheckCase(f"f{i}:b", lhs_b, rhs_b))
-    rep.notes["direction"] = "both sides exact"
-    _attach_witness(rep, corpus)
-    return rep
-
-
-def _hardy_profiles(r: float, seed: int) -> list[tuple[str, DyadicStep1D]]:
-    profs = [("indicator", DyadicStep1D(0, np.array([1.0])))]
-    rr = 1.0 if r == INF else r
-    level = 12
-    t = (np.arange(2**level) + 0.5) * 2.0**-level
-    profs.append(("power", DyadicStep1D(level, t ** (-1.0 / (2.0 * rr)))))
-    rng = np.random.default_rng(seed)
-    profs.append(("step", DyadicStep1D(8, np.sort(rng.random(2**8))[::-1])))
-    return profs
-
-
-def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
-    """Both weighted Hardy displays, alpha-normalized.
-
-    Asserts ``LHS * alpha^beta / RHS <= C`` with ``beta = max(1/q, 1/r)``;
-    divergent cases are skipped and recorded.  The alpha-uniformity
-    statistic (max within twice the median across the alpha grid) is
-    measured at the rate a compactly supported profile can attain:
-    ``alpha^{-1/q}`` (driven by the weight tail over t > 1), and rate 0 for
-    the ascent display with r = inf, where the two sides coincide.  The
-    worst-case ``beta`` exceeds that rate when r < q, so the raw
-    beta-normalized ratio necessarily drifts downward there and is not a
-    meaningful uniformity probe.
-    """
-    cal = calibration()
-    beta = max(1.0 / q, 1.0 / r)
-    gamma_descent = 1.0 / q
-    rep = CheckReport("hardy", {"q": q, "r": r}, "", cal["hardy_C_pass"])
-    skipped = []
-    ratios: dict[str, list[float]] = {}
-    for name, prof in _hardy_profiles(r, seed):
-        for disp in ("descent", "ascent"):
-            key = f"{name}:{disp}"
-            gamma = gamma_descent if (disp == "descent" or r != INF) else 0.0
-            ratios[key] = []
-            for alpha, lhs, rhs in zip(alpha_grid, *hardy_grid(
-                    prof, q, r, alpha_grid, descent=disp == "descent")):
-                if not np.isfinite(lhs) or not np.isfinite(rhs) or rhs == 0:
-                    skipped.append(f"{key}:a={alpha}")
-                    continue
-                rep.cases.append(CheckCase(f"{key}:a={alpha}",
-                                           lhs * alpha**beta, rhs))
-                ratios[key].append(lhs * alpha**gamma / rhs)
-    uni = {}
-    for key, rs in ratios.items():
-        if len(rs) >= 3:
-            uni[key] = max(rs) / float(np.median(rs))
-    rep.notes["skipped_divergent"] = skipped
-    rep.notes["alpha_uniformity_max_over_median"] = uni
-    rep.notes["uniformity_threshold"] = cal["hardy_alpha_uniformity"]
-    rep.notes["uniformity_pass"] = bool(
-        all(u <= cal["hardy_alpha_uniformity"] for u in uni.values()))
-    _attach_witness(rep, [])
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# coefficient block bounds
-
-
-def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
-              tol: float = 1e-9) -> CheckReport:
-    """Four block bounds for rearranged coefficients of M=1 systems.
-
-    Gated in the sequence rearrangement order (second index first); the
-    function-order block sums are recorded but not gated, since the two
-    orders genuinely differ on non-tensor matrices.
-    """
-    sys1, sys2 = systems
-    if any(N < 1 for n in Ns for N in n):
-        raise ValueError(f"block sizes must be >= 1, got {Ns}")
-    rep = CheckReport("le3", {"systems": [sys1.kind, sys2.kind],
-                              "N": [list(n) for n in Ns]},
-                      corpus_hash(corpus), 1.0 + tol)
-    M1, M2 = sys1.bound, sys2.bound
-    fun_order = [0.0]  # the running maximum starts at 0
-    trig = "trig" in (sys1.kind, sys2.kind)
-    for run, stack in _stacks(corpus, _TRIG_CELLS if trig else _BLOCK_CELLS):
-        n1, n2 = stack[0].levels
-        K1 = 2**n1 if sys1.kind == "walsh" else 2 ** (n1 + 2)
-        K2 = 2**n2 if sys2.kind == "walsh" else 2 ** (n2 + 2)
-        vals = np.stack([f.values for f in stack])
-        mags = np.abs(_tensor_coeffs(vals, (n1, n2), *systems, K1, K2)).swapaxes(-1, -2)
-        m21, m12, m11, m22 = (_mixed_of(vals, stack[0].widths, p)
-                              for p in ((2, 1), (1, 2), (1, 1), (2, 2)))
-        seq = _rearranged_support(mags)
-        fun = _rearranged_values(mags.swapaxes(-1, -2)).swapaxes(-1, -2)
-        per_N = []
-        for (N1, N2) in Ns:
-            N1c, N2c = min(N1, K1), min(N2, K2)
-            lhs = _block_l2_of(seq, N1c, N2c, fortran=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fun_ratio = np.where(m22 > 0, _block_l2_of(fun, N1c, N2c, True) / m22,
-                                     0.0)
-            per_N.append((f"N{N1}x{N2}", lhs.tolist(), [
-                (":m21", (M2 * N2c**0.5 * m21).tolist()),
-                (":m12", (M1 * N1c**0.5 * m12).tolist()),
-                (":m11", (M1 * M2 * (N1c * N2c) ** 0.5 * m11).tolist()),
-                (":parseval", m22.tolist())], fun_ratio.tolist()))
-        for k, i in enumerate(run):
-            for tag, lhs, rhss, fun_ratio in per_N:
-                rep.cases.extend(CheckCase(f"f{i}:{tag}{sfx}", lhs[k], rhs[k])
-                                 for sfx, rhs in rhss)
-                fun_order.append(fun_ratio[k])
-    rep.notes["fun_order_max_ratio_vs_parseval"] = max(fun_order)
-    rep.notes["direction"] = ("trig truncation under-approximates the left side"
-                              if trig else "walsh blocks exact")
-    _attach_witness(rep, corpus)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# the main theorems
+# the corpus driver
 
 
 # a verify sweep stacks at most this many cells of same-shape items for
@@ -278,9 +103,14 @@ class _Prepared(_BlockTables):
         return self.a[0] is not None
 
     @cached_property
+    def values(self) -> np.ndarray:
+        """The values ``[k, j2, j1]`` of the functions, stacked."""
+        return np.stack([f.values for f in self.fs])
+
+    @cached_property
     def g(self) -> np.ndarray:
         """The rearranged values of the functions."""
-        return _rearranged_values(np.stack([f.values for f in self.fs]))
+        return _rearranged_values(self.values)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -294,8 +124,7 @@ class _Prepared(_BlockTables):
         """The magnitudes ``[k, i1, i2]`` of the planted or full Walsh coefficients."""
         if self.pairs:
             return np.stack([np.abs(a.entries) for a in self.a])
-        vals = np.stack([f.values for f in self.fs])
-        return np.abs(_tensor_coeffs(vals, self.fs[0].levels, WALSH, WALSH,
+        return np.abs(_tensor_coeffs(self.values, self.fs[0].levels, WALSH, WALSH,
                                      *self.dims)).swapaxes(-1, -2)
 
     def khat(self, ts: np.ndarray) -> np.ndarray:
@@ -351,21 +180,21 @@ class _Group(NamedTuple):
     finish: Callable | None = None
 
 
-def _sweep(items, groups) -> list[list[CheckReport]]:
+def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
     """The reports of each :class:`_Group` of ``groups`` over the sequence
     ``items``, one per parameter point.
 
-    The items are read in one pass and prepared one stack at a time (see
-    :func:`_stacks`); every group's points read the stack, and it goes,
-    pieces and items, before the next item is read.  The pass hashes the
-    items as :func:`corpus_hash` does, and a report made without a corpus
-    hash (``None``) gets that digest.  A witness reads the one item it
-    names again, once per item.
+    The items are read in one pass and prepared one stack of at most
+    ``cells`` cells at a time (see :func:`_stacks`); every group's points
+    read the stack, and it goes, pieces and items, before the next item is
+    read.  The pass hashes the items as :func:`corpus_hash` does, and a
+    report made without a corpus hash (``None``) gets that digest.  A
+    witness reads the one item it names again, once per item.
     """
     groups = list(groups)
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
     h = hashlib.sha256()
-    for run, stack in _stacks(items):
+    for run, stack in _stacks(items, cells):
         for item in stack:
             _hash_into(h, item)
         prep = _Prepared(stack)
@@ -415,9 +244,183 @@ class _Chain(Sequence):
         return itertools.chain.from_iterable(self.parts)
 
 
-# Each check below is the one-point case of its sweep, and every sweep is
-# one _sweep over the group of its parameter points.  The theorem suites
-# te3, te4, thm5 and interp share one _sweep in run_suite("all").
+def _witness(items) -> Callable[[str], dict]:
+    """The witness of a case id: the serialized function of the item of
+    ``items`` that the id names by its index (``f<i>:...``), read once per
+    item, or else the id itself."""
+
+    @cache
+    def grid(i: int) -> dict:
+        item = items[i]
+        return serialize_grid(item[1] if isinstance(item, tuple) else item)
+
+    def witness(cid: str):
+        tok = cid.split(":")[0]
+        if tok.startswith("f") and tok[1:].isdigit():
+            return grid(int(tok[1:]))
+        return {"case": cid}
+
+    return witness
+
+
+# ---------------------------------------------------------------------------
+# section-3 lemmas
+
+
+def check_karamata(pairs, p: float, tol: float = 1e-12) -> CheckReport:
+    """Prefix-majorized nonincreasing pairs: the p-th power sums order one
+    way for p >= 1 and the other for p <= 1."""
+    rep = CheckReport("karamata", {"p": p}, "", 1.0 + tol)
+    for i, (f, g) in enumerate(pairs):
+        sf, sg = float(np.sum(f**p)), float(np.sum(g**p))
+        lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
+        rep.cases.append(CheckCase(f"pair{i}", lhs, rhs))
+    rep.notes["direction"] = "exact closed-form sums"
+    rep.finalize_witness(_witness([]))
+    return rep
+
+
+def check_mink(corpus, p: float, q: float, tol: float = 1e-10) -> CheckReport:
+    """Row rearrangement decreases the (inner q over x2, outer p over x1)
+    mixed norm and increases the (inner p, outer q) one, for p <= q.
+
+    Each stack of same-shape functions is sorted once and its four mixed
+    norms are four stacked calls; the x2-inner norms read the stack
+    transposed, so their inner sums run in order down the rows, as on a
+    transposed grid's column-major copy."""
+    if not (0 < p <= q):
+        raise ValueError(f"requires 0 < p <= q, got ({p}, {q})")
+
+    def cases(prep):
+        n1, n2 = prep.fs[0].levels
+        vals = prep.values
+        sorted_rows = -np.sort(-vals, axis=-1)
+
+        def x2_inner(v, inner, outer):
+            return _mixed_of(v.swapaxes(-1, -2), (2.0**-n2, 2.0**-n1), (inner, outer))
+
+        return [(":a", x2_inner(sorted_rows, q, p), x2_inner(vals, q, p)),
+                (":b", x2_inner(vals, p, q), x2_inner(sorted_rows, p, q))]
+
+    return _sweep(corpus, [_Group([()], lambda: CheckReport(
+        "mink", {"p": p, "q": q}, None, 1.0 + tol,
+        notes={"direction": "both sides exact"}), cases)])[0][0]
+
+
+def _hardy_profiles(r: float, seed: int) -> list[tuple[str, DyadicStep1D]]:
+    profs = [("indicator", DyadicStep1D(0, np.array([1.0])))]
+    rr = 1.0 if r == INF else r
+    level = 12
+    t = (np.arange(2**level) + 0.5) * 2.0**-level
+    profs.append(("power", DyadicStep1D(level, t ** (-1.0 / (2.0 * rr)))))
+    rng = np.random.default_rng(seed)
+    profs.append(("step", DyadicStep1D(8, np.sort(rng.random(2**8))[::-1])))
+    return profs
+
+
+def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
+    """Both weighted Hardy displays, alpha-normalized.
+
+    Asserts ``LHS * alpha^beta / RHS <= C`` with ``beta = max(1/q, 1/r)``;
+    divergent cases are skipped and recorded.  The alpha-uniformity
+    statistic (max within twice the median across the alpha grid) is
+    measured at the rate a compactly supported profile can attain:
+    ``alpha^{-1/q}`` (driven by the weight tail over t > 1), and rate 0 for
+    the ascent display with r = inf, where the two sides coincide.  The
+    worst-case ``beta`` exceeds that rate when r < q, so the raw
+    beta-normalized ratio necessarily drifts downward there and is not a
+    meaningful uniformity probe.
+    """
+    cal = calibration()
+    beta = max(1.0 / q, 1.0 / r)
+    gamma_descent = 1.0 / q
+    rep = CheckReport("hardy", {"q": q, "r": r}, "", cal["hardy_C_pass"])
+    skipped = []
+    ratios: dict[str, list[float]] = {}
+    for name, prof in _hardy_profiles(r, seed):
+        for disp in ("descent", "ascent"):
+            key = f"{name}:{disp}"
+            gamma = gamma_descent if (disp == "descent" or r != INF) else 0.0
+            ratios[key] = []
+            for alpha, lhs, rhs in zip(alpha_grid, *hardy_grid(
+                    prof, q, r, alpha_grid, descent=disp == "descent")):
+                if not np.isfinite(lhs) or not np.isfinite(rhs) or rhs == 0:
+                    skipped.append(f"{key}:a={alpha}")
+                    continue
+                rep.cases.append(CheckCase(f"{key}:a={alpha}",
+                                           lhs * alpha**beta, rhs))
+                ratios[key].append(lhs * alpha**gamma / rhs)
+    uni = {}
+    for key, rs in ratios.items():
+        if len(rs) >= 3:
+            uni[key] = max(rs) / float(np.median(rs))
+    rep.notes["skipped_divergent"] = skipped
+    rep.notes["alpha_uniformity_max_over_median"] = uni
+    rep.notes["uniformity_threshold"] = cal["hardy_alpha_uniformity"]
+    rep.notes["uniformity_pass"] = bool(
+        all(u <= cal["hardy_alpha_uniformity"] for u in uni.values()))
+    rep.finalize_witness(_witness([]))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# coefficient block bounds
+
+
+def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
+              tol: float = 1e-9) -> CheckReport:
+    """Four block bounds for rearranged coefficients of M=1 systems.
+
+    Gated in the sequence rearrangement order (second index first); the
+    function-order block sums are recorded but not gated, since the two
+    orders genuinely differ on non-tensor matrices.
+    """
+    sys1, sys2 = systems
+    if any(N < 1 for n in Ns for N in n):
+        raise ValueError(f"block sizes must be >= 1, got {Ns}")
+    M1, M2 = sys1.bound, sys2.bound
+    fun_order = [0.0]  # the running maximum starts at 0
+    trig = "trig" in (sys1.kind, sys2.kind)
+
+    def cases(prep):
+        n1, n2 = prep.fs[0].levels
+        K1 = 2**n1 if sys1.kind == "walsh" else 2 ** (n1 + 2)
+        K2 = 2**n2 if sys2.kind == "walsh" else 2 ** (n2 + 2)
+        vals = prep.values
+        mags = np.abs(_tensor_coeffs(vals, (n1, n2), *systems, K1, K2)).swapaxes(-1, -2)
+        m21, m12, m11, m22 = (_mixed_of(vals, prep.fs[0].widths, p)
+                              for p in ((2, 1), (1, 2), (1, 1), (2, 2)))
+        seq = _rearranged_support(mags)
+        fun = _rearranged_values(mags.swapaxes(-1, -2)).swapaxes(-1, -2)
+        sides, fun_ratios = [], []
+        for (N1, N2) in Ns:
+            N1c, N2c = min(N1, K1), min(N2, K2)
+            lhs = _block_l2_of(seq, N1c, N2c, fortran=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fun_ratios.append(np.where(
+                    m22 > 0, _block_l2_of(fun, N1c, N2c, True) / m22, 0.0))
+            tag = f":N{N1}x{N2}"
+            sides += [(tag + ":m21", lhs, M2 * N2c**0.5 * m21),
+                      (tag + ":m12", lhs, M1 * N1c**0.5 * m12),
+                      (tag + ":m11", lhs, M1 * M2 * (N1c * N2c) ** 0.5 * m11),
+                      (tag + ":parseval", lhs, m22)]
+        # item by item, each item's block sizes in order
+        fun_order.extend(np.ravel(fun_ratios, order="F").tolist())
+        return sides
+
+    def finish(rep):
+        rep.notes["fun_order_max_ratio_vs_parseval"] = max(fun_order)
+        rep.notes["direction"] = ("trig truncation under-approximates the left side"
+                                  if trig else "walsh blocks exact")
+
+    return _sweep(corpus, [_Group([()], lambda: CheckReport(
+        "le3", {"systems": [sys1.kind, sys2.kind], "N": [list(n) for n in Ns]},
+        None, 1.0 + tol), cases, finish=finish)],
+        _TRIG_CELLS if trig else _BLOCK_CELLS)[0][0]
+
+
+# ---------------------------------------------------------------------------
+# the main theorems
 
 
 def _theta_rhs(prep: _Prepared, theta, q):
@@ -429,8 +432,9 @@ def _theta_rhs(prep: _Prepared, theta, q):
 
 
 def _te3_group(points, h: str | None) -> _Group:
-    """:func:`te3_sweep`'s points on a corpus with hash ``h`` (``None``:
-    the hash of the sweep's items)."""
+    """:func:`check_te3` at each ``(theta, q)`` of ``points`` on a corpus
+    with hash ``h`` (``None``: the hash of the sweep's items); pairs are
+    left out."""
     c0 = calibration()["te3_c0"]
 
     def report(theta, q):
@@ -451,25 +455,21 @@ def _te3_group(points, h: str | None) -> _Group:
     return _Group(list(points), report, cases, finish=finish)
 
 
-def te3_sweep(corpus, points) -> list[CheckReport]:
-    """:func:`check_te3` at each ``(theta, q)`` of ``points``."""
-    return _sweep(corpus, [_te3_group(points, None)])[0]
-
-
 def check_te3(corpus, theta, q) -> CheckReport:
     """Discrete block norm of the coefficients against ``6 D(theta) |f|``."""
-    return te3_sweep(corpus, [(theta, q)])[0]
+    return _sweep(corpus, [_te3_group([(theta, q)], None)])[0][0]
 
 
-def _te4_group(points, hashes: dict, n_funcs: int, n_pairs: int) -> _Group:
-    """:func:`te4_sweep`'s points on ``n_funcs`` functions followed by
-    ``n_pairs`` pairs; ``hashes[with_pairs]`` is the hash of the items a
-    report covers (``None``: the hash of the sweep's items)."""
+def _te4_group(points, h: str | None, n_funcs: int, n_pairs: int) -> _Group:
+    """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points`` on
+    ``n_funcs`` functions with hash ``h`` followed by ``n_pairs`` pairs,
+    which enter the reports of the points ``with_pairs`` only; those
+    reports carry the hash of the sweep's items."""
     C_pass = calibration()["te4_C_pass"]
 
     def report(theta, q, with_pairs):
         return CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
-                           hashes[with_pairs], C_pass, notes={
+                           None if with_pairs else h, C_pass, notes={
                                "direction": "lhs grid-sup under, rhs grid-sup "
                                             "under (conservative for the "
                                             "asserted bound)",
@@ -486,24 +486,18 @@ def _te4_group(points, hashes: dict, n_funcs: int, n_pairs: int) -> _Group:
     return _Group(list(points), report, cases, ids=ids)
 
 
-def te4_sweep(corpus, points, pairs=None) -> list[CheckReport]:
-    """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points``;
-    the lacunary ``pairs`` enter the reports of the points with
-    ``with_pairs`` only."""
-    corpus, pairs, points = list(corpus), pairs or (), list(points)
-    hashes = {False: corpus_hash(corpus), True: None}
-    return _sweep(_Chain(corpus, pairs),
-                  [_te4_group(points, hashes, len(corpus), len(pairs))])[0]
-
-
 def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     """Grand sequence norm of the coefficients at ``lambda = theta + beta``
-    against the grand Lorentz norm at smoothness ``theta`` (p = (2,2))."""
-    return te4_sweep(corpus, [(theta, q, True)], pairs)[0]
+    against the grand Lorentz norm at smoothness ``theta`` (p = (2,2)),
+    on the corpus followed by the lacunary ``pairs``."""
+    corpus, pairs = list(corpus), pairs or ()
+    return _sweep(_Chain(corpus, pairs), [_te4_group(
+        [(theta, q, True)], None, len(corpus), len(pairs))])[0][0]
 
 
 def _thm5_group(points) -> _Group:
-    """:func:`thm5_sweep`'s points; a report covers all the sweep's items."""
+    """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``; a report
+    covers all the sweep's items."""
     cal = calibration()
 
     def report(q, blocksup):
@@ -522,15 +516,10 @@ def _thm5_group(points) -> _Group:
     return _Group(list(points), report, cases)
 
 
-def thm5_sweep(items, points) -> list[CheckReport]:
-    """:func:`check_thm5` at each ``(q, blocksup)`` of ``points``."""
-    return _sweep(items, [_thm5_group(points)])[0]
-
-
 def check_thm5(items, q, blocksup: bool = False) -> CheckReport:
     """Log-weighted coefficient block suprema against the p=(2,2) Lorentz
     norm, in the ``ln max(k,2)`` form or the dyadic block-sup form."""
-    return thm5_sweep(items, [(q, blocksup)])[0]
+    return _sweep(items, [_thm5_group([(q, blocksup)])])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +535,7 @@ def _zero_last_slabs(f: DyadicStep2D) -> DyadicStep2D:
     return DyadicStep2D(f.levels, v)
 
 
-def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
-                tol: float = 1e-12) -> list[CheckReport]:
+def _chain_group(thetas, p=(2, 2), q=(1, 1), tol: float = 1e-12) -> _Group:
     """:func:`check_embeddings_chain` at each ``theta`` of ``thetas``."""
     e = Exponents(p, q)
 
@@ -564,13 +552,13 @@ def chain_sweep(corpus, thetas, p=(2, 2), q=(1, 1),
         return [(":upper", prep.grand(e, GrandParams(theta))[0], L),
                 (":lower", L, prep.grand(e, GrandParams((-theta[0], -theta[1])))[0])]
 
-    return _sweep(corpus, [_Group([(th,) for th in thetas], report, cases)])[0]
+    return _Group([(th,) for th in thetas], report, cases)
 
 
 def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1),
                            tol: float = 1e-12) -> CheckReport:
     """Constant-1 chain: grand(+theta) <= Lorentz <= grand(-theta)."""
-    return chain_sweep(corpus, [theta], p, q, tol)[0]
+    return _sweep(corpus, [_chain_group([theta], p, q, tol)])[0][0]
 
 
 def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
@@ -634,8 +622,9 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
 
 
 def _interp_group(points, h: str | None, J: int) -> _Group:
-    """:func:`interp_sweep`'s points on a corpus with hash ``h`` (``None``:
-    the hash of the sweep's items)."""
+    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points`` on a
+    corpus with hash ``h`` (``None``: the hash of the sweep's items); pairs
+    are left out."""
     points = list(points)
     # the samples are the same for every theta
     ts = _interp_samples(points[0][0], J) if points else None
@@ -654,15 +643,10 @@ def _interp_group(points, h: str | None, J: int) -> _Group:
     return _Group(points, report, cases)
 
 
-def interp_sweep(corpus, points, J: int = 10) -> list[CheckReport]:
-    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``."""
-    return _sweep(corpus, [_interp_group(points, None, J)])[0]
-
-
 def check_interp_chain(corpus, theta, q, J: int = 10) -> CheckReport:
     """Discretized interpolation norm against ``6 D(theta)`` times the
     Lorentz norm at the induced integrability exponents, at threshold 1.05."""
-    return interp_sweep(corpus, [(theta, q)], J)[0]
+    return _sweep(corpus, [_interp_group([(theta, q)], None, J)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -710,52 +694,47 @@ def sweep_corpus(seed: int, level=(5, 5)) -> list[DyadicStep2D]:
             + generate(CorpusSpec("tensor", level, 10, seed + 2)))
 
 
-def _sweep_pairs(seed: int) -> LacunaryPairs:
-    """The lacunary pairs that te4 and thm5 add to the sweep corpus."""
-    return generate_lacunary_pairs((9, 9), 20, seed)
-
-
-# the parameter points of te3 and interp, te4 and thm5
-_THETA_Q = tuple((th, q) for th in THETA_SWEEP for q in Q_SWEEP)
-_TE4_POINTS = tuple((th, q, th == (0.0, 0.0))
-                    for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP)
-_THM5_POINTS = tuple((q, blocksup)
-                     for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
-                     for blocksup in (False, True))
+def _theorem_suites(seed: int, level=(5, 5),
+                    names=("te3", "te4", "thm5", "interp")) -> dict[str, list[CheckReport]]:
+    """The reports of the named suites among te3, te4, thm5 and interp,
+    from one :func:`_sweep` over the sweep corpus, followed by the lacunary
+    pairs when te4 or thm5 is named.  Each input is generated once and
+    each pair is built once for its stack and its hash (and once more if
+    it is a witness); each suite's reports equal its own run's.  te3 and
+    interp leave the pair stacks out."""
+    corpus = sweep_corpus(seed, level)
+    pairs = generate_lacunary_pairs((9, 9), 20, seed) if {"te4", "thm5"} & set(names) else ()
+    # the reports without pairs carry the corpus's own hash
+    h = corpus_hash(corpus) if pairs else None
+    theta_q = [(th, q) for th in THETA_SWEEP for q in Q_SWEEP]
+    groups = {
+        "te3": _te3_group(theta_q, h),
+        "te4": _te4_group([(th, q, th == (0.0, 0.0)) for th in
+                           ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP],
+                          h, len(corpus), len(pairs)),
+        "thm5": _thm5_group([(q, blocksup) for q in
+                             ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
+                             for blocksup in (False, True)]),
+        "interp": _interp_group(theta_q, h, 10)}
+    return dict(zip(names, _sweep(_Chain(corpus, pairs), [groups[n] for n in names])))
 
 
 def suite_te3(seed: int, level=(5, 5)) -> list[CheckReport]:
-    return te3_sweep(sweep_corpus(seed, level), _THETA_Q)
+    return _theorem_suites(seed, level, ("te3",))["te3"]
 
 
 def suite_te4(seed: int, level=(5, 5)) -> list[CheckReport]:
-    return te4_sweep(sweep_corpus(seed, level), _TE4_POINTS, pairs=_sweep_pairs(seed))
+    return _theorem_suites(seed, level, ("te4",))["te4"]
 
 
 def suite_thm5(seed: int, level=(5, 5)) -> list[CheckReport]:
-    return thm5_sweep(_Chain(sweep_corpus(seed, level), _sweep_pairs(seed)),
-                      _THM5_POINTS)
-
-
-def _theorem_suites(seed: int, level=(5, 5)) -> dict[str, list[CheckReport]]:
-    """The reports of te3, te4, thm5 and interp from one :func:`_sweep`
-    over the sweep corpus followed by the lacunary pairs, so each input is
-    generated once and each pair is built once for its stack and its hash
-    (and once more if it is a witness); each suite's reports equal its own
-    run's.  te3 and interp leave the pair stacks out."""
-    corpus, pairs = sweep_corpus(seed, level), _sweep_pairs(seed)
-    hashes = {False: corpus_hash(corpus), True: None}
-    groups = {"te3": _te3_group(_THETA_Q, hashes[False]),
-              "te4": _te4_group(_TE4_POINTS, hashes, len(corpus), len(pairs)),
-              "thm5": _thm5_group(_THM5_POINTS),
-              "interp": _interp_group(_THETA_Q, hashes[False], 10)}
-    return dict(zip(groups, _sweep(_Chain(corpus, pairs), groups.values())))
+    return _theorem_suites(seed, level, ("thm5",))["thm5"]
 
 
 def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
     corpus = generate(CorpusSpec("random_step", level, 100, seed))
     thetas = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
-    out = chain_sweep(corpus, thetas)
+    out = _sweep(corpus, [_chain_group(thetas)])[0]
     out.append(check_p1_monotone(corpus[:50], (0.25, 0.25), (0.5, 1.0)))
     out.append(check_p1_monotone(corpus[:50], (0.5, 0.5), (1.0, 1.0)))
     out.append(check_collapse(corpus))
@@ -764,7 +743,7 @@ def suite_embeddings(seed: int, level=(5, 5)) -> list[CheckReport]:
 
 
 def suite_interp(seed: int, level=(5, 5)) -> list[CheckReport]:
-    return interp_sweep(sweep_corpus(seed, level), _THETA_Q)
+    return _theorem_suites(seed, level, ("interp",))["interp"]
 
 
 _SUITES = {

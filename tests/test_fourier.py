@@ -118,6 +118,20 @@ class TestCoeffs:
         a = coeffs_from_values(vals, (2, 2), *systems, np.int64(3), 2)
         assert a.truncation == (3, 2)
 
+    @pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG),
+                                         (WALSH, TRIG), (TRIG, WALSH)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 1)])
+    def test_nonfinite_values_rejected(self, systems, bad, where):
+        # an inf used to raise a RuntimeWarning inside the transform and a
+        # nan to give nan entries; both are a typed error before any work
+        vals = np.random.default_rng(2).random((4, 4))
+        vals[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                coeffs_from_values(vals, (2, 2), *systems, 4, 4)
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("system", [TRIG, WALSH])

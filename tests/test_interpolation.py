@@ -9,6 +9,7 @@ from lorentz_forge.norms import Exponents, lorentz_norm
 from lorentz_forge.oracles import oracle_rearrange
 from lorentz_forge.stepfun import DyadicStep2D, constant_grid
 from lorentz_forge.verify.calibration import pinned_ratios
+from lorentz_forge.verify.checks import check_interp_chain
 
 INF = float("inf")
 
@@ -174,6 +175,18 @@ class TestInterpNorm:
             interp_norm(constant_grid(1.0), (0.0, 0.5), (2, 2))
         with pytest.raises(ValueError):
             interp_norm(constant_grid(1.0), (0.5, 0.5), (2, 2), J=2)
+
+    @pytest.mark.parametrize("J", [4.5, 10.0, 3, True, "10", None])
+    def test_depth_must_be_an_integer_of_at_least_four(self, J):
+        # J = 4.5 sampled t = 2^-4.5 .. 2^0.5, past t = 1, and read 1.951
+        # on this grid, where J = 10 reads 1.798
+        f = constant_grid(1.0, (2, 2))
+        with pytest.raises(ValueError, match="J"):
+            interp_norm(f, (0.5, 0.5), (2, 2), J=J)
+        with pytest.raises(ValueError, match="J"):
+            check_interp_chain([f], (0.5, 0.5), (2, 2), J=J)
+        assert interp_norm(f, (0.5, 0.5), (2, 2), J=np.int64(4)) == \
+            interp_norm(f, (0.5, 0.5), (2, 2), J=4)
 
     def test_chain_against_lorentz(self, rng):
         f = DyadicStep2D((4, 4), rng.random((16, 16)))

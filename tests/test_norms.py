@@ -118,6 +118,20 @@ def test_lorentz_positive_homogeneity(lam):
     assert lorentz_norm(g, e) == pytest.approx(lam * lorentz_norm(f, e), rel=1e-12)
 
 
+class TestGrandParams:
+    @pytest.mark.parametrize("J", [2.5, 3.0, np.float64(3), True, False, -1,
+                                   "3", None])
+    def test_depth_must_be_an_integer(self, J):
+        # 2.5 searched depth 3 (np.arange(3.5)) and True depth 1
+        with pytest.raises(ValueError, match="eps_levels"):
+            GrandParams((0.5, 0.5), eps_levels=J)
+
+    @pytest.mark.parametrize("J", [0, 3, np.int64(3), np.uint8(24)])
+    def test_integer_depths_accepted(self, J):
+        gp = GrandParams((0.5, 0.5), eps_levels=J)
+        assert gp.eps_levels == J and type(gp.eps_levels) is int
+
+
 class TestGrandLorentz:
     def test_constant_sup_form_attained_at_one(self):
         res = grand_lorentz_norm(constant_grid(1.0, (2, 2)),
@@ -367,6 +381,17 @@ class TestDiscreteP6:
         with pytest.raises(ValueError):
             discrete_grand_norm_P6(f, Exponents((2, 2), (2, 2)), (0.5, 0.5),
                                    k_max=k_max)
+
+    @pytest.mark.parametrize("k_max", [2.5, 4.0, True, "4", None])
+    def test_k_max_must_be_an_integer(self, k_max):
+        # 2.5 raised a TypeError from range()
+        with pytest.raises(ValueError, match="k_max"):
+            discrete_grand_norm_P6(constant_grid(1.0, (2, 2)),
+                                   Exponents((2, 2), (2, 2)), (0.5, 0.5), k_max=k_max)
+        f = constant_grid(1.0, (2, 2))
+        assert discrete_grand_norm_P6(f, Exponents((2, 2), (2, 2)), (0.5, 0.5),
+                                      k_max=np.int64(4)) == \
+            discrete_grand_norm_P6(f, Exponents((2, 2), (2, 2)), (0.5, 0.5), k_max=4)
 
     def test_monotone_in_smoothness(self, rng):
         f = DyadicStep2D((4, 4), rng.random((16, 16)))

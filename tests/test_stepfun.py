@@ -148,6 +148,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="level"):
             DyadicStep2D((1, level), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("levels", [(-1, 0), (0, -1), (0.5, 1), (1, 1.0),
+                                        (True, 1), (1, None)])
+    def test_constant_grid_levels_must_be_integers(self, levels):
+        # (-1, 0) raised a TypeError from np.full's shape
+        with pytest.raises(ValueError, match="level"):
+            constant_grid(1.0, levels)
+
     @pytest.mark.parametrize("level", [1, np.int64(1), np.uint8(1)])
     def test_integer_levels_accepted(self, level):
         assert DyadicStep1D(level, np.ones(2)).level == 1

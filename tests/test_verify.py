@@ -601,7 +601,7 @@ class TestSweepsMatchOnePointChecks:
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
-        self.assert_same(checks.te3_sweep(funcs, points),
+        self.assert_same(checks._sweep(funcs, [checks._te3_group(points, None)])[0],
                          [checks.check_te3(funcs, th, q) for th, q in points])
 
     def test_te4(self, small):
@@ -610,7 +610,8 @@ class TestSweepsMatchOnePointChecks:
                   for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5))
                   for q in checks.Q_SWEEP]
         self.assert_same(
-            checks.te4_sweep(corpus, points, pairs=pairs),
+            checks._sweep(checks._Chain(corpus, pairs), [checks._te4_group(
+                points, corpus_hash(corpus), len(corpus), len(pairs))])[0],
             [checks.check_te4(corpus, th, q, pairs=pairs if w else None)
              for th, q, w in points])
 
@@ -619,21 +620,21 @@ class TestSweepsMatchOnePointChecks:
         items = list(corpus) + list(pairs)
         points = [(q, b) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
                   for b in (False, True)]
-        self.assert_same(checks.thm5_sweep(items, points),
+        self.assert_same(checks._sweep(items, [checks._thm5_group(points)])[0],
                          [checks.check_thm5(items, q, blocksup=b) for q, b in points])
 
     def test_interp(self, small):
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
-        self.assert_same(checks.interp_sweep(funcs, points),
+        self.assert_same(checks._sweep(funcs, [checks._interp_group(points, None, 10)])[0],
                          [checks.check_interp_chain(funcs, th, q) for th, q in points])
 
     def test_chain(self, small):
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         thetas = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
-        swept = checks.chain_sweep(funcs, thetas)
+        swept = checks._sweep(funcs, [checks._chain_group(thetas)])[0]
         self.assert_same(swept,
                          [checks.check_embeddings_chain(funcs, th) for th in thetas])
         # and the cases are the public norms, function by function
@@ -678,7 +679,8 @@ class TestSweepCasesArePublicNorms:
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
-        for rep, (th, q) in zip(checks.te3_sweep(funcs, points), points):
+        for rep, (th, q) in zip(
+                checks._sweep(funcs, [checks._te3_group(points, None)])[0], points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
             assert _bits(rep.cases) == _want_bits(
                 (f"f{i}", te3_lhs(_full_coeffs(f)[0], p, q),
@@ -691,8 +693,9 @@ class TestSweepCasesArePublicNorms:
                   for th in ((0.0, 0.0), (0.25, 0.25)) for q in checks.Q_SWEEP]
         items = [(f"f{i}", f) for i, f in enumerate(corpus)] + \
             [(f"flac{j}", pair) for j, pair in enumerate(pairs)]
-        for rep, (th, q, w) in zip(checks.te4_sweep(corpus, points, pairs=pairs),
-                                   points):
+        swept = checks._sweep(checks._Chain(corpus, pairs), [checks._te4_group(
+            points, corpus_hash(corpus), len(corpus), len(pairs))])[0]
+        for rep, (th, q, w) in zip(swept, points):
             e, gp = Exponents((2, 2), q), GrandParams(th)
             assert _bits(rep.cases) == _want_bits(
                 (cid, te4_lhs(_full_coeffs(it)[0], e, gp).value,
@@ -704,7 +707,8 @@ class TestSweepCasesArePublicNorms:
         items = list(corpus) + list(pairs)
         points = [(q, b) for q in ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
                   for b in (False, True)]
-        for rep, (q, b) in zip(checks.thm5_sweep(items, points), points):
+        for rep, (q, b) in zip(checks._sweep(items, [checks._thm5_group(points)])[0],
+                               points):
             lhs = block_sup_lhs if b else bochkarev_lhs
             assert _bits(rep.cases) == _want_bits(
                 (f"f{i}", lhs(_full_coeffs(it)[0], q),
@@ -753,7 +757,9 @@ class TestSweepCasesArePublicNorms:
         funcs = corpus + [f for _, f in pairs]
         q = (4.0, 4.0)
         points = [(th, q) for th in checks.THETA_SWEEP]
-        for rep, (th, _) in zip(checks.interp_sweep(funcs, points), points):
+        for rep, (th, _) in zip(
+                checks._sweep(funcs, [checks._interp_group(points, None, 10)])[0],
+                points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
             assert _bits(rep.cases) == _want_bits(
                 (f"f{i}", interp_norm(f, th, q),
@@ -993,12 +999,24 @@ def _assert_cases(rep, want):
     assert same_bits([c[1:] for c in got], [c[1:] for c in want])
 
 
+def _assert_corpus_and_witness(rep, corpus, want):
+    """The report's corpus hash is the corpus's, and its witness is the
+    serialized function of the first worst case of the cases ``want``."""
+    assert rep.corpus_hash == corpus_hash(corpus)
+    worst = CheckReport("ref", {}, "", 1.0,
+                        [CheckCase(*c) for c in want]).worst_case()
+    assert rep.worst_witness == (None if worst is None else serialize_grid(
+        corpus[int(worst.case_id.split(":")[0][1:])]))
+
+
 class TestStackedLemmaChecksMatchTheLoops:
     @pytest.mark.parametrize("name", _LEMMA_CORPORA)
     @pytest.mark.parametrize("p,q", [(1, 2), (1, INF), (2, 4), (0.5, 3.0)])
     def test_mink(self, name, p, q):
         corpus = _LEMMA_CORPORA[name]
-        _assert_cases(checks.check_mink(corpus, p, q), ref_mink_cases(corpus, p, q))
+        rep, want = checks.check_mink(corpus, p, q), ref_mink_cases(corpus, p, q)
+        _assert_cases(rep, want)
+        _assert_corpus_and_witness(rep, corpus, want)
 
     @pytest.mark.parametrize("name", _LEMMA_CORPORA)
     @pytest.mark.parametrize("systems", [(WALSH, WALSH), (TRIG, TRIG), (WALSH, TRIG)])
@@ -1009,6 +1027,7 @@ class TestStackedLemmaChecksMatchTheLoops:
         rep = checks.check_le3(corpus, systems, Ns=((2, 2), (8, 8), (32, 32)))
         cases, fun_max = ref_le3(corpus, systems, ((2, 2), (8, 8), (32, 32)))
         _assert_cases(rep, cases)
+        _assert_corpus_and_witness(rep, corpus, cases)
         assert same_bits(rep.notes["fun_order_max_ratio_vs_parseval"], fun_max)
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
