@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _LN2, _nested
+from .norms import _DEPTH_MAX, _LN2, _nested
 from .stepfun import DyadicStep2D, _integer
 
 
@@ -187,7 +187,7 @@ def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
     th1, th2 = theta
     if not (0 < th1 < 1 and 0 < th2 < 1):
         raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
-    return 2.0 ** np.arange(-_integer(J, 4, "J"), 1)
+    return 2.0 ** np.arange(-_integer(J, 4, "J", _DEPTH_MAX), 1)
 
 
 def _interp_of(K: np.ndarray, theta: tuple[float, float],

@@ -108,13 +108,16 @@ class Exponents:
         return pi / (pi - 1.0)
 
 
+_DEPTH_MAX = 1074  # past it 2^-j is 0.0: a deeper grid only repeats 0
+
+
 @dataclass(frozen=True)
 class GrandParams:
     """Smoothness weights and epsilon-search configuration for grand norms.
 
     ``theta`` components must share one sign: both >= 0 selects the sup form,
     both < 0 the inf form.  ``eps_levels`` is the geometric grid depth J
-    (grid ``2^-j, j=0..J``), an integer >= 0.
+    (grid ``2^-j, j=0..J``), an integer in ``[0, 1074]``.
     """
 
     theta: tuple[float, float]
@@ -126,7 +129,8 @@ class GrandParams:
             raise ValueError(f"theta components must be numbers, got {self.theta}")
         if (t1 < 0) != (t2 < 0):
             raise ValueError(f"mixed-sign theta {self.theta} is not defined")
-        object.__setattr__(self, "eps_levels", _integer(self.eps_levels, 0, "eps_levels"))
+        object.__setattr__(self, "eps_levels", _integer(self.eps_levels, 0, "eps_levels",
+                                                         _DEPTH_MAX))
         object.__setattr__(self, "theta", (float(t1), float(t2)))
 
     @property

@@ -23,11 +23,12 @@ class DivergentIntegralError(ValueError):
     """Raised when a requested weighted integral diverges at the origin."""
 
 
-def _integer(n, least: int = 0, name: str = "a level") -> int:
-    """``n`` as an integer (not a bool) >= ``least``, by default a grid
-    level; the error names it ``name``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+def _integer(n, least: int = 0, name: str = "a level", most=math.inf) -> int:
+    """``n`` as an integer (not a bool) in ``[least, most]``, by default a
+    grid level; the error names it ``name``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not least <= n <= most:
+        bound = "" if most == math.inf else f" and <= {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{bound}, got {n!r}")
     return int(n)
 
 

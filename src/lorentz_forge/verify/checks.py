@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections.abc import Sequence
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +36,7 @@ from .calibration import calibration
 from .corpus import (CorpusSpec, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
 from .hardy import hardy_grid
-from .report import CheckCase, CheckReport, serialize_grid
+from .report import CheckCase, CheckReport, _worst_index, serialize_grid
 
 INF = float("inf")
 
@@ -169,98 +168,72 @@ class _Group(NamedTuple):
     the stack ``prep`` as ``(suffix, lhs, rhs)`` with one array entry per
     item, or ``None`` to leave the stack out of that point.  A case's id is
     its item's id (``ids``, by default ``f0, f1, ...``) followed by the
-    suffix, and the worst case's function is read from ``witness`` (by
-    default the items).  ``finish(rep)`` runs on each report at the end."""
+    suffix.  ``finish(rep)`` runs on each report at the end."""
 
     points: list
     report: Callable
     cases: Callable
     ids: list | None = None
-    witness: list | None = None
     finish: Callable | None = None
 
 
 def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
-    """The reports of each :class:`_Group` of ``groups`` over the sequence
+    """The reports of each :class:`_Group` of ``groups`` over the iterable
     ``items``, one per parameter point.
 
-    The items are read in one pass and prepared one stack of at most
-    ``cells`` cells at a time (see :func:`_stacks`); every group's points
-    read the stack, and it goes, pieces and items, before the next item is
-    read.  The pass hashes the items as :func:`corpus_hash` does, and a
-    report made without a corpus hash (``None``) gets that digest.  A
-    witness reads the one item it names again, once per item.
+    The items are read once, in one pass, and prepared one stack of at
+    most ``cells`` cells at a time (see :func:`_stacks`); every group's
+    points read the stack, and it goes, pieces and items, before the next
+    item is read.  The pass hashes the items as :func:`corpus_hash` does,
+    and a report made without a corpus hash (``None``) gets that digest.
+    When a stack's cases give a report a new worst case (the one
+    :meth:`CheckReport.worst_case` picks), the witness is taken from the
+    stack in hand: the serialized function of the case's item, made once
+    per item and shared by every report that names it, or ``{"case":
+    id}`` for an item whose id is not ``f<digits>``.
     """
     groups = list(groups)
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
+    worst = {}  # id(report) -> [its worst case so far]
     h = hashlib.sha256()
     for run, stack in _stacks(items, cells):
         for item in stack:
             _hash_into(h, item)
         prep = _Prepared(stack)
+        grids = {}  # the serialized functions of the stack, by position
         for gr, greps in zip(groups, reps):
+            ids = [gr.ids[i] if gr.ids else f"f{i}" for i in run]
             for rep, pt in zip(greps, gr.points):
                 sides = gr.cases(prep, *pt)
                 if sides is None:
                     continue
-                for k, i in enumerate(run):
-                    cid = gr.ids[i] if gr.ids else f"f{i}"
-                    rep.cases.extend(CheckCase(cid + sfx, float(lhs[k]),
-                                               float(rhs[k]))
-                                     for sfx, lhs, rhs in sides)
+                new = [CheckCase(cid + sfx, float(lhs[k]), float(rhs[k]))
+                       for k, cid in enumerate(ids) for sfx, lhs, rhs in sides]
+                rep.cases.extend(new)
+                # the worst case so far comes before the new ones, so the
+                # worst of it and them is the report's
+                head = worst.get(id(rep), [])
+                j = _worst_index(head + new)
+                if j is None or j < len(head):
+                    continue
+                j -= len(head)
+                worst[id(rep)] = [new[j]]
+                k = j // len(sides)  # the item of case j
+                if ids[k].startswith("f") and ids[k][1:].isdigit():
+                    if k not in grids:
+                        grids[k] = serialize_grid(prep.fs[k])
+                    rep.worst_witness = grids[k]
+                else:
+                    rep.worst_witness = {"case": new[j].case_id}
         # the stack goes before the next item is read
         del prep, stack
-    witness = _witness(items)
     for gr, greps in zip(groups, reps):
         for rep in greps:
             if rep.corpus_hash is None:
                 rep.corpus_hash = h.hexdigest()
-            rep.finalize_witness(witness if gr.witness is None
-                                 else _witness(gr.witness))
             if gr.finish is not None:
                 gr.finish(rep)
     return reps
-
-
-class _Chain(Sequence):
-    """Sequences read as one, one after another, without copying an item:
-    a corpus followed by :func:`generate_lacunary_pairs`' pairs.  Takes
-    indices ``>= 0``."""
-
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def __len__(self) -> int:
-        return sum(map(len, self.parts))
-
-    def __getitem__(self, i: int):
-        for part in self.parts:
-            if 0 <= i < len(part):
-                return part[i]
-            i -= len(part)
-        raise IndexError("index out of range")
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.parts)
-
-
-def _witness(items) -> Callable[[str], dict]:
-    """The witness of a case id: the serialized function of the item of
-    ``items`` that the id names by its index (``f<i>:...``), read once per
-    item, or else the id itself."""
-
-    @cache
-    def grid(i: int) -> dict:
-        item = items[i]
-        return serialize_grid(item[1] if isinstance(item, tuple) else item)
-
-    def witness(cid: str):
-        tok = cid.split(":")[0]
-        if tok.startswith("f") and tok[1:].isdigit():
-            return grid(int(tok[1:]))
-        return {"case": cid}
-
-    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +249,7 @@ def check_karamata(pairs, p: float, tol: float = 1e-12) -> CheckReport:
         lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
         rep.cases.append(CheckCase(f"pair{i}", lhs, rhs))
     rep.notes["direction"] = "exact closed-form sums"
-    rep.finalize_witness(_witness([]))
+    rep.finalize_witness(lambda cid: {"case": cid})
     return rep
 
 
@@ -359,7 +332,7 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
     rep.notes["uniformity_threshold"] = cal["hardy_alpha_uniformity"]
     rep.notes["uniformity_pass"] = bool(
         all(u <= cal["hardy_alpha_uniformity"] for u in uni.values()))
-    rep.finalize_witness(_witness([]))
+    rep.finalize_witness(lambda cid: {"case": cid})
     return rep
 
 
@@ -491,7 +464,7 @@ def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     against the grand Lorentz norm at smoothness ``theta`` (p = (2,2)),
     on the corpus followed by the lacunary ``pairs``."""
     corpus, pairs = list(corpus), pairs or ()
-    return _sweep(_Chain(corpus, pairs), [_te4_group(
+    return _sweep(itertools.chain(corpus, pairs), [_te4_group(
         [(theta, q, True)], None, len(corpus), len(pairs))])[0][0]
 
 
@@ -615,7 +588,7 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     rep = _sweep([funcs[i] for i in live], [_Group([()], lambda: CheckReport(
         "embeddings_L1", {"theta": list(theta), "p": list(p)}, corpus_hash(funcs),
         1.0, notes={"corpus": "last row/column zeroed"}), cases,
-        ids=[f"f{i}" for i in live], witness=funcs)])[0][0]
+        ids=[f"f{i}" for i in live])])[0][0]
     rep.notes["ratio_min"] = min(raw) if raw else None
     rep.notes["ratio_max"] = max(raw) if raw else None
     return rep
@@ -699,9 +672,9 @@ def _theorem_suites(seed: int, level=(5, 5),
     """The reports of the named suites among te3, te4, thm5 and interp,
     from one :func:`_sweep` over the sweep corpus, followed by the lacunary
     pairs when te4 or thm5 is named.  Each input is generated once and
-    each pair is built once for its stack and its hash (and once more if
-    it is a witness); each suite's reports equal its own run's.  te3 and
-    interp leave the pair stacks out."""
+    each pair is built once, for its stack, its hash and its witness; each
+    suite's reports equal its own run's.  te3 and interp leave the pair
+    stacks out."""
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed) if {"te4", "thm5"} & set(names) else ()
     # the reports without pairs carry the corpus's own hash
@@ -716,7 +689,8 @@ def _theorem_suites(seed: int, level=(5, 5),
                              ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
                              for blocksup in (False, True)]),
         "interp": _interp_group(theta_q, h, 10)}
-    return dict(zip(names, _sweep(_Chain(corpus, pairs), [groups[n] for n in names])))
+    return dict(zip(names, _sweep(itertools.chain(corpus, pairs),
+                                    [groups[n] for n in names])))
 
 
 def suite_te3(seed: int, level=(5, 5)) -> list[CheckReport]:

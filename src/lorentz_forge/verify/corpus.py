@@ -10,7 +10,6 @@ lacunary coefficient polynomials, and indicator rectangles.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from ..fourier import WALSH, CoeffMatrix, walsh_on_cells
 from ..rearrange import iterated_rearrange_2d
-from ..stepfun import DyadicStep2D, corpus_hash  # corpus_hash: re-exported
+from ..stepfun import DyadicStep2D, _integer, corpus_hash  # corpus_hash: re-exported
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,11 @@ class CorpusSpec:
         if self.kind not in ("random_step", "tensor", "power_log",
                              "lacunary", "indicator"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
-        if np.shape(self.level) != (2,) or not all(
-                isinstance(n, numbers.Integral) and n >= 0 for n in self.level):
+        if np.shape(self.level) != (2,):
             raise ValueError(f"level must be two nonnegative integers, got {self.level!r}")
+        object.__setattr__(self, "level", tuple(map(_integer, self.level)))
+        object.__setattr__(self, "count", _integer(self.count, 0, "count"))
+        object.__setattr__(self, "seed", _integer(self.seed, 0, "seed"))
 
 
 def _power_log_profile(level: int, r: float, s: float) -> np.ndarray:

@@ -40,6 +40,17 @@ class CheckCase:
         object.__setattr__(self, "ratio", ratio)
 
 
+def _worst_index(cases) -> int | None:
+    """The index of the worst of ``cases``: the first whose ratio is
+    ``nan`` if any is, else the first of the largest ratio; ``None``
+    without cases."""
+    ratios = [c.ratio for c in cases]
+    if not ratios:
+        return None
+    nans = [i for i, r in enumerate(ratios) if math.isnan(r)]
+    return nans[0] if nans else ratios.index(max(ratios))
+
+
 @dataclass
 class CheckReport:
     check_id: str
@@ -53,12 +64,8 @@ class CheckReport:
     def worst_case(self) -> CheckCase | None:
         """The case of the largest ratio, the first of them, or the first
         case whose ratio is ``nan`` if any is; ``None`` without cases."""
-        if not self.cases:
-            return None
-        ratios = [c.ratio for c in self.cases]
-        if any(map(math.isnan, ratios)):
-            return next(c for c, r in zip(self.cases, ratios) if math.isnan(r))
-        return self.cases[ratios.index(max(ratios))]
+        i = _worst_index(self.cases)
+        return None if i is None else self.cases[i]
 
     @property
     def max_ratio(self) -> float:
@@ -99,7 +106,7 @@ def serialize_grid(f) -> dict:
 
     vals = np.asarray(f.values)
     if vals.size <= 4096:
-        return {"levels": list(f.levels), "values": [list(map(float, r)) for r in vals]}
+        return {"levels": list(f.levels), "values": vals.tolist()}
     return {"levels": list(f.levels),
             "sha256": hashlib.sha256(np.ascontiguousarray(vals)).hexdigest(),
             "note": "values omitted (large); regenerate from the corpus spec"}

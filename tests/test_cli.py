@@ -100,6 +100,15 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_depth_past_1074_exits_2(self, const_grid, capsys):
+        # past 1074 the epsilon grid only repeats 0, and an unbounded depth
+        # exhausted memory
+        rc = main(["norm", "--kind", "grand", "--theta", "0.5", "0.5",
+                   "--J", "1075", "--in", str(const_grid)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "eps_levels" in captured.err
+
     def test_output_file(self, const_grid, tmp_path):
         out = tmp_path / "norm.json"
         rc = main(["norm", "--kind", "mixed", "--p", "2", "2",

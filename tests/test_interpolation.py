@@ -176,10 +176,10 @@ class TestInterpNorm:
         with pytest.raises(ValueError):
             interp_norm(constant_grid(1.0), (0.5, 0.5), (2, 2), J=2)
 
-    @pytest.mark.parametrize("J", [4.5, 10.0, 3, True, "10", None])
+    @pytest.mark.parametrize("J", [4.5, 10.0, 3, True, "10", None, 1075])
     def test_depth_must_be_an_integer_of_at_least_four(self, J):
         # J = 4.5 sampled t = 2^-4.5 .. 2^0.5, past t = 1, and read 1.951
-        # on this grid, where J = 10 reads 1.798
+        # on this grid, where J = 10 reads 1.798; J = 1075 sampled t = 0
         f = constant_grid(1.0, (2, 2))
         with pytest.raises(ValueError, match="J"):
             interp_norm(f, (0.5, 0.5), (2, 2), J=J)

@@ -120,13 +120,14 @@ def test_lorentz_positive_homogeneity(lam):
 
 class TestGrandParams:
     @pytest.mark.parametrize("J", [2.5, 3.0, np.float64(3), True, False, -1,
-                                   "3", None])
+                                   "3", None, 1075, 10**9])
     def test_depth_must_be_an_integer(self, J):
-        # 2.5 searched depth 3 (np.arange(3.5)) and True depth 1
+        # 2.5 searched depth 3 (np.arange(3.5)) and True depth 1; past 1074
+        # 2^-j is 0.0, and a depth of 10**9 built np.arange(10**9 + 1)
         with pytest.raises(ValueError, match="eps_levels"):
             GrandParams((0.5, 0.5), eps_levels=J)
 
-    @pytest.mark.parametrize("J", [0, 3, np.int64(3), np.uint8(24)])
+    @pytest.mark.parametrize("J", [0, 3, np.int64(3), np.uint8(24), 1074])
     def test_integer_depths_accepted(self, J):
         gp = GrandParams((0.5, 0.5), eps_levels=J)
         assert gp.eps_levels == J and type(gp.eps_levels) is int

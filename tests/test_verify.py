@@ -109,6 +109,24 @@ class TestCorpus:
         with pytest.raises(ValueError, match="level"):
             CorpusSpec("random_step", level, 3, 7)
 
+    @pytest.mark.parametrize("level,count,seed,name", [
+        ((True, 2), 2, 0, "level"), ((2, 2), True, 0, "count"),
+        ((2, 2), -1, 0, "count"), ((2, 2), 2.5, 0, "count"),
+        ((2, 2), 2, 1.5, "seed"), ((2, 2), 2, -1, "seed"),
+        ((2, 2), 2, None, "seed")])
+    def test_level_count_and_seed_are_checked_when_made(self, level, count, seed, name):
+        # a bool level and count=True made a spec, count=-1 an empty corpus,
+        # and 2.5 or 1.5 failed only in generate, with a TypeError
+        with pytest.raises(ValueError, match=name):
+            CorpusSpec("random_step", level, count, seed)
+
+    def test_integer_like_spec_fields_are_ints(self):
+        spec = CorpusSpec("random_step", [np.int64(2), 3], np.uint8(4), np.int64(7))
+        assert (spec.level, spec.count, spec.seed) == ((2, 3), 4, 7)
+        assert all(type(n) is int for n in (*spec.level, spec.count, spec.seed))
+        assert corpus_hash(generate(spec)) == \
+            corpus_hash(generate(CorpusSpec("random_step", (2, 3), 4, 7)))
+
     @pytest.mark.parametrize("level", [(9, 9), (5, 7), (3, 9), (1, 1)])
     @pytest.mark.parametrize("seed", [7, 3])
     def test_lacunary_pairs_match_synthesis(self, level, seed):
@@ -610,7 +628,7 @@ class TestSweepsMatchOnePointChecks:
                   for th in ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5))
                   for q in checks.Q_SWEEP]
         self.assert_same(
-            checks._sweep(checks._Chain(corpus, pairs), [checks._te4_group(
+            checks._sweep(itertools.chain(corpus, pairs), [checks._te4_group(
                 points, corpus_hash(corpus), len(corpus), len(pairs))])[0],
             [checks.check_te4(corpus, th, q, pairs=pairs if w else None)
              for th, q, w in points])
@@ -647,6 +665,106 @@ class TestSweepsMatchOnePointChecks:
                     grand_lorentz_norm(f, e, GrandParams(th)).value, L)
                 assert (lower.lhs, lower.rhs) == (
                     L, grand_lorentz_norm(f, e, GrandParams((-th[0], -th[1]))).value)
+
+
+def _witness_by_lookup(rep, items):
+    """The witness of ``rep``'s worst case by the rule of its id: the
+    serialized function of the item ``f<i>`` names, else the id itself."""
+    worst = rep.worst_case()
+    if worst is None:
+        return None
+    tok = worst.case_id.split(":")[0]
+    if tok[:1] == "f" and tok[1:].isdigit():
+        item = items[int(tok[1:])]
+        return serialize_grid(item[1] if isinstance(item, tuple) else item)
+    return {"case": worst.case_id}
+
+
+def _ratio_group(ids=None):
+    """A one-report group whose case for an item of value ``v`` (a 1x1
+    grid) has ratio ``v``, or ``nan`` for ``v = 0``."""
+    def cases(prep):
+        v = prep.values[:, 0, 0]
+        return [(":x", np.where(v == 0, np.nan, v), np.ones_like(v))]
+
+    return checks._Group([()], lambda: CheckReport("x", {}, None, 1.0), cases,
+                         ids=ids)
+
+
+class TestSweepWitnesses:
+    """``_sweep`` reads each item once: each report's witness comes from
+    the stack in hand when its worst case arrives."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        corpus = checks.sweep_corpus(7, (3, 3)) + [constant_grid(0.0, (3, 3))]
+        return corpus + list(generate_lacunary_pairs((5, 5), 3, 7))
+
+    @staticmethod
+    def groups():
+        points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
+        return [checks._te3_group(points, None),
+                checks._thm5_group([(q, b) for q in ((2.0, 2.0), (2.0, INF))
+                                    for b in (False, True)]),
+                checks._chain_group([(0.25, 0.5), (1.0, 1.0)])]
+
+    @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128])
+    def test_a_one_shot_iterator_gives_the_reports_of_a_list(self, items, cells):
+        got = checks._sweep((it for it in items), self.groups(), cells)
+        want = checks._sweep(items, self.groups(), cells)
+        assert [[r.to_json_dict() for r in g] for g in got] == \
+            [[r.to_json_dict() for r in g] for g in want]
+
+    @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128, 64])
+    def test_the_witness_is_that_of_the_worst_case(self, items, cells):
+        # over one stack and over stacks of one or two functions
+        reps = [r for g in checks._sweep(iter(items), self.groups(), cells) for r in g]
+        assert all(r.worst_witness == _witness_by_lookup(r, items) for r in reps)
+        assert any("values" in r.worst_witness for r in reps)
+
+    def test_a_later_nan_beats_an_earlier_larger_ratio(self):
+        # one item per stack: ratios 5, 9, nan, 20, nan, 30
+        items = [constant_grid(v, (0, 0)) for v in (5.0, 9.0, 0.0, 20.0, 0.0, 30.0)]
+        rep = checks._sweep(iter(items), [_ratio_group()], cells=1)[0][0]
+        assert len(rep.cases) == 6
+        assert rep.worst_case().case_id == "f2:x" and np.isnan(rep.max_ratio)
+        assert rep.worst_witness == serialize_grid(items[2])
+
+    def test_a_tie_keeps_the_first_worst_case(self):
+        items = [constant_grid(v, (0, 0)) for v in (3.0, 5.0, 5.0, 1.0)]
+        rep = checks._sweep(iter(items), [_ratio_group()], cells=1)[0][0]
+        assert rep.worst_case().case_id == "f1:x"
+        assert rep.worst_witness == serialize_grid(items[1])
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_an_id_not_f_digits_is_its_own_witness(self, cells):
+        items = [constant_grid(v, (0, 0)) for v in (5.0, 9.0, 2.0)]
+        ids = ["f0", "flac0", "f2"]
+        rep = checks._sweep(iter(items), [_ratio_group(ids)], cells)[0][0]
+        assert rep.worst_witness == {"case": "flac0:x"}
+        # and a later f<digits> worst case replaces it
+        items.append(constant_grid(11.0, (0, 0)))
+        rep = checks._sweep(iter(items), [_ratio_group(ids + ["f3"])], cells)[0][0]
+        assert rep.worst_witness == serialize_grid(items[3])
+
+    @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128])
+    def test_each_item_is_serialized_once_and_its_witness_shared(
+            self, monkeypatch, items, cells):
+        made = collections.Counter()
+
+        def counted(f, _fn=serialize_grid):
+            made[id(f)] += 1
+            return _fn(f)
+
+        monkeypatch.setattr(checks, "serialize_grid", counted)
+        reps = [r for g in checks._sweep(iter(items), self.groups(), cells) for r in g]
+        assert made and max(made.values()) == 1
+        by_item = collections.defaultdict(set)
+        for r in reps:
+            by_item[r.worst_case().case_id.split(":")[0]].add(id(r.worst_witness))
+        assert len(by_item) > 1 and all(len(w) == 1 for w in by_item.values())
+        assert any(len([r for r in reps if id(r.worst_witness) == w]) > 1
+                   for ws in by_item.values() for w in ws)
 
 
 def _full_coeffs(item):
@@ -693,7 +811,7 @@ class TestSweepCasesArePublicNorms:
                   for th in ((0.0, 0.0), (0.25, 0.25)) for q in checks.Q_SWEEP]
         items = [(f"f{i}", f) for i, f in enumerate(corpus)] + \
             [(f"flac{j}", pair) for j, pair in enumerate(pairs)]
-        swept = checks._sweep(checks._Chain(corpus, pairs), [checks._te4_group(
+        swept = checks._sweep(itertools.chain(corpus, pairs), [checks._te4_group(
             points, corpus_hash(corpus), len(corpus), len(pairs))])[0]
         for rep, (th, q, w) in zip(swept, points):
             e, gp = Exponents((2, 2), q), GrandParams(th)
@@ -941,8 +1059,9 @@ def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
 
 @pytest.mark.parametrize("suite", ["all", "te4", "thm5"])
 def test_each_pair_is_built_at_most_twice_per_pass(monkeypatch, suite):
-    # a pass builds each lacunary pair once, for its hash and its stack
-    # together, and once more only if its function is a report's witness
+    # a pass builds each lacunary pair once: its hash, its stack and its
+    # witness all read that one build (a witness lookup built it again
+    # when witnesses were read after the pass)
     built = collections.Counter()
 
     def counted(self, i, _fn=LacunaryPairs._pair):
@@ -952,7 +1071,7 @@ def test_each_pair_is_built_at_most_twice_per_pass(monkeypatch, suite):
     monkeypatch.setattr(LacunaryPairs, "_pair", counted)
     checks.run_suite(suite, 7)
     assert sorted(built) == list(range(20))
-    assert max(built.values()) <= 2
+    assert set(built.values()) == {1}
 
 
 def test_lacunary_pairs_stream_in_bounded_memory():
