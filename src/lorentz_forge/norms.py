@@ -457,9 +457,13 @@ def _grand_pick(axes: list[np.ndarray], vals: np.ndarray,
     epsilon ``axes`` (``0^0 = 1``): the maximum in the sup form, an
     under-approximation, and the minimum in the inf form, an
     over-approximation.  Returns the optima, shape ``(...)``, and the
-    witnessing ``(eps1, eps2)``, shape ``(..., 2)``."""
+    witnessing ``(eps1, eps2)``, shape ``(..., 2)``.  A weight past the
+    float range (the inf form's ``eps^theta``) reads ``inf``, and times a
+    zero value gives 0."""
     e1, e2 = axes
-    obj = vals * np.outer(e1 ** gp.theta[0], e2 ** gp.theta[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = vals * np.outer(e1 ** gp.theta[0], e2 ** gp.theta[1])
+    np.copyto(obj, vals, where=vals == 0)  # 0 * inf is 0 here
     obj = obj.reshape(obj.shape[:-2] + (-1,))
     k = (np.argmax if gp.sup_form else np.argmin)(obj, axis=-1)
     i, j = np.unravel_index(k, vals.shape[-2:])
@@ -720,13 +724,12 @@ def _parse_pair(name: str, raw) -> tuple[float, float]:
 
 
 def _parse_depth(raw) -> int:
-    """A request's ``epsJ``: a number with an integral value (not a bool)."""
-    if not isinstance(raw, bool):
-        if isinstance(raw, numbers.Integral):
-            return int(raw)
-        if isinstance(raw, numbers.Real) and float(raw).is_integer():
-            return int(raw)
-    raise ValueError(f"epsJ must be an integer, got {raw!r}")
+    """A request's ``epsJ``: a number with an integral value (not a bool)
+    in ``[0, _DEPTH_MAX]``."""
+    if isinstance(raw, numbers.Real) and not isinstance(raw, (bool, numbers.Integral)) \
+            and float(raw).is_integer():
+        raw = int(raw)
+    return _integer(raw, 0, "epsJ", _DEPTH_MAX)
 
 
 # the request kinds evaluated on a grid (``seq_grand`` takes a sequence)

@@ -13,6 +13,13 @@ embeddings) is a :class:`_Group` of parameter points run by :func:`_sweep`,
 the one driver that stacks, hashes and prepares the items and picks each
 report's witness.  The suites te3, te4, thm5 and interp, alone or together,
 run through :func:`_theorem_suites`.
+
+No item outlives its stack.  The one thing that crosses stacks is the
+previous stack's pieces (:meth:`_Prepared.pieces`): its rearranged values,
+its rearranged coefficient support and what was read from them.  A stack
+whose two are bitwise equal takes them.  Every lacunary pair after the
+first does: each sign pattern is a dyadic translate of the all-plus
+polynomial (see :class:`~lorentz_forge.verify.corpus.LacunaryPairs`).
 """
 
 from __future__ import annotations
@@ -62,19 +69,31 @@ def _stacks(items, cells: int = _BLOCK_CELLS):
     stack for :class:`_Prepared`: yields each run's index range with its
     items.  A run holds functions only or pairs only, and at most
     ``cells`` cells unless a single item is larger, so a large item is
-    prepared alone.  A run is yielded once the item after it is drawn, and
-    the pass keeps no other item."""
-    run, last = [], None
-    for i, item in enumerate(items):
+    prepared alone.  A run is yielded as soon as one more item of its shape
+    would not fit, before the next item is drawn, or else once the item
+    after it, of another shape, is drawn; the pass keeps no other item.  So
+    a stream of large items (the lacunary pairs) holds one at a time."""
+    run, last, start = [], None, 0
+    for item in items:
         a, f = item if isinstance(item, tuple) else (None, item)
         key = (np.shape(f.values), None if a is None else a.truncation)
-        if run and (key != last or (len(run) + 1) * f.values.size > cells):
-            yield range(i - len(run), i), run
-            run = []
+        if run and key != last:
+            yield range(start, start + len(run)), run
+            start, run = start + len(run), []
         run.append(item)
-        last = key
+        last, size = key, f.values.size
+        del item, a, f  # only the run holds it, so the next draw comes after it goes
+        if (len(run) + 1) * size > cells:
+            yield range(start, start + len(run)), run
+            start, run = start + len(run), []
     if run:
-        yield range(i + 1 - len(run), i + 1), run
+        yield range(start, start + len(run)), run
+
+
+def _stacked(arrays) -> np.ndarray:
+    """``arrays`` stacked on a new leading axis: a view of a single array,
+    not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 class _Prepared(_BlockTables):
@@ -89,7 +108,17 @@ class _Prepared(_BlockTables):
     :func:`~lorentz_forge.fourier._tensor_coeffs`.  Lorentz norms, epsilon
     surfaces and Khat grids are kept per exponent (surface key, sample
     points), so every theta of a sweep picks from one surface.
+
+    Every piece but the values and the coefficient magnitudes is read from
+    the rearranged values :attr:`g` with the cell widths, or from the
+    rearranged support :attr:`_support` with the dims, and from nothing
+    else.  So :meth:`pieces` hands them on without the items, and a next
+    stack whose four are the same takes them (:meth:`take`).  A one-item
+    stack's values and planted magnitudes are views of its item's arrays.
     """
+
+    # the pieces that :meth:`pieces` hands on
+    _PIECES = ("g", "_support", "_table", "_sqrt_table", "_memo")
 
     def __init__(self, items):
         self.a, self.fs = zip(*(it if isinstance(it, tuple) else (None, it)
@@ -101,10 +130,30 @@ class _Prepared(_BlockTables):
         """Whether the items are pairs: stacks never mix them with functions."""
         return self.a[0] is not None
 
+    def pieces(self):
+        """The stack's :attr:`g` and :attr:`_support` with what was read
+        from them so far, keyed by the cell widths and the dims, without
+        the items; ``None`` unless both were read."""
+        got = {k: v for k, v in vars(self).items() if k in self._PIECES}
+        return ((self.fs[0].widths, self.dims), got) \
+            if "g" in got and "_support" in got else None
+
+    def take(self, kept) -> None:
+        """Take the ``kept`` :meth:`pieces` of another stack when its widths
+        and dims are this stack's and its :attr:`g` and :attr:`_support`
+        are bitwise this stack's; every piece is then what this stack
+        would compute.  Computes this stack's :attr:`g`, and its
+        :attr:`_support` only when the ``g`` are equal."""
+        key, got = kept
+        if (key == (self.fs[0].widths, self.dims)
+                and np.array_equal(got["g"], self.g)
+                and np.array_equal(got["_support"], self._support)):
+            vars(self).update(got)
+
     @cached_property
     def values(self) -> np.ndarray:
         """The values ``[k, j2, j1]`` of the functions, stacked."""
-        return np.stack([f.values for f in self.fs])
+        return _stacked([f.values for f in self.fs])
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -122,7 +171,7 @@ class _Prepared(_BlockTables):
     def _block_magnitudes(self) -> np.ndarray:
         """The magnitudes ``[k, i1, i2]`` of the planted or full Walsh coefficients."""
         if self.pairs:
-            return np.stack([np.abs(a.entries) for a in self.a])
+            return _stacked([np.abs(a.entries) for a in self.a])
         return np.abs(_tensor_coeffs(self.values, self.fs[0].levels, WALSH, WALSH,
                                      *self.dims)).swapaxes(-1, -2)
 
@@ -183,9 +232,17 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
 
     The items are read once, in one pass, and prepared one stack of at
     most ``cells`` cells at a time (see :func:`_stacks`); every group's
-    points read the stack, and it goes, pieces and items, before the next
-    item is read.  The pass hashes the items as :func:`corpus_hash` does,
-    and a report made without a corpus hash (``None``) gets that digest.
+    points read the stack, and its items go before the next item is read.
+    Its pieces are kept (:meth:`_Prepared.pieces`) when the groups read
+    both its rearranged values and its support, and the next stack takes
+    them if those two are bitwise its own (:meth:`_Prepared.take`), else
+    they go before that stack's groups run.  Groups that do not read both
+    (mink, le3, the embeddings) keep nothing and compare nothing.  The
+    lacunary pairs of the theorem pass hit: all but the first take the
+    first's Lorentz norms, surfaces and block tables.
+
+    The pass hashes the items as :func:`corpus_hash` does, and a report
+    made without a corpus hash (``None``) gets that digest.
     When a stack's cases give a report a new worst case (the one
     :meth:`CheckReport.worst_case` picks), the witness is taken from the
     stack in hand: the serialized function of the case's item, made once
@@ -196,10 +253,14 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
     worst = {}  # id(report) -> [its worst case so far]
     h = hashlib.sha256()
+    kept = None  # the pieces of the stack before, without its items
     for run, stack in _stacks(items, cells):
         for item in stack:
             _hash_into(h, item)
         prep = _Prepared(stack)
+        if kept is not None:
+            prep.take(kept)
+            kept = None  # taken or not, they go before the groups run
         grids = {}  # the serialized functions of the stack, by position
         for gr, greps in zip(groups, reps):
             ids = [gr.ids[i] if gr.ids else f"f{i}" for i in run]
@@ -225,8 +286,9 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
                     rep.worst_witness = grids[k]
                 else:
                     rep.worst_witness = {"case": new[j].case_id}
+        kept = prep.pieces()
         # the stack goes before the next item is read
-        del prep, stack
+        del prep, stack, item
     for gr, greps in zip(groups, reps):
         for rep in greps:
             if rep.corpus_hash is None:

@@ -94,6 +94,13 @@ class LacunaryPairs(Sequence):
     and a 2 MiB array at level (9, 9)); a slice gives a list of them.  A
     reader that goes through the pairs in order holds only the ones it
     keeps.
+
+    At ratio 2 the planted positions 1, 2, 4, ... are the Paley indices
+    of the Rademacher functions, so flipping a set of signs is a dyadic
+    translation of x1: every pair's function has the rearrangement of the
+    all-plus polynomial, and every pair's planted magnitudes are the same
+    ones.  A verify sweep prepares the first pair and hands its pieces on
+    (see :func:`~lorentz_forge.verify.checks._sweep`).
     """
 
     def __init__(self, level, idx, W1, W2, signs):
@@ -113,12 +120,13 @@ class LacunaryPairs(Sequence):
 
     def _pair(self, i: int) -> tuple[CoeffMatrix, DyadicStep2D]:
         signs = self._signs[i]
-        c = np.zeros((self._W1.shape[1], self._W2.shape[1]), dtype=complex)
+        # real: the matrix's complex copy is the only 4 MiB array of a pair
+        c = np.zeros((self._W1.shape[1], self._W2.shape[1]))
         c[self._idx, self._idx] = signs
         # sum_j s_j w_{n_j}(x1) w_{n_j}(x2) on the cells [j2, j1]: small
         # integers, exact in any summation order
-        f = DyadicStep2D(self._level, np.abs(self._W2.T @ (signs[:, None] * self._W1)))
-        return CoeffMatrix(WALSH, WALSH, c), f
+        v = self._W2.T @ (signs[:, None] * self._W1)
+        return CoeffMatrix(WALSH, WALSH, c), DyadicStep2D(self._level, np.abs(v, out=v))
 
 
 def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,

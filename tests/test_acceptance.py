@@ -6,6 +6,7 @@ regression-pinned ratio table.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -20,6 +21,7 @@ import lorentz_forge as lf
 from lorentz_forge.verify import checks
 from lorentz_forge.verify.calibration import calibration, pinned_ratios
 from lorentz_forge.verify.corpus import CorpusSpec, generate
+from lorentz_forge.verify.report import write_reports
 
 INF = float("inf")
 SEED = 7
@@ -277,3 +279,31 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
         outs.append(out)
     assert (outs[0] / "reports.jsonl").read_bytes() == \
         (outs[1] / "reports.jsonl").read_bytes()
+
+
+# SHA-256 of reports.jsonl and summary.csv as write_reports writes
+# run_suite("all", seed): a change that means to keep the reports keeps these
+# bytes, and a deliberate change of the report format records new digests
+# with it.  The reports carry floats, whose last bits may differ with another
+# numpy or BLAS, so the environment the digests were recorded in is kept too.
+_DIGEST_ENV = ("2.4.6", "scipy-openblas")
+_REPORT_DIGESTS = {
+    0: ("fe646f802c3e85e4b065b6ff61c0dc760643a054fb1f2f696554d8eab85f9903",
+        "31bf9b5d7781c37ea30c3020f2e2694269b16150790cb1ad5f539b1b9eb975b6"),
+    7: ("200a94ab107de41595060da0f201445c2a03221045910f232fb73564fc02666a",
+        "b1f322722d81753aa8033d4a09a66b94758a8793123ebf70f07a8d4eebc9a25e"),
+    13: ("ff2c8e7ecf13b92be80993020597e1f5e719b9316dbb576232817ca195c1ed33",
+         "d922dd399e547c85a2c94a49d871c96a9ee38d7562ae127d69f1a64f7b7cb81e"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, seed):
+    paths = write_reports(checks.run_suite("all", seed), tmp_path)
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    env = (np.__version__,
+           np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    assert got == _REPORT_DIGESTS[seed], (
+        "report bytes changed" if env == _DIGEST_ENV else
+        "digests recorded for numpy %s / BLAS %s, this is numpy %s / BLAS %s"
+        % (_DIGEST_ENV + env))

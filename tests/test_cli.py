@@ -102,12 +102,15 @@ class TestNormCommand:
 
     def test_depth_past_1074_exits_2(self, const_grid, capsys):
         # past 1074 the epsilon grid only repeats 0, and an unbounded depth
-        # exhausted memory
-        rc = main(["norm", "--kind", "grand", "--theta", "0.5", "0.5",
-                   "--J", "1075", "--in", str(const_grid)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "eps_levels" in captured.err
+        # exhausted memory; a negative depth is the other side of the bound
+        for depth in ("1075", "-1"):
+            rc = main(["norm", "--kind", "grand", "--theta", "0.5", "0.5",
+                       "--J", depth, "--in", str(const_grid)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            # the error names the request field of the flag, not GrandParams'
+            assert captured.out == "" and captured.err == \
+                f"error: epsJ must be an integer >= 0 and <= 1074, got {depth}\n"
 
     def test_output_file(self, const_grid, tmp_path):
         out = tmp_path / "norm.json"

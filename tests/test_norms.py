@@ -460,12 +460,27 @@ class TestNormRequestSurface:
         assert got == evaluate_norm_request({"norm": "lorentz", "p": [INF, 2.0],
                                              "q": (INF, 2.0)}, f)
 
-    @pytest.mark.parametrize("depth", [2.7, None, "3", True, INF, float("nan")])
+    @pytest.mark.parametrize("depth", [2.7, None, "3", True, INF, float("nan"),
+                                       1075, 1075.0, -1, 10**9])
     def test_depth_must_be_an_integer(self, depth):
-        # 2.7 was read as a depth of 2, None raised TypeError
-        with pytest.raises(ValueError, match="epsJ"):
+        # 2.7 was read as a depth of 2, None raised TypeError; the bound was
+        # checked by GrandParams only, whose error named eps_levels
+        with pytest.raises(ValueError, match=r"^epsJ must be an integer >= 0 "
+                                             r"and <= 1074, got"):
             evaluate_norm_request({"norm": "grand", "theta": [0.5, 0.5],
                                    "epsJ": depth}, constant_grid(1.0, (2, 2)))
+
+    @pytest.mark.parametrize("theta, depth", [((-43, -43), 24), ((-0.5, -0.5), 1030),
+                                              ((-0.5, -0.5), 1074)])
+    def test_inf_form_weights_past_the_float_range(self, theta, depth):
+        # eps^theta past the float range read inf, and 0 * inf gave nan with
+        # overflow and invalid-value warnings (errors here): a zero grid
+        # reads 0, and a weight that overflows never wins the minimum
+        req = {"norm": "grand", "theta": list(theta), "epsJ": depth}
+        assert evaluate_norm_request(req, constant_grid(0.0, (2, 2)))["value"] == 0.0
+        got = evaluate_norm_request(req, constant_grid(1.0, (2, 2)))
+        want = 1.197262141301476e+52 if theta == (-43, -43) else 8.000000000000002
+        assert (got["value"], got["argmax_eps"]) == (want, [0.25, 0.25])
 
     def test_integral_depths_are_read(self):
         f = constant_grid(1.0, (2, 2))

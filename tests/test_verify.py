@@ -22,6 +22,7 @@ from lorentz_forge.interpolation import constant_D, interp_norm
 from lorentz_forge.norms import (Exponents, GrandParams, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
                                  lorentz_norm)
+from lorentz_forge.rearrange import _rearranged_support, _rearranged_values
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid,
                                    power_weight_integral)
@@ -987,15 +988,17 @@ def test_suites_compute_each_surface_once(monkeypatch):
     # embeddings: the collapse check reads the theta = 0 surface besides
     # the plain norm
     assert got["embeddings"]["_lorentz_core_batch"] <= 8
-    assert got["te4"]["_lorentz_core_batch"] <= 88
-    assert got["te4"]["_seq_block_core"] <= 84
-    assert got["thm5"]["_lorentz_core_batch"] <= 84
-    # the four theorem suites as one pass share each stack: 244 and 120
-    # calls when run apart
+    # the lacunary pairs after the first take its pieces: 88, 84 and 84
+    # calls when each pair prepared its own
+    assert got["te4"]["_lorentz_core_batch"] <= 12
+    assert got["te4"]["_seq_block_core"] <= 8
+    assert got["thm5"]["_lorentz_core_batch"] <= 8
+    # the four theorem suites as one pass share each stack: 92 and 44
+    # calls when run apart (145 and 120 with a surface per pair)
     counts.clear()
     checks._theorem_suites(7)
-    assert counts["_lorentz_core_batch"] <= 145
-    assert counts["_seq_block_core"] <= 120
+    assert counts["_lorentz_core_batch"] <= 50
+    assert counts["_seq_block_core"] <= 44
 
 
 def test_interp_evaluates_khat_once_per_stack(monkeypatch):
@@ -1076,9 +1079,11 @@ def test_each_pair_is_built_at_most_twice_per_pass(monkeypatch, suite):
 
 def test_lacunary_pairs_stream_in_bounded_memory():
     # the pairs are built as the pass reads them: at level (9, 9) a pair
-    # takes 6 MiB, and all twenty of them took 125 MiB up front
+    # takes 6 MiB, and all twenty of them took 125 MiB up front.  The pass
+    # holds one pair at a time, the next built only once the one before
+    # is dropped: ~14 MiB, and ~20 MiB with two pairs alive
     for run, bound in ((lambda: generate_lacunary_pairs((9, 9), 20, 7), 4),
-                       (lambda: checks._theorem_suites(7), 48)):
+                       (lambda: checks._theorem_suites(7), 17)):
         tracemalloc.start()
         try:
             run()
@@ -1086,6 +1091,155 @@ def test_lacunary_pairs_stream_in_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (bound, peak / 2**20)
+
+
+def _ref_stacks(items, cells):
+    """The index ranges of the runs of :func:`checks._stacks`, split as it
+    split them when it yielded a run only once the next item was drawn."""
+    runs, start, last = [], 0, None
+    for i, item in enumerate(items):
+        a, f = item if isinstance(item, tuple) else (None, item)
+        key = (np.shape(f.values), None if a is None else a.truncation)
+        if i > start and (key != last or (i - start + 1) * f.values.size > cells):
+            runs.append(range(start, i))
+            start = i
+        last = key
+    return runs + [range(start, len(items))] if len(items) > start else runs
+
+
+def test_stacks_hand_on_a_full_run_before_the_next_draw():
+    # a run that one more item of its shape would overflow reaches the
+    # consumer before the next item is built, so a pass over the 512 x 512
+    # lacunary pairs holds one of them at a time; a run cut by a change of
+    # shape comes once the next item is drawn
+    items = (list(generate_lacunary_pairs((9, 9), 3, 7))
+             + checks.sweep_corpus(7, (3, 3))[:4]
+             + generate(CorpusSpec("random_step", (5, 5), 300, 7)))
+    drawn = []
+
+    def stream():
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    runs = []
+    for run, stack in checks._stacks(stream()):
+        last = items[run.stop - 1]
+        size = (last[1] if isinstance(last, tuple) else last).values.size
+        full = (len(run) + 1) * size > checks._BLOCK_CELLS
+        assert len(drawn) == (run.stop if full or run.stop == len(items)
+                              else run.stop + 1)
+        runs.append(len(run))
+    assert runs == [1, 1, 1, 4, 256, 44]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacks_runs_are_unchanged_at_their_call_sites(seed):
+    # the theorem pass (the sweep corpus, then the pairs), mink, le3 with
+    # Walsh and with trig systems, the embeddings, and mixed shapes
+    corpus = checks.sweep_corpus(seed)
+    funcs = generate(CorpusSpec("random_step", (5, 5), 100, seed))
+    small = checks.sweep_corpus(seed, (3, 3))[:4]
+    mixed = (small + list(generate_lacunary_pairs((3, 3), 2, seed)) + small[:1]
+             + generate(CorpusSpec("random_step", (3, 4), 2, seed)) + funcs)
+    for items, cells in ((corpus + list(generate_lacunary_pairs((9, 9), 20, seed)),
+                          checks._BLOCK_CELLS),
+                         (funcs, checks._BLOCK_CELLS), (funcs[:20], checks._TRIG_CELLS),
+                         (mixed, checks._BLOCK_CELLS), (mixed, 2**12), (mixed, 1)):
+        assert [run for run, _ in checks._stacks(items, cells)] == \
+            _ref_stacks(items, cells)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lacunary_pairs_share_one_rearrangement(seed):
+    # the planted indices 1, 2, 4, ..., 256 are Rademacher functions, so
+    # each sign pattern is a dyadic translate of the all-plus polynomial:
+    # every pair has the rearranged function and the rearranged
+    # coefficient support of the first, bit for bit
+    first = None
+    for c, f in generate_lacunary_pairs((9, 9), 20, seed):
+        got = (_rearranged_values(f.values), _rearranged_support(np.abs(c.entries)))
+        first = first or got
+        assert same_bits(got[0], first[0]) and same_bits(got[1], first[1])
+
+
+def test_theorem_pass_prepares_the_pairs_once(monkeypatch):
+    # the pairs after the first take its Lorentz norms and surfaces: the
+    # cores run for twenty pairs as often as for one
+    counts = collections.Counter()
+    for name in ("_lorentz_core_batch", "_seq_block_core"):
+        def counted(*args, _fn=getattr(norms, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(norms, name, counted)
+
+    def calls(count):
+        monkeypatch.setattr(checks, "generate_lacunary_pairs",
+                            lambda level, _, seed: generate_lacunary_pairs(level, count, seed))
+        counts.clear()
+        checks._theorem_suites(7)
+        return dict(counts)
+
+    assert calls(20) == calls(1)
+
+
+class TestStacksTakePieces:
+    """A stack takes the pieces of the one before only when the rearranged
+    values and the rearranged support are bitwise equal; either way its
+    cases are the public norms of its item."""
+
+    TE4 = [(th, q, True) for th in ((0.0, 0.0), (0.5, 0.5))
+           for q in ((2.0, 2.0), (INF, INF))]
+    THM5 = [(q, b) for q in ((2.0, 2.0), (INF, INF)) for b in (False, True)]
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return generate_lacunary_pairs((4, 4), 1, 7)[0]
+
+    def sweep(self, monkeypatch, items):
+        """Whether each stack after the first took its pieces, after
+        checking every case against the public norms."""
+        took = []
+
+        def take(prep, kept, _fn=checks._Prepared.take):
+            _fn(prep, kept)
+            took.append(vars(prep)["_memo"] is kept[1]["_memo"])
+
+        monkeypatch.setattr(checks._Prepared, "take", take)
+        te4, thm5 = checks._sweep(items, [
+            checks._te4_group(self.TE4, None, 0, len(items)),
+            checks._thm5_group(self.THM5)], cells=1)
+        for rep, (th, q, _) in zip(te4, self.TE4):
+            e, gp = Exponents((2, 2), q), GrandParams(th)
+            assert _bits(rep.cases) == _want_bits(
+                (f"flac{j}", te4_lhs(c, e, gp).value, grand_lorentz_norm(f, e, gp).value)
+                for j, (c, f) in enumerate(items))
+        for rep, (q, b) in zip(thm5, self.THM5):
+            lhs = block_sup_lhs if b else bochkarev_lhs
+            assert _bits(rep.cases) == _want_bits(
+                (f"f{j}", lhs(c, q), lorentz_norm(f, Exponents((2, 2), q)))
+                for j, (c, f) in enumerate(items))
+        return took
+
+    def test_equal_stacks_take(self, monkeypatch, pair):
+        assert self.sweep(monkeypatch, [pair, pair]) == [True]
+
+    def test_equal_values_other_support(self, monkeypatch, pair):
+        c, f = pair
+        entries = np.array(c.entries)
+        i = np.flatnonzero(np.diag(entries))[1]
+        entries[i, i] *= 2  # a planted entry of magnitude 2
+        other = (CoeffMatrix(WALSH, WALSH, entries), f)
+        assert self.sweep(monkeypatch, [pair, other]) == [False]
+        assert self.sweep(monkeypatch, [other, pair]) == [False]
+
+    def test_equal_support_other_values(self, monkeypatch, pair):
+        c, f = pair
+        vals = np.array(f.values)
+        vals[0, 0] += 1.0
+        other = (c, DyadicStep2D(f.levels, vals))
+        assert self.sweep(monkeypatch, [pair, other]) == [False]
+        assert self.sweep(monkeypatch, [other, pair]) == [False]
 
 
 # ---------------------------------------------------------------------------
