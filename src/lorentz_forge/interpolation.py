@@ -46,8 +46,8 @@ class KTerms:
 
     @property
     def khat(self) -> float:
-        return self.t00 + self.t1 * self.t10 + self.t2 * self.t01 \
-            + self.t1 * self.t2 * self.t11
+        t1, t2 = min(self.t1, 1.0), min(self.t2, 1.0)  # as _khat_of reads t
+        return self.t00 + t1 * self.t10 + t2 * self.t01 + t1 * t2 * self.t11
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,10 @@ def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s, t2s):
     """
     h1, h2 = widths
     r2, r1 = G.shape[-2:]
-    t1s = np.asarray(t1s, dtype=float)[:, None]
-    t2s = np.asarray(t2s, dtype=float)
-    c1 = np.clip(np.minimum(t1s**2, 1.0) - np.arange(r1) * h1, 0.0, h1)
+    # Khat is constant for t >= 1: every t past 1 is read as 1
+    t1s = np.minimum(np.asarray(t1s, dtype=float), 1.0)[:, None]
+    t2s = np.minimum(np.asarray(t2s, dtype=float), 1.0)
+    c1 = np.clip(t1s**2 - np.arange(r1) * h1, 0.0, h1)
     # int_0^{w1} g ds1 and int_{w1}^1 g^2 ds1 per s2-cell: [..., t1, j2]
     R = (G[..., None, :, :] @ c1[:, :, None])[..., 0]
     Q2tail = ((G**2)[..., None, :, :] @ (h1 - c1)[:, :, None])[..., 0]
@@ -130,7 +131,7 @@ def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s, t2s):
     a, b = edges2[:-1], edges2[1:]
     beta = _cumsum(R * h2)[..., :-1] - R * a  # A(s2)/s2 = R + beta/s2 per cell
 
-    w2 = np.minimum(t2s**2, 1.0)
+    w2 = t2s**2
     j = np.minimum((w2 / h2).astype(int), r2 - 1)
     aj, bj = a[j], np.minimum(w2, b[j])
     Rj, betaj = R[..., j], beta[..., j]

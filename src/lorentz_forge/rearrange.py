@@ -189,8 +189,8 @@ def rearrange_1d(g: DyadicStep1D) -> DyadicStep1D:
 
 def distribution_function(g: DyadicStep1D, sigma: float) -> float:
     """Measure of ``{t : g(t) > sigma}`` for ``sigma >= 0``."""
-    if sigma < 0:
-        raise ValueError(f"threshold must be >= 0, got {sigma}")
+    if not sigma >= 0:
+        raise ValueError(f"threshold sigma must be >= 0, got {sigma}")
     return float(np.count_nonzero(g.values > sigma)) * g.width
 
 

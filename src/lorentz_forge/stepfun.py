@@ -129,16 +129,18 @@ def constant_grid(c: float, levels: tuple[int, int] = (0, 0)) -> DyadicStep2D:
 def indicator_grid(a1: float, a2: float, levels: tuple[int, int]) -> DyadicStep2D:
     """Indicator of the dyadic rectangle ``[0,a1) x [0,a2)``.
 
-    ``a1 * 2^{n1}`` and ``a2 * 2^{n2}`` must be integers.
+    The corners are finite and >= 0, and ``a1 * 2^{n1}`` and ``a2 * 2^{n2}``
+    must be integers; a corner past 1 clips, as the zero extension says.
     """
-    n1, n2 = levels
-    k1 = a1 * 2**n1
-    k2 = a2 * 2**n2
-    if k1 != int(k1) or k2 != int(k2):
-        raise ValueError("corner must be dyadic at the requested level")
+    n1, n2 = map(_integer, levels)
+    for name, a, n in (("a1", a1, n1), ("a2", a2, n2)):
+        if not 0 <= a < math.inf:
+            raise ValueError(f"corner {name} must be finite and >= 0, got {a!r}")
+        if a % 2.0**-n:  # exact: a multiple of 2^-n leaves 0
+            raise ValueError("corner must be dyadic at the requested level")
     vals = np.zeros((2**n2, 2**n1))
-    vals[: int(k2), : int(k1)] = 1.0
-    return DyadicStep2D(levels, vals)
+    vals[: int(min(a2, 1) * 2**n2), : int(min(a1, 1) * 2**n1)] = 1.0
+    return DyadicStep2D((n1, n2), vals)
 
 
 def power_weight_integral(c: float, a: float, b: float) -> float:
@@ -163,8 +165,8 @@ def evaluate(f: DyadicStep2D, t1: float, t2: float) -> float:
 
     Arguments must be strictly positive.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError(f"arguments must be positive, got ({t1}, {t2})")
+    if not (t1 > 0 and t2 > 0):
+        raise ValueError(f"t1, t2 must be positive, got ({t1}, {t2})")
     if t1 >= 1 or t2 >= 1:
         return 0.0
     n1, n2 = f.levels

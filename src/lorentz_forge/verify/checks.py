@@ -57,22 +57,16 @@ INF = float("inf")
 _BLOCK_CELLS = 2**18
 
 
-# le3's trig coefficient matrices have 16 times the cells of their
-# functions; their stacks hold at most this many function cells, so each
-# stacked array stays at 1 MiB.  With all 20 in one stack (2.6 MiB
-# arrays), perfbench's verify_all peak RSS read ~78 MB against ~70 MB
-_TRIG_CELLS = 2**13
-
-
-def _stacks(items, cells: int = _BLOCK_CELLS):
+def _stacks(items):
     """Split ``items``, in one ordered pass, into runs of one shape, each a
     stack for :class:`_Prepared`: yields each run's index range with its
     items.  A run holds functions only or pairs only, and at most
-    ``cells`` cells unless a single item is larger, so a large item is
-    prepared alone.  A run is yielded as soon as one more item of its shape
-    would not fit, before the next item is drawn, or else once the item
-    after it, of another shape, is drawn; the pass keeps no other item.  So
-    a stream of large items (the lacunary pairs) holds one at a time."""
+    :data:`_BLOCK_CELLS` cells unless a single item is larger, so a large
+    item is prepared alone.  A run is yielded as soon as one more item of
+    its shape would not fit, before the next item is drawn, or else once
+    the item after it, of another shape, is drawn; the pass keeps no other
+    item.  So a stream of large items (the lacunary pairs) holds one at a
+    time."""
     run, last, start = [], None, 0
     for item in items:
         a, f = item if isinstance(item, tuple) else (None, item)
@@ -83,7 +77,7 @@ def _stacks(items, cells: int = _BLOCK_CELLS):
         run.append(item)
         last, size = key, f.values.size
         del item, a, f  # only the run holds it, so the next draw comes after it goes
-        if (len(run) + 1) * size > cells:
+        if (len(run) + 1) * size > _BLOCK_CELLS:
             yield range(start, start + len(run)), run
             start, run = start + len(run), []
     if run:
@@ -226,23 +220,24 @@ class _Group(NamedTuple):
     finish: Callable | None = None
 
 
-def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
+def _sweep(items, groups) -> list[list[CheckReport]]:
     """The reports of each :class:`_Group` of ``groups`` over the iterable
     ``items``, one per parameter point.
 
-    The items are read once, in one pass, and prepared one stack of at
-    most ``cells`` cells at a time (see :func:`_stacks`); every group's
-    points read the stack, and its items go before the next item is read.
-    Its pieces are kept (:meth:`_Prepared.pieces`) when the groups read
-    both its rearranged values and its support, and the next stack takes
-    them if those two are bitwise its own (:meth:`_Prepared.take`), else
-    they go before that stack's groups run.  Groups that do not read both
-    (mink, le3, the embeddings) keep nothing and compare nothing.  The
-    lacunary pairs of the theorem pass hit: all but the first take the
-    first's Lorentz norms, surfaces and block tables.
+    The items are read once, in one pass, and prepared one stack at a time
+    (see :func:`_stacks`); every group's points read the stack, and its
+    items go before the next item is read.  Its pieces are kept
+    (:meth:`_Prepared.pieces`) when the groups read both its rearranged
+    values and its support, and the next stack takes them if those two are
+    bitwise its own (:meth:`_Prepared.take`), else they go before that
+    stack's groups run.  Groups that do not read both (mink, le3, the
+    embeddings) keep nothing and compare nothing.  The lacunary pairs of
+    the theorem pass hit: all but the first take the first's Lorentz
+    norms, surfaces and block tables.
 
-    The pass hashes the items as :func:`corpus_hash` does, and a report
-    made without a corpus hash (``None``) gets that digest.
+    A report made without a corpus hash (``None``) gets the
+    :func:`corpus_hash` of every item if it holds a case of a pair, and
+    that of the function items alone otherwise.
     When a stack's cases give a report a new worst case (the one
     :meth:`CheckReport.worst_case` picks), the witness is taken from the
     stack in hand: the serialized function of the case's item, made once
@@ -252,12 +247,14 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
     groups = list(groups)
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
     worst = {}  # id(report) -> [its worst case so far]
-    h = hashlib.sha256()
+    paired = set()  # the ids of the reports that hold a case of a pair
+    every, funcs = hashlib.sha256(), hashlib.sha256()
     kept = None  # the pieces of the stack before, without its items
-    for run, stack in _stacks(items, cells):
-        for item in stack:
-            _hash_into(h, item)
+    for run, stack in _stacks(items):
         prep = _Prepared(stack)
+        for item in stack:
+            for h in (every,) if prep.pairs else (every, funcs):
+                _hash_into(h, item)
         if kept is not None:
             prep.take(kept)
             kept = None  # taken or not, they go before the groups run
@@ -268,6 +265,8 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
                 sides = gr.cases(prep, *pt)
                 if sides is None:
                     continue
+                if prep.pairs:
+                    paired.add(id(rep))
                 new = [CheckCase(cid + sfx, float(lhs[k]), float(rhs[k]))
                        for k, cid in enumerate(ids) for sfx, lhs, rhs in sides]
                 rep.cases.extend(new)
@@ -289,10 +288,11 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
         kept = prep.pieces()
         # the stack goes before the next item is read
         del prep, stack, item
+    every, funcs = every.hexdigest(), funcs.hexdigest()
     for gr, greps in zip(groups, reps):
         for rep in greps:
             if rep.corpus_hash is None:
-                rep.corpus_hash = h.hexdigest()
+                rep.corpus_hash = every if id(rep) in paired else funcs
             if gr.finish is not None:
                 gr.finish(rep)
     return reps
@@ -302,20 +302,20 @@ def _sweep(items, groups, cells: int = _BLOCK_CELLS) -> list[list[CheckReport]]:
 # section-3 lemmas
 
 
-def check_karamata(pairs, p: float, tol: float = 1e-12) -> CheckReport:
+def check_karamata(pairs, p: float) -> CheckReport:
     """Prefix-majorized nonincreasing pairs: the p-th power sums order one
     way for p >= 1 and the other for p <= 1."""
-    rep = CheckReport("karamata", {"p": p}, "", 1.0 + tol)
+    rep = CheckReport("karamata", {"p": p}, "", 1.0 + 1e-12)
     for i, (f, g) in enumerate(pairs):
         sf, sg = float(np.sum(f**p)), float(np.sum(g**p))
         lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
         rep.cases.append(CheckCase(f"pair{i}", lhs, rhs))
     rep.notes["direction"] = "exact closed-form sums"
-    rep.finalize_witness(lambda cid: {"case": cid})
+    rep.finalize_witness()
     return rep
 
 
-def check_mink(corpus, p: float, q: float, tol: float = 1e-10) -> CheckReport:
+def check_mink(corpus, p: float, q: float) -> CheckReport:
     """Row rearrangement decreases the (inner q over x2, outer p over x1)
     mixed norm and increases the (inner p, outer q) one, for p <= q.
 
@@ -338,7 +338,7 @@ def check_mink(corpus, p: float, q: float, tol: float = 1e-10) -> CheckReport:
                 (":b", x2_inner(vals, p, q), x2_inner(sorted_rows, p, q))]
 
     return _sweep(corpus, [_Group([()], lambda: CheckReport(
-        "mink", {"p": p, "q": q}, None, 1.0 + tol,
+        "mink", {"p": p, "q": q}, None, 1.0 + 1e-10,
         notes={"direction": "both sides exact"}), cases)])[0][0]
 
 
@@ -394,7 +394,7 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
     rep.notes["uniformity_threshold"] = cal["hardy_alpha_uniformity"]
     rep.notes["uniformity_pass"] = bool(
         all(u <= cal["hardy_alpha_uniformity"] for u in uni.values()))
-    rep.finalize_witness(lambda cid: {"case": cid})
+    rep.finalize_witness()
     return rep
 
 
@@ -402,8 +402,8 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
 # coefficient block bounds
 
 
-def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
-              tol: float = 1e-9) -> CheckReport:
+def check_le3(corpus, systems=(WALSH, WALSH),
+              Ns=((2, 2), (8, 8), (32, 32))) -> CheckReport:
     """Four block bounds for rearranged coefficients of M=1 systems.
 
     Gated in the sequence rearrangement order (second index first); the
@@ -450,8 +450,7 @@ def check_le3(corpus, systems=(WALSH, WALSH), Ns=((2, 2), (8, 8), (32, 32)),
 
     return _sweep(corpus, [_Group([()], lambda: CheckReport(
         "le3", {"systems": [sys1.kind, sys2.kind], "N": [list(n) for n in Ns]},
-        None, 1.0 + tol), cases, finish=finish)],
-        _TRIG_CELLS if trig else _BLOCK_CELLS)[0][0]
+        None, 1.0 + 1e-9), cases, finish=finish)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +465,13 @@ def _theta_rhs(prep: _Prepared, theta, q):
     return p, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
 
 
-def _te3_group(points, h: str | None) -> _Group:
-    """:func:`check_te3` at each ``(theta, q)`` of ``points`` on a corpus
-    with hash ``h`` (``None``: the hash of the sweep's items); pairs are
+def _te3_group(points) -> _Group:
+    """:func:`check_te3` at each ``(theta, q)`` of ``points``; pairs are
     left out."""
     c0 = calibration()["te3_c0"]
 
     def report(theta, q):
-        return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, h, c0,
+        return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, None, c0,
                            notes={"D": constant_D(theta, q), "direction":
                                   "lhs exact (walsh), rhs exact"})
 
@@ -492,19 +490,18 @@ def _te3_group(points, h: str | None) -> _Group:
 
 def check_te3(corpus, theta, q) -> CheckReport:
     """Discrete block norm of the coefficients against ``6 D(theta) |f|``."""
-    return _sweep(corpus, [_te3_group([(theta, q)], None)])[0][0]
+    return _sweep(corpus, [_te3_group([(theta, q)])])[0][0]
 
 
-def _te4_group(points, h: str | None, n_funcs: int, n_pairs: int) -> _Group:
+def _te4_group(points, n_funcs: int, n_pairs: int) -> _Group:
     """:func:`check_te4` at each ``(theta, q, with_pairs)`` of ``points`` on
-    ``n_funcs`` functions with hash ``h`` followed by ``n_pairs`` pairs,
-    which enter the reports of the points ``with_pairs`` only; those
-    reports carry the hash of the sweep's items."""
+    ``n_funcs`` functions followed by ``n_pairs`` pairs, which enter the
+    reports of the points ``with_pairs`` only."""
     C_pass = calibration()["te4_C_pass"]
 
     def report(theta, q, with_pairs):
         return CheckReport("te4", {"theta": list(theta), "q": _jq(q)},
-                           None if with_pairs else h, C_pass, notes={
+                           None, C_pass, notes={
                                "direction": "lhs grid-sup under, rhs grid-sup "
                                             "under (conservative for the "
                                             "asserted bound)",
@@ -527,7 +524,7 @@ def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     on the corpus followed by the lacunary ``pairs``."""
     corpus, pairs = list(corpus), pairs or ()
     return _sweep(itertools.chain(corpus, pairs), [_te4_group(
-        [(theta, q, True)], None, len(corpus), len(pairs))])[0][0]
+        [(theta, q, True)], len(corpus), len(pairs))])[0][0]
 
 
 def _thm5_group(points) -> _Group:
@@ -570,14 +567,14 @@ def _zero_last_slabs(f: DyadicStep2D) -> DyadicStep2D:
     return DyadicStep2D(f.levels, v)
 
 
-def _chain_group(thetas, p=(2, 2), q=(1, 1), tol: float = 1e-12) -> _Group:
+def _chain_group(thetas, p=(2, 2), q=(1, 1)) -> _Group:
     """:func:`check_embeddings_chain` at each ``theta`` of ``thetas``."""
     e = Exponents(p, q)
 
     def report(theta):
         return CheckReport("embeddings_chain",
                            {"theta": list(theta), "p": list(p), "q": _jq(q)},
-                           None, 1.0 + tol, notes={
+                           None, 1.0 + 1e-12, notes={
                                "direction": "grid under-approximates the sup and "
                                             "over-approximates the inf: both "
                                             "favor the chain"})
@@ -590,14 +587,12 @@ def _chain_group(thetas, p=(2, 2), q=(1, 1), tol: float = 1e-12) -> _Group:
     return _Group([(th,) for th in thetas], report, cases)
 
 
-def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1),
-                           tol: float = 1e-12) -> CheckReport:
+def check_embeddings_chain(corpus, theta, p=(2, 2), q=(1, 1)) -> CheckReport:
     """Constant-1 chain: grand(+theta) <= Lorentz <= grand(-theta)."""
-    return _sweep(corpus, [_chain_group([theta], p, q, tol)])[0][0]
+    return _sweep(corpus, [_chain_group([theta], p, q)])[0][0]
 
 
-def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
-                      tol: float = 1e-12) -> CheckReport:
+def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1)) -> CheckReport:
     """Smoothness monotonicity at constant 1: theta <= s pointwise implies
     the s-grand norm is dominated by the theta-grand norm."""
     if not (theta[0] <= s[0] and theta[1] <= s[1]):
@@ -605,7 +600,7 @@ def check_p1_monotone(corpus, theta, s, p=(2, 2), q=(1, 1),
     e = Exponents(p, q)
     params = {"theta": list(theta), "s": list(s), "p": list(p), "q": _jq(q)}
     return _sweep(corpus, [_Group([()], lambda: CheckReport(
-        "embeddings_P1", params, None, 1.0 + tol),
+        "embeddings_P1", params, None, 1.0 + 1e-12),
         lambda prep: [("", prep.grand(e, GrandParams(s))[0],
                        prep.grand(e, GrandParams(theta))[0])])])[0][0]
 
@@ -656,17 +651,16 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
-def _interp_group(points, h: str | None, J: int) -> _Group:
-    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points`` on a
-    corpus with hash ``h`` (``None``: the hash of the sweep's items); pairs
-    are left out."""
+def _interp_group(points, J: int) -> _Group:
+    """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``;
+    pairs are left out."""
     points = list(points)
     # the samples are the same for every theta
     ts = _interp_samples(points[0][0], J) if points else None
 
     def report(theta, q):
         return CheckReport("interp_chain", {"theta": list(theta), "q": _jq(q),
-                                            "J": J}, h, 1.05, notes={
+                                            "J": J}, None, 1.05, notes={
             "direction": "lhs under-approximates the continuous integral"})
 
     def cases(prep, theta, q):
@@ -681,7 +675,7 @@ def _interp_group(points, h: str | None, J: int) -> _Group:
 def check_interp_chain(corpus, theta, q, J: int = 10) -> CheckReport:
     """Discretized interpolation norm against ``6 D(theta)`` times the
     Lorentz norm at the induced integrability exponents, at threshold 1.05."""
-    return _sweep(corpus, [_interp_group([(theta, q)], None, J)])[0][0]
+    return _sweep(corpus, [_interp_group([(theta, q)], J)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -739,18 +733,16 @@ def _theorem_suites(seed: int, level=(5, 5),
     stacks out."""
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed) if {"te4", "thm5"} & set(names) else ()
-    # the reports without pairs carry the corpus's own hash
-    h = corpus_hash(corpus) if pairs else None
     theta_q = [(th, q) for th in THETA_SWEEP for q in Q_SWEEP]
     groups = {
-        "te3": _te3_group(theta_q, h),
+        "te3": _te3_group(theta_q),
         "te4": _te4_group([(th, q, th == (0.0, 0.0)) for th in
                            ((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)) for q in Q_SWEEP],
-                          h, len(corpus), len(pairs)),
+                          len(corpus), len(pairs)),
         "thm5": _thm5_group([(q, blocksup) for q in
                              ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
                              for blocksup in (False, True)]),
-        "interp": _interp_group(theta_q, h, 10)}
+        "interp": _interp_group(theta_q, 10)}
     return dict(zip(names, _sweep(itertools.chain(corpus, pairs),
                                     [groups[n] for n in names])))
 

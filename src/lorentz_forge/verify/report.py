@@ -78,11 +78,11 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_ratio <= self.pass_threshold
 
-    def finalize_witness(self, witness_of) -> None:
-        """Attach the serialized worst case via ``witness_of(case_id)``."""
+    def finalize_witness(self) -> None:
+        """Name the worst case, ``{"case": id}``, as the witness."""
         worst = self.worst_case()
         if worst is not None:
-            self.worst_witness = witness_of(worst.case_id)
+            self.worst_witness = {"case": worst.case_id}
 
     def to_json_dict(self) -> dict:
         max_ratio = self.max_ratio

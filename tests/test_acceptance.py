@@ -125,11 +125,11 @@ def test_criterion_4_embeddings():
     corpus = generate(CorpusSpec("random_step", (5, 5), 100, SEED))
     thetas = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
     for th in thetas:
-        rep = checks.check_embeddings_chain(corpus, th, tol=1e-12)
+        rep = checks.check_embeddings_chain(corpus, th)
         assert rep.passed, (th, rep.max_ratio)
     for th, s in (((0.25, 0.25), (0.5, 0.5)), ((0.25, 0.5), (1.0, 1.0)),
                   ((0.5, 1.0), (1.0, 1.0))):
-        rep = checks.check_p1_monotone(corpus, th, s, tol=1e-12)
+        rep = checks.check_p1_monotone(corpus, th, s)
         assert rep.passed
     rep = checks.check_collapse(corpus)
     assert rep.passed and "inexact" not in rep.notes
@@ -141,7 +141,7 @@ def test_criterion_5_karamata():
 
     pairs = generate_karamata_pairs(500, SEED)
     for p in (0.5, 1.0, 2.0, 3.0):
-        rep = checks.check_karamata(pairs, p, tol=1e-12)
+        rep = checks.check_karamata(pairs, p)
         assert rep.passed, (p, rep.max_ratio)
 
 
@@ -149,7 +149,7 @@ def test_criterion_5_karamata():
 def test_criterion_6_mink():
     corpus = generate(CorpusSpec("random_step", (5, 5), 100, SEED))
     for p, q in ((1, 2), (1, INF), (2, 4)):
-        rep = checks.check_mink(corpus, p, q, tol=1e-10)
+        rep = checks.check_mink(corpus, p, q)
         assert rep.passed, (p, q, rep.max_ratio)
 
 
@@ -167,11 +167,11 @@ def test_criterion_7_hardy():
 def test_criterion_8_le3():
     corpus = generate(CorpusSpec("random_step", (5, 5), 100, SEED))
     rep = checks.check_le3(corpus, (lf.WALSH, lf.WALSH),
-                           Ns=((2, 2), (8, 8), (32, 32)), tol=1e-9)
+                           Ns=((2, 2), (8, 8), (32, 32)))
     assert rep.passed, rep.max_ratio
     assert rep.notes["fun_order_max_ratio_vs_parseval"] <= 1.0 + 1e-9
     rep_trig = checks.check_le3(corpus[:20], (lf.TRIG, lf.TRIG),
-                                Ns=((2, 2), (8, 8), (32, 32)), tol=1e-9)
+                                Ns=((2, 2), (8, 8), (32, 32)))
     assert rep_trig.passed, rep_trig.max_ratio
 
 

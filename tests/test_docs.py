@@ -13,9 +13,9 @@ import lorentz_forge
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(lorentz_forge.__file__).resolve().parent
 
-# the roles whose targets are module-level names (``:attr:`` and ``:meth:``
-# also point into the class they are written in)
-ROLE = re.compile(r":(?:func|class|data):`(~?)([\w.]+)`")
+# the roles whose targets are dotted names from their module; ``:meth:``
+# and ``:attr:`` may also name an attribute of a class the module defines
+ROLE = re.compile(r":(func|class|data|meth|attr):`(~?)([\w.]+)`")
 
 MODULES = {info.name.rsplit(".", 1)[-1]: info.name for info in
            pkgutil.walk_packages(lorentz_forge.__path__, "lorentz_forge.")}
@@ -42,21 +42,30 @@ def _imported(target: str) -> bool:
     return False
 
 
+def _resolves_in(modname: str, role: str, target: str) -> bool:
+    """Whether an unqualified ``role`` reference to ``target`` in the module
+    ``modname`` names something."""
+    mod = importlib.import_module(modname)
+    return _resolves(mod, target) or role in ("meth", "attr") and any(
+        _resolves(cls, target) for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == modname)
+
+
 def _docstring_refs():
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC.parent).with_suffix("")
         modname = ".".join(rel.parts).removesuffix(".__init__")
         for m in ROLE.finditer(path.read_text()):
-            yield modname, m.group(1) == "~", m.group(2)
+            yield modname, m.group(1), m.group(2) == "~", m.group(3)
 
 
 def test_docstring_roles_resolve():
     refs = list(_docstring_refs())
     assert len(refs) > 50  # the scan reads the docstrings
+    assert sum(role in ("meth", "attr") for _, role, _, _ in refs) > 10
     stale = []
-    for modname, qualified, target in refs:
-        ok = _imported(target) if qualified else \
-            _resolves(importlib.import_module(modname), target)
+    for modname, role, qualified, target in refs:
+        ok = _imported(target) if qualified else _resolves_in(modname, role, target)
         if not ok:
             stale.append((modname, target))
     assert stale == []
@@ -86,3 +95,15 @@ def test_readme_module_references_resolve():
     ("lorentz_forge.verify.checks._Prepared.g", True)])
 def test_qualified_targets_resolve_by_import(target, ok):
     assert _imported(target) is ok
+
+
+@pytest.mark.parametrize("role, target, ok", [
+    ("meth", "_Prepared.pieces", True),
+    ("meth", "pieces", True),  # an attribute of a class of the module
+    ("attr", "_support", True),  # inherited from rearrange._BlockTables
+    ("func", "pieces", False),  # only :meth: and :attr: look into classes
+    ("meth", "_Prepared.no_such", False),
+    ("attr", "no_such", False),
+    ("meth", "worst_case", False)])  # a method of an imported class only
+def test_unqualified_targets_resolve_in_their_module(role, target, ok):
+    assert _resolves_in("lorentz_forge.verify.checks", role, target) is ok

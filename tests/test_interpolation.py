@@ -40,6 +40,15 @@ class TestKUpper:
             kt = k_upper(constant_grid(1.0, (3, 3)), t1, t2)
             assert kt.khat == pytest.approx(base.khat, rel=1e-14)
 
+    def test_the_largest_t_reads_as_one(self):
+        # t was squared before it was clamped to 1, and t1 t2 T11 read inf * 0
+        f = DyadicStep2D((2, 2), np.arange(1, 17.0).reshape(4, 4))
+        assert khat_grid(f, [1e300], [1e200]).tobytes() == \
+            khat_grid(f, [1.0], [1.0]).tobytes()
+        kt, base = k_upper(f, 1e300, 1e200), k_upper(f, 1.0, 1.0)
+        assert [float(x).hex() for x in (kt.t00, kt.t10, kt.t01, kt.t11, kt.khat)] == \
+            [float(x).hex() for x in (base.t00, base.t10, base.t01, base.t11, base.khat)]
+
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
             k_upper(constant_grid(1.0), 0.0, 1.0)

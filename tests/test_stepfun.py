@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from lorentz_forge.rearrange import distribution_function
 from lorentz_forge.stepfun import (DivergentIntegralError, DyadicStep1D,
                                    DyadicStep2D, constant_grid, evaluate,
                                    indicator_grid, load_grid,
@@ -193,3 +194,28 @@ def test_indicator_grid():
     assert f.values.tolist() == [[1.0, 0.0]]
     with pytest.raises(ValueError):
         indicator_grid(0.3, 1.0, (1, 0))
+    # a corner past 1 clips: the function is extended by zero (1e308 * 2^4
+    # overflowed to inf)
+    for a1 in (2.0, 1e308):
+        assert indicator_grid(a1, 0.5, (1, 1)).values.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    assert indicator_grid(1e308, 1e308, (4, 4)).values.min() == 1.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    # -0.5 sliced from the end, NaN and inf failed inside int(), and a
+    # negative level read "corner must be dyadic"
+    (lambda: indicator_grid(-0.5, 0.5, (1, 1)), "a1"),
+    (lambda: indicator_grid(0.5, NAN, (1, 1)), "a2"),
+    (lambda: indicator_grid(math.inf, 0.5, (1, 1)), "a1"),
+    (lambda: indicator_grid(0.5, 0.5, (-1, 1)), "a level must"),
+    # a NaN threshold counted no cell and a NaN point failed inside int()
+    (lambda: distribution_function(DyadicStep1D(1, [1.0, 0.0]), NAN), "sigma"),
+    (lambda: evaluate(constant_grid(1.0, (1, 1)), 0.5, NAN), "t1, t2"),
+], ids=["negative-corner", "nan-corner", "inf-corner", "negative-level",
+        "nan-threshold", "nan-point"])
+def test_malformed_inputs_raise_naming_the_argument(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -620,7 +620,7 @@ class TestSweepsMatchOnePointChecks:
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
-        self.assert_same(checks._sweep(funcs, [checks._te3_group(points, None)])[0],
+        self.assert_same(checks._sweep(funcs, [checks._te3_group(points)])[0],
                          [checks.check_te3(funcs, th, q) for th, q in points])
 
     def test_te4(self, small):
@@ -630,7 +630,7 @@ class TestSweepsMatchOnePointChecks:
                   for q in checks.Q_SWEEP]
         self.assert_same(
             checks._sweep(itertools.chain(corpus, pairs), [checks._te4_group(
-                points, corpus_hash(corpus), len(corpus), len(pairs))])[0],
+                points, len(corpus), len(pairs))])[0],
             [checks.check_te4(corpus, th, q, pairs=pairs if w else None)
              for th, q, w in points])
 
@@ -646,7 +646,7 @@ class TestSweepsMatchOnePointChecks:
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
-        self.assert_same(checks._sweep(funcs, [checks._interp_group(points, None, 10)])[0],
+        self.assert_same(checks._sweep(funcs, [checks._interp_group(points, 10)])[0],
                          [checks.check_interp_chain(funcs, th, q) for th, q in points])
 
     def test_chain(self, small):
@@ -704,48 +704,54 @@ class TestSweepWitnesses:
     @staticmethod
     def groups():
         points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
-        return [checks._te3_group(points, None),
+        return [checks._te3_group(points),
                 checks._thm5_group([(q, b) for q in ((2.0, 2.0), (2.0, INF))
                                     for b in (False, True)]),
                 checks._chain_group([(0.25, 0.5), (1.0, 1.0)])]
 
     @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128])
-    def test_a_one_shot_iterator_gives_the_reports_of_a_list(self, items, cells):
-        got = checks._sweep((it for it in items), self.groups(), cells)
-        want = checks._sweep(items, self.groups(), cells)
+    def test_a_one_shot_iterator_gives_the_reports_of_a_list(
+            self, monkeypatch, items, cells):
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
+        got = checks._sweep((it for it in items), self.groups())
+        want = checks._sweep(items, self.groups())
         assert [[r.to_json_dict() for r in g] for g in got] == \
             [[r.to_json_dict() for r in g] for g in want]
 
     @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128, 64])
-    def test_the_witness_is_that_of_the_worst_case(self, items, cells):
+    def test_the_witness_is_that_of_the_worst_case(self, monkeypatch, items, cells):
         # over one stack and over stacks of one or two functions
-        reps = [r for g in checks._sweep(iter(items), self.groups(), cells) for r in g]
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
+        reps = [r for g in checks._sweep(iter(items), self.groups()) for r in g]
         assert all(r.worst_witness == _witness_by_lookup(r, items) for r in reps)
         assert any("values" in r.worst_witness for r in reps)
 
-    def test_a_later_nan_beats_an_earlier_larger_ratio(self):
+    def test_a_later_nan_beats_an_earlier_larger_ratio(self, monkeypatch):
         # one item per stack: ratios 5, 9, nan, 20, nan, 30
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", 1)
         items = [constant_grid(v, (0, 0)) for v in (5.0, 9.0, 0.0, 20.0, 0.0, 30.0)]
-        rep = checks._sweep(iter(items), [_ratio_group()], cells=1)[0][0]
+        rep = checks._sweep(iter(items), [_ratio_group()])[0][0]
         assert len(rep.cases) == 6
         assert rep.worst_case().case_id == "f2:x" and np.isnan(rep.max_ratio)
         assert rep.worst_witness == serialize_grid(items[2])
 
-    def test_a_tie_keeps_the_first_worst_case(self):
+    def test_a_tie_keeps_the_first_worst_case(self, monkeypatch):
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", 1)
         items = [constant_grid(v, (0, 0)) for v in (3.0, 5.0, 5.0, 1.0)]
-        rep = checks._sweep(iter(items), [_ratio_group()], cells=1)[0][0]
+        rep = checks._sweep(iter(items), [_ratio_group()])[0][0]
         assert rep.worst_case().case_id == "f1:x"
         assert rep.worst_witness == serialize_grid(items[1])
 
     @pytest.mark.parametrize("cells", [1, 4])
-    def test_an_id_not_f_digits_is_its_own_witness(self, cells):
+    def test_an_id_not_f_digits_is_its_own_witness(self, monkeypatch, cells):
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
         items = [constant_grid(v, (0, 0)) for v in (5.0, 9.0, 2.0)]
         ids = ["f0", "flac0", "f2"]
-        rep = checks._sweep(iter(items), [_ratio_group(ids)], cells)[0][0]
+        rep = checks._sweep(iter(items), [_ratio_group(ids)])[0][0]
         assert rep.worst_witness == {"case": "flac0:x"}
         # and a later f<digits> worst case replaces it
         items.append(constant_grid(11.0, (0, 0)))
-        rep = checks._sweep(iter(items), [_ratio_group(ids + ["f3"])], cells)[0][0]
+        rep = checks._sweep(iter(items), [_ratio_group(ids + ["f3"])])[0][0]
         assert rep.worst_witness == serialize_grid(items[3])
 
     @pytest.mark.parametrize("cells", [checks._BLOCK_CELLS, 128])
@@ -758,7 +764,8 @@ class TestSweepWitnesses:
             return _fn(f)
 
         monkeypatch.setattr(checks, "serialize_grid", counted)
-        reps = [r for g in checks._sweep(iter(items), self.groups(), cells) for r in g]
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
+        reps = [r for g in checks._sweep(iter(items), self.groups()) for r in g]
         assert made and max(made.values()) == 1
         by_item = collections.defaultdict(set)
         for r in reps:
@@ -799,7 +806,7 @@ class TestSweepCasesArePublicNorms:
         funcs = corpus + [f for _, f in pairs]
         points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
         for rep, (th, q) in zip(
-                checks._sweep(funcs, [checks._te3_group(points, None)])[0], points):
+                checks._sweep(funcs, [checks._te3_group(points)])[0], points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
             assert _bits(rep.cases) == _want_bits(
                 (f"f{i}", te3_lhs(_full_coeffs(f)[0], p, q),
@@ -813,7 +820,7 @@ class TestSweepCasesArePublicNorms:
         items = [(f"f{i}", f) for i, f in enumerate(corpus)] + \
             [(f"flac{j}", pair) for j, pair in enumerate(pairs)]
         swept = checks._sweep(itertools.chain(corpus, pairs), [checks._te4_group(
-            points, corpus_hash(corpus), len(corpus), len(pairs))])[0]
+            points, len(corpus), len(pairs))])[0]
         for rep, (th, q, w) in zip(swept, points):
             e, gp = Exponents((2, 2), q), GrandParams(th)
             assert _bits(rep.cases) == _want_bits(
@@ -877,7 +884,7 @@ class TestSweepCasesArePublicNorms:
         q = (4.0, 4.0)
         points = [(th, q) for th in checks.THETA_SWEEP]
         for rep, (th, _) in zip(
-                checks._sweep(funcs, [checks._interp_group(points, None, 10)])[0],
+                checks._sweep(funcs, [checks._interp_group(points, 10)])[0],
                 points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
             assert _bits(rep.cases) == _want_bits(
@@ -1015,8 +1022,8 @@ def test_interp_evaluates_khat_once_per_stack(monkeypatch):
 
 def test_le3_rearranges_each_matrix_once_in_function_order(monkeypatch):
     # the function-order blocks read one rearrangement per stack of
-    # coefficient matrices (100 Walsh, and 20 trig in stacks of at most 8),
-    # not one per block size: each matrix is rearranged once
+    # coefficient matrices (100 Walsh, and 20 trig in one stack), not one
+    # per block size: each matrix is rearranged once
     calls = []
 
     def counted(m, _fn=checks._rearranged_values):
@@ -1024,15 +1031,15 @@ def test_le3_rearranges_each_matrix_once_in_function_order(monkeypatch):
         return _fn(m)
     monkeypatch.setattr(checks, "_rearranged_values", counted)
     checks.run_suite("le3", 7)
-    assert calls == [(100, 32, 32), (8, 128, 128), (8, 128, 128), (4, 128, 128)]
+    assert calls == [(100, 32, 32), (20, 128, 128)]
 
 
 @pytest.mark.parametrize("seed", [7, 3])
 def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
     # run_suite("all") gives each suite's own reports in suite order, while
     # te3, te4, thm5 and interp share one generation and one hash of each
-    # item list: the corpus by corpus_hash, the corpus and the pairs by the
-    # pass that reads them
+    # item list, both by the pass that reads them: corpus_hash reads
+    # neither
     apart = [r.to_json_dict() for name in checks._SUITES
              for r in checks.run_suite(name, seed)]
     digests, made = collections.Counter(), []
@@ -1053,11 +1060,43 @@ def test_all_runs_the_theorem_suites_as_one_pass(monkeypatch, seed):
     corpus = checks.sweep_corpus(seed)
     full = corpus_hash(itertools.chain(corpus,
                                        generate_lacunary_pairs((9, 9), 20, seed)))
-    assert digests[corpus_hash(corpus)] == 1
+    assert digests[corpus_hash(corpus)] == 0
     assert digests[full] == 0
     assert {r["corpusHash"] for r in got if r["checkId"].startswith("thm5")} == {full}
     assert {r["corpusHash"] for r in got if r["checkId"] == "te4"} == \
         {corpus_hash(corpus), full}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13])
+def test_all_reports_carry_the_hash_of_the_items_they_read(seed):
+    # a report without a pair's case carries the corpus's hash, one with
+    # the hash of the corpus followed by the pairs
+    corpus = checks.sweep_corpus(seed)
+    full = corpus_hash(itertools.chain(corpus,
+                                       generate_lacunary_pairs((9, 9), 20, seed)))
+    got = collections.defaultdict(set)
+    for r in checks.run_suite("all", seed):
+        if r.check_id in ("te3", "interp_chain"):
+            got[r.check_id].add(r.corpus_hash)
+        elif r.check_id == "te4":
+            got["te4", r.params["theta"] == [0.0, 0.0]].add(r.corpus_hash)
+        elif r.check_id.startswith("thm5"):
+            got["thm5"].add(r.corpus_hash)
+    h = corpus_hash(corpus)
+    assert got == {"te3": {h}, "interp_chain": {h}, ("te4", False): {h},
+                   ("te4", True): {full}, "thm5": {full}}
+
+
+def test_one_point_checks_carry_the_hash_of_the_items_they_read():
+    corpus = checks.sweep_corpus(7, (3, 3))[:6]
+    pairs = generate_lacunary_pairs((3, 3), 2, 7)
+    items = corpus + list(pairs)
+    # te3 and interp leave the pairs out, te4 reads them
+    assert checks.check_te3(items, (0.5, 0.5), (2, 2)).corpus_hash == corpus_hash(corpus)
+    assert checks.check_interp_chain(items, (0.5, 0.5), (2, 2)).corpus_hash == \
+        corpus_hash(corpus)
+    assert checks.check_te4(corpus, (0.5, 0.5), (2, 2), pairs).corpus_hash == \
+        corpus_hash(items)
 
 
 @pytest.mark.parametrize("suite", ["all", "te4", "thm5"])
@@ -1134,7 +1173,7 @@ def test_stacks_hand_on_a_full_run_before_the_next_draw():
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_stacks_runs_are_unchanged_at_their_call_sites(seed):
+def test_stacks_runs_are_unchanged_at_their_call_sites(monkeypatch, seed):
     # the theorem pass (the sweep corpus, then the pairs), mink, le3 with
     # Walsh and with trig systems, the embeddings, and mixed shapes
     corpus = checks.sweep_corpus(seed)
@@ -1144,9 +1183,10 @@ def test_stacks_runs_are_unchanged_at_their_call_sites(seed):
              + generate(CorpusSpec("random_step", (3, 4), 2, seed)) + funcs)
     for items, cells in ((corpus + list(generate_lacunary_pairs((9, 9), 20, seed)),
                           checks._BLOCK_CELLS),
-                         (funcs, checks._BLOCK_CELLS), (funcs[:20], checks._TRIG_CELLS),
+                         (funcs, checks._BLOCK_CELLS), (funcs[:20], 2**13),
                          (mixed, checks._BLOCK_CELLS), (mixed, 2**12), (mixed, 1)):
-        assert [run for run, _ in checks._stacks(items, cells)] == \
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
+        assert [run for run, _ in checks._stacks(items)] == \
             _ref_stacks(items, cells)
 
 
@@ -1206,9 +1246,10 @@ class TestStacksTakePieces:
             took.append(vars(prep)["_memo"] is kept[1]["_memo"])
 
         monkeypatch.setattr(checks._Prepared, "take", take)
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", 1)
         te4, thm5 = checks._sweep(items, [
-            checks._te4_group(self.TE4, None, 0, len(items)),
-            checks._thm5_group(self.THM5)], cells=1)
+            checks._te4_group(self.TE4, 0, len(items)),
+            checks._thm5_group(self.THM5)])
         for rep, (th, q, _) in zip(te4, self.TE4):
             e, gp = Exponents((2, 2), q), GrandParams(th)
             assert _bits(rep.cases) == _want_bits(
@@ -1374,7 +1415,7 @@ class TestNanCases:
     def test_a_nan_ratio_fails_the_report(self, order):
         cases = [CheckCase("a", 1.0, 2.0), CheckCase("b", float("nan"), 1.0)]
         rep = CheckReport("x", {}, "", 1.0, [cases[i] for i in order])
-        rep.finalize_witness(lambda cid: {"case": cid})
+        rep.finalize_witness()
         assert np.isnan(rep.max_ratio)
         assert not rep.passed
         assert rep.worst_witness == {"case": "b"}
@@ -1386,14 +1427,14 @@ class TestNanCases:
         rep = CheckReport("x", {}, "", 1.0, [CheckCase("a", 3.0, 1.0),
                                              CheckCase("b", nan, 1.0),
                                              CheckCase("c", 1.0, nan)])
-        rep.finalize_witness(lambda cid: {"case": cid})
+        rep.finalize_witness()
         assert rep.worst_witness == {"case": "b"}
 
     def test_the_first_largest_ratio_is_the_witness(self):
         rep = CheckReport("x", {}, "", 1.0, [CheckCase("a", 1.0, 2.0),
                                              CheckCase("b", 3.0, 1.0),
                                              CheckCase("c", 6.0, 2.0)])
-        rep.finalize_witness(lambda cid: {"case": cid})
+        rep.finalize_witness()
         assert rep.max_ratio == 3.0 and rep.worst_witness == {"case": "b"}
 
 
