@@ -14,12 +14,9 @@ the one driver that stacks, hashes and prepares the items and picks each
 report's witness.  The suites te3, te4, thm5 and interp, alone or together,
 run through :func:`_theorem_suites`.
 
-No item outlives its stack.  The one thing that crosses stacks is the
-previous stack's pieces (:meth:`_Prepared.pieces`): its rearranged values,
-its rearranged coefficient support and what was read from them.  A stack
-whose two are bitwise equal takes them.  Every lacunary pair after the
-first does: each sign pattern is a dyadic translate of the all-plus
-polynomial (see :class:`~lorentz_forge.verify.corpus.LacunaryPairs`).
+No item outlives its stack, and a sequence of lacunary pairs that
+translates (see :attr:`~lorentz_forge.verify.corpus.LacunaryPairs.translates`)
+is one run prepared from its first pair alone.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
 from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
-from .corpus import (CorpusSpec, corpus_hash, generate,
+from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
 from .hardy import hardy_grid
 from .report import CheckCase, CheckReport, _worst_index, serialize_grid
@@ -65,10 +62,21 @@ def _stacks(items):
     item is prepared alone.  A run is yielded as soon as one more item of
     its shape would not fit, before the next item is drawn, or else once
     the item after it, of another shape, is drawn; the pass keeps no other
-    item.  So a stream of large items (the lacunary pairs) holds one at a
-    time."""
+    item.  So a stream of large items holds one at a time.  An item that is
+    a :class:`LacunaryPairs` is a run of its own over all its pairs, which
+    it yields as its stack."""
     run, last, start = [], None, 0
     for item in items:
+        if isinstance(item, LacunaryPairs):
+            if not item.translates:
+                raise ValueError("lacunary pairs that do not translate go one by one")
+            if run:
+                yield range(start, start + len(run)), run
+            start, run = start + len(run), []
+            if len(item):  # the pairs as a run of their own
+                yield range(start, start + len(item)), item
+            start += len(item)
+            continue
         a, f = item if isinstance(item, tuple) else (None, item)
         key = (np.shape(f.values), None if a is None else a.truncation)
         if run and key != last:
@@ -103,16 +111,9 @@ class _Prepared(_BlockTables):
     surfaces and Khat grids are kept per exponent (surface key, sample
     points), so every theta of a sweep picks from one surface.
 
-    Every piece but the values and the coefficient magnitudes is read from
-    the rearranged values :attr:`g` with the cell widths, or from the
-    rearranged support :attr:`_support` with the dims, and from nothing
-    else.  So :meth:`pieces` hands them on without the items, and a next
-    stack whose four are the same takes them (:meth:`take`).  A one-item
-    stack's values and planted magnitudes are views of its item's arrays.
+    A one-item stack's values and planted magnitudes are views of its
+    item's arrays.
     """
-
-    # the pieces that :meth:`pieces` hands on
-    _PIECES = ("g", "_support", "_table", "_sqrt_table", "_memo")
 
     def __init__(self, items):
         self.a, self.fs = zip(*(it if isinstance(it, tuple) else (None, it)
@@ -123,26 +124,6 @@ class _Prepared(_BlockTables):
     def pairs(self) -> bool:
         """Whether the items are pairs: stacks never mix them with functions."""
         return self.a[0] is not None
-
-    def pieces(self):
-        """The stack's :attr:`g` and :attr:`_support` with what was read
-        from them so far, keyed by the cell widths and the dims, without
-        the items; ``None`` unless both were read."""
-        got = {k: v for k, v in vars(self).items() if k in self._PIECES}
-        return ((self.fs[0].widths, self.dims), got) \
-            if "g" in got and "_support" in got else None
-
-    def take(self, kept) -> None:
-        """Take the ``kept`` :meth:`pieces` of another stack when its widths
-        and dims are this stack's and its :attr:`g` and :attr:`_support`
-        are bitwise this stack's; every piece is then what this stack
-        would compute.  Computes this stack's :attr:`g`, and its
-        :attr:`_support` only when the ``g`` are equal."""
-        key, got = kept
-        if (key == (self.fs[0].widths, self.dims)
-                and np.array_equal(got["g"], self.g)
-                and np.array_equal(got["_support"], self._support)):
-            vars(self).update(got)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -226,14 +207,10 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
 
     The items are read once, in one pass, and prepared one stack at a time
     (see :func:`_stacks`); every group's points read the stack, and its
-    items go before the next item is read.  Its pieces are kept
-    (:meth:`_Prepared.pieces`) when the groups read both its rearranged
-    values and its support, and the next stack takes them if those two are
-    bitwise its own (:meth:`_Prepared.take`), else they go before that
-    stack's groups run.  Groups that do not read both (mink, le3, the
-    embeddings) keep nothing and compare nothing.  The lacunary pairs of
-    the theorem pass hit: all but the first take the first's Lorentz
-    norms, surfaces and block tables.
+    items go before the next item is read.  A run of translated lacunary
+    pairs is prepared from its first pair, whose lhs and rhs are every
+    pair's; the other pairs are built after the groups run, one at a time,
+    only to be hashed.
 
     A report made without a corpus hash (``None``) gets the
     :func:`corpus_hash` of every item if it holds a case of a pair, and
@@ -249,15 +226,15 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
     worst = {}  # id(report) -> [its worst case so far]
     paired = set()  # the ids of the reports that hold a case of a pair
     every, funcs = hashlib.sha256(), hashlib.sha256()
-    kept = None  # the pieces of the stack before, without its items
     for run, stack in _stacks(items):
-        prep = _Prepared(stack)
-        for item in stack:
-            for h in (every,) if prep.pairs else (every, funcs):
+        lead = stack[:1] if isinstance(stack, LacunaryPairs) else stack
+        # the row of each item's cases: a translated run's are its first pair's
+        at = range(len(run)) if lead is stack else [0] * len(run)
+        prep = _Prepared(lead)
+        hashes = (every,) if prep.pairs else (every, funcs)
+        for item in lead:
+            for h in hashes:
                 _hash_into(h, item)
-        if kept is not None:
-            prep.take(kept)
-            kept = None  # taken or not, they go before the groups run
         grids = {}  # the serialized functions of the stack, by position
         for gr, greps in zip(groups, reps):
             ids = [gr.ids[i] if gr.ids else f"f{i}" for i in run]
@@ -267,7 +244,7 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
                     continue
                 if prep.pairs:
                     paired.add(id(rep))
-                new = [CheckCase(cid + sfx, float(lhs[k]), float(rhs[k]))
+                new = [CheckCase(cid + sfx, float(lhs[at[k]]), float(rhs[at[k]]))
                        for k, cid in enumerate(ids) for sfx, lhs, rhs in sides]
                 rep.cases.extend(new)
                 # the worst case so far comes before the new ones, so the
@@ -278,16 +255,21 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
                     continue
                 j -= len(head)
                 worst[id(rep)] = [new[j]]
-                k = j // len(sides)  # the item of case j
+                # the item of case j; in a translated run the cases tie
+                # and the first pair's win
+                k = j // len(sides)
                 if ids[k].startswith("f") and ids[k][1:].isdigit():
                     if k not in grids:
-                        grids[k] = serialize_grid(prep.fs[k])
+                        grids[k] = serialize_grid(prep.fs[at[k]])
                     rep.worst_witness = grids[k]
                 else:
                     rep.worst_witness = {"case": new[j].case_id}
-        kept = prep.pieces()
-        # the stack goes before the next item is read
-        del prep, stack, item
+        rest = range(len(lead), len(run))  # a translated run's other pairs
+        del prep, lead, item  # the stack goes before the next item is read
+        for k in rest:  # built one at a time, only for the hashes
+            for h in hashes:
+                _hash_into(h, stack[k])
+        del stack
     every, funcs = every.hexdigest(), funcs.hexdigest()
     for gr, greps in zip(groups, reps):
         for rep in greps:
@@ -727,10 +709,11 @@ def _theorem_suites(seed: int, level=(5, 5),
                     names=("te3", "te4", "thm5", "interp")) -> dict[str, list[CheckReport]]:
     """The reports of the named suites among te3, te4, thm5 and interp,
     from one :func:`_sweep` over the sweep corpus, followed by the lacunary
-    pairs when te4 or thm5 is named.  Each input is generated once and
-    each pair is built once, for its stack, its hash and its witness; each
-    suite's reports equal its own run's.  te3 and interp leave the pair
-    stacks out."""
+    pairs, as one item, when te4 or thm5 is named.  Each input is generated
+    once and each pair is built once: the first for the stack of all of
+    them, its hash and its witness, the others for their hashes.  Each
+    suite's reports equal its own run's.  te3 and interp leave the pairs
+    out."""
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed) if {"te4", "thm5"} & set(names) else ()
     theta_q = [(th, q) for th in THETA_SWEEP for q in Q_SWEEP]
@@ -743,7 +726,7 @@ def _theorem_suites(seed: int, level=(5, 5),
                              ((2.0, 2.0), (4.0, 4.0), (INF, INF), (2.0, INF))
                              for blocksup in (False, True)]),
         "interp": _interp_group(theta_q, 10)}
-    return dict(zip(names, _sweep(itertools.chain(corpus, pairs),
+    return dict(zip(names, _sweep(corpus + [pairs] if pairs else corpus,
                                     [groups[n] for n in names])))
 
 

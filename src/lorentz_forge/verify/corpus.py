@@ -95,12 +95,10 @@ class LacunaryPairs(Sequence):
     reader that goes through the pairs in order holds only the ones it
     keeps.
 
-    At ratio 2 the planted positions 1, 2, 4, ... are the Paley indices
-    of the Rademacher functions, so flipping a set of signs is a dyadic
-    translation of x1: every pair's function has the rearrangement of the
-    all-plus polynomial, and every pair's planted magnitudes are the same
-    ones.  A verify sweep prepares the first pair and hands its pieces on
-    (see :func:`~lorentz_forge.verify.checks._sweep`).
+    Every pair's planted magnitudes are the same ones.  When the pairs
+    :attr:`translates`, every pair's function is also the first's with
+    its x1 cells permuted, so a verify sweep prepares the sequence from its
+    first pair alone (see :func:`~lorentz_forge.verify.checks._sweep`).
     """
 
     def __init__(self, level, idx, W1, W2, signs):
@@ -117,6 +115,19 @@ class LacunaryPairs(Sequence):
 
     def __iter__(self):
         return map(self._pair, range(len(self)))
+
+    @property
+    def translates(self) -> bool:
+        """Whether the planted positions' bit vectors are independent over
+        GF(2), as ratio 2's powers of two are.  Then each sign pattern is
+        ``w_{n_j}(t)`` at a dyadic ``t``, and each pair's function is the
+        first's with its x1 cells permuted by ``j1 ^ t``: bit for bit."""
+        span = {0}
+        for n in self._idx.tolist():
+            if n in span:
+                return False
+            span |= {s ^ n for s in span}
+        return True
 
     def _pair(self, i: int) -> tuple[CoeffMatrix, DyadicStep2D]:
         signs = self._signs[i]
@@ -137,15 +148,17 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
     ``sum_j w_{n_j}(x1) w_{n_j}(x2)`` with gaps ``n_j ~ ratio^j``; later
     instances draw random signs.  Each pair holds the planted coefficients
     (the true coefficients of the signed polynomial) and the magnitude
-    function used on the norm side.  ``ratio`` must be finite and > 1.
+    function used on the norm side.  ``level``, ``count`` and ``seed`` are
+    checked as a :class:`CorpusSpec`'s; ``ratio`` must be finite and > 1.
 
     Returns a read-only sequence of the ``count`` pairs that builds a pair
     only when it is read (see :class:`LacunaryPairs`); the signs of every
     instance are drawn here, so the pairs depend on the arguments only.
     """
+    spec = CorpusSpec("lacunary", level, count, seed)
     if not (math.isfinite(ratio) and ratio > 1):
         raise ValueError(f"lacunary ratio must be finite and > 1, got {ratio}")
-    n1, n2 = level
+    n1, n2 = level = spec.level
     K1, K2 = 2**n1, 2**n2
     positions, j = [], 0
     while (pos := int(round(ratio**j))) < min(K1, K2):
@@ -154,9 +167,9 @@ def generate_lacunary_pairs(level: tuple[int, int], count: int, seed: int,
         # ratio**j < pos + 1/2 below this j, so round(ratio**j) = pos there
         j = max(j + 1, math.floor(math.log(pos + 0.5) / math.log(ratio)))
     idx = np.array(positions, dtype=int)
-    rng = np.random.default_rng(seed)
-    signs = np.ones((max(count, 0), len(positions)))
-    for i in range(1, count):
+    rng = np.random.default_rng(spec.seed)
+    signs = np.ones((spec.count, len(positions)))
+    for i in range(1, spec.count):
         signs[i] = rng.choice([-1.0, 1.0], size=len(positions))
     return LacunaryPairs(level, idx, walsh_on_cells(idx, n1),
                          walsh_on_cells(idx, n2), signs)

@@ -62,7 +62,14 @@ def _docstring_refs():
 def test_docstring_roles_resolve():
     refs = list(_docstring_refs())
     assert len(refs) > 50  # the scan reads the docstrings
-    assert sum(role in ("meth", "attr") for _, role, _, _ in refs) > 10
+    # the scan finds a named reference of each role, an unqualified
+    # :meth: and :attr: among them
+    found = {(modname, role, target) for modname, role, _, target in refs}
+    assert {("lorentz_forge.verify.checks", "func", "_sweep"),
+            ("lorentz_forge.verify.checks", "class", "_Group"),
+            ("lorentz_forge.verify.checks", "data", "_BLOCK_CELLS"),
+            ("lorentz_forge.verify.checks", "meth", "CheckReport.worst_case"),
+            ("lorentz_forge.rearrange", "attr", "_support")} <= found
     stale = []
     for modname, role, qualified, target in refs:
         ok = _imported(target) if qualified else _resolves_in(modname, role, target)
@@ -98,10 +105,10 @@ def test_qualified_targets_resolve_by_import(target, ok):
 
 
 @pytest.mark.parametrize("role, target, ok", [
-    ("meth", "_Prepared.pieces", True),
-    ("meth", "pieces", True),  # an attribute of a class of the module
+    ("meth", "_Prepared.khat", True),
+    ("meth", "khat", True),  # an attribute of a class of the module
     ("attr", "_support", True),  # inherited from rearrange._BlockTables
-    ("func", "pieces", False),  # only :meth: and :attr: look into classes
+    ("func", "khat", False),  # only :meth: and :attr: look into classes
     ("meth", "_Prepared.no_such", False),
     ("attr", "no_such", False),
     ("meth", "worst_case", False)])  # a method of an imported class only

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_hardy_sides, ref_le3, ref_mink_cases, same_bits
-from lorentz_forge import fourier, norms
+from lorentz_forge import fourier, norms, rearrange
 from lorentz_forge.fourier import (TRIG, WALSH, CoeffMatrix, block_sup_lhs,
                                    bochkarev_lhs, coeffs_2d, te3_lhs, te4_lhs,
                                    walsh_synthesize)
@@ -83,6 +83,20 @@ class TestCorpus:
             generate_lacunary_pairs((3, 3), 1, 7, ratio=ratio)
         with pytest.raises(ValueError, match="ratio"):
             generate(CorpusSpec("lacunary", (3, 3), 1, 7, params={"ratio": ratio}))
+
+    @pytest.mark.parametrize("level,count,seed,name", [
+        ((3, 3), -1, 7, "count"), ((3, 3), 2.5, 7, "count"),
+        ((3, 3), True, 7, "count"), ((2.0, 2), 1, 7, "level"),
+        ((3,), 1, 7, "level"), ((3, 3), 1, 7.5, "seed"),
+        ((3, 3), 1, -1, "seed"), ((3, 3), 0, 7, None)])
+    def test_lacunary_pairs_check_their_arguments(self, level, count, seed, name):
+        # count=-1 gave no pairs, 2.5 and a float level a bare TypeError,
+        # True "an integer is required" and seed=7.5 an error inside numpy
+        if name is None:
+            assert len(generate_lacunary_pairs(level, count, seed)) == 0
+            return
+        with pytest.raises(ValueError, match=name):
+            generate_lacunary_pairs(level, count, seed)
 
     @pytest.mark.parametrize("ratio", [2, 1.5, 3, 1.1, 1.01])
     @pytest.mark.parametrize("level", [(9, 9), (5, 7)])
@@ -995,8 +1009,8 @@ def test_suites_compute_each_surface_once(monkeypatch):
     # embeddings: the collapse check reads the theta = 0 surface besides
     # the plain norm
     assert got["embeddings"]["_lorentz_core_batch"] <= 8
-    # the lacunary pairs after the first take its pieces: 88, 84 and 84
-    # calls when each pair prepared its own
+    # the lacunary pairs are one run prepared from the first: 88, 84 and
+    # 84 calls when each pair prepared its own
     assert got["te4"]["_lorentz_core_batch"] <= 12
     assert got["te4"]["_seq_block_core"] <= 8
     assert got["thm5"]["_lorentz_core_batch"] <= 8
@@ -1196,8 +1210,10 @@ def test_lacunary_pairs_share_one_rearrangement(seed):
     # each sign pattern is a dyadic translate of the all-plus polynomial:
     # every pair has the rearranged function and the rearranged
     # coefficient support of the first, bit for bit
+    pairs = generate_lacunary_pairs((9, 9), 20, seed)
+    assert pairs.translates
     first = None
-    for c, f in generate_lacunary_pairs((9, 9), 20, seed):
+    for c, f in pairs:
         got = (_rearranged_values(f.values), _rearranged_support(np.abs(c.entries)))
         first = first or got
         assert same_bits(got[0], first[0]) and same_bits(got[1], first[1])
@@ -1223,64 +1239,65 @@ def test_theorem_pass_prepares_the_pairs_once(monkeypatch):
     assert calls(20) == calls(1)
 
 
-class TestStacksTakePieces:
-    """A stack takes the pieces of the one before only when the rearranged
-    values and the rearranged support are bitwise equal; either way its
-    cases are the public norms of its item."""
+@pytest.mark.parametrize("ratio", [1.3, 1.5, 1.7, 2, 2.5, 3, 4])
+@pytest.mark.parametrize("level", [(4, 4), (5, 5), (6, 4), (4, 6)])
+def test_translates_matches_a_brute_force_search(level, ratio):
+    # translates holds exactly when every pair's values are the first's
+    # under x1 -> j1 ^ t for some t: at ratio 1.5 the positions 1, 2, 3 are
+    # dependent and the rearrangements differ
+    cols = np.arange(2 ** level[0])
+    for seed in range(4):
+        pairs = generate_lacunary_pairs(level, 8, seed, ratio)
+        first = pairs[0][1].values
+        want = all(any(np.array_equal(f.values, first[:, cols ^ t]) for t in cols)
+                   for _, f in pairs)
+        assert pairs.translates is want
 
-    TE4 = [(th, q, True) for th in ((0.0, 0.0), (0.5, 0.5))
-           for q in ((2.0, 2.0), (INF, INF))]
-    THM5 = [(q, b) for q in ((2.0, 2.0), (INF, INF)) for b in (False, True)]
 
-    @pytest.fixture(scope="class")
-    def pair(self):
-        return generate_lacunary_pairs((4, 4), 1, 7)[0]
+def test_translated_run_cases_are_each_pairs_public_norms():
+    # a translated run is one stack prepared from its first pair; pair by
+    # pair, its cases are the bits of the public norms of that pair
+    pairs = generate_lacunary_pairs((4, 4), 4, 7)
+    assert [run for run, _ in checks._stacks([pairs])] == [range(4)]
+    te4_points = [(th, q, True) for th in ((0.0, 0.0), (0.5, 0.5))
+                  for q in ((2.0, 2.0), (INF, INF))]
+    thm5_points = [(q, b) for q in ((2.0, 2.0), (INF, INF)) for b in (False, True)]
+    te4, thm5 = checks._sweep([pairs], [checks._te4_group(te4_points, 0, len(pairs)),
+                                        checks._thm5_group(thm5_points)])
+    for rep, (th, q, _) in zip(te4, te4_points):
+        e, gp = Exponents((2, 2), q), GrandParams(th)
+        assert _bits(rep.cases) == _want_bits(
+            (f"flac{j}", te4_lhs(c, e, gp).value, grand_lorentz_norm(f, e, gp).value)
+            for j, (c, f) in enumerate(pairs))
+    for rep, (q, b) in zip(thm5, thm5_points):
+        lhs = block_sup_lhs if b else bochkarev_lhs
+        assert _bits(rep.cases) == _want_bits(
+            (f"f{j}", lhs(c, q), lorentz_norm(f, Exponents((2, 2), q)))
+            for j, (c, f) in enumerate(pairs))
 
-    def sweep(self, monkeypatch, items):
-        """Whether each stack after the first took its pieces, after
-        checking every case against the public norms."""
-        took = []
 
-        def take(prep, kept, _fn=checks._Prepared.take):
-            _fn(prep, kept)
-            took.append(vars(prep)["_memo"] is kept[1]["_memo"])
+def test_pairs_that_do_not_translate_are_not_one_run():
+    with pytest.raises(ValueError, match="translate"):
+        list(checks._stacks([generate_lacunary_pairs((4, 4), 2, 7, ratio=1.5)]))
 
-        monkeypatch.setattr(checks._Prepared, "take", take)
-        monkeypatch.setattr(checks, "_BLOCK_CELLS", 1)
-        te4, thm5 = checks._sweep(items, [
-            checks._te4_group(self.TE4, 0, len(items)),
-            checks._thm5_group(self.THM5)])
-        for rep, (th, q, _) in zip(te4, self.TE4):
-            e, gp = Exponents((2, 2), q), GrandParams(th)
-            assert _bits(rep.cases) == _want_bits(
-                (f"flac{j}", te4_lhs(c, e, gp).value, grand_lorentz_norm(f, e, gp).value)
-                for j, (c, f) in enumerate(items))
-        for rep, (q, b) in zip(thm5, self.THM5):
-            lhs = block_sup_lhs if b else bochkarev_lhs
-            assert _bits(rep.cases) == _want_bits(
-                (f"f{j}", lhs(c, q), lorentz_norm(f, Exponents((2, 2), q)))
-                for j, (c, f) in enumerate(items))
-        return took
 
-    def test_equal_stacks_take(self, monkeypatch, pair):
-        assert self.sweep(monkeypatch, [pair, pair]) == [True]
+def test_theorem_pass_rearranges_the_pairs_once(monkeypatch):
+    # the pairs are one run prepared from the first: one rearrangement of
+    # its function and one of its coefficient support, where each pair's
+    # stack made its own
+    calls = collections.Counter()
 
-    def test_equal_values_other_support(self, monkeypatch, pair):
-        c, f = pair
-        entries = np.array(c.entries)
-        i = np.flatnonzero(np.diag(entries))[1]
-        entries[i, i] *= 2  # a planted entry of magnitude 2
-        other = (CoeffMatrix(WALSH, WALSH, entries), f)
-        assert self.sweep(monkeypatch, [pair, other]) == [False]
-        assert self.sweep(monkeypatch, [other, pair]) == [False]
+    def counted(name, module):
+        def call(m, _fn=getattr(module, name)):
+            calls[name, m.shape] += 1
+            return _fn(m)
+        monkeypatch.setattr(module, name, call)
 
-    def test_equal_support_other_values(self, monkeypatch, pair):
-        c, f = pair
-        vals = np.array(f.values)
-        vals[0, 0] += 1.0
-        other = (c, DyadicStep2D(f.levels, vals))
-        assert self.sweep(monkeypatch, [pair, other]) == [False]
-        assert self.sweep(monkeypatch, [other, pair]) == [False]
+    counted("_rearranged_values", checks)
+    counted("_rearranged_support", rearrange)
+    checks._theorem_suites(7)
+    assert calls["_rearranged_values", (1, 512, 512)] == 1
+    assert calls["_rearranged_support", (1, 512, 512)] == 1
 
 
 # ---------------------------------------------------------------------------
