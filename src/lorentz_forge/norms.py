@@ -351,7 +351,11 @@ def _power_cells(a: np.ndarray, n: int, h: float, q: float):
     right = np.arange(1, n + 1) * h
     left = right - h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sup = np.where(a < 0, left, right) ** a
+        # row by row with a float exponent: numpy's elementwise pow over an
+        # exponent array can be 1 ulp off the scalar-exponent path that a
+        # one-exponent call takes, and every row keeps that call's bits
+        sup = np.array([(left if ai < 0 else right) ** ai
+                        for ai in a[:, 0].tolist()]).reshape(len(a), n)
         if q == INF:
             return sup, np.ones_like(sup)
         c = np.abs(a) * q

@@ -67,7 +67,7 @@ class Sequence2D(_BlockTables, _Memoised):
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ent = _as_readonly(self.entries)
+        ent = _as_readonly(self.entries, "entries")
         object.__setattr__(self, "entries", ent)
         if ent.ndim != 2 or 0 in ent.shape:
             raise ValueError(f"entries must be 2D and nonempty, got shape {ent.shape}")

@@ -32,8 +32,12 @@ def _integer(n, least: int = 0, name: str = "a level", most=math.inf) -> int:
     return int(n)
 
 
-def _as_readonly(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _as_readonly(arr, name: str = "values") -> np.ndarray:
+    """``arr`` as a read-only float array; the error names it ``name``."""
+    try:
+        out = np.array(arr, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     out.setflags(write=False)
     return out
 
@@ -91,7 +95,11 @@ class DyadicStep2D(_Memoised):
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n1, n2 = map(_integer, self.levels)
+        try:
+            n1, n2 = self.levels
+        except (TypeError, ValueError):
+            raise ValueError(f"levels must be two integers, got {self.levels!r}") from None
+        n1, n2 = _integer(n1), _integer(n2)
         vals = _as_readonly(self.values)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "levels", (n1, n2))
@@ -225,15 +233,19 @@ def load_grid(path) -> DyadicStep2D:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        return DyadicStep2D(tuple(doc["levels"]), np.array(doc["values"], dtype=float))
+        return DyadicStep2D(doc["levels"], doc["values"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a grid document: {exc!r}") from exc
 
 
 def _hash_into(h, f) -> None:
     """Feed one grid, or one ``(coeffs, grid)`` pair, to the hash ``h`` as
-    :func:`corpus_hash` does.  ``hashlib`` reads a C ordered array's buffer
+    :func:`corpus_hash` does, or let an item with a ``hash_into`` method
+    feed its own record.  ``hashlib`` reads a C ordered array's buffer
     directly, the bytes ``tobytes`` would copy out."""
+    if hasattr(f, "hash_into"):
+        f.hash_into(h)
+        return
     if isinstance(f, tuple):  # (coeffs, function) pairs
         h.update(np.ascontiguousarray(f[0].entries))
         f = f[1]
@@ -243,7 +255,8 @@ def _hash_into(h, f) -> None:
 
 def corpus_hash(funcs) -> str:
     """SHA-256 over the concatenated levels and cell values of a corpus of
-    grids, or of ``(coeffs, grid)`` pairs."""
+    grids, or of ``(coeffs, grid)`` pairs; a sequence of lacunary pairs is
+    one record (:meth:`~lorentz_forge.verify.corpus.LacunaryPairs.hash_into`)."""
     import hashlib
 
     h = hashlib.sha256()

@@ -16,7 +16,7 @@ run through :func:`_theorem_suites`.
 
 No item outlives its stack, and a sequence of lacunary pairs that
 translates (see :attr:`~lorentz_forge.verify.corpus.LacunaryPairs.translates`)
-is one run prepared from its first pair alone.
+is one run prepared from its first pair alone and hashed as one record.
 """
 
 from __future__ import annotations
@@ -205,12 +205,14 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
     """The reports of each :class:`_Group` of ``groups`` over the iterable
     ``items``, one per parameter point.
 
-    The items are read once, in one pass, and prepared one stack at a time
-    (see :func:`_stacks`); every group's points read the stack, and its
-    items go before the next item is read.  A run of translated lacunary
-    pairs is prepared from its first pair, whose lhs and rhs are every
-    pair's; the other pairs are built after the groups run, one at a time,
-    only to be hashed.
+    The items are read once, in one pass, hashed as they are drawn and
+    prepared one stack at a time (see :func:`_stacks`); every group's
+    points read the stack, and its items go before the next item is read.
+    A sequence of lacunary pairs is hashed as one record (see
+    :meth:`~lorentz_forge.verify.corpus.LacunaryPairs.hash_into`).  If it
+    translates, it is one run prepared from its first pair, whose lhs and
+    rhs are every pair's, and no other pair is built; if not, its pairs go
+    on one at a time.
 
     A report made without a corpus hash (``None``) gets the
     :func:`corpus_hash` of every item if it holds a case of a pair, and
@@ -226,15 +228,23 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
     worst = {}  # id(report) -> [its worst case so far]
     paired = set()  # the ids of the reports that hold a case of a pair
     every, funcs = hashlib.sha256(), hashlib.sha256()
-    for run, stack in _stacks(items):
+
+    def drawn():  # each item hashed as it is drawn
+        for item in items:
+            for h in ((every,) if isinstance(item, (tuple, LacunaryPairs))
+                      else (every, funcs)):
+                _hash_into(h, item)
+            if isinstance(item, LacunaryPairs) and not item.translates:
+                yield from item
+            else:
+                yield item
+            del item  # so the next draw comes after the stack's items go
+
+    for run, stack in _stacks(drawn()):
         lead = stack[:1] if isinstance(stack, LacunaryPairs) else stack
         # the row of each item's cases: a translated run's are its first pair's
         at = range(len(run)) if lead is stack else [0] * len(run)
         prep = _Prepared(lead)
-        hashes = (every,) if prep.pairs else (every, funcs)
-        for item in lead:
-            for h in hashes:
-                _hash_into(h, item)
         grids = {}  # the serialized functions of the stack, by position
         for gr, greps in zip(groups, reps):
             ids = [gr.ids[i] if gr.ids else f"f{i}" for i in run]
@@ -264,12 +274,7 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
                     rep.worst_witness = grids[k]
                 else:
                     rep.worst_witness = {"case": new[j].case_id}
-        rest = range(len(lead), len(run))  # a translated run's other pairs
-        del prep, lead, item  # the stack goes before the next item is read
-        for k in rest:  # built one at a time, only for the hashes
-            for h in hashes:
-                _hash_into(h, stack[k])
-        del stack
+        del prep, lead, stack  # the stack goes before the next item is read
     every, funcs = every.hexdigest(), funcs.hexdigest()
     for gr, greps in zip(groups, reps):
         for rep in greps:
@@ -503,9 +508,13 @@ def _te4_group(points, n_funcs: int, n_pairs: int) -> _Group:
 def check_te4(corpus, theta, q, pairs=None) -> CheckReport:
     """Grand sequence norm of the coefficients at ``lambda = theta + beta``
     against the grand Lorentz norm at smoothness ``theta`` (p = (2,2)),
-    on the corpus followed by the lacunary ``pairs``."""
+    on the corpus followed by the lacunary ``pairs``: a
+    :class:`~lorentz_forge.verify.corpus.LacunaryPairs` is one item, as in
+    the te4 suite."""
     corpus, pairs = list(corpus), pairs or ()
-    return _sweep(itertools.chain(corpus, pairs), [_te4_group(
+    items = (corpus + [pairs] if isinstance(pairs, LacunaryPairs)
+             else itertools.chain(corpus, pairs))
+    return _sweep(items, [_te4_group(
         [(theta, q, True)], len(corpus), len(pairs))])[0][0]
 
 
@@ -710,10 +719,10 @@ def _theorem_suites(seed: int, level=(5, 5),
     """The reports of the named suites among te3, te4, thm5 and interp,
     from one :func:`_sweep` over the sweep corpus, followed by the lacunary
     pairs, as one item, when te4 or thm5 is named.  Each input is generated
-    once and each pair is built once: the first for the stack of all of
-    them, its hash and its witness, the others for their hashes.  Each
-    suite's reports equal its own run's.  te3 and interp leave the pairs
-    out."""
+    once, and of the pairs only the first is built: for the stack of all
+    of them and its witness; the pairs are hashed by what fixes them.
+    Each suite's reports equal its own run's.  te3 and interp leave the
+    pairs out."""
     corpus = sweep_corpus(seed, level)
     pairs = generate_lacunary_pairs((9, 9), 20, seed) if {"te4", "thm5"} & set(names) else ()
     theta_q = [(th, q) for th in THETA_SWEEP for q in Q_SWEEP]

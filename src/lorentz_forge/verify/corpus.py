@@ -129,6 +129,15 @@ class LacunaryPairs(Sequence):
             span |= {s ^ n for s in span}
         return True
 
+    def hash_into(self, h) -> None:
+        """Feed the hash ``h`` a tagged record of what fixes every pair bit
+        for bit: the levels, the planted positions as int64 and the sign
+        matrix.  So :func:`corpus_hash` hashes the sequence, as one item,
+        with no pair built; the pairs it yields hash their bytes."""
+        h.update(bytes(f"lacunary{self._level}{self._signs.shape}", "ascii"))
+        h.update(self._idx.astype(np.int64))
+        h.update(self._signs)
+
     def _pair(self, i: int) -> tuple[CoeffMatrix, DyadicStep2D]:
         signs = self._signs[i]
         # real: the matrix's complex copy is the only 4 MiB array of a pair

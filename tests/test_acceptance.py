@@ -288,11 +288,11 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
 # numpy or BLAS, so the environment the digests were recorded in is kept too.
 _DIGEST_ENV = ("2.4.6", "scipy-openblas")
 _REPORT_DIGESTS = {
-    0: ("fe646f802c3e85e4b065b6ff61c0dc760643a054fb1f2f696554d8eab85f9903",
+    0: ("d417e2bdc113ed2afe9752ed79fc7de39806dae59f3a92a14b80df68205b22ea",
         "31bf9b5d7781c37ea30c3020f2e2694269b16150790cb1ad5f539b1b9eb975b6"),
-    7: ("200a94ab107de41595060da0f201445c2a03221045910f232fb73564fc02666a",
+    7: ("f41068234803f51ed167bc62c1e3e5c46286bd3318348610c57241ecc6fb843a",
         "b1f322722d81753aa8033d4a09a66b94758a8793123ebf70f07a8d4eebc9a25e"),
-    13: ("ff2c8e7ecf13b92be80993020597e1f5e719b9316dbb576232817ca195c1ed33",
+    13: ("d799be3d0080ae7980c152c29e64d517cd26ccb443eb912b3b666fa8c1d8c427",
          "d922dd399e547c85a2c94a49d871c96a9ee38d7562ae127d69f1a64f7b7cb81e"),
 }
 

@@ -59,6 +59,8 @@ class TestNormCommand:
         {"levels": [True, 1], "values": [[1.0, 1.0], [1.0, 1.0]]},
         {"levels": [1.5, 1], "values": [[1.0, 1.0], [1.0, 1.0]]},
         {"levels": [0, 0]},                   # no values
+        {"levels": [2], "values": [[1]]},     # one level
+        {"levels": [1, 0], "values": [[1, 2], [3]]},  # ragged values
     ])
     @pytest.mark.parametrize("command", [["norm", "--kind", "lorentz"],
                                          ["coeffs", "--K", "1", "1"]])
@@ -70,6 +72,21 @@ class TestNormCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"levels": [2], "values": [[1]]}, "levels must be two integers"),
+        ({"levels": 3, "values": [[1]]}, "levels must be two integers"),
+        ({"levels": [1, 0], "values": [[1, 2], [3]]},
+         "values must be a rectangular array of numbers"),
+        ({"levels": [0, 0], "values": [["a"]]},
+         "values must be a rectangular array of numbers"),
+    ])
+    def test_malformed_grid_error_names_the_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["norm", "--kind", "lorentz", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}" + (
+            f", got {doc['levels']!r}\n" if message.startswith("levels") else "\n")
 
     @pytest.mark.parametrize("command", [["norm", "--kind", "lorentz"],
                                          ["coeffs", "--K", "1", "1"]])

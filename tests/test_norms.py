@@ -663,6 +663,19 @@ def test_large_q_approaches_sup_form(f):
         assert norm(big) == pytest.approx(norm(sup), rel=1e-2)
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, INF])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_power_cells_rows_are_one_exponent_calls(n, q):
+    # each weight row of an exponent axis has the bits of a one-exponent
+    # call: elementwise pow over an exponent array was 1 ulp off on some
+    # cells, so an epsilon surface's eps = 0 point missed the plain norm
+    a = np.concatenate([0.5 - np.geomspace(0.5, 1e-6, 24), [0.5], [-0.25, 0.0]])
+    sup, omega = _power_cells(a, n, 1.0 / n, q)
+    for i, ai in enumerate(a):
+        one = _power_cells(np.array([ai]), n, 1.0 / n, q)
+        assert same_bits(sup[i], one[0][0]) and same_bits(omega[i], one[1][0])
+
+
 @pytest.mark.parametrize("c", [1e-300, 1e-310, 1e-320])
 def test_power_cells_at_tiny_exponents(c):
     # omega = (1 - (j/(j+1))^c) / c tends to -log(j/(j+1)) as c -> 0; the
