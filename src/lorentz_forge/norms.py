@@ -20,17 +20,18 @@ Conventions
   :func:`_stage`: blocks of value rows, flattened over the item axes, times
   one weight row at a time in one reused cache-sized buffer, q-summed
   there by :func:`_qsum` (at ``q = inf``, a maximum of products, reduced
-  with ``fmax`` from 0 in place).  It runs a ``q = inf`` stage, the entries
+  with ``fmax`` from 0 in place).  It runs a ``q = inf`` stage and the entries
   the separable form does not take (a weight or value row that is not
-  finite, a sum lost to underflow) and a right side of the Hardy displays.
+  finite, a sum lost to underflow).
   Both stages sum C ordered copies of the value rows, so the bits do not
   depend on the input's memory layout.  The stages factor out the largest
   values, so the norms stay finite and 1-homogeneous at every exponent
   they accept; :func:`_qsum` and the ``fmax`` of :func:`_stage` are the
   only places where ``0 * inf = 0``.  The mixed Lebesgue norm, whose
-  weights are constants, calls :func:`_qsum` directly.  The Hardy left
-  sides take their per-cell power integrals from :func:`_power_cells` and
-  scale the profile by its largest value instead.
+  weights are constants, calls :func:`_qsum` directly, and so do the Hardy
+  right sides, one sum per weight row of a profile.  The Hardy left sides
+  take their per-cell power integrals from :func:`_power_cells` and scale
+  the profile by its largest value instead.
 * Grand norms search a geometric epsilon grid ``2^-j, j = 0..J``.  The
   sup-form grid maximum under-approximates the true supremum and the
   inf-form grid minimum over-approximates the true infimum; the direction
@@ -214,8 +215,8 @@ def _stage(vals: np.ndarray, sup: np.ndarray, omega: np.ndarray,
     weight row only, and each row of the buffer is summed pairwise whatever
     the layout of ``vals``, so its bits do not depend on the block, the
     other rows or items, or that layout.  :func:`_nested` calls it at
-    ``q = inf``, :func:`_sep_stage` for the entries the separable form does
-    not take, and the Hardy right sides directly.
+    ``q = inf`` and :func:`_sep_stage` for the entries the separable form
+    does not take.
     """
     n = vals.shape[-1]
     v = vals.reshape(-1, n)

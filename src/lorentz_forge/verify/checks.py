@@ -30,10 +30,11 @@ import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_l2_of, _block_sup_of, _bochkarev_of,
                        _te4_params, _tensor_coeffs)
-from ..interpolation import _interp_of, _interp_samples, _khat_of, constant_D
-from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
-                     _lorentz_of, _lorentz_surface, _mixed_of,
-                     _seq_block_lorentz_of, _seq_surface, _surface_key)
+from ..interpolation import _interp_samples, _khat_of, constant_D
+from ..norms import (_LN2, Exponents, GrandParams, _grand_pick, _logweight_of,
+                     _lorentz_core_batch, _lorentz_of, _lorentz_surface,
+                     _mixed_of, _nested, _seq_block_core, _seq_surface,
+                     _surface_key)
 from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
 from .calibration import calibration
@@ -62,19 +63,24 @@ def _stacks(items):
     item is prepared alone.  A run is yielded as soon as one more item of
     its shape would not fit, before the next item is drawn, or else once
     the item after it, of another shape, is drawn; the pass keeps no other
-    item.  So a stream of large items holds one at a time.  An item that is
-    a :class:`LacunaryPairs` is a run of its own over all its pairs, which
-    it yields as its stack."""
+    item.  So a stream of large items holds one at a time.
+
+    An item that is a :class:`LacunaryPairs` is read as its pairs.  If it
+    translates, it is a run of its own over all of them, which it yields
+    as its stack; if not, each pair is a run of its own, built when the
+    run is yielded."""
     run, last, start = [], None, 0
     for item in items:
         if isinstance(item, LacunaryPairs):
-            if not item.translates:
-                raise ValueError("lacunary pairs that do not translate go one by one")
             if run:
                 yield range(start, start + len(run)), run
             start, run = start + len(run), []
-            if len(item):  # the pairs as a run of their own
-                yield range(start, start + len(item)), item
+            if item.translates:
+                if len(item):  # the pairs as a run of their own
+                    yield range(start, start + len(item)), item
+            else:
+                for i in range(len(item)):
+                    yield range(start + i, start + i + 1), [item[i]]
             start += len(item)
             continue
         a, f = item if isinstance(item, tuple) else (None, item)
@@ -150,18 +156,20 @@ class _Prepared(_BlockTables):
         return np.abs(_tensor_coeffs(self.values, self.fs[0].levels, WALSH, WALSH,
                                      *self.dims)).swapaxes(-1, -2)
 
+    def memo(self, key, make: Callable):
+        """``make()``, computed once per stack and kept under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def khat(self, ts: np.ndarray) -> np.ndarray:
         """The Khat grids over ``ts x ts``."""
-        key = ("khat", ts.tobytes())
-        if key not in self._memo:
-            self._memo[key] = _khat_of(self.g, self.fs[0].widths, ts, ts)[0]
-        return self._memo[key]
+        return self.memo(("khat", ts.tobytes()),
+                         lambda: _khat_of(self.g, self.fs[0].widths, ts, ts)[0])
 
     def lorentz(self, e: Exponents) -> np.ndarray:
         """The Lorentz norms of the functions."""
-        if e not in self._memo:
-            self._memo[e] = _lorentz_of(self.g, self.fs[0].widths, e)
-        return self._memo[e]
+        return self.memo(e, lambda: _lorentz_of(self.g, self.fs[0].widths, e))
 
     def grand(self, e: Exponents, gp: GrandParams,
               sign=None) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +187,9 @@ class _Prepared(_BlockTables):
         """The epsilon surface that :meth:`grand` picks from at ``gp``: the
         axes and the value matrices, one per item."""
         key = _surface_key(gp)
-        if (e, sign, key) not in self._memo:
-            self._memo[e, sign, key] = (
-                _lorentz_surface(self.g, self.fs[0].widths, e, *key) if sign is None
-                else _seq_surface(self._sqrt_table, e, sign, *key))
-        return self._memo[e, sign, key]
+        return self.memo((e, sign, key), lambda: (
+            _lorentz_surface(self.g, self.fs[0].widths, e, *key) if sign is None
+            else _seq_surface(self._sqrt_table, e, sign, *key)))
 
 
 class _Group(NamedTuple):
@@ -212,11 +218,15 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
     :meth:`~lorentz_forge.verify.corpus.LacunaryPairs.hash_into`).  If it
     translates, it is one run prepared from its first pair, whose lhs and
     rhs are every pair's, and no other pair is built; if not, its pairs go
-    on one at a time.
+    on one at a time.  Each side of a point's cases becomes Python floats
+    in one ``tolist``.
 
     A report made without a corpus hash (``None``) gets the
     :func:`corpus_hash` of every item if it holds a case of a pair, and
-    that of the function items alone otherwise.
+    that of the function items alone otherwise.  Until the first pair item
+    is drawn the two digests read the same bytes, so each item is hashed
+    once: the digest of every item starts as a copy of the function
+    digest when that pair arrives.
     When a stack's cases give a report a new worst case (the one
     :meth:`CheckReport.worst_case` picks), the witness is taken from the
     stack in hand: the serialized function of the case's item, made once
@@ -227,17 +237,20 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
     reps = [[gr.report(*pt) for pt in gr.points] for gr in groups]
     worst = {}  # id(report) -> [its worst case so far]
     paired = set()  # the ids of the reports that hold a case of a pair
-    every, funcs = hashlib.sha256(), hashlib.sha256()
+    funcs, every = hashlib.sha256(), None  # every: from the first pair item on
 
     def drawn():  # each item hashed as it is drawn
+        nonlocal every
         for item in items:
-            for h in ((every,) if isinstance(item, (tuple, LacunaryPairs))
-                      else (every, funcs)):
-                _hash_into(h, item)
-            if isinstance(item, LacunaryPairs) and not item.translates:
-                yield from item
+            if isinstance(item, (tuple, LacunaryPairs)):
+                if every is None:
+                    every = funcs.copy()
+                _hash_into(every, item)
             else:
-                yield item
+                _hash_into(funcs, item)
+                if every is not None:
+                    _hash_into(every, item)
+            yield item
             del item  # so the next draw comes after the stack's items go
 
     for run, stack in _stacks(drawn()):
@@ -254,8 +267,9 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
                     continue
                 if prep.pairs:
                     paired.add(id(rep))
-                new = [CheckCase(cid + sfx, float(lhs[at[k]]), float(rhs[at[k]]))
-                       for k, cid in enumerate(ids) for sfx, lhs, rhs in sides]
+                sides = [(sfx, lhs.tolist(), rhs.tolist()) for sfx, lhs, rhs in sides]
+                new = [CheckCase(cid + sfx, lhs[i], rhs[i])
+                       for cid, i in zip(ids, at) for sfx, lhs, rhs in sides]
                 rep.cases.extend(new)
                 # the worst case so far comes before the new ones, so the
                 # worst of it and them is the report's
@@ -275,7 +289,8 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
                 else:
                     rep.worst_witness = {"case": new[j].case_id}
         del prep, lead, stack  # the stack goes before the next item is read
-    every, funcs = every.hexdigest(), funcs.hexdigest()
+    funcs = funcs.hexdigest()
+    every = funcs if every is None else every.hexdigest()
     for gr, greps in zip(groups, reps):
         for rep in greps:
             if rep.corpus_hash is None:
@@ -291,12 +306,25 @@ def _sweep(items, groups) -> list[list[CheckReport]]:
 
 def check_karamata(pairs, p: float) -> CheckReport:
     """Prefix-majorized nonincreasing pairs: the p-th power sums order one
-    way for p >= 1 and the other for p <= 1."""
+    way for p >= 1 and the other for p <= 1.
+
+    ``pairs`` is a sequence of ``(f, g)`` of one length.  They are stacked,
+    and each side's sums are one power and one row sum over its stack.  A
+    sum has the bits of ``np.sum(f**p)`` on the pairs as
+    :func:`~lorentz_forge.verify.corpus.generate_karamata_pairs` makes
+    them: numpy takes a reversed view's powers (its ``f``) with libm's
+    ``pow`` and a contiguous row's (its ``g``) in a SIMD loop, which can
+    differ in the last bit (at p = 3).  So the powers of ``F`` are taken
+    through a reversed flat view and those of ``G`` on the contiguous
+    stack."""
     rep = CheckReport("karamata", {"p": p}, "", 1.0 + 1e-12)
-    for i, (f, g) in enumerate(pairs):
-        sf, sg = float(np.sum(f**p)), float(np.sum(g**p))
-        lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
-        rep.cases.append(CheckCase(f"pair{i}", lhs, rhs))
+    # (len(pairs), length) stacks, also for no pairs
+    F, G = (np.array([pair[i] for pair in pairs], ndmin=2)[:len(pairs)]
+            for i in (0, 1))
+    Fp = np.ascontiguousarray((F.ravel()[::-1] ** p)[::-1].reshape(F.shape))
+    sf, sg = Fp.sum(axis=-1).tolist(), (G**p).sum(axis=-1).tolist()
+    lhs, rhs = (sg, sf) if p >= 1 else (sf, sg)
+    rep.cases = [CheckCase(f"pair{i}", *sides) for i, sides in enumerate(zip(lhs, rhs))]
     rep.notes["direction"] = "exact closed-form sums"
     rep.finalize_witness()
     return rep
@@ -444,18 +472,49 @@ def check_le3(corpus, systems=(WALSH, WALSH),
 # the main theorems
 
 
-def _theta_rhs(prep: _Prepared, theta, q):
-    """The right side of te3 and interp: the exponents ``p_i = 1/(1 -
-    theta_i/2)`` and ``6 D(theta, q)`` times the stack's Lorentz norms at
-    ``(p, q)``."""
-    p = tuple(1.0 / (1.0 - t / 2.0) for t in theta)
-    return p, 6.0 * constant_D(theta, q) * prep.lorentz(Exponents(p, q))
+def _theta_axes(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The theta_1 and theta_2 values of the ``(theta, q)`` points, each
+    sorted."""
+    return tuple(tuple(sorted({pt[0][i] for pt in points})) for i in (0, 1))
+
+
+def _theta_p(t: float) -> float:
+    """The exponent ``p_i = 1/(1 - theta_i/2)`` that ``theta_i`` induces."""
+    return 1.0 / (1.0 - t / 2.0)
+
+
+def _theta_case(prep: _Prepared, axes, theta, q, kind: str, lhs_grid: Callable):
+    """The te3 or interp case at ``(theta, q)``: its entry of the left
+    side's theta grid, ``lhs_grid()`` kept under ``kind``, against
+    ``6 D(theta, q)`` times the stack's Lorentz norms at ``(p(theta), q)``,
+    one :func:`_lorentz_core_batch` call over the grid, which te3 and
+    interp share.  A grid is the product of the theta_1 and theta_2 values
+    of a group's points, and each entry has the bits of its one-point call,
+    since every weight row of a stage is summed on its own."""
+    i, j = (ax.index(t) for ax, t in zip(axes, theta))
+    L = prep.memo(("lorentz", axes, q), lambda: _lorentz_core_batch(
+        prep.g, *prep.fs[0].widths,
+        *(np.array([1.0 / _theta_p(t) for t in ax]) for ax in axes), *q))
+    return [("", prep.memo((kind, axes, q), lhs_grid)[:, i, j],
+             6.0 * constant_D(theta, q) * L[:, i, j])]
+
+
+def _te3_grid(sqrtS: np.ndarray, axes, q) -> np.ndarray:
+    """:func:`~lorentz_forge.norms._seq_block_lorentz_of` of the dyadic
+    sqrt tables ``sqrtS`` at every theta of the grid ``axes``, ``[..., i,
+    j]`` at ``(axes[0][i], axes[1][j])``: one :func:`_seq_block_core` call
+    over the block exponents ``nu_i = 1/p_i' - 1/2`` of the grid."""
+    nus = [np.array([1.0 / Exponents((p, p), q).conjugate(0) - 0.5
+                     for p in map(_theta_p, ax)]) for ax in axes]
+    return _seq_block_core(sqrtS, *nus, *q)
 
 
 def _te3_group(points) -> _Group:
     """:func:`check_te3` at each ``(theta, q)`` of ``points``; pairs are
-    left out."""
+    left out.  The left sides of a q are one :func:`_te3_grid` call."""
     c0 = calibration()["te3_c0"]
+    points = list(points)
+    axes = _theta_axes(points)
 
     def report(theta, q):
         return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, None, c0,
@@ -465,14 +524,14 @@ def _te3_group(points) -> _Group:
     def cases(prep, theta, q):
         if prep.pairs:
             return None
-        p, rhs = _theta_rhs(prep, theta, q)
-        return [("", _seq_block_lorentz_of(prep._sqrt_table, p, q), rhs)]
+        return _theta_case(prep, axes, theta, q, "te3",
+                           lambda: _te3_grid(prep._sqrt_table, axes, q))
 
     def finish(rep):
         # the raw lhs / Lorentz ratio normalized by D: the growth statistic
         rep.notes["max_ratio_over_D"] = rep.max_ratio * 6.0
 
-    return _Group(list(points), report, cases, finish=finish)
+    return _Group(points, report, cases, finish=finish)
 
 
 def check_te3(corpus, theta, q) -> CheckReport:
@@ -642,10 +701,31 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
+def _interp_grid(K: np.ndarray, axes, q, J: int) -> np.ndarray:
+    """:func:`~lorentz_forge.interpolation._interp_of` of the Khat grids
+    ``K[..., i, j]`` at every theta of the grid ``axes``, ``[..., i, j]``
+    at ``(axes[0][i], axes[1][j])``: one :func:`_nested` call with
+    ``_interp_of``'s weight row for each theta_i, each row built as that
+    call builds it."""
+    ts = 2.0 ** np.arange(-J, 1)
+    weights = []
+    for ax, qq in zip(axes, q):
+        rows = []
+        for th in ax:
+            omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
+            omega[-1] = 1.0 / (th * qq)
+            omega[0] += 1.0 / ((1.0 - th) * qq)
+            rows.append((ts**-th, omega))
+        weights.append((*map(np.array, zip(*rows)), qq))
+    return _nested(K.swapaxes(-1, -2), *weights)
+
+
 def _interp_group(points, J: int) -> _Group:
     """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``;
-    pairs are left out."""
+    pairs are left out.  The left sides of a q are one
+    :func:`_interp_grid` call."""
     points = list(points)
+    axes = _theta_axes(points)
     # the samples are the same for every theta
     ts = _interp_samples(points[0][0], J) if points else None
 
@@ -657,8 +737,8 @@ def _interp_group(points, J: int) -> _Group:
     def cases(prep, theta, q):
         if prep.pairs:
             return None
-        return [("", _interp_of(prep.khat(ts), theta, q, J),
-                 _theta_rhs(prep, theta, q)[1])]
+        return _theta_case(prep, axes, theta, q, ("interp", J),
+                           lambda: _interp_grid(prep.khat(ts), axes, q, J))
 
     return _Group(points, report, cases)
 

@@ -192,21 +192,30 @@ def generate_karamata_pairs(count: int, seed: int, length: int = 16
     random contiguous blocks, which preserves the total, keeps ``g``
     nonincreasing, and guarantees the prefix sums of ``f`` dominate those of
     ``g`` by construction.  Violated hypotheses indicate a generator bug and
-    raise immediately.
+    raise ``AssertionError``.
+
+    The draws of each pair are taken in order, as one pair at a time takes
+    them; the sorts and the hypotheses are one pass over the stacked pairs.
+    Each ``f`` is a reversed view of its sorted draws and each ``g`` a
+    contiguous row.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        f = np.sort(rng.random(length))[::-1]
-        g = f.copy()
+    draws, blocks = np.empty((count, length)), []
+    for k in range(count):
+        draws[k] = rng.random(length)
+        ends = []
         for _ in range(int(rng.integers(1, 5))):
             i = int(rng.integers(0, length - 1))
-            j = int(rng.integers(i + 1, length))
+            ends.append((i, int(rng.integers(i + 1, length))))
+        blocks.append(ends)
+    F = np.sort(draws, axis=-1)[:, ::-1]
+    G = F.copy()
+    for g, ends in zip(G, blocks):
+        for i, j in ends:
             g[i:j + 1] = g[i:j + 1].mean()
-        if not np.all(np.diff(g) <= 1e-12):
-            raise AssertionError("generator bug: flattened sequence not nonincreasing")
-        pf, pg = np.cumsum(f), np.cumsum(g)
-        if not (np.all(pf >= pg - 1e-12) and abs(pf[-1] - pg[-1]) < 1e-9):
-            raise AssertionError("generator bug: majorization hypothesis violated")
-        out.append((f, g))
-    return out
+    if not np.all(np.diff(G, axis=-1) <= 1e-12):
+        raise AssertionError("generator bug: flattened sequence not nonincreasing")
+    pf, pg = np.cumsum(F, axis=-1), np.cumsum(G, axis=-1)
+    if not (np.all(pf >= pg - 1e-12) and np.all(np.abs(pf[:, -1] - pg[:, -1]) < 1e-9)):
+        raise AssertionError("generator bug: majorization hypothesis violated")
+    return list(zip(F, G))

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,23 +22,32 @@ import numpy as np
 INF = float("inf")
 
 
-@dataclass(frozen=True, slots=True)
-class CheckCase:
-    """One case of a check; ``ratio``, ``lhs / rhs``, is computed once when
-    the case is made.  Slots, not an instance dict: a verify pass makes
-    ~11k cases."""
+class CheckCase(tuple):
+    """One case of a check, ``CheckCase(case_id, lhs, rhs)``: a read-only
+    record whose ``ratio``, ``lhs / rhs`` (0 for ``0/0``, ``inf`` for
+    ``x/0``), is computed once when the case is made.  A tuple subclass with
+    no instance dict: a verify pass makes ~11k cases, and a frozen
+    dataclass's per-field ``object.__setattr__`` took twice the time."""
 
-    case_id: str
-    lhs: float
-    rhs: float
-    ratio: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rhs > 0:
-            ratio = self.lhs / self.rhs
+    def __new__(cls, case_id: str, lhs: float, rhs: float):
+        if rhs > 0:
+            ratio = lhs / rhs
         else:
-            ratio = 0.0 if self.lhs == 0 else INF
-        object.__setattr__(self, "ratio", ratio)
+            ratio = 0.0 if lhs == 0 else INF
+        return tuple.__new__(cls, (case_id, lhs, rhs, ratio))
+
+    case_id = property(itemgetter(0))
+    lhs = property(itemgetter(1))
+    rhs = property(itemgetter(2))
+    ratio = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __repr__(self) -> str:
+        return f"CheckCase(case_id={self[0]!r}, lhs={self[1]!r}, rhs={self[2]!r})"
 
 
 def _worst_index(cases) -> int | None:

@@ -4,7 +4,6 @@ import pytest
 from lorentz_forge.fourier import coeffs_2d
 from lorentz_forge.norms import _power_cells, _qsum, _stage
 from lorentz_forge.stepfun import DyadicStep2D
-from lorentz_forge.verify.hardy import hardy_ascent_lhs, hardy_descent_lhs
 
 INF = float("inf")
 
@@ -112,14 +111,80 @@ def ref_weighted_step_q(prof, e, q):
                                                    prof.width, q), q)[0, 0])
 
 
-def ref_hardy_sides(prof, q, r, alpha, descent):
-    """Both sides of a Hardy display at one alpha, the right side (and the
-    ascent left side at ``r = inf``) by :func:`ref_weighted_step_q`."""
+def _ref_lim0(s, x, w):
+    """``lim_{t->0+} t^s x^w``."""
+    return 0.0 if s > 0 else (x**w if s == 0 else INF)
+
+
+def ref_hardy_lhs(prof, q, r, alpha, descent):
+    """A Hardy left side at one alpha and finite ``r``, one alpha at a time
+    as the package took it before it took a whole alpha grid: the running
+    integral ``X = A + B t`` of ``f / max f`` per cell, the per-cell power
+    integrals of ``c + (0, 1, 2, k)`` from one ``_power_cells`` call, and
+    the live terms summed in one pass."""
+    v = np.asarray(prof.values, dtype=float)
+    h, n = prof.width, len(v)
+    scale = float(v.max()) or 1.0
+    B = (v / scale) ** r
+    a = np.arange(n) * h
     if descent:
-        return (hardy_descent_lhs(prof, q, r, alpha),
-                ref_weighted_step_q(prof, 1.0 / r - alpha, q))
+        run = np.cumsum(B * h)
+        A = np.concatenate([[0.0], run[:-1]]) - B * a
+        tail, u = run[-1], -alpha
+    else:
+        run = np.cumsum((B * h)[::-1])[::-1]
+        A, B = run + B * a, -B
+        tail, u = 0.0, alpha
+    live = (A != 0) | (B != 0)
+    if q == INF:
+        w = 1.0 / r
+
+        def val(t):
+            return t**u * np.maximum(A + B * t, 0.0) ** w
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tstar = -u * A / (B * (u + w))
+            inside = (a < tstar) & (tstar < a + h)
+            cands = np.stack([val(a + h), val(a), np.where(inside, val(tstar), 0.0)])
+        cands[1, 0] = (_ref_lim0(u, A[0], w) if A[0] > 0 else
+                       _ref_lim0(u + w, abs(B[0]), w) if B[0] != 0 else 0.0)
+        head = (tail**w if alpha > 0 else INF) if descent else 0.0
+        return scale * max(head, float(cands[:, live].max(initial=0.0)))
+    c, k = u * q, q / r
+    sup, omega = _power_cells(c + np.array([0.0, 1.0, 2.0, k]), n, h, 1.0)
+    I = sup * omega
+    with np.errstate(invalid="ignore", over="ignore"):
+        if k == 1.0:
+            used, mixed = 2, A * I[0] + B * I[1]
+        elif k == 2.0:
+            used, mixed = 3, A * A * I[0] + 2 * A * B * I[1] + B * B * I[2]
+        else:
+            used, mixed = 1, np.maximum(A + B * a, A + B * (a + h)) ** k * I[0]
+        pure = A == 0
+        term = np.where(pure, B**k * I[3], mixed)
+    diverges = np.where(pure, np.isinf(I[3]), np.isinf(I[:used]).any(axis=0))
+    if (live & diverges).any():
+        return INF
+    total = float(term[live].sum())
+    if tail > 0.0:
+        if c >= 0:
+            return INF
+        total += tail**k * (-1.0 / c)
+    return scale * total ** (1.0 / q)
+
+
+def ref_hardy_sides(prof, q, r, alpha, descent):
+    """Both sides of a Hardy display at one alpha: the left side at finite
+    ``r`` by :func:`ref_hardy_lhs`, the right side (and the ascent left
+    side at ``r = inf``) by :func:`ref_weighted_step_q`."""
+    if descent:
+        if r == INF:  # the running sup f(0+) meets the diverging t^{-alpha}
+            lhs = INF if prof.values[0] > 0 else 0.0
+        else:
+            lhs = ref_hardy_lhs(prof, q, r, alpha, True)
+        return lhs, ref_weighted_step_q(prof, 1.0 / r - alpha, q)
     lhs = (ref_weighted_step_q(prof, alpha, q) if r == INF
-           else hardy_ascent_lhs(prof, q, r, alpha))
+           else ref_hardy_lhs(prof, q, r, alpha, False))
     return lhs, ref_weighted_step_q(prof, alpha + 1.0 / r, q)
 
 

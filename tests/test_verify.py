@@ -266,6 +266,19 @@ class TestKaramataCheck:
         rep = checks.check_karamata([(f, f.copy())], p)
         assert rep.max_ratio == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_stacked_sums_are_each_pairs_sums(self, seed, p):
+        # the generated f is a reversed view and g a contiguous row, whose
+        # powers numpy takes by different loops (an ulp apart at p = 3)
+        pairs = generate_karamata_pairs(500, seed)
+        rep = checks.check_karamata(pairs, p)
+        want = []
+        for i, (f, g) in enumerate(pairs):
+            sf, sg = float(np.sum(f**p)), float(np.sum(g**p))
+            want.append((f"pair{i}", *((sg, sf) if p >= 1 else (sf, sg))))
+        assert [(c.case_id, c.lhs, c.rhs) for c in rep.cases] == want
+
 
 class TestMinkCheck:
     def test_tensor_equality(self, rng):
@@ -575,6 +588,13 @@ class TestReports:
         assert CheckCase("b", 1.0, 0.0).ratio == INF
         assert CheckCase("c", 1.0, 2.0).ratio == 0.5
 
+    @pytest.mark.parametrize("name", ["case_id", "lhs", "rhs", "ratio"])
+    def test_cases_are_read_only(self, name):
+        case = CheckCase("a", 1.0, 2.0)
+        with pytest.raises(AttributeError):
+            setattr(case, name, 3.0)
+        assert (case.case_id, case.lhs, case.rhs, case.ratio) == ("a", 1.0, 2.0, 0.5)
+
     def test_report_pass_semantics(self):
         rep = CheckReport("x", {}, "", 1.0, [CheckCase("a", 2.0, 1.0)])
         assert not rep.passed
@@ -828,7 +848,7 @@ class TestSweepCasesArePublicNorms:
     def test_te3(self, small):
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
-        points = [(th, q) for th in checks.THETA_SWEEP[::4] for q in checks.Q_SWEEP]
+        points = [(th, q) for th in checks.THETA_SWEEP for q in checks.Q_SWEEP]
         for rep, (th, q) in zip(
                 checks._sweep(funcs, [checks._te3_group(points)])[0], points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
@@ -902,12 +922,11 @@ class TestSweepCasesArePublicNorms:
     def test_interp(self, small):
         # at q = (4, 4) the last stage's power differs in the last bit for a
         # numpy scalar and an array on some CPUs, so a stacked last stage
-        # fails here
+        # fails there
         corpus, pairs = small
         funcs = corpus + [f for _, f in pairs]
-        q = (4.0, 4.0)
-        points = [(th, q) for th in checks.THETA_SWEEP]
-        for rep, (th, _) in zip(
+        points = [(th, q) for q in checks.Q_SWEEP for th in checks.THETA_SWEEP]
+        for rep, (th, q) in zip(
                 checks._sweep(funcs, [checks._interp_group(points, 10)])[0],
                 points):
             p = tuple(1.0 / (1.0 - t / 2.0) for t in th)
@@ -999,23 +1018,27 @@ def test_prepared_grand_at_shuffled_theta_equals_fresh_calls():
 def test_suites_compute_each_surface_once(monkeypatch):
     # one core call per stack of same-shape items, parameter point and
     # surface key: the 32 x 32 corpora are one stack each and every 512 x 512
-    # lacunary pair is a stack of its own.  With one call per item (the
-    # parent of this design) te3 made 1800 calls of each core, interp 1800,
-    # embeddings 550, te4 480 and 280, thm5 280
+    # lacunary pair is a stack of its own.  te3 and interp take the nine
+    # theta points of a q as one grid.  With one call per item (the parent
+    # of this design) te3 made 1800 calls of each core, interp 1800,
+    # embeddings 550, te4 480 and 280, thm5 280; with one per theta point
+    # te3 made 36 of each and interp 36
     counts = collections.Counter()
     for name in ("_lorentz_core_batch", "_seq_block_core"):
         def counted(*args, _fn=getattr(norms, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(norms, name, counted)
+        for module in (norms, checks):  # the checks call the grid cores directly
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     got = {}
     for suite in ("te3", "interp", "embeddings", "te4", "thm5"):
         counts.clear()
         checks.run_suite(suite, 7)
         got[suite] = dict(counts)
-    assert got["te3"]["_lorentz_core_batch"] <= 36
-    assert got["te3"]["_seq_block_core"] <= 36
-    assert got["interp"]["_lorentz_core_batch"] <= 36
+    assert got["te3"]["_lorentz_core_batch"] <= 4
+    assert got["te3"]["_seq_block_core"] <= 4
+    assert got["interp"]["_lorentz_core_batch"] <= 4
     # embeddings: the collapse check reads the theta = 0 surface besides
     # the plain norm
     assert got["embeddings"]["_lorentz_core_batch"] <= 8
@@ -1024,12 +1047,13 @@ def test_suites_compute_each_surface_once(monkeypatch):
     assert got["te4"]["_lorentz_core_batch"] <= 12
     assert got["te4"]["_seq_block_core"] <= 8
     assert got["thm5"]["_lorentz_core_batch"] <= 8
-    # the four theorem suites as one pass share each stack: 92 and 44
-    # calls when run apart (145 and 120 with a surface per pair)
+    # the four theorem suites as one pass share each stack: 18 and 12
+    # calls, against 28 and 12 when run apart (145 and 120 with a surface
+    # per pair; 50 and 44 in one pass with a core call per theta point)
     counts.clear()
     checks._theorem_suites(7)
-    assert counts["_lorentz_core_batch"] <= 50
-    assert counts["_seq_block_core"] <= 44
+    assert counts["_lorentz_core_batch"] <= 18
+    assert counts["_seq_block_core"] <= 12
 
 
 def test_interp_evaluates_khat_once_per_stack(monkeypatch):
@@ -1320,8 +1344,27 @@ def test_translated_run_cases_are_each_pairs_public_norms():
 
 
 def test_pairs_that_do_not_translate_are_not_one_run():
-    with pytest.raises(ValueError, match="translate"):
-        list(checks._stacks([generate_lacunary_pairs((4, 4), 2, 7, ratio=1.5)]))
+    # each pair is a run of its own, built when it is read
+    pairs = generate_lacunary_pairs((4, 4), 3, 7, ratio=1.5)
+    assert not pairs.translates
+    f = generate(CorpusSpec("random_step", (4, 4), 2, 7))
+    runs = list(checks._stacks([f[0], pairs, f[1]]))
+    assert [run for run, _ in runs] == [range(0, 1), range(1, 2), range(2, 3),
+                                        range(3, 4), range(4, 5)]
+    for (_, (pair,)), want in zip(runs[1:4], pairs):
+        assert want[0].entries.tobytes() == pair[0].entries.tobytes()
+        assert want[1].values.tobytes() == pair[1].values.tobytes()
+    # check_te4 on such pairs gives the reports it gave when _sweep
+    # flattened them itself (digest of their JSON lines)
+    corpus = generate(CorpusSpec("random_step", (4, 4), 3, 7))
+    h = hashlib.sha256()
+    for th in ((0.0, 0.0), (0.5, 0.5)):
+        for q in ((2.0, 2.0), (INF, INF)):
+            rep = checks.check_te4(corpus, th, q, pairs)
+            h.update(json.dumps(rep.to_json_dict(), sort_keys=True,
+                                cls=_JsonEncoder).encode())
+    assert h.hexdigest() == \
+        "1c62b6a3e94939f72df88b88e405f9ad9ac789a6c26743e36dd050fcbea50d5b"
 
 
 def test_theorem_pass_rearranges_the_pairs_once(monkeypatch):
@@ -1426,20 +1469,32 @@ class TestStackedLemmaChecksMatchTheLoops:
 
     @pytest.mark.parametrize("r", [1.0, 2.0, INF])
     def test_hardy_one_alpha_displays_are_the_grid(self, r):
-        prof = checks._hardy_profiles(r, 7)[1][1]
-        alphas = [0.5, 0.25, 2.0**-10]
-        for descent, flhs, frhs in ((True, hardy_descent_lhs, hardy_descent_rhs),
-                                    (False, hardy_ascent_lhs, hardy_ascent_rhs)):
-            lhs, rhs = hardy_grid(prof, 2.0, r, alphas, descent)
-            assert same_bits(lhs, [flhs(prof, 2.0, r, a) for a in alphas])
-            assert same_bits(rhs, [frhs(prof, 2.0, r, a) for a in alphas])
+        # alpha = 0 gives an infinite left side: the descent tail over
+        # t > 1 or the first cell's t^{-1} weight diverges
+        alphas = 2.0 ** -np.arange(1, 11)
+        alphas = np.concatenate([alphas, [0.0, 0.75]])
+        infinite = set()
+        for q in (1.0, 2.0, INF):
+            for name, prof in checks._hardy_profiles(r, 7):
+                for descent, flhs, frhs in ((True, hardy_descent_lhs, hardy_descent_rhs),
+                                            (False, hardy_ascent_lhs, hardy_ascent_rhs)):
+                    lhs, rhs = hardy_grid(prof, q, r, alphas, descent)
+                    where = (q, name, descent)
+                    assert same_bits(lhs, [flhs(prof, q, r, a) for a in alphas]), where
+                    assert same_bits(rhs, [frhs(prof, q, r, a) for a in alphas]), where
+                    # and the one-alpha reference loop's
+                    ref = [ref_hardy_sides(prof, q, r, a, descent) for a in alphas]
+                    assert same_bits(lhs, [x for x, _ in ref]), where
+                    assert same_bits(rhs, [y for _, y in ref]), where
+                    infinite |= {a for a, x in zip(alphas, lhs) if x == INF}
+        assert 0.0 in infinite
 
 
 @pytest.fixture(scope="module")
 def spied_all_pass():
     """One ``run_suite("all")`` with counters on the Hardy suite's
-    ``_stage`` and on the lemma and embedding checks that perfbench times
-    by rebinding their names."""
+    ``_power_cells``, on the separable stage and on the lemma and embedding
+    checks that perfbench times by rebinding their names."""
     names = ("check_karamata", "check_mink", "check_hardy", "check_le3",
              "check_p1_monotone", "check_collapse", "check_logweight_equiv")
     calls = collections.Counter()
@@ -1453,15 +1508,22 @@ def spied_all_pass():
     with pytest.MonkeyPatch.context() as mp:
         for name in names:
             mp.setattr(checks, name, counted(name, getattr(checks, name)))
-        mp.setattr(hardy, "_stage", counted("hardy._stage", hardy._stage))
+        mp.setattr(hardy, "_power_cells",
+                   counted("hardy._power_cells", hardy._power_cells))
+        mp.setattr(norms, "_sep_stage", counted("norms._sep_stage", norms._sep_stage))
         checks.run_suite("all", 7)
     return names, calls
 
 
-def test_hardy_suite_takes_one_stage_per_profile_display_and_grid(spied_all_pass):
-    # 9 (q, r) points x 3 profiles x 2 displays right sides, and the ascent
-    # left side at r = inf for 3 q's x 3 profiles; 630 with one per alpha
-    assert spied_all_pass[1]["hardy._stage"] <= 63
+def test_all_pass_takes_one_power_cells_call_per_hardy_grid(spied_all_pass):
+    # one call per profile, display and alpha grid for each right side, the
+    # ascent left side at r = inf and each left side at finite q and r: 87,
+    # against 870 with one per alpha and row.  The theta grids of te3 and
+    # interp take one separable stage per q and stack where each theta
+    # point took its own: 66 against 210
+    calls = spied_all_pass[1]
+    assert calls["hardy._power_cells"] <= 90
+    assert calls["norms._sep_stage"] <= 70
 
 
 def test_the_timed_checks_are_still_called(spied_all_pass):
