@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _DEPTH_MAX, _LN2, _nested
+from .norms import _DEPTH_MAX, _LN2, _exponent_pair, _nested
 from .stepfun import DyadicStep2D, _integer
 
 
@@ -68,6 +68,12 @@ def theta_from_p(p: tuple[float, float]) -> ThetaPoint:
     return ThetaPoint(theta, (float(p[0]), float(p[1])))
 
 
+def _theta_p(t: float) -> float:
+    """The exponent ``p_i = 1/(1 - theta_i/2)`` that ``theta_i`` induces:
+    the inverse of :func:`theta_from_p`, one component at a time."""
+    return 1.0 / (1.0 - t / 2.0)
+
+
 def beta_from_q(q: tuple[float, float]) -> tuple[float, float]:
     """``beta_i = max(1/2, 1/q_i)`` with ``1/inf = 0``."""
     return tuple(max(0.5, 1.0 / qi) for qi in q)
@@ -82,7 +88,7 @@ def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:
     th1, th2 = theta
     if not (0 < th1 < 1 and 0 < th2 < 1):
         raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
-    b1, b2 = beta_from_q(q)
+    b1, b2 = beta_from_q(_exponent_pair("q", q))
     return max(
         1.0 / (th1 * th2),
         1.0 / ((1.0 - th1) ** b1 * th2),
@@ -115,10 +121,15 @@ def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s, t2s):
 
     The r1 contractions are stacked matrix-vector products, one gemv per
     grid and t1, so no entry's bits depend on how many grids or points
-    share the call.
+    share the call.  Each grid is divided by the power of two ``2^k`` that
+    brings its largest value into [1/2, 1) before ``G`` is squared, and
+    ``2^k`` multiplies the five outputs back: every term is 1-homogeneous
+    in ``G``, so this is exact, and no magnitude overflows or underflows.
     """
     h1, h2 = widths
     r2, r1 = G.shape[-2:]
+    k = np.frexp(G.max(axis=(-2, -1)))[1][..., None, None]
+    G = np.ldexp(G, -k)
     # Khat is constant for t >= 1: every t past 1 is read as 1
     t1s = np.minimum(np.asarray(t1s, dtype=float), 1.0)[:, None]
     t2s = np.minimum(np.asarray(t2s, dtype=float), 1.0)
@@ -146,7 +157,8 @@ def _khat_of(G: np.ndarray, widths: tuple[float, float], t1s, t2s):
     full01 = _sq_anti(b, R, beta) - _sq_anti(a, R, beta)
     part01 = _sq_anti(bj, Rj, betaj) - _sq_anti(aj, Rj, betaj)
     T01 = np.sqrt(np.maximum(_cumsum(full01, tail=True)[..., j] - part01, 0.0))
-    return T00 + t1s * T10 + t2s * T01 + t1s * t2s * T11, T00, T10, T01, T11
+    return tuple(np.ldexp(T, k) for T in
+                 (T00 + t1s * T10 + t2s * T01 + t1s * t2s * T11, T00, T10, T01, T11))
 
 
 def _cumsum(x: np.ndarray, tail: bool = False) -> np.ndarray:
@@ -179,7 +191,8 @@ def interp_norm(f: DyadicStep2D, theta: tuple[float, float],
     under-approximates the continuous integral of ``Khat``.
     """
     ts = _interp_samples(theta, J)
-    return float(_interp_of(khat_grid(f, ts, ts), theta, q, J))
+    q = _exponent_pair("q", q)
+    return float(_interp_of(khat_grid(f, ts, ts), [[th] for th in theta], q, J)[0, 0])
 
 
 def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
@@ -191,23 +204,28 @@ def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
     return 2.0 ** np.arange(-_integer(J, 4, "J", _DEPTH_MAX), 1)
 
 
-def _interp_of(K: np.ndarray, theta: tuple[float, float],
-               q: tuple[float, float], J: int) -> np.ndarray:
-    """:func:`interp_norm` from Khat grids ``K[..., i, j]``, each a
+def _interp_of(K: np.ndarray, thetas, q: tuple[float, float], J: int) -> np.ndarray:
+    """:func:`interp_norm` of the Khat grids ``K[..., i, j]``, each a
     ``khat_grid(f, ts, ts)`` over the samples ``ts`` of
-    :func:`_interp_samples`, shape ``(...)``: one
-    :func:`~lorentz_forge.norms._nested` call over the sample weights, so a
-    stack of grids gives each grid's own value, bit for bit.
+    :func:`_interp_samples`, at every theta of the grid ``thetas``, the
+    theta_1 values and the theta_2 values: ``out[..., i, j]`` at
+    ``(thetas[0][i], thetas[1][j])``.  One
+    :func:`~lorentz_forge.norms._nested` call with one weight row per
+    theta_i, each summed on its own, so an entry has the bits of its
+    one-point call and a stack of grids gives each grid's own values.
     """
     ts = 2.0 ** np.arange(-J, 1)
     weights = []
-    for th, qq in zip(theta, q):
-        # the cells [2^m, 2^{m+1}), m = -J..-1, weigh K(2^m) 2^{-m th}; the
-        # t >= 1 tail is exact (Khat is constant there), and the linear
-        # model below 2^-J adds to the first sample's weight
-        omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
-        omega[-1] = 1.0 / (th * qq)
-        omega[0] += 1.0 / ((1.0 - th) * qq)
-        weights.append(((ts**-th)[None], omega[None], qq))
+    for ax, qq in zip(thetas, q):
+        rows = []
+        for th in ax:
+            # the cells [2^m, 2^{m+1}), m = -J..-1, weigh K(2^m) 2^{-m th};
+            # the t >= 1 tail is exact (Khat is constant there), and the
+            # linear model below 2^-J adds to the first sample's weight
+            omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
+            omega[-1] = 1.0 / (th * qq)
+            omega[0] += 1.0 / ((1.0 - th) * qq)
+            rows.append((ts**-th, omega))
+        weights.append((*map(np.array, zip(*rows)), qq))
     # [..., t2, t1]: the t1 stage runs along the last axis, then t2
-    return _nested(K.swapaxes(-1, -2), *weights)[..., 0, 0]
+    return _nested(K.swapaxes(-1, -2), *weights)

@@ -564,18 +564,21 @@ def seq_block_lorentz_norm(a: Sequence2D, p: tuple[float, float],
     """Discrete block norm with fixed weights ``2^{k1/p1' + k2/p2'}`` applied
     to the normalized brackets ``[2^{-k1-k2} sum (a^{*2,*1})^2]^{1/2}``.
     """
-    return float(_seq_block_lorentz_of(a._sqrt_table, p, q))
-
-
-def _seq_block_lorentz_of(sqrtS: np.ndarray, p: tuple[float, float],
-                          q: tuple[float, float]) -> np.ndarray:
-    """:func:`seq_block_lorentz_norm` from dyadic sqrt tables
-    ``sqrtS[..., k1, k2]`` (:func:`~lorentz_forge.rearrange._dyadic_sqrt`), shape ``(...)``."""
     e = Exponents(p, q)
-    nu1 = 1.0 / e.conjugate(0) - 0.5
-    nu2 = 1.0 / e.conjugate(1) - 0.5
-    return _seq_block_core(sqrtS, np.array([nu1]), np.array([nu2]),
-                           q[0], q[1])[..., 0, 0]
+    return float(_seq_block_lorentz_of(a._sqrt_table, [[pi] for pi in e.p], q)[0, 0])
+
+
+def _seq_block_lorentz_of(sqrtS: np.ndarray, ps, q: tuple[float, float]) -> np.ndarray:
+    """:func:`seq_block_lorentz_norm` from dyadic sqrt tables
+    ``sqrtS[..., k1, k2]`` (:func:`~lorentz_forge.rearrange._dyadic_sqrt`)
+    at every p of the grid ``ps``, the p_1 values and the p_2 values:
+    ``out[..., i, j]`` at ``(ps[0][i], ps[1][j])``.  One
+    :func:`_seq_block_core` call over the block exponents
+    ``nu_i = 1/p_i' - 1/2``, whose weight rows are each summed on their
+    own, so an entry has the bits of its one-point call."""
+    nus = [np.array([1.0 / Exponents((p, p), q).conjugate(0) - 0.5 for p in ax])
+           for ax in ps]
+    return _seq_block_core(sqrtS, *nus, q[0], q[1])
 
 
 def grand_seq_norm(a: Sequence2D, e: Exponents, gp: GrandParams,

@@ -30,10 +30,11 @@ import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_l2_of, _block_sup_of, _bochkarev_of,
                        _te4_params, _tensor_coeffs)
-from ..interpolation import _interp_samples, _khat_of, constant_D
-from ..norms import (_LN2, Exponents, GrandParams, _grand_pick, _logweight_of,
+from ..interpolation import (_interp_of, _interp_samples, _khat_of, _theta_p,
+                             constant_D)
+from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
                      _lorentz_core_batch, _lorentz_of, _lorentz_surface,
-                     _mixed_of, _nested, _seq_block_core, _seq_surface,
+                     _mixed_of, _seq_block_lorentz_of, _seq_surface,
                      _surface_key)
 from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
 from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
@@ -478,11 +479,6 @@ def _theta_axes(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(tuple(sorted({pt[0][i] for pt in points})) for i in (0, 1))
 
 
-def _theta_p(t: float) -> float:
-    """The exponent ``p_i = 1/(1 - theta_i/2)`` that ``theta_i`` induces."""
-    return 1.0 / (1.0 - t / 2.0)
-
-
 def _theta_case(prep: _Prepared, axes, theta, q, kind: str, lhs_grid: Callable):
     """The te3 or interp case at ``(theta, q)``: its entry of the left
     side's theta grid, ``lhs_grid()`` kept under ``kind``, against
@@ -499,22 +495,15 @@ def _theta_case(prep: _Prepared, axes, theta, q, kind: str, lhs_grid: Callable):
              6.0 * constant_D(theta, q) * L[:, i, j])]
 
 
-def _te3_grid(sqrtS: np.ndarray, axes, q) -> np.ndarray:
-    """:func:`~lorentz_forge.norms._seq_block_lorentz_of` of the dyadic
-    sqrt tables ``sqrtS`` at every theta of the grid ``axes``, ``[..., i,
-    j]`` at ``(axes[0][i], axes[1][j])``: one :func:`_seq_block_core` call
-    over the block exponents ``nu_i = 1/p_i' - 1/2`` of the grid."""
-    nus = [np.array([1.0 / Exponents((p, p), q).conjugate(0) - 0.5
-                     for p in map(_theta_p, ax)]) for ax in axes]
-    return _seq_block_core(sqrtS, *nus, *q)
-
-
 def _te3_group(points) -> _Group:
     """:func:`check_te3` at each ``(theta, q)`` of ``points``; pairs are
-    left out.  The left sides of a q are one :func:`_te3_grid` call."""
+    left out.  The left sides of a q are one
+    :func:`~lorentz_forge.norms._seq_block_lorentz_of` call over the grid
+    of the exponents ``p(theta)``."""
     c0 = calibration()["te3_c0"]
     points = list(points)
     axes = _theta_axes(points)
+    p_axes = [[_theta_p(t) for t in ax] for ax in axes]
 
     def report(theta, q):
         return CheckReport("te3", {"theta": list(theta), "q": _jq(q)}, None, c0,
@@ -525,7 +514,7 @@ def _te3_group(points) -> _Group:
         if prep.pairs:
             return None
         return _theta_case(prep, axes, theta, q, "te3",
-                           lambda: _te3_grid(prep._sqrt_table, axes, q))
+                           lambda: _seq_block_lorentz_of(prep._sqrt_table, p_axes, q))
 
     def finish(rep):
         # the raw lhs / Lorentz ratio normalized by D: the growth statistic
@@ -701,29 +690,10 @@ def check_logweight_equiv(corpus, theta, p=(2, 2)) -> CheckReport:
     return rep
 
 
-def _interp_grid(K: np.ndarray, axes, q, J: int) -> np.ndarray:
-    """:func:`~lorentz_forge.interpolation._interp_of` of the Khat grids
-    ``K[..., i, j]`` at every theta of the grid ``axes``, ``[..., i, j]``
-    at ``(axes[0][i], axes[1][j])``: one :func:`_nested` call with
-    ``_interp_of``'s weight row for each theta_i, each row built as that
-    call builds it."""
-    ts = 2.0 ** np.arange(-J, 1)
-    weights = []
-    for ax, qq in zip(axes, q):
-        rows = []
-        for th in ax:
-            omega = np.full(len(ts), -np.expm1(-th * qq * _LN2) / (th * qq))
-            omega[-1] = 1.0 / (th * qq)
-            omega[0] += 1.0 / ((1.0 - th) * qq)
-            rows.append((ts**-th, omega))
-        weights.append((*map(np.array, zip(*rows)), qq))
-    return _nested(K.swapaxes(-1, -2), *weights)
-
-
 def _interp_group(points, J: int) -> _Group:
     """:func:`check_interp_chain` at each ``(theta, q)`` of ``points``;
     pairs are left out.  The left sides of a q are one
-    :func:`_interp_grid` call."""
+    :func:`~lorentz_forge.interpolation._interp_of` call."""
     points = list(points)
     axes = _theta_axes(points)
     # the samples are the same for every theta
@@ -738,7 +708,7 @@ def _interp_group(points, J: int) -> _Group:
         if prep.pairs:
             return None
         return _theta_case(prep, axes, theta, q, ("interp", J),
-                           lambda: _interp_grid(prep.khat(ts), axes, q, J))
+                           lambda: _interp_of(prep.khat(ts), axes, q, J))
 
     return _Group(points, report, cases)
 

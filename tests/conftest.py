@@ -1,11 +1,22 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from lorentz_forge.fourier import coeffs_2d
 from lorentz_forge.norms import _power_cells, _qsum, _stage
 from lorentz_forge.stepfun import DyadicStep2D
 
 INF = float("inf")
+
+# the same examples on every run, and nothing written into the checkout:
+# no example database, and the constants hypothesis caches from the source
+# (at collection, before any fixture runs) go to the system temp directory
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir(), "lorentz-forge-hypothesis"))
 
 
 @pytest.fixture(scope="session")

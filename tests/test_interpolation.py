@@ -197,6 +197,31 @@ class TestInterpNorm:
         assert interp_norm(f, (0.5, 0.5), (2, 2), J=np.int64(4)) == \
             interp_norm(f, (0.5, 0.5), (2, 2), J=4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [2.0**990, 2.0**-990, 1e300, 1e-300],
+                             ids=["2^990", "2^-990", "1e300", "1e-300"])
+    def test_khat_is_homogeneous_at_any_magnitude(self, c):
+        # Khat squares G for its l2 tails: unscaled, 1e300 overflowed to
+        # interp_norm = 0.0 and 1e-300 read 0.66 c times the unscaled value
+        v = np.random.default_rng(47).random((8, 8))
+        f, fc = DyadicStep2D((3, 3), v), DyadicStep2D((3, 3), c * v)
+        ts = 2.0 ** np.arange(-6, 1)
+        got, want = khat_grid(fc, ts, ts), khat_grid(f, ts, ts)
+        assert np.isfinite(got).all() and (got > 0).all()
+        np.testing.assert_allclose(got, c * want, rtol=1e-12, atol=0)
+        kt, kt1 = k_upper(fc, 0.3, 0.6), k_upper(f, 0.3, 0.6)
+        for name in ("t00", "t10", "t01", "t11", "khat"):
+            assert getattr(kt, name) == pytest.approx(c * getattr(kt1, name), rel=1e-12)
+        for q in ((2.5, 2.5), (1, INF), (INF, INF)):
+            n = interp_norm(fc, (0.5, 0.5), q)
+            assert np.isfinite(n) and n > 0
+            assert n == pytest.approx(c * interp_norm(f, (0.5, 0.5), q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [(0, 2), (-1, 2), (float("nan"), 2), (2,)])
+    def test_q_validated(self, q):
+        with pytest.raises(ValueError, match="q components"):
+            interp_norm(constant_grid(1.0, (2, 2)), (0.5, 0.5), q)
+
     def test_chain_against_lorentz(self, rng):
         f = DyadicStep2D((4, 4), rng.random((16, 16)))
         for theta in ((0.3, 0.3), (0.7, 0.4)):
@@ -228,6 +253,12 @@ class TestConstantD:
     def test_domain_validated(self):
         with pytest.raises(ValueError):
             constant_D((0.0, 0.5), (2, 2))
+
+    @pytest.mark.parametrize("q", [(0, 2), (-1, 2), (float("nan"), 2), (2,)])
+    def test_q_validated(self, q):
+        # (0, 2) divided by zero and (-1, 2) read 4.0
+        with pytest.raises(ValueError, match="q components"):
+            constant_D((0.5, 0.5), q)
 
 
 class TestThetaFromP:

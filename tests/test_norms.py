@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -21,7 +22,8 @@ from lorentz_forge.norms import (Exponents, GrandNormResult, GrandParams,
                                  _grand_pick, _logweight_of,
                                  _lorentz_core_batch, _lorentz_of,
                                  _lorentz_surface,
-                                 _power_cells, _qsum, _seq_block_core, _stage,
+                                 _power_cells, _qsum, _seq_block_core,
+                                 _seq_block_lorentz_of, _stage,
                                  discrete_grand_norm_P6,
                                  evaluate_norm_request, grand_lorentz_norm,
                                  grand_seq_norm, logweight_sup_norm,
@@ -845,6 +847,10 @@ class TestSupportBlockTables:
                 _block_sup_of(_dyadic_sqrt(full, m.shape), q).tobytes()
 
 
+# a 3x3 theta grid: the theta_1 values and the theta_2 values
+THETA_GRID = ((0.2, 0.4, 0.8), (0.3, 0.5, 0.7))
+
+
 def _layouts(x):
     """The values of ``x`` C-ordered, Fortran-ordered and as a view with
     its last two axes' strides swapped."""
@@ -869,9 +875,9 @@ def test_cores_do_not_depend_on_memory_layout(q):
         for x in _layouts(t):
             assert _seq_block_core(x, *args).tobytes() == want
     for K in (rng.random((11, 11)), rng.random((3, 11, 11))):
-        want = _interp_of(K, (0.4, 0.7), (q, 2.0), 10).tobytes()
+        want = _interp_of(K, THETA_GRID, (q, 2.0), 10).tobytes()
         for x in _layouts(K):
-            assert _interp_of(x, (0.4, 0.7), (q, 2.0), 10).tobytes() == want
+            assert _interp_of(x, THETA_GRID, (q, 2.0), 10).tobytes() == want
 
 
 def test_grid_reads_do_not_depend_on_memory_layout():
@@ -1138,14 +1144,36 @@ class TestNestedMatchesReplacedStages:
         fs = random_grids(4, (3, 3), seed=31)
         fs[1] = constant_grid(0.0, (3, 3))
         K = np.stack([khat_grid(f, ts, ts) for f in fs])
-        for theta in ((0.2, 0.8), (0.5, 0.5)):
-            got = _interp_of(K, theta, q, J)
-            assert got.shape == (4,) and got[1] == 0.0
-            for k in range(4):
-                assert got[k].tobytes() == _interp_of(K[k], theta, q, J).tobytes()
-                assert float(got[k]) == interp_norm(fs[k], theta, q, J)
+        got = _interp_of(K, THETA_GRID, q, J)
+        assert got.shape == (4, 3, 3) and (got[1] == 0.0).all()
+        for k in range(4):
+            assert got[k].tobytes() == _interp_of(K[k], THETA_GRID, q, J).tobytes()
+            for (i, th1), (j, th2) in itertools.product(*map(enumerate, THETA_GRID)):
+                theta = (th1, th2)
+                # each entry is its one-point norm, bit for bit
+                assert got[k, i, j].tobytes() == \
+                    np.float64(interp_norm(fs[k], theta, q, J)).tobytes()
                 want = float(_ref_interp_of(K[k], theta, q, J))
-                assert got[k] == pytest.approx(want, rel=1e-15, abs=0)
+                assert got[k, i, j] == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("q", [(1, 1), (2, 4), (4.0, 4.0), (INF, INF), (2, INF),
+                                   (INF, 1.5)])
+    def test_seq_block_grid_entries_are_the_one_point_norms(self, q):
+        r = np.random.default_rng(43)
+        ms = [r.random((8, 8)) * (r.random((8, 8)) < 0.7) for _ in range(4)]
+        ms[2][:] = 0.0
+        seqs = [Sequence2D(m) for m in ms]
+        coeffs = [CoeffMatrix(WALSH, WALSH, m * (-1) ** k) for k, m in enumerate(ms)]
+        ps = ((1.0, 4 / 3, 2.0), (1.25, 1.5, INF))
+        got = _seq_block_lorentz_of(np.stack([a._sqrt_table for a in seqs]), ps, q)
+        assert got.shape == (4, 3, 3) and (got[2] == 0.0).all()
+        for k in range(4):
+            assert got[k].tobytes() == _seq_block_lorentz_of(
+                seqs[k]._sqrt_table, ps, q).tobytes()
+            for (i, p1), (j, p2) in itertools.product(*map(enumerate, ps)):
+                for one in (seq_block_lorentz_norm(seqs[k], (p1, p2), q),
+                            te3_lhs(coeffs[k], (p1, p2), q)):
+                    assert got[k, i, j].tobytes() == np.float64(one).tobytes()
 
     def test_logweight_stack_is_per_item(self):
         fs = random_grids(4, (3, 2), seed=37)
