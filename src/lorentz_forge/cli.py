@@ -182,8 +182,7 @@ def cmd_verify(args) -> int:
 
     # an unusable report directory fails here, before any suite runs
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    reports = run_suite(args.suite, seed=args.seed,
-                        level=tuple(args.level))
+    reports = run_suite(args.suite, seed=args.seed, level=args.level)
     jl, cs = write_reports(reports, args.out)
     npass = sum(r.passed for r in reports)
     sys.stdout.write(f"{npass}/{len(reports)} checks passed; "

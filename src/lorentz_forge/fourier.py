@@ -21,7 +21,7 @@ from .interpolation import beta_from_q
 from .norms import (Exponents, GrandNormResult, GrandParams, grand_seq_norm,
                     seq_block_lorentz_norm)
 from .rearrange import Sequence2D, _BlockTables, iterated_rearrange_seq_first_index
-from .stepfun import DyadicStep2D, _Memoised, _integer
+from .stepfun import DyadicStep2D, _integer, _Memoised, _pair
 
 
 class ResolutionError(ValueError):
@@ -48,6 +48,14 @@ class OrthonormalSystem:
 
 TRIG = OrthonormalSystem("trig")
 WALSH = OrthonormalSystem("walsh")
+_Q_BLOCK = (lambda qi: qi >= 2, "in [2, inf]")  # the block suprema's q: below 2, +inf
+
+
+def _systems(pair) -> tuple[OrthonormalSystem, OrthonormalSystem]:
+    """``pair`` as two :class:`OrthonormalSystem` objects."""
+    if np.shape(pair) != (2,) or not all(isinstance(s, OrthonormalSystem) for s in pair):
+        raise ValueError(f"systems must be two OrthonormalSystem objects, got {pair!r}")
+    return tuple(pair)
 
 
 def trig_frequency(i):
@@ -256,6 +264,7 @@ def coeffs_from_values(values: np.ndarray, levels: tuple[int, int],
     values a finite ``levels`` grid; Walsh truncations past the grid's
     resolution raise :class:`ResolutionError`.
     """
+    sys1, sys2 = _systems((sys1, sys2))
     K1, K2 = (_integer(K, 1, "a truncation") for K in (K1, K2))
     v = np.asarray(values, dtype=float)  # [j2, j1]
     if v.shape != (2 ** levels[1], 2 ** levels[0]):
@@ -275,6 +284,7 @@ def coeffs_2d(f: DyadicStep2D, sys1: OrthonormalSystem, sys2: OrthonormalSystem,
 def gram_matrix(system: OrthonormalSystem, count: int, level: int) -> np.ndarray:
     """Gram matrix of the first ``count`` system functions, integrated in
     closed form on a level-``level`` grid (used for orthonormality checks)."""
+    _systems((system, system))
     if system.kind == "walsh":
         W = walsh_on_cells(np.arange(count), level)
         return (W @ W.T) * 2.0**-level
@@ -291,11 +301,11 @@ def block_l2(a: CoeffMatrix, N1: int, N2: int, order: str = "seq") -> float:
     ``order="seq"`` rearranges second index first (m2 then m1);
     ``order="fun"`` uses the function-style order (m1 then m2).  Truncated
     matrices under-approximate the full-system block sums, which is the safe
-    direction for every upper-bound check.
+    direction for every upper-bound check.  The block sizes are integers
+    ``1 <= N_i <= K_i`` of the truncation ``(K1, K2)``.
     """
     K1, K2 = a.truncation
-    if not (1 <= N1 <= K1 and 1 <= N2 <= K2):
-        raise ValueError(f"block ({N1},{N2}) exceeds truncation ({K1},{K2})")
+    N1, N2 = _integer(N1, 1, "N1", K1), _integer(N2, 1, "N2", K2)
     if order not in ("seq", "fun"):
         raise ValueError(f"order must be 'seq' or 'fun', got {order!r}")
     return float(_block_l2_of(a._support if order == "seq" else a._fun_order,
@@ -319,8 +329,8 @@ def bochkarev_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     """Log-weighted supremum of cumulative block l2 sums.
 
     ``sup_{k1,k2} (ln max(k1,2))^{1/q1 - 1/2} (ln max(k2,2))^{1/q2 - 1/2}``
-    times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes.
-    """
+    times the top ``k1 x k2`` block l2 norm of the rearranged magnitudes;
+    ``q`` lies in ``[2, inf]^2``."""
     return float(_bochkarev_of(a._table, q, a.truncation))
 
 
@@ -334,11 +344,8 @@ def _bochkarev_of(S: np.ndarray, q: tuple[float, float],
     ``q >= 2`` they are nondecreasing, so the table's saturated part past
     the block never beats the block's last row or column.
     """
-    if any(not (2 <= qi) for qi in q):
-        raise ValueError(f"requires 2 <= q <= inf, got {q}")
     (K1, K2), (r1, r2) = dims, S.shape[-2:]
-    e1 = 0.5 - 1.0 / q[0]
-    e2 = 0.5 - 1.0 / q[1]
+    e1, e2 = (0.5 - 1.0 / qi for qi in _pair("q", q, *_Q_BLOCK))
     w1 = np.log(np.maximum(np.arange(1, K1 + 1), 2)) ** e1
     w2 = np.log(np.maximum(np.arange(1, K2 + 1), 2)) ** e2
     vals = np.sqrt(S) / np.outer(w1[:r1], w2[:r2])
@@ -347,7 +354,7 @@ def _bochkarev_of(S: np.ndarray, q: tuple[float, float],
 
 def block_sup_lhs(a: CoeffMatrix, q: tuple[float, float]) -> float:
     """``sup_n n1^{1/q1-1/2} n2^{1/q2-1/2} [sum over the 2^{n1} x 2^{n2}
-    block of (a^{*2,*1})^2]^{1/2}`` over ``n_i >= 1``.
+    block of (a^{*2,*1})^2]^{1/2}`` over ``n_i >= 1``, ``q`` in ``[2, inf]^2``.
 
     The bracket saturates once a block covers the stored matrix and the
     weights are nonincreasing for ``q >= 2``, so a finite scan is exact.
@@ -366,11 +373,8 @@ def _block_sup_of(T: np.ndarray, q: tuple[float, float]) -> np.ndarray:
     supremum over a nonzero matrix is ``+inf``, which no finite scan
     reaches: such a ``q`` raises, as in :func:`_bochkarev_of`.
     """
-    if any(not (2 <= qi) for qi in q):
-        raise ValueError(f"requires 2 <= q <= inf, got {q}")
     kap1, kap2 = T.shape[-2] - 1, T.shape[-1] - 1
-    e1 = 1.0 / q[0] - 0.5
-    e2 = 1.0 / q[1] - 0.5
+    e1, e2 = (1.0 / qi - 0.5 for qi in _pair("q", q, *_Q_BLOCK))
     n1 = range(1, max(kap1, 1) + 2)
     n2 = range(1, max(kap2, 1) + 2)
     # Python float powers: numpy's array power can differ in the last bit

@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _DEPTH_MAX, _LN2, _exponent_pair, _nested
-from .stepfun import DyadicStep2D, _integer
+from .norms import _DEPTH_MAX, _LN2, _nested
+from .stepfun import _FINITE_POSITIVE, _POSITIVE, DyadicStep2D, _integer, _pair
+
+_UNIT = (lambda th: 0 < th < 1, "in (0,1)")  # the domain of theta
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,8 @@ class ThetaPoint:
 
 def theta_from_p(p: tuple[float, float]) -> ThetaPoint:
     """Invert ``1/p_i = 1 - theta_i/2`` for ``p`` in (1,2) componentwise."""
-    for pi in p:
-        if not (1.0 < pi < 2.0):
-            raise ValueError(f"p components must lie in (1,2), got {p}")
-    theta = tuple(2.0 * (1.0 - 1.0 / pi) for pi in p)
-    return ThetaPoint(theta, (float(p[0]), float(p[1])))
+    p = _pair("p", p, lambda pi: 1.0 < pi < 2.0, "in (1,2)")
+    return ThetaPoint(tuple(2.0 * (1.0 - 1.0 / pi) for pi in p), p)
 
 
 def _theta_p(t: float) -> float:
@@ -83,12 +82,11 @@ def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:
     """Explicit interpolation constant: the four-term maximum
 
     ``max{1/(th1 th2), 1/((1-th1)^b1 th2), 1/((1-th2)^b2 th1),
-    1/((1-th1)^b1 (1-th2)^b2)}`` with ``b_i = max(1/2, 1/q_i)``.
+    1/((1-th1)^b1 (1-th2)^b2)}`` with ``b_i = max(1/2, 1/q_i)``, for
+    ``theta`` in ``(0,1)^2`` and ``q`` in ``(0, inf]^2``.
     """
-    th1, th2 = theta
-    if not (0 < th1 < 1 and 0 < th2 < 1):
-        raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
-    b1, b2 = beta_from_q(_exponent_pair("q", q))
+    th1, th2 = _pair("theta", theta, *_UNIT)
+    b1, b2 = beta_from_q(_pair("q", q, *_POSITIVE))
     return max(
         1.0 / (th1 * th2),
         1.0 / ((1.0 - th1) ** b1 * th2),
@@ -100,8 +98,7 @@ def constant_D(theta: tuple[float, float], q: tuple[float, float]) -> float:
 def k_upper(f: DyadicStep2D, t1: float, t2: float) -> KTerms:
     """The four norm bounds of the constructive decomposition at ``(t1, t2)``,
     both in ``(0, inf)``."""
-    if not (0 < t1 < np.inf and 0 < t2 < np.inf):
-        raise ValueError(f"t1, t2 must be positive and finite, got ({t1}, {t2})")
+    _pair("(t1, t2)", (t1, t2), *_FINITE_POSITIVE)
     _, *terms = _khat_of(f.rearranged, f.widths, [t1], [t2])
     return KTerms(t1, t2, *(float(T[0, 0]) for T in terms))
 
@@ -188,19 +185,18 @@ def interp_norm(f: DyadicStep2D, theta: tuple[float, float],
     exact power-weight cell integrals; the ``t >= 1`` tails use the exact
     constancy of ``Khat`` there, and the ``t -> 0`` tails use the linear
     vanishing model matched at the boundary sample.  The result
-    under-approximates the continuous integral of ``Khat``.
+    under-approximates the continuous integral of ``Khat``.  ``theta`` lies
+    in ``(0,1)^2`` and ``q`` in ``(0, inf]^2``.
     """
     ts = _interp_samples(theta, J)
-    q = _exponent_pair("q", q)
+    q = _pair("q", q, *_POSITIVE)
     return float(_interp_of(khat_grid(f, ts, ts), [[th] for th in theta], q, J)[0, 0])
 
 
 def _interp_samples(theta: tuple[float, float], J: int) -> np.ndarray:
     """The sample points ``t = 2^m, m = -J..0`` of :func:`interp_norm` on
     each axis, after checking ``theta`` and ``J``."""
-    th1, th2 = theta
-    if not (0 < th1 < 1 and 0 < th2 < 1):
-        raise ValueError(f"theta must lie in (0,1)^2, got {theta}")
+    _pair("theta", theta, *_UNIT)
     return 2.0 ** np.arange(-_integer(J, 4, "J", _DEPTH_MAX), 1)
 
 

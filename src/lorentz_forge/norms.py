@@ -73,17 +73,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rearrange import Sequence2D
-from .stepfun import DyadicStep2D, _integer
+from .stepfun import _FINITE_POSITIVE, _POSITIVE, DyadicStep2D, _integer, _pair
 
 INF = float("inf")
 _LN2 = math.log(2.0)
-
-
-def _exponent_pair(name: str, pair) -> tuple[float, float]:
-    """``pair`` as two floats, after checking that both lie in ``(0, inf]``."""
-    if len(pair) != 2 or any(not (x > 0) for x in pair):
-        raise ValueError(f"{name} components must be positive, got {pair}")
-    return float(pair[0]), float(pair[1])
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,8 @@ class Exponents:
     q: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _exponent_pair("p", self.p))
-        object.__setattr__(self, "q", _exponent_pair("q", self.q))
+        object.__setattr__(self, "p", _pair("p", self.p, *_POSITIVE))
+        object.__setattr__(self, "q", _pair("q", self.q, *_POSITIVE))
 
     def conjugate(self, i: int) -> float:
         """Conjugate exponent ``p_i'`` with ``1/p_i + 1/p_i' = 1`` (needs p_i >= 1)."""
@@ -116,7 +109,7 @@ _DEPTH_MAX = 1074  # past it 2^-j is 0.0: a deeper grid only repeats 0
 class GrandParams:
     """Smoothness weights and epsilon-search configuration for grand norms.
 
-    ``theta`` components must share one sign: both >= 0 selects the sup form,
+    ``theta`` is two numbers (no nan) of one sign: both >= 0 selects the sup form,
     both < 0 the inf form.  ``eps_levels`` is the geometric grid depth J
     (grid ``2^-j, j=0..J``), an integer in ``[0, 1074]``.
     """
@@ -125,14 +118,12 @@ class GrandParams:
     eps_levels: int = 24
 
     def __post_init__(self):
-        t1, t2 = self.theta
-        if t1 != t1 or t2 != t2:
-            raise ValueError(f"theta components must be numbers, got {self.theta}")
+        t1, t2 = _pair("theta", self.theta, lambda t: t == t, "numbers")
         if (t1 < 0) != (t2 < 0):
             raise ValueError(f"mixed-sign theta {self.theta} is not defined")
         object.__setattr__(self, "eps_levels", _integer(self.eps_levels, 0, "eps_levels",
                                                          _DEPTH_MAX))
-        object.__setattr__(self, "theta", (float(t1), float(t2)))
+        object.__setattr__(self, "theta", (t1, t2))
 
     @property
     def sup_form(self) -> bool:
@@ -400,7 +391,7 @@ def _lorentz_core_batch(g: np.ndarray, h1: float, h2: float,
 def mixed_lebesgue_norm(f: DyadicStep2D, p: tuple[float, float]) -> float:
     """Mixed-norm Lebesgue value: inner L^{p1} in x1, outer L^{p2} in x2,
     ``p`` components in ``(0, inf]``."""
-    return float(_mixed_of(np.asarray(f.values), f.widths, _exponent_pair("p", p)))
+    return float(_mixed_of(np.asarray(f.values), f.widths, _pair("p", p, *_POSITIVE)))
 
 
 def _mixed_of(vals: np.ndarray, widths: tuple[float, float],
@@ -633,7 +624,7 @@ def _log_weight_right_endpoints(ncells: int, h: float, inv_p: float,
 def logweight_sup_norm(f: DyadicStep2D, p: tuple[float, float],
                        theta: tuple[float, float]) -> float:
     """``sup_{t in (0,1)^2} t1^{1/p1} t2^{1/p2} / (|ln t1|^th1 |ln t2|^th2)``
-    applied to the iterated rearrangement.
+    applied to the iterated rearrangement, ``p`` and ``theta`` in ``(0, inf)^2``.
 
     The supremum is one-sided on (0,1): it is ``+inf`` exactly when the
     rearranged function is positive on a cell touching ``t = 1``.
@@ -645,11 +636,8 @@ def _logweight_of(g: np.ndarray, widths: tuple[float, float],
                   p: tuple[float, float], theta: tuple[float, float]) -> np.ndarray:
     """:func:`logweight_sup_norm` from rearranged values ``g[..., j2, j1]``
     and cell widths, shape ``(...)``."""
-    p = _exponent_pair("p", p)
-    if any(pi == INF for pi in p):
-        raise ValueError("log-weighted sup form requires finite p")
-    if not all(0 < ti < INF for ti in theta):
-        raise ValueError(f"log-weighted sup form requires finite theta > 0, got {theta}")
+    p = _pair("p", p, *_FINITE_POSITIVE)
+    theta = _pair("theta", theta, *_FINITE_POSITIVE)
     h1, h2 = widths
     r2, r1 = g.shape[-2:]
     w1 = _log_weight_right_endpoints(r1, h1, 1.0 / p[0], theta[0])
@@ -675,12 +663,10 @@ def discrete_grand_norm_P6(f: DyadicStep2D, e: Exponents,
     nested dyadic sums of ``2^{m(1/p + 1/k)} g(2^{m1}, 2^{m2})`` over
     ``m <= 0``; equals the grand Lorentz norm up to absolute constants and
     serves as a cross-check oracle.  A monotone bound on the tail of the
-    ``k`` scan allows early exit.
+    ``k`` scan allows early exit.  ``theta`` and ``p`` lie in ``(0, inf)^2``.
     """
-    if not all(0 < ti < INF for ti in theta):
-        raise ValueError(f"requires finite theta > 0, got {theta}")
-    if any(pi == INF for pi in e.p):
-        raise ValueError("requires finite p")
+    theta = _pair("theta", theta, *_FINITE_POSITIVE)
+    _pair("p", e.p, *_FINITE_POSITIVE)
     _integer(k_max, 2, "k_max")  # below 2 the scan would be empty and read 0
     tau1, tau2 = e.q
     g = f.rearranged

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stepfun import DyadicStep1D, DyadicStep2D, _as_readonly, _Memoised
+from .stepfun import DyadicStep1D, DyadicStep2D, _magnitudes, _Memoised
 
 
 class _BlockTables:
@@ -67,12 +67,10 @@ class Sequence2D(_BlockTables, _Memoised):
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ent = _as_readonly(self.entries, "entries")
-        object.__setattr__(self, "entries", ent)
+        ent = _magnitudes(self.entries, name="entries")
         if ent.ndim != 2 or 0 in ent.shape:
             raise ValueError(f"entries must be 2D and nonempty, got shape {ent.shape}")
-        if not np.all(np.isfinite(ent)) or np.any(ent < 0):
-            raise ValueError("entries must be finite and nonnegative")
+        object.__setattr__(self, "entries", ent)
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -32,12 +32,43 @@ def _integer(n, least: int = 0, name: str = "a level", most=math.inf) -> int:
     return int(n)
 
 
-def _as_readonly(arr, name: str = "values") -> np.ndarray:
-    """``arr`` as a read-only float array; the error names it ``name``."""
+def _levels(levels, name: str = "levels") -> tuple[int, int]:
+    """``levels`` as two grid levels; the error names it ``name``."""
+    if np.shape(levels) != (2,):
+        raise ValueError(f"{name} must be two integers, got {levels!r}")
+    return _integer(levels[0]), _integer(levels[1])
+
+
+def _pair(name: str, pair, ok, domain: str) -> tuple[float, float]:
+    """``pair`` as two real numbers (what ``float()`` takes, but not a string)
+    passing ``ok``, as floats; the error names ``name`` and its ``domain``."""
+    try:
+        x, y = pair
+        if not any(isinstance(v, (str, bytes)) for v in (pair, x, y)):
+            x, y = float(x), float(y)
+            if ok(x) and ok(y):
+                return x, y
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} components must be {domain}, got {pair!r}")
+
+
+# the (ok, domain) of _pair shared across modules; a nan fails both
+_POSITIVE = (lambda x: x > 0, "positive")  # (0, inf]
+_FINITE_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+
+
+def _magnitudes(arr, shape=None, name: str = "values") -> np.ndarray:
+    """``arr`` as a read-only float array of finite nonnegative numbers, of
+    ``shape`` unless that is None; the error names it ``name``."""
     try:
         out = np.array(arr, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a rectangular array of numbers") from None
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"{name} shape {out.shape} does not match {shape}")
+    if not np.all(np.isfinite(out)) or np.any(out < 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
     out.setflags(write=False)
     return out
 
@@ -65,14 +96,7 @@ class DyadicStep1D:
 
     def __post_init__(self):
         object.__setattr__(self, "level", _integer(self.level))
-        vals = _as_readonly(self.values)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (2**self.level,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match 2^{self.level} cells"
-            )
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("values must be finite and nonnegative")
+        object.__setattr__(self, "values", _magnitudes(self.values, (2**self.level,)))
 
     @property
     def width(self) -> float:
@@ -95,20 +119,9 @@ class DyadicStep2D(_Memoised):
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        try:
-            n1, n2 = self.levels
-        except (TypeError, ValueError):
-            raise ValueError(f"levels must be two integers, got {self.levels!r}") from None
-        n1, n2 = _integer(n1), _integer(n2)
-        vals = _as_readonly(self.values)
-        object.__setattr__(self, "values", vals)
+        n1, n2 = _levels(self.levels)
         object.__setattr__(self, "levels", (n1, n2))
-        if vals.shape != (2**n2, 2**n1):
-            raise ValueError(
-                f"values shape {vals.shape} does not match (2^{n2}, 2^{n1})"
-            )
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("values must be finite and nonnegative")
+        object.__setattr__(self, "values", _magnitudes(self.values, (2**n2, 2**n1)))
 
     @property
     def widths(self) -> tuple[float, float]:
@@ -130,7 +143,7 @@ class DyadicStep2D(_Memoised):
 
 def constant_grid(c: float, levels: tuple[int, int] = (0, 0)) -> DyadicStep2D:
     """Constant function ``f = c`` at the requested resolution."""
-    n1, n2 = map(_integer, levels)
+    n1, n2 = _levels(levels)
     return DyadicStep2D((n1, n2), np.full((2**n2, 2**n1), float(c)))
 
 
@@ -140,12 +153,11 @@ def indicator_grid(a1: float, a2: float, levels: tuple[int, int]) -> DyadicStep2
     The corners are finite and >= 0, and ``a1 * 2^{n1}`` and ``a2 * 2^{n2}``
     must be integers; a corner past 1 clips, as the zero extension says.
     """
-    n1, n2 = map(_integer, levels)
-    for name, a, n in (("a1", a1, n1), ("a2", a2, n2)):
-        if not 0 <= a < math.inf:
-            raise ValueError(f"corner {name} must be finite and >= 0, got {a!r}")
-        if a % 2.0**-n:  # exact: a multiple of 2^-n leaves 0
-            raise ValueError("corner must be dyadic at the requested level")
+    n1, n2 = _levels(levels)
+    a1, a2 = _pair("corner (a1, a2)", (a1, a2), lambda a: 0 <= a < math.inf,
+                   "finite and >= 0")
+    if a1 % 2.0**-n1 or a2 % 2.0**-n2:  # exact: a multiple of 2^-n leaves 0
+        raise ValueError("corner must be dyadic at the requested level")
     vals = np.zeros((2**n2, 2**n1))
     vals[: int(min(a2, 1) * 2**n2), : int(min(a1, 1) * 2**n1)] = 1.0
     return DyadicStep2D((n1, n2), vals)
@@ -173,8 +185,7 @@ def evaluate(f: DyadicStep2D, t1: float, t2: float) -> float:
 
     Arguments must be strictly positive.
     """
-    if not (t1 > 0 and t2 > 0):
-        raise ValueError(f"t1, t2 must be positive, got ({t1}, {t2})")
+    t1, t2 = _pair("(t1, t2)", (t1, t2), *_POSITIVE)
     if t1 >= 1 or t2 >= 1:
         return 0.0
     n1, n2 = f.levels

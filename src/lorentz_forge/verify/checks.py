@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..fourier import (WALSH, TRIG, _block_l2_of, _block_sup_of, _bochkarev_of,
-                       _te4_params, _tensor_coeffs)
+                       _systems, _te4_params, _tensor_coeffs)
 from ..interpolation import (_interp_of, _interp_samples, _khat_of, _theta_p,
                              constant_D)
 from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
@@ -37,7 +37,8 @@ from ..norms import (Exponents, GrandParams, _grand_pick, _logweight_of,
                      _mixed_of, _seq_block_lorentz_of, _seq_surface,
                      _surface_key)
 from ..rearrange import _BlockTables, _rearranged_support, _rearranged_values
-from ..stepfun import DyadicStep1D, DyadicStep2D, _hash_into
+from ..stepfun import (_POSITIVE, DyadicStep1D, DyadicStep2D, _hash_into, _integer,
+                       _levels, _pair)
 from .calibration import calibration
 from .corpus import (CorpusSpec, LacunaryPairs, corpus_hash, generate,
                      generate_karamata_pairs, generate_lacunary_pairs)
@@ -382,6 +383,7 @@ def check_hardy(q: float, r: float, alpha_grid, seed: int = 7) -> CheckReport:
     beta-normalized ratio necessarily drifts downward there and is not a
     meaningful uniformity probe.
     """
+    _pair("(q, r)", (q, r), *_POSITIVE)
     cal = calibration()
     beta = max(1.0 / q, 1.0 / r)
     gamma_descent = 1.0 / q
@@ -426,7 +428,7 @@ def check_le3(corpus, systems=(WALSH, WALSH),
     function-order block sums are recorded but not gated, since the two
     orders genuinely differ on non-tensor matrices.
     """
-    sys1, sys2 = systems
+    sys1, sys2 = _systems(systems)
     if any(N < 1 for n in Ns for N in n):
         raise ValueError(f"block sizes must be >= 1, got {Ns}")
     M1, M2 = sys1.bound, sys2.bound
@@ -835,7 +837,9 @@ SUITE_NAMES = (*_SUITES, "all")
 def run_suite(name: str, seed: int = 7, level=(5, 5)) -> list[CheckReport]:
     """Run one named suite (or ``all``, every suite in ``_SUITES`` order)
     and return its reports.  ``all`` runs the theorem suites as one pass
-    (see :func:`_theorem_suites`)."""
+    (see :func:`_theorem_suites`); ``seed`` and ``level`` are checked first,
+    as a :class:`~lorentz_forge.verify.corpus.CorpusSpec` checks them."""
+    seed, level = _integer(seed, 0, "seed"), _levels(level, "level")
     if name == "all":
         shared = _theorem_suites(seed, level)
         return [r for n, suite in _SUITES.items()

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..fourier import WALSH, CoeffMatrix, walsh_on_cells
 from ..rearrange import iterated_rearrange_2d
-from ..stepfun import DyadicStep2D, _integer, corpus_hash  # corpus_hash: re-exported
+from ..stepfun import DyadicStep2D, _integer, _levels, corpus_hash  # corpus_hash: re-exported
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class CorpusSpec:
         if self.kind not in ("random_step", "tensor", "power_log",
                              "lacunary", "indicator"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
-        if np.shape(self.level) != (2,):
-            raise ValueError(f"level must be two nonnegative integers, got {self.level!r}")
-        object.__setattr__(self, "level", tuple(map(_integer, self.level)))
+        object.__setattr__(self, "level", _levels(self.level, "level"))
         object.__setattr__(self, "count", _integer(self.count, 0, "count"))
         object.__setattr__(self, "seed", _integer(self.seed, 0, "seed"))
 

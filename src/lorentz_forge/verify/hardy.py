@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..norms import _power_cells, _qsum
-from ..stepfun import DyadicStep1D
+from ..stepfun import _POSITIVE, DyadicStep1D, _pair
 
 INF = float("inf")
 
@@ -131,6 +131,7 @@ def _hardy_lhs(prof: DyadicStep1D, q: float, r: float, alphas,
 def _lhs(prof: DyadicStep1D, q: float, r: float, alphas,
          descent: bool) -> list[float]:
     """The left side of the descent (or ascent) display at each alpha."""
+    q, r = _pair("(q, r)", (q, r), *_POSITIVE)
     if r != INF:
         return _hardy_lhs(prof, q, r, alphas, descent)
     if descent:
@@ -143,6 +144,7 @@ def _lhs(prof: DyadicStep1D, q: float, r: float, alphas,
 def _rhs(prof: DyadicStep1D, q: float, r: float, alphas,
          descent: bool) -> list[float]:
     """The right side of the descent (or ascent) display at each alpha."""
+    q, r = _pair("(q, r)", (q, r), *_POSITIVE)
     es = ([1.0 / r - alpha for alpha in alphas] if descent else
           [alpha + 1.0 / r for alpha in alphas])
     return _weighted_step_q(prof, es, q).tolist()
@@ -153,7 +155,8 @@ def hardy_grid(prof: DyadicStep1D, q: float, r: float, alphas,
     """The left and right sides of the descent (or ascent) display at each
     alpha of ``alphas``, each side evaluated for the whole grid at once.
     A one-alpha display is this grid at one alpha, and each entry has the
-    bits of that display."""
+    bits of that display.  ``q`` and ``r`` lie in ``(0, inf]``, in every
+    display."""
     return _lhs(prof, q, r, alphas, descent), _rhs(prof, q, r, alphas, descent)
 
 

@@ -341,6 +341,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "level" in captured.err
 
+    @pytest.mark.parametrize("suite, flags, name", [
+        # numpy's "expected non-negative integer" named no flag, and
+        # karamata and hardy ran at any level
+        ("karamata", ["--seed", "-1"], "seed"), ("hardy", ["--seed", "-1"], "seed"),
+        ("karamata", ["--level", "-1", "2"], "level"),
+        ("hardy", ["--level", "3", "-4"], "level")])
+    def test_seed_and_level_checked_for_every_suite(self, tmp_path, capsys, suite,
+                                                    flags, name):
+        rc = main(["verify", "--suite", suite, *flags, "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{name} must be" in captured.err
+
     def test_reports_reproducible(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
